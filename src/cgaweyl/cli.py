@@ -49,52 +49,39 @@ def parse_parameter(text: str) -> Fraction | None:
     return parse_rational(text)
 
 
+def _int_at_least(low: int):
+    """argparse type: a decimal integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"[+-]?\d+", text) or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # sections
 
-def _section(title: str, payload: dict) -> dict:
-    payload = dict(payload)
-    payload["section"] = title
-    return payload
+def _checks_section(title: str, family: str, checks, params=None) -> dict:
+    """A report section from (lhs, expected, ok, residual_text, factor_text)."""
+    report = vf.VerificationReport(title, family, dict(params or {}))
+    for lhs, expected, ok, residual_text, factor_text in checks:
+        report.entries.append(vf.EntryResult(
+            family, lhs, expected, vf.EXACT if ok else vf.FAILED,
+            residual_text, factor_text))
+    return report.to_dict()
 
 
 def _ladder_section(title: str, family: str, rels) -> dict:
-    entries = [{
-        "family": family,
-        "lhs": label,
-        "expected": "0",
-        "status": vf.EXACT if ok else vf.FAILED,
-        "residual_text": resid,
-        "factor_text": "",
-    } for label, ok, resid in rels]
-    return {
-        "title": title,
-        "family": family,
-        "params": {},
-        "entries": entries,
-        "notes": [],
-        "summary": {"total": len(entries),
-                    "exact": sum(e["status"] == vf.EXACT for e in entries),
-                    "exact_after_calibration": 0,
-                    "failed": sum(e["status"] == vf.FAILED for e in entries),
-                    "skipped": 0},
-        "ok": all(e["status"] == vf.EXACT for e in entries),
-    }
+    return _checks_section(title, family, [(label, "0", ok, resid, "")
+                                           for label, ok, resid in rels])
 
 
 def _ground_section(title: str, family: str, target) -> dict:
     ok, offender = sp.ground_state_verify(target)
-    entry = {
-        "family": family, "lhs": "annihilators applied to 1", "expected": "0",
-        "status": vf.EXACT if ok else vf.FAILED,
-        "residual_text": "" if ok else f"{offender} does not kill the ground state",
-        "factor_text": "",
-    }
-    return {"title": title, "family": family, "params": {}, "entries": [entry],
-            "notes": [], "summary": {"total": 1, "exact": int(ok),
-                                     "exact_after_calibration": 0,
-                                     "failed": int(not ok), "skipped": 0},
-            "ok": ok}
+    return _checks_section(title, family, [(
+        "annihilators applied to 1", "0", ok,
+        "" if ok else f"{offender} does not kill the ground state", "")])
 
 
 def _spectrum_section(table: sp.SpectrumTable, extra_notes=()) -> dict:
@@ -105,45 +92,41 @@ def _spectrum_section(table: sp.SpectrumTable, extra_notes=()) -> dict:
 
 
 def _probe_section(H, lambdas, family: str) -> dict:
-    entries = []
-    ok_all = True
+    checks = []
     for lam in lambdas:
         try:
             value = sp.continuous_probe(H, lam)
-            ok = value == lam
         except sp.NotEigenstate:
-            ok = False
             value = None
-        ok_all &= ok
-        entries.append({
-            "family": family, "lhs": f"H y^({lam})", "expected": f"({lam}) y^({lam})",
-            "status": vf.EXACT if ok else vf.FAILED,
-            "residual_text": "" if ok else f"got {value}",
-            "factor_text": str(value) if value is not None else "",
-        })
-    return {"title": "continuous-spectrum probe", "family": family, "params": {},
-            "entries": entries, "notes": [],
-            "summary": {"total": len(entries),
-                        "exact": sum(e["status"] == vf.EXACT for e in entries),
-                        "exact_after_calibration": 0,
-                        "failed": sum(e["status"] == vf.FAILED for e in entries),
-                        "skipped": 0},
-            "ok": ok_all}
+        ok = value == lam
+        checks.append((f"H y^({lam})", f"({lam}) y^({lam})", ok,
+                       "" if ok else f"got {value}",
+                       str(value) if value is not None else ""))
+    return _checks_section("continuous-spectrum probe", family, checks)
 
 
 def _section_ok(payload: dict) -> bool:
     return bool(payload.get("ok", False))
 
 
+def _xi0(args) -> rz.GeneratorFamily:
+    return rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
+
+
+def _xi0_structure(fam: rz.GeneratorFamily) -> list[dict]:
+    return [vf.verify_table(fam, vf.xi0_core_table(fam)).to_dict(),
+            vf.verify_subalgebra_structure(fam).to_dict()]
+
+
+def _xi0_onshell(fam: rz.GeneratorFamily) -> list[dict]:
+    gens = {name: fam[name] for name in fam.order if "(" in name}
+    return [vf.onshell_check(gens, {"Omega": fam["Omega"]}, fam.name,
+                             vf.expected_onshell_factors(fam)).to_dict(),
+            vf.verify_sl2(rz.build_triplet(fam), fam.params.omega2).to_dict()]
+
+
 # ---------------------------------------------------------------------------
 # commands
-
-def _build_l1(args) -> rz.GeneratorFamily:
-    if args.family == "free-l1":
-        return rz.build_free_l1(args.gamma, args.xi,
-                                verbatim=not getattr(args, "calibrate", False))
-    return rz.build_osc_l1(args.gamma, args.xi)
-
 
 def cmd_verify(args) -> list[dict]:
     sections = []
@@ -163,18 +146,11 @@ def cmd_verify(args) -> list[dict]:
             "z+ built as +d[tau]; the printed sign satisfies no table entry "
             "involving z+ on the left (see sign report)")
         sections.append(report.to_dict())
-        sections.append(_section("z+ sign report", {
-            "title": "z+ sign report", "family": fam.name, "params": {},
-            "entries": [], "notes": [
-                f"{k}: {'table holds' if v else 'table fails'}"
-                for k, v in vf.zplus_sign_report(args.l).items()],
-            "summary": {"total": 0, "exact": 0, "exact_after_calibration": 0,
-                        "failed": 0, "skipped": 0},
-            "ok": True}))
+        sections.append(vf.VerificationReport("z+ sign report", fam.name, notes=[
+            f"{k}: {'table holds' if v else 'table fails'}"
+            for k, v in vf.zplus_sign_report(args.l).items()]).to_dict())
     elif args.family == "xi0":
-        fam = rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
-        sections.append(vf.verify_table(fam, vf.xi0_core_table(fam)).to_dict())
-        sections.append(vf.verify_subalgebra_structure(fam).to_dict())
+        sections += _xi0_structure(_xi0(args))
     else:
         raise ConfigError(f"unknown family {args.family!r}")
     return sections
@@ -183,8 +159,7 @@ def cmd_verify(args) -> list[dict]:
 def cmd_onshell(args) -> list[dict]:
     sections = []
     if args.family in ("free-l1", "osc-l1"):
-        calibrated = args.family == "free-l1"
-        fam = rz.build_free_l1(args.gamma, args.xi, verbatim=not calibrated) \
+        fam = rz.build_free_l1(args.gamma, args.xi, verbatim=False) \
             if args.family == "free-l1" else rz.build_osc_l1(args.gamma, args.xi)
         if args.omega is not None:
             report = vf.omega_rigidity_check(fam, args.omega)
@@ -196,13 +171,7 @@ def cmd_onshell(args) -> list[dict]:
             sections.append(report.to_dict())
             sections.append(vf.verify_sl2(triplet, 1).to_dict())
     elif args.family == "xi0":
-        fam = rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
-        gens = {name: fam[name] for name in fam.order if "(" in name}
-        report = vf.onshell_check(gens, {"Omega": fam["Omega"]}, fam.name,
-                                  vf.expected_onshell_factors(fam))
-        sections.append(report.to_dict())
-        sections.append(vf.verify_sl2(rz.build_triplet(fam),
-                                      fam.params.omega2).to_dict())
+        sections += _xi0_onshell(_xi0(args))
     else:
         raise ConfigError(f"unknown family {args.family!r}")
     return sections
@@ -239,7 +208,7 @@ def cmd_spectrum(args) -> list[dict]:
         sections.append(_spectrum_section(sp.spectrum_table(ladder, args.emax,
                                                             args.k)))
     elif args.family == "xi0":
-        fam = rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
+        fam = _xi0(args)
         sections.append(_ground_section("ground state (xi0)", fam.name, fam))
         sections.append(_ladder_section("ladder relations (xi0)", fam.name,
                                         sp.ladder_relations_check(fam)))
@@ -255,29 +224,19 @@ def cmd_spectrum(args) -> list[dict]:
 
 def cmd_similarity(args) -> list[dict]:
     report = vf.verify_similarity(args.gamma, args.xi)
-    ok = not any(e.status == vf.FAILED for e in report.entries)
-    payload = report.to_dict()
-    payload["ok"] = ok
-    payload["notes"].append(
+    report.notes.append(
         "constant-shift entries are documented additive constants, not failures")
-    return [payload, vf.general_vs_l1_diff().to_dict()]
+    return [report.to_dict(), vf.general_vs_l1_diff().to_dict()]
 
 
 def cmd_infinite(args) -> list[dict]:
-    fam = rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
-    sections = [vf.verify_table(fam, vf.xi0_core_table(fam)).to_dict(),
-                vf.verify_subalgebra_structure(fam).to_dict()]
-    gens = {name: fam[name] for name in fam.order if "(" in name}
-    sections.append(vf.onshell_check(gens, {"Omega": fam["Omega"]}, fam.name,
-                                     vf.expected_onshell_factors(fam)).to_dict())
-    sections.append(vf.verify_sl2(rz.build_triplet(fam),
-                                  fam.params.omega2).to_dict())
-    sections.append(_ladder_section("ladder relations (xi0)", fam.name,
-                                    sp.ladder_relations_check(fam)))
-    sections.append(_ground_section("ground state (xi0)", fam.name, fam))
-    table = sp.spectrum_table(fam, args.emax, args.k)
-    sections.append(_spectrum_section(table))
-    return sections
+    fam = _xi0(args)
+    return _xi0_structure(fam) + _xi0_onshell(fam) + [
+        _ladder_section("ladder relations (xi0)", fam.name,
+                        sp.ladder_relations_check(fam)),
+        _ground_section("ground state (xi0)", fam.name, fam),
+        _spectrum_section(sp.spectrum_table(fam, args.emax, args.k)),
+    ]
 
 
 def cmd_all(args) -> list[dict]:
@@ -293,23 +252,13 @@ def cmd_all(args) -> list[dict]:
     sections.append(vf.omega_rigidity_check(osc, 1).to_dict())
     probe2 = vf.omega_rigidity_check(osc, 2)
     broken = sorted(e.lhs for e in probe2.failing())
-    rigidity_entry = {
-        "family": osc.name,
-        "lhs": "on-shell suite of the omega-deformed operator at omega=2",
-        "expected": "at least one generator fails to factorize",
-        "status": vf.EXACT if broken else vf.FAILED,
-        "residual_text": "" if broken else "deformation left invariance intact",
-        "factor_text": "failing: " + "; ".join(broken),
-    }
-    sections.append({
-        "title": "omega-rigidity (the deformed equation is invariant only at omega=1)",
-        "family": osc.name, "params": {"omega": "2"},
-        "entries": [rigidity_entry], "notes": [],
-        "summary": {"total": 1, "exact": int(bool(broken)),
-                    "exact_after_calibration": 0,
-                    "failed": int(not broken), "skipped": 0},
-        "ok": bool(broken),
-    })
+    sections.append(_checks_section(
+        "omega-rigidity (the deformed equation is invariant only at omega=1)",
+        osc.name, [("on-shell suite of the omega-deformed operator at omega=2",
+                    "at least one generator fails to factorize", bool(broken),
+                    "" if broken else "deformation left invariance intact",
+                    "failing: " + "; ".join(broken))],
+        params={"omega": "2"}))
     sections += cmd_similarity(ns(gamma=None, xi=None))
     for ell in (1, 2, 3, 4):
         fam = rz.build_free_general(ell, verbatim=False)
@@ -397,10 +346,11 @@ def _add_params(p: argparse.ArgumentParser) -> None:
                    help="rational p/q or 'symbolic' (default symbolic)")
 
 
-def _add_frequencies(p: argparse.ArgumentParser) -> None:
+def _add_frequencies(p: argparse.ArgumentParser, min_cutoff: int = 1) -> None:
     p.add_argument("--omega1", type=parse_rational, default=Fraction(1))
     p.add_argument("--omega2", type=parse_rational, default=Fraction(1))
-    p.add_argument("--cutoff", "--n", dest="cutoff", type=int, default=3,
+    p.add_argument("--cutoff", "--n", dest="cutoff",
+                   type=_int_at_least(min_cutoff), default=3,
                    help="mode truncation N for the infinite family")
 
 
@@ -415,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("free-l1", "osc-l1", "free-general", "xi0"))
     _add_params(p)
-    p.add_argument("--l", type=int, default=1)
-    _add_frequencies(p)
+    p.add_argument("--l", type=_int_at_least(1), default=1)
+    # the truncated structure check needs N >= 2
+    _add_frequencies(p, min_cutoff=2)
     p.add_argument("--calibrate", action="store_true",
                    help="solve for additive scalar shifts before checking")
     _add_common(p)
@@ -435,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("osc-l1", "free-general", "xi0"),
                    help="defaults to osc-l1 for --l 1, free-general otherwise")
     _add_params(p)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--emax", type=int, default=6)
-    p.add_argument("--k", type=int, default=3, help="zero-mode cutoff")
+    p.add_argument("--l", type=_int_at_least(1), default=1)
+    p.add_argument("--emax", type=_int_at_least(0), default=6)
+    p.add_argument("--k", type=_int_at_least(0), default=3, help="zero-mode cutoff")
     _add_frequencies(p)
     _add_common(p)
 
@@ -446,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("infinite", help="xi=0 infinite symmetry algebra suite")
-    _add_frequencies(p)
+    _add_frequencies(p, min_cutoff=2)
     p.add_argument("--gamma", type=parse_parameter, default=None)
-    p.add_argument("--emax", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--emax", type=_int_at_least(0), default=5)
+    p.add_argument("--k", type=_int_at_least(0), default=2)
     _add_common(p)
 
     p = sub.add_parser("all", help="the full reproduction suite")

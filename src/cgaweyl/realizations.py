@@ -169,8 +169,11 @@ class _Alg:
 def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:
     """The first-order realization acting on functions of tau, x, y, u.
 
-    With verbatim=False the additive-constant calibration is applied
-    (it shifts z0 by -2 so the commutator table closes exactly).
+    The printed z0 = -(tau d[tau] + x d[x] + y d[y] - 1) misses [z+, z-] = 2 z0
+    by a constant.  With verbatim=False z0 is built with the corrected
+    constant, -(tau d[tau] + x d[x] + y d[y] + 1), the same way
+    build_free_general flips the sign of z+; verify.calibrate_constants
+    derives and certifies this shift (z0 -> z0 - 2) exactly.
     """
     g, x = _param(gamma, "gamma"), _param(xi, "xi")
     A = _Alg(FREE_L1_TABLE)
@@ -180,9 +183,10 @@ def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily
     two = Fraction(2)
 
     euler_xy = xv * dx + yv * dy
+    z0_const = A.one if not verbatim else -A.one
     gens = {
         "z+": dtau,
-        "z0": -(tau * dtau + euler_xy - A.one),
+        "z0": -(tau * dtau + euler_xy + z0_const),
         "z-": -(A.v("tau", 2) * dtau + two * (tau * euler_xy)
                 + (two * x.inv()) * (xv * du)
                 + (two * g.inv()) * (uv * yv)
@@ -200,12 +204,7 @@ def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily
         "q": xv * dy + (x / (two * g)) * A.v("u", 2),
     }
     params = FamilyParams(gamma=g, xi=x, verbatim=verbatim)
-    fam = GeneratorFamily("free-l1", "free-l1", FREE_L1_TABLE, gens, params)
-    if not verbatim:
-        from .verify import calibrate_constants, cga_l1_table
-        deltas, _ = calibrate_constants(fam, cga_l1_table(fam))
-        fam = fam.shifted(deltas)
-    return fam
+    return GeneratorFamily("free-l1", "free-l1", FREE_L1_TABLE, gens, params)
 
 
 def build_osc_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:

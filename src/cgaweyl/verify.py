@@ -24,11 +24,14 @@ from .weyl import (
     commutator,
     free_to_osc,
     mul,
+    remap,
 )
 from .realizations import (
+    XI0_LOOP_PREFIXES,
     GeneratorFamily,
     InvariantTriplet,
     LadderSet,
+    build_H,
     build_free_general,
     build_free_l1,
     build_ladder,
@@ -130,6 +133,14 @@ class VerificationReport:
         }
 
 
+def _residual_entry(family: str, lhs: str, expected: str,
+                    residual: WeylElement) -> EntryResult:
+    """Exact when the residual vanishes, else failed with its text."""
+    if residual.is_zero():
+        return EntryResult(family, lhs, expected, EXACT)
+    return EntryResult(family, lhs, expected, FAILED, residual.text())
+
+
 # ---------------------------------------------------------------------------
 # relation tables
 
@@ -137,8 +148,8 @@ class VerificationReport:
 class RelationEntry:
     left: str
     right: str
-    rhs: tuple[tuple[Coef, str], ...] = ()
-    scalar: Coef = COEF_ZERO
+    rhs: tuple[tuple[Coef, str], ...]
+    scalar: Coef
 
 
 @dataclass
@@ -185,38 +196,8 @@ def _entry_map(entries) -> dict[tuple[str, str], RelationEntry]:
     return out
 
 
-def cga_l1_table(fam: GeneratorFamily) -> RelationTable:
-    """The full ell=1 commutator table, including the extra generator q."""
-    g, x = fam.params.gamma, fam.params.xi
-    ks = (1, 0, -1)
-    entries = [
-        _entry("z0", "z+", (1, "z+")),
-        _entry("z0", "z-", (-1, "z-")),
-        _entry("z+", "z-", (2, "z0")),
-        _entry("r", "q", (-2, "q")),
-    ]
-    for k in ks:
-        v, w = gen_name("v", k), gen_name("w", k)
-        if k:
-            entries.append(_entry("z0", v, (k, v)))
-            entries.append(_entry("z0", w, (k, w)))
-        if k < 1:
-            entries.append(_entry("z+", v, (1 - k, gen_name("v", k + 1))))
-            entries.append(_entry("z+", w, (1 - k, gen_name("w", k + 1))))
-        if k > -1:
-            entries.append(_entry("z-", v, (1 + k, gen_name("v", k - 1))))
-            entries.append(_entry("z-", w, (1 + k, gen_name("w", k - 1))))
-        entries.append(_entry("r", v, (1, v)))
-        entries.append(_entry("r", w, (-1, w)))
-        entries.append(_entry(v, "q", (g / x, w)))
-    entries.append(_entry("v+1", "w-1", (-2, "theta")))
-    entries.append(_entry("v0", "w0", (1, "theta")))
-    entries.append(_entry("v-1", "w+1", (-2, "theta")))
-    return RelationTable("cga-l1", fam.order, _entry_map(entries))
-
-
-def general_commutator_table(ell: int) -> RelationTable:
-    """The commutator table of the general-ell family (gamma = xi = 1)."""
+def _conformal_rows(ell: int) -> list[RelationEntry]:
+    """sl(2) and r acting on v_a, w_a (|a| <= ell): common to every ell."""
     entries = [
         _entry("z0", "z+", (1, "z+")),
         _entry("z0", "z-", (-1, "z-")),
@@ -235,6 +216,24 @@ def general_commutator_table(ell: int) -> RelationTable:
             entries.append(_entry("z-", w, (ell + a, gen_name("w", a - 1))))
         entries.append(_entry("r", v, (1, v)))
         entries.append(_entry("r", w, (-1, w)))
+    return entries
+
+
+def cga_l1_table(fam: GeneratorFamily) -> RelationTable:
+    """The full ell=1 commutator table, including the extra generator q."""
+    g, x = fam.params.gamma, fam.params.xi
+    entries = _conformal_rows(1) + [_entry("r", "q", (-2, "q"))]
+    for k in (1, 0, -1):
+        entries.append(_entry(gen_name("v", k), "q", (g / x, gen_name("w", k))))
+    entries.append(_entry("v+1", "w-1", (-2, "theta")))
+    entries.append(_entry("v0", "w0", (1, "theta")))
+    entries.append(_entry("v-1", "w+1", (-2, "theta")))
+    return RelationTable("cga-l1", fam.order, _entry_map(entries))
+
+
+def general_commutator_table(ell: int) -> RelationTable:
+    """The commutator table of the general-ell family (gamma = xi = 1)."""
+    entries = _conformal_rows(ell)
     for n in range(0, ell + 1):
         I = factorial_sign(ell + n, ell)
         entries.append(_entry(gen_name("v", n), gen_name("w", -n), scalar=-I))
@@ -343,7 +342,6 @@ def _loop_rule(p1: str, p2: str, n: int, m: int, w1: Fraction, w2: Fraction):
 
 def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
     """The truncated infinite-algebra table; results outside |n| <= N are skipped."""
-    from .realizations import XI0_LOOP_PREFIXES
     w1, w2 = fam.params.omega1, fam.params.omega2
     N = fam.params.cutoff
     scope = tuple(loop_name(p, n) for p in XI0_LOOP_PREFIXES
@@ -406,30 +404,41 @@ def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:
-    """Check every scope pair: listed entries exactly, unlisted pairs to zero."""
-    report = VerificationReport(title=f"commutator table {table.name}",
-                                family=fam.name,
-                                params=fam.params.describe())
+def _residuals(fam: GeneratorFamily, table: RelationTable):
+    """Yield (a, b, sign, entry, residual) for every scope pair, in order.
+
+    ``residual`` is [a, b] minus the expected right-hand side, or None for
+    a pair skipped by the truncation; ``entry`` is None for pairs that
+    must commute.
+    """
     gens = fam.generators
     for a in table.scope:
         if a not in gens:
             raise UnknownGenerator(a)
     for a, b in table.pairs():
-        lhs = f"[{a}, {b}]"
         if (a, b) in table.skips or (b, a) in table.skips:
-            report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
-                                              "mode index outside truncation"))
+            yield a, b, 1, None, None
             continue
         found = table.lookup(a, b)
         sign, entry = found if found else (1, None)
         expected = (_rhs_element(gens, fam.table, entry, sign)
                     if entry else WeylElement.zero(fam.table))
-        residual = commutator(gens[a], gens[b]) - expected
-        status = EXACT if residual.is_zero() else FAILED
-        report.entries.append(EntryResult(fam.name, lhs,
-                                          _expected_text(entry, sign), status,
-                                          "" if status == EXACT else residual.text()))
+        yield a, b, sign, entry, commutator(gens[a], gens[b]) - expected
+
+
+def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:
+    """Check every scope pair: listed entries exactly, unlisted pairs to zero."""
+    report = VerificationReport(title=f"commutator table {table.name}",
+                                family=fam.name,
+                                params=fam.params.describe())
+    for a, b, sign, entry, residual in _residuals(fam, table):
+        lhs = f"[{a}, {b}]"
+        if residual is None:
+            report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
+                                              "mode index outside truncation"))
+        else:
+            report.entries.append(_residual_entry(
+                fam.name, lhs, _expected_text(entry, sign), residual))
     return report
 
 
@@ -441,17 +450,13 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
     shifts: each relation contributes the linear equation
     sum_k c_k d_k = residual over the coefficient field.
     """
-    gens = fam.generators
     unknowns = list(table.scope)
     rows: list[tuple[dict[str, Coef], Coef, set[str]]] = []
-    for a, b in table.pairs():
-        if (a, b) in table.skips or (b, a) in table.skips:
+    pair_entries: list[RelationEntry | None] = []
+    for a, b, sign, entry, residual in _residuals(fam, table):
+        pair_entries.append(entry)
+        if residual is None:
             continue
-        found = table.lookup(a, b)
-        sign, entry = found if found else (1, None)
-        expected = (_rhs_element(gens, fam.table, entry, sign)
-                    if entry else WeylElement.zero(fam.table))
-        residual = commutator(gens[a], gens[b]) - expected
         value = residual.constant_value()
         lhs_label = f"[{a}, {b}]"
         if value is None:
@@ -468,13 +473,12 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
         rows.append((coeffs, value, {lhs_label}))
 
     deltas = _solve_linear(unknowns, rows)
-    shifted = fam.shifted(deltas)
-    report = verify_table(shifted, table)
+    # re-verifying the shifted family is the exact certificate of the solve
+    report = verify_table(fam.shifted(deltas), table)
     report.title = f"commutator table {table.name} (calibrated)"
-    for entry_result, (a, b) in zip(report.entries, table.pairs()):
-        d_used = any(not deltas.get(name, COEF_ZERO).is_zero()
-                     for _, name in (table.lookup(a, b)[1].rhs
-                                     if table.lookup(a, b) else ()))
+    for entry_result, entry in zip(report.entries, pair_entries):
+        d_used = entry is not None and any(
+            not deltas.get(name, COEF_ZERO).is_zero() for _, name in entry.rhs)
         if entry_result.status == EXACT and d_used:
             entry_result.status = CALIBRATED
     nonzero = {k: v for k, v in deltas.items() if not v.is_zero()}
@@ -667,22 +671,18 @@ def expected_onshell_factors(fam: GeneratorFamily
     """The stated multiplier functions for the ell=1 triplets and the xi=0 family."""
     table = fam.table
     out: dict[tuple[str, str], WeylElement | str] = {}
-    if fam.kind == "free-l1":
-        tau = lambda p: WeylElement.var(table, "tau", p)  # noqa: E731
+    if fam.kind in ("free-l1", "osc-l1"):
+        # the time factor tau^p, or e^(p t) in the exponential-time picture
+        if fam.kind == "free-l1":
+            time = lambda p: WeylElement.var(table, "tau", p)  # noqa: E731
+        else:
+            time = lambda p: WeylElement.exp_t(table, p)  # noqa: E731
         out[("z0", "Omega+1")] = WeylElement.const(table, 1)
         out[("z0", "Omega-1")] = WeylElement.const(table, -1)
-        out[("z+", "Omega0")] = tau(-1)
-        out[("z+", "Omega-1")] = 2 * tau(-1)
-        out[("z-", "Omega+1")] = 2 * tau(1)
-        out[("z-", "Omega0")] = tau(1)
-    elif fam.kind == "osc-l1":
-        e = lambda w: WeylElement.exp_t(table, w)  # noqa: E731
-        out[("z0", "Omega+1")] = WeylElement.const(table, 1)
-        out[("z0", "Omega-1")] = WeylElement.const(table, -1)
-        out[("z+", "Omega0")] = e(-1)
-        out[("z+", "Omega-1")] = 2 * e(-1)
-        out[("z-", "Omega+1")] = 2 * e(1)
-        out[("z-", "Omega0")] = e(1)
+        out[("z+", "Omega0")] = time(-1)
+        out[("z+", "Omega-1")] = 2 * time(-1)
+        out[("z-", "Omega+1")] = 2 * time(1)
+        out[("z-", "Omega0")] = time(1)
     elif fam.kind == "xi0":
         w1, w2, N = fam.params.omega1, fam.params.omega2, fam.params.cutoff
         for n in range(-N, N + 1):
@@ -710,9 +710,7 @@ def verify_sl2(triplet: InvariantTriplet, weight) -> VerificationReport:
          - (2 * w) * triplet.zero, f"({2 * w})*Omega0"),
     ]
     for lhs, residual, expected in checks:
-        status = EXACT if residual.is_zero() else FAILED
-        report.entries.append(EntryResult("", lhs, expected, status,
-                                          "" if status == EXACT else residual.text()))
+        report.entries.append(_residual_entry("", lhs, expected, residual))
     return report
 
 
@@ -731,6 +729,21 @@ def omega_rigidity_check(fam: GeneratorFamily, omega) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # similarity map between the two ell=1 pictures
+
+def _diff_entry(family: str, name: str, image: WeylElement, target: WeylElement,
+                sign_flip: bool = False) -> EntryResult:
+    """Classify image - target: exact, constant-shift, sign-flip or failed."""
+    diff = image - target
+    if diff.is_zero():
+        return EntryResult(family, name, name, EXACT)
+    const = diff.constant_value()
+    if const is not None:
+        return EntryResult(family, name, name, "constant-shift",
+                           factor_text=f"delta = {const.text()}")
+    if sign_flip and (image + target).is_zero():
+        return EntryResult(family, name, name, "sign-flip", factor_text="factor = -1")
+    return EntryResult(family, name, name, FAILED, residual_text=diff.text())
+
 
 def verify_similarity(gamma=None, xi=None) -> VerificationReport:
     """Map every exponential-time generator (and the invariant triplet)
@@ -751,20 +764,8 @@ def verify_similarity(gamma=None, xi=None) -> VerificationReport:
     sources.update(build_triplet(osc).named())
 
     for name, g in sources.items():
-        image = free_to_osc(g, free.table)
-        diff = image - targets[name]
-        if diff.is_zero():
-            report.entries.append(EntryResult(report.family, name, name, EXACT))
-            continue
-        const = diff.constant_value()
-        if const is not None:
-            report.entries.append(EntryResult(
-                report.family, name, name, "constant-shift",
-                factor_text=f"delta = {const.text()}"))
-        else:
-            report.entries.append(EntryResult(
-                report.family, name, name, FAILED,
-                residual_text=diff.text()))
+        report.entries.append(_diff_entry(
+            report.family, name, free_to_osc(g, free.table), targets[name]))
     return report
 
 
@@ -779,7 +780,6 @@ def verify_general_invariant(ell: int) -> VerificationReport:
     Omega_0 = z0 + sum n (a_n^+ a_n + b_n^+ b_n) + ell(ell+1)/2;
     (iii) the canonical commutation relations and the n=0 identifications.
     """
-    from .realizations import build_H
     ladder = build_ladder(ell)
     fam = ladder.family
     label = f"free-general(l={ell})"
@@ -788,29 +788,21 @@ def verify_general_invariant(ell: int) -> VerificationReport:
 
     explicit = general_invariant_explicit(ell)
     quad = general_invariant_ladder(ladder)
-    diff = explicit - quad
-    report.entries.append(EntryResult(
-        label, "Omega_1 (explicit)", "Omega_1 (ladder quadratic)",
-        EXACT if diff.is_zero() else FAILED,
-        "" if diff.is_zero() else diff.text()))
+    report.entries.append(_residual_entry(
+        label, "Omega_1 (explicit)", "Omega_1 (ladder quadratic)", explicit - quad))
 
     H = build_H(ladder)
     omega0 = fam["z0"] + H + WeylElement.const(
         fam.table, Fraction(ell * (ell + 1), 2))
-    resid = commutator(fam["z-"], explicit) + 2 * omega0
-    report.entries.append(EntryResult(
-        label, "[z-, Omega_1]", "-2*Omega_0", EXACT if resid.is_zero() else FAILED,
-        "" if resid.is_zero() else resid.text()))
+    report.entries.append(_residual_entry(
+        label, "[z-, Omega_1]", "-2*Omega_0",
+        commutator(fam["z-"], explicit) + 2 * omega0))
 
     named = ladder.named()
-    b0_resid = named["b0"] + named["a0d"]
-    report.entries.append(EntryResult(
-        label, "b0 + a0d", "0", EXACT if b0_resid.is_zero() else FAILED,
-        "" if b0_resid.is_zero() else b0_resid.text()))
-    b0d_resid = named["b0d"] - named["a0"]
-    report.entries.append(EntryResult(
-        label, "b0d - a0", "0", EXACT if b0d_resid.is_zero() else FAILED,
-        "" if b0d_resid.is_zero() else b0d_resid.text()))
+    report.entries.append(_residual_entry(
+        label, "b0 + a0d", "0", named["b0"] + named["a0d"]))
+    report.entries.append(_residual_entry(
+        label, "b0d - a0", "0", named["b0d"] - named["a0"]))
 
     ccr_fam = GeneratorFamily("ladder", label, fam.table, named, fam.params)
     ccr = verify_table(ccr_fam, ladder_ccr_table(ladder))
@@ -830,28 +822,14 @@ def zplus_sign_report(ell: int) -> dict[str, bool]:
 def general_vs_l1_diff() -> VerificationReport:
     """Machine-readable diff of the general family at ell=1 against the
     ell=1 family at gamma = xi = 1 (never silently patched)."""
-    from .weyl import remap
     g1 = build_free_general(1, verbatim=True)
     f11 = build_free_l1(1, 1, verbatim=True)
     report = VerificationReport(title="general(l=1) vs l1 family diff",
                                 family="free-general(l=1) vs free-l1(1,1)")
     for name in g1.order:
         mapped = remap(g1[name], f11.table, {"x1": "x", "y1": "y"})
-        diff = mapped - f11[name]
-        if diff.is_zero():
-            report.entries.append(EntryResult(report.family, name, name, EXACT))
-            continue
-        const = diff.constant_value()
-        if const is not None:
-            report.entries.append(EntryResult(
-                report.family, name, name, "constant-shift",
-                factor_text=f"delta = {const.text()}"))
-        elif (mapped + f11[name]).is_zero():
-            report.entries.append(EntryResult(
-                report.family, name, name, "sign-flip", factor_text="factor = -1"))
-        else:
-            report.entries.append(EntryResult(
-                report.family, name, name, FAILED, residual_text=diff.text()))
+        report.entries.append(_diff_entry(report.family, name, mapped, f11[name],
+                                          sign_flip=True))
     report.notes.append("statuses other than 'failed' are documented "
                         "printing discrepancies, not errors")
     return report
@@ -899,9 +877,7 @@ def verify_subalgebra_structure(fam: GeneratorFamily) -> VerificationReport:
         "subalgebras: h1 = loop sl(2) (j0, j+, j-); h2 = Witt (chi); "
         "h3 = abelian (r); h4 = (w, rho, v, u, theta) with theta central in h4; "
         "structure h2 |x (h1 + h3), then (h1+h2+h3) |x h4")
-    kappa_comm = commutator(fam["Omega"], fam[loop_name("theta", 1)])
-    report.entries.append(EntryResult(
+    report.entries.append(_residual_entry(
         fam.name, "[Omega, theta(1)]", "0",
-        EXACT if kappa_comm.is_zero() else FAILED,
-        "" if kappa_comm.is_zero() else kappa_comm.text()))
+        commutator(fam["Omega"], fam[loop_name("theta", 1)])))
     return report

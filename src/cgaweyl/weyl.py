@@ -790,8 +790,3 @@ def remap(e: WeylElement, target: VarTable,
         key = (_mk_monomial(mon.weight, powers), _mk_deriv(orders, der.t_order))
         out[key] = out.get(key, COEF_ZERO) + c
     return WeylElement(target, out)
-
-
-def transplant(e: WeylElement, table: VarTable) -> WeylElement:
-    """Rebuild an element over a compatible table (e.g. one with widened domains)."""
-    return remap(e, table)

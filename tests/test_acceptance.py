@@ -209,7 +209,8 @@ def test_criterion_11a_jacobi_on_every_built_family():
     ok = True
     for fam in families:
         ok &= _jacobi_all_triples(fam.generators)
-    # the N=3 truncation is sampled (C(77,3) triples are redundant with N=1)
+    # the N=3 truncation is sampled (its C(78,3) = 76,076 triples are
+    # redundant with N=1)
     fam3 = build_xi0(2, 3, cutoff=3)
     rng = random.Random(20240809)
     names = list(fam3.order)

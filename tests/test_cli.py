@@ -1,4 +1,5 @@
 """CLI contract: exit codes, deterministic reports, schema, atomic output."""
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,11 @@ import sys
 import pytest
 
 from cgaweyl.cli import REPORT_DIR_ENV, SCHEMA, main, parse_rational
+
+# the `all` report, pinned byte for byte (same value as perfbench/workloads.py)
+GOLDEN_ALL_BYTES = 1_693_160
+GOLDEN_ALL_SHA256 = \
+    "9f894a56ba386127e3ca03585819c4071e81574e7a7250bd24f84798d7d3af3c"
 
 
 def run_main(argv, capsys):
@@ -118,7 +124,15 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
 def test_config_errors_exit_two(capsys):
     assert main(["verify", "--family", "osc-l1", "--gamma", "0.5"]) == 2
     assert main(["verify", "--family", "free-general", "--l", "0"]) == 2
-    capsys.readouterr()
+    assert main(["infinite", "--cutoff", "1"]) == 2
+    assert main(["verify", "--family", "xi0", "--cutoff", "1"]) == 2
+    assert main(["onshell", "--family", "xi0", "--cutoff", "0"]) == 2
+    assert main(["spectrum", "--family", "xi0", "--cutoff", "0"]) == 2
+    assert main(["spectrum", "--emax", "-1"]) == 2
+    assert main(["spectrum", "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_bad_rational_rejected():
@@ -149,6 +163,9 @@ def test_spectrum_family_dispatch_by_l(capsys):
 def test_all_runs_clean(capsys):
     code, out = run_main(["all"], capsys)
     assert code == 0
+    data = out.encode("utf-8")
+    assert len(data) == GOLDEN_ALL_BYTES
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_ALL_SHA256
     doc = json.loads(out)
     assert doc["ok"] is True
     statuses = {e["status"] for s in doc["sections"]

@@ -92,6 +92,18 @@ def test_calibration_finds_the_single_shift():
     assert report.counts[CALIBRATED] == 1
 
 
+@pytest.mark.parametrize("gamma, xi", [(None, None), (2, Fraction(1, 3))])
+def test_corrected_free_family_matches_calibration(gamma, xi):
+    verbatim = build_free_l1(gamma, xi)
+    deltas, report = calibrate_constants(verbatim, cga_l1_table(verbatim))
+    assert report.ok
+    reference = verbatim.shifted(deltas)
+    built = build_free_l1(gamma, xi, verbatim=False)
+    assert built.order == reference.order
+    for name in reference.order:
+        assert built[name] == reference[name], name
+
+
 def test_calibration_on_consistent_family_is_trivial():
     fam = build_osc_l1()
     deltas, report = calibrate_constants(fam, cga_l1_table(fam))
