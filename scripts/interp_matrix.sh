@@ -2,13 +2,10 @@
 # Run `cgaweyl all` under every installed pyenv interpreter that the package
 # supports and require each report to match the golden sha256 byte for byte.
 # The package is stdlib-only, so no interpreter needs anything installed.
-#
-# usage: scripts/interp_matrix.sh [VERSION ...]   (default: the list below)
 set -u
 
 GOLDEN_SHA256=9f894a56ba386127e3ca03585819c4071e81574e7a7250bd24f84798d7d3af3c
-VERSIONS=("$@")
-[ ${#VERSIONS[@]} -eq 0 ] && VERSIONS=(3.10.13 3.11.7 3.12.1 3.13.0)
+VERSIONS=(3.10.13 3.11.7 3.12.1 3.13.0)
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 root=${PYENV_ROOT:-$HOME/.pyenv}

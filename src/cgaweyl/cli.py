@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("free-l1", "osc-l1", "free-general", "xi0"))
     _add_params(p)
-    p.add_argument("--l", type=_int_at_least(1), default=1)
+    p.add_argument("--l", type=int, default=1)
     # the truncated structure check needs N >= 2
     _add_frequencies(p, min_cutoff=2)
     p.add_argument("--calibrate", action="store_true",
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("osc-l1", "free-general", "xi0"),
                    help="defaults to osc-l1 for --l 1, free-general otherwise")
     _add_params(p)
-    p.add_argument("--l", type=_int_at_least(1), default=1)
+    p.add_argument("--l", type=int, default=1)
     p.add_argument("--emax", type=_int_at_least(0), default=6)
     p.add_argument("--k", type=_int_at_least(0), default=3, help="zero-mode cutoff")
     _add_frequencies(p)
