@@ -178,47 +178,39 @@ def cmd_onshell(args) -> list[dict]:
 
 
 def cmd_spectrum(args) -> list[dict]:
-    sections = []
     if args.family is None:
         args.family = "osc-l1" if args.l == 1 else "free-general"
+    notes = []
     if args.family == "osc-l1":
-        fam = rz.build_osc_l1(args.gamma, args.xi)
-        sections.append(_ground_section("ground state (osc-l1)", fam.name, fam))
-        sections.append(_ladder_section("ladder relations (osc-l1)", fam.name,
-                                        sp.ladder_relations_check(fam)))
-        table = sp.spectrum_table(fam, args.emax, args.k)
-        notes = []
+        target = rz.build_osc_l1(args.gamma, args.xi)
+        label, tag = target.name, "osc-l1"
+    elif args.family == "free-general":
+        target = rz.build_ladder(args.l)
+        label, tag = target.family.name, f"l={args.l}"
+    elif args.family == "xi0":
+        target = _xi0(args)
+        label, tag = target.name, "xi0"
+        notes.append(f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
+                     f"m*({target.params.omega2}) + n*({target.params.omega1}); "
+                     "the level set equals {omega1*a + omega2*b}")
+    else:
+        raise ConfigError(f"unknown family {args.family!r}")
+    sections = [_ground_section(f"ground state ({tag})", label, target),
+                _ladder_section(f"ladder relations ({tag})", label,
+                                sp.ladder_relations_check(target))]
+    table = sp.spectrum_table(target, args.emax, args.k)
+    spectrum = _spectrum_section(table, notes)
+    sections.append(spectrum)
+    if args.family == "osc-l1":
         mults = table.level_multiplicities()
         mult_ok = all(mults.get(Fraction(E), 0) == E + 1
                       for E in range(args.emax + 1))
-        notes.append("per-level (m,n) multiplicity equals E+1: "
-                     + ("yes" if mult_ok else "NO"))
-        payload = _spectrum_section(table, notes)
-        payload["ok"] = payload["ok"] and mult_ok
-        sections.append(payload)
-        sections.append(_probe_section(rz.build_H(fam),
+        spectrum["notes"].append("per-level (m,n) multiplicity equals E+1: "
+                                 + ("yes" if mult_ok else "NO"))
+        spectrum["ok"] = spectrum["ok"] and mult_ok
+        sections.append(_probe_section(rz.build_H(target),
                                        [Fraction(0), Fraction(1), Fraction(7, 3),
-                                        Fraction(-1, 4)], fam.name))
-    elif args.family == "free-general":
-        ladder = rz.build_ladder(args.l)
-        label = ladder.family.name
-        sections.append(_ground_section(f"ground state (l={args.l})", label, ladder))
-        sections.append(_ladder_section(f"ladder relations (l={args.l})", label,
-                                        sp.ladder_relations_check(ladder)))
-        sections.append(_spectrum_section(sp.spectrum_table(ladder, args.emax,
-                                                            args.k)))
-    elif args.family == "xi0":
-        fam = _xi0(args)
-        sections.append(_ground_section("ground state (xi0)", fam.name, fam))
-        sections.append(_ladder_section("ladder relations (xi0)", fam.name,
-                                        sp.ladder_relations_check(fam)))
-        table = sp.spectrum_table(fam, args.emax, args.k)
-        notes = [f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
-                 f"m*({fam.params.omega2}) + n*({fam.params.omega1}); "
-                 "the level set equals {omega1*a + omega2*b}"]
-        sections.append(_spectrum_section(table, notes))
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+                                        Fraction(-1, 4)], label))
     return sections
 
 

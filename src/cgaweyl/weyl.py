@@ -11,6 +11,11 @@ with the falling factorial valid for rational exponents p; distinct
 variables commute.  Canonical form (sorted term map, no zero coefficients,
 no zero exponents) makes equality a structural check.
 
+The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
+every reordering is the same in both orders and cancels, so
+:func:`commutator` builds only the k >= 1 terms of the two orders, in one
+accumulator.
+
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.
 """
@@ -404,7 +409,45 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return mul(a, b) - mul(b, a)
+    """[a, b] = a*b - b*a, computed from the reordering terms alone.
+
+    For a term pair (m1 d1, m2 d2) the products m1 d1 m2 d2 and m2 d2 m1 d1
+    each expand into one term per choice of k >= 0 derivatives moved past
+    the other monomial.  The all-k = 0 term is (m1 m2)(d1 d2) in both
+    orders, because monomials commute with monomials and derivative blocks
+    with derivative blocks, so it cancels exactly and is never built.  That
+    term is always the first option :func:`_reorder_options` yields, so
+    skipping it leaves d1 past m2 with a plus sign and d2 past m1 with a
+    minus sign; the loop is asymmetric on purpose.  Equal to
+    ``mul(a, b) - mul(b, a)`` term for term.
+    """
+    a._require_same_table(b)
+    table = a.table
+    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
+    for (m1, d1), c1 in a.terms.items():
+        for (m2, d2), c2 in b.terms.items():
+            base = None
+            for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
+                                                       (m2, d2, m1, d1, -1)):
+                if d_left.is_empty():
+                    continue
+                options = _reorder_options(table, d_left, right)
+                next(options)  # the all-k = 0 term, equal in both orders
+                for factor, m_mid, d_rem in options:
+                    if base is None:
+                        base = c1 * c2
+                    key = (_mon_mul(table, left, m_mid), _der_mul(d_rem, d_right))
+                    c = base.scale(sign * factor)
+                    s = out.get(key)
+                    if s is None:
+                        out[key] = c
+                    else:
+                        s = s + c
+                        if s.is_zero():
+                            del out[key]
+                        else:
+                            out[key] = s
+    return WeylElement(table, out, _checked=True)
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:

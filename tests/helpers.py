@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import NAT, VarTable, WeylElement
+from cgaweyl.weyl import NAT, RAT, VarTable, WeylElement
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
+RAT_TABLE = VarTable(("x", "y"), (RAT, RAT), has_time=True)
 
 COEF_POOL = (
     Coef.const(1), Coef.const(-1), Coef.const(2), Coef.const(Fraction(1, 2)),
@@ -21,6 +22,8 @@ RATIONAL_POOL = (
     Fraction(5, 3), Fraction(-1, 4), Fraction(7),
 )
 
+RAT_EXPONENT_POOL = (0, 0, 1, 2, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 3))
+
 
 def random_coef(rng: random.Random) -> Coef:
     return rng.choice(COEF_POOL)
@@ -28,13 +31,17 @@ def random_coef(rng: random.Random) -> Coef:
 
 def random_element(table: VarTable, rng: random.Random, max_terms: int = 2,
                    max_pow: int = 2, max_der: int = 2,
-                   weights=(0,)) -> WeylElement:
-    """A small random operator: bounded powers, derivatives, coefficients."""
+                   weights=(0,), powers=None) -> WeylElement:
+    """A small random operator: bounded powers, derivatives, coefficients.
+
+    Exponents are drawn from ``powers`` when given (e.g. Fractions for a
+    RAT-domain table), else from 0..max_pow.
+    """
     out = WeylElement.zero(table)
     for _ in range(rng.randint(1, max_terms)):
         term = WeylElement.const(table, random_coef(rng))
         for name in table.names:
-            p = rng.randint(0, max_pow)
+            p = rng.choice(powers) if powers else rng.randint(0, max_pow)
             if p:
                 term = term * WeylElement.var(table, name, p)
         for name in table.names:

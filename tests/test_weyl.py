@@ -25,10 +25,12 @@ from cgaweyl.weyl import (
     remap,
     substitute,
 )
-from cgaweyl.realizations import build_free_l1, build_osc_l1
+from cgaweyl.realizations import build_free_general, build_free_l1, build_osc_l1, build_xi0
 
 from helpers import (
     PLAIN_TABLE,
+    RAT_EXPONENT_POOL,
+    RAT_TABLE,
     TIME_TABLE,
     check_canonical,
     random_element,
@@ -90,6 +92,39 @@ def test_commutator_antisymmetry_on_random_elements():
     for _ in range(50):
         a = random_element(PLAIN_TABLE, rng)
         assert commutator(a, a).is_zero()
+
+
+def _assert_commutator_matches_products(a, b):
+    reference = mul(a, b) - mul(b, a)
+    fused = commutator(a, b)
+    check_canonical(fused)
+    assert fused == reference
+    assert commutator(b, a) == -reference
+
+
+@pytest.mark.parametrize("table, weights, powers, seed", [
+    (PLAIN_TABLE, (0,), None, 103),
+    (TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None, 107),
+    (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 109),
+], ids=["plain", "time", "rat"])
+def test_commutator_matches_product_difference_random(table, weights, powers, seed):
+    rng = random.Random(seed)
+    for _ in range(80):
+        a = random_element(table, rng, max_terms=3, weights=weights, powers=powers)
+        b = random_element(table, rng, max_terms=3, weights=weights, powers=powers)
+        _assert_commutator_matches_products(a, b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_free_general(3, verbatim=False),
+    lambda: build_xi0(2, 3, cutoff=3),
+], ids=["free-general-3", "xi0-2-3-N3"])
+def test_commutator_matches_product_difference_on_family_generators(build):
+    gens = list(build().generators.values())
+    for i, a in enumerate(gens):
+        assert commutator(a, a).is_zero()
+        for b in gens[i + 1:]:
+            _assert_commutator_matches_products(a, b)
 
 
 def test_mul_associativity_random():
