@@ -191,9 +191,16 @@ class Coef:
     The denominator is never the zero polynomial.  Equality of a/b and c/d
     means a*d - c*b = 0 as an expanded polynomial; reduction to lowest
     terms is not required for correctness.
+
+    Constant fast path: when the normalized num/den is parameter-free
+    (constant numerator over the denominator 1) the value is also cached
+    as a ``Fraction`` in ``_q``.  ``+ - * / scale == as_fraction`` on two
+    such coefficients work on ``_q`` alone and build a result with the same
+    num/den the ParamPoly path would give; any symbolic operand takes the
+    ParamPoly path, which stays the reference (the tests compare the two).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_q")
 
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         if den is None:
@@ -203,6 +210,7 @@ class Coef:
         if num.is_zero():
             self.num = ParamPoly.zero()
             self.den = _P_ONE
+            self._q = Fraction(0)
             return
         # strip the common monomial content of numerator and denominator
         ng, nx = num.content_exponents()
@@ -219,6 +227,22 @@ class Coef:
             den = den.scale(inv)
         self.num = num
         self.den = den
+        self._q = None
+        if len(den.terms) == 1 and len(num.terms) == 1:
+            q = num.terms.get((0, 0))
+            if q is not None and (0, 0) in den.terms:
+                self._q = as_fraction(q)
+
+    @staticmethod
+    def _rational(q: Fraction) -> "Coef":
+        """The constant q, with the num/den that ``Coef.const(q)`` has."""
+        if not q:
+            return COEF_ZERO
+        c = Coef.__new__(Coef)
+        num = ParamPoly.__new__(ParamPoly)
+        num.terms = {(0, 0): q}
+        c.num, c.den, c._q = num, _P_ONE, q
+        return c
 
     # -- constructors -------------------------------------------------------
 
@@ -255,6 +279,8 @@ class Coef:
         Detects proportional numerator/denominator pairs (e.g. (2g+2x)/(g+x))
         by one cross multiplication against the leading-term ratio.
         """
+        if self._q is not None:
+            return self._q
         nc, dc = self.num.as_const(), self.den.as_const()
         if nc is not None and dc is not None:
             return nc / dc
@@ -272,6 +298,8 @@ class Coef:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coef):
             return NotImplemented
+        if self._q is not None and other._q is not None:
+            return self._q == other._q
         if self.num == other.num and self.den == other.den:
             return True
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -290,6 +318,8 @@ class Coef:
         other = Coef._coerce(other)
         if other is None:
             return NotImplemented
+        if self._q is not None and other._q is not None:
+            return Coef._rational(self._q + other._q)
         if self.den == other.den:
             return Coef(self.num + other.num, self.den)
         return Coef(self.num * other.den + other.num * self.den,
@@ -298,12 +328,16 @@ class Coef:
     __radd__ = __add__
 
     def __neg__(self) -> "Coef":
+        if self._q is not None:
+            return Coef._rational(-self._q)
         return Coef(-self.num, self.den)
 
     def __sub__(self, other) -> "Coef":
         other = Coef._coerce(other)
         if other is None:
             return NotImplemented
+        if self._q is not None and other._q is not None:
+            return Coef._rational(self._q - other._q)
         return self + (-other)
 
     def __rsub__(self, other) -> "Coef":
@@ -317,6 +351,8 @@ class Coef:
             return self.scale(other)
         if not isinstance(other, Coef):
             return NotImplemented
+        if self._q is not None and other._q is not None:
+            return Coef._rational(self._q * other._q)
         return Coef(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -327,6 +363,8 @@ class Coef:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero coefficient")
+        if self._q is not None and other._q is not None:
+            return Coef._rational(self._q / other._q)
         return Coef(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "Coef":
@@ -338,6 +376,8 @@ class Coef:
     def scale(self, q) -> "Coef":
         """Multiply by an exact rational (fast path for the hot loops)."""
         q = as_fraction(q)
+        if self._q is not None:
+            return Coef._rational(self._q * q)
         if not q:
             return COEF_ZERO
         return Coef(self.num.scale(q), self.den)

@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from .scalar import as_fraction
 from .weyl import (
-    Monomial,
     RAT,
     WeylElement,
     apply_to,
     commutator,
+    monomial,
     remap,
 )
 from .realizations import (
@@ -42,7 +42,7 @@ def at_time_zero(e: WeylElement) -> WeylElement:
     """Evaluate exponential weights at t = 0 (e^(c*t) -> 1)."""
     out: dict = {}
     for (mon, der), c in e.terms.items():
-        key = (Monomial(Fraction(0), mon.powers), der)
+        key = (monomial(0, dict(mon.powers)), der)
         s = out.get(key)
         out[key] = c if s is None else s + c
     return WeylElement(e.table, out)
@@ -187,66 +187,101 @@ class SpectrumTable:
         }
 
 
-def _occupation_vectors(ell: int, e_max: int):
-    """All (n_1, m_1, ..., n_ell, m_ell) with sum j (n_j + m_j) <= e_max."""
-    def rec(j: int, budget: int, acc: list[int]):
-        if j > ell:
-            yield tuple(acc)
+def _state_walk(psi: WeylElement, stages, budgets: tuple[int, ...],
+                counts: tuple[int, ...] = ()):
+    """Depth-first walk of a creation-operator application tree.
+
+    ``stages`` lists (operator, budget index, cost) in application order,
+    so the state with counts (c_1, ..., c_s) is op_s^c_s ... op_1^c_1 psi.
+    Yields (counts, state) once for every count vector whose costs fit
+    ``budgets``.  Each state is one apply_to from its parent (the state
+    with the last nonzero count lowered by one), and only the states on
+    the current path are held.
+    """
+    if not stages:
+        yield counts, psi
+        return
+    (op, pool, cost), rest = stages[0], stages[1:]
+    left = list(budgets)
+    count = 0
+    while True:
+        yield from _state_walk(psi, rest, tuple(left), counts + (count,))
+        left[pool] -= cost
+        if left[pool] < 0:
             return
-        for n_j in range(budget // j + 1):
-            for m_j in range((budget - j * n_j) // j + 1):
-                yield from rec(j + 1, budget - j * (n_j + m_j), acc + [n_j, m_j])
-    yield from rec(1, e_max, [])
+        psi = apply_to(op, psi)
+        count += 1
+
+
+def _table_states(target, e_max: int, zero_mode_cutoff: int):
+    """(quantum numbers, level, state) for every spectrum-table row.
+
+    The states come from one :func:`_state_walk` rooted at the ground row
+    that :func:`build_state` or :func:`build_state_general` gives, so each
+    costs one apply_to; those builders remain the from-ground reference.
+    The ell = 1 walk applies the creation operators on the t = 0 slice,
+    which commutes with apply_to because they carry no d[t].  Rows come in
+    walk order, not table order.
+    """
+    budgets = (zero_mode_cutoff, e_max)
+    if isinstance(target, LadderSet):
+        stages = [(target.ad[0], 0, 1)]
+        for j in range(target.ell, 0, -1):
+            stages += [(target.ad[j], 1, j), (target.bd[j], 1, j)]
+        root = build_state_general(target, ((0, 0),) * target.ell)
+        for counts, psi in _state_walk(root, stages, budgets):
+            # counts are (k, m_ell, n_ell, ..., m_1, n_1)
+            qn = counts[:0:-1] + counts[:1]
+            level = sum((i // 2 + 1) * c for i, c in enumerate(qn[:-1]))
+            yield qn, Fraction(level), psi
+        return
+    fam = target
+    if fam.kind == "osc-l1":
+        weight_m, weight_n = Fraction(1), Fraction(1)
+    else:
+        # v_{-1} raises by omega2, w_{-1} by omega1
+        weight_m, weight_n = fam.params.omega2, fam.params.omega1
+    stages = [(at_time_zero(fam[name]), pool, 1)
+              for name, pool in (("w0", 0), ("w-1", 1), ("v-1", 1))]
+    for (k, n, m), psi in _state_walk(build_state(fam, 0, 0, 0), stages, budgets):
+        yield (m, n, k), weight_m * m + weight_n * n, psi
 
 
 def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTable:
     """Enumerate and verify every lowest-weight eigenstate up to e_max.
 
     ell = 1 families: states (m, n, k), eigenvalue m + n (or the
-    frequency-weighted combination for the two-frequency family).
-    General ell: occupation vectors with E = sum j (n_j + m_j), plus a_0^+
-    zero modes.
+    frequency-weighted combination for the two-frequency family), rows
+    ordered by m + n, then m, then k.  General ell: occupation vectors
+    with E = sum j (n_j + m_j), plus a_0^+ zero modes, rows ordered by
+    (n_1, m_1, ..., n_ell, m_ell, k).
     """
     if isinstance(target, LadderSet):
         H = build_H(target)
-        labels = tuple(x for j in range(1, target.ell + 1) for x in (f"n{j}", f"m{j}"))
-        labels = labels + ("k",)
+        labels = tuple(x for j in range(1, target.ell + 1)
+                       for x in (f"n{j}", f"m{j}")) + ("k",)
         table = SpectrumTable(target.ell, f"free-general(l={target.ell})",
                               Fraction(e_max), zero_mode_cutoff, labels)
-        for occ_flat in _occupation_vectors(target.ell, e_max):
-            occ = tuple((occ_flat[2 * j], occ_flat[2 * j + 1])
-                        for j in range(target.ell))
-            for k in range(zero_mode_cutoff + 1):
-                psi = build_state_general(target, occ, k)
-                value = eigencheck(H, psi)
-                expected = sum((j + 1) * (n + m) for j, (n, m) in enumerate(occ))
-                verified = value is not None and value == expected
-                table.rows.append(SpectrumRow(occ_flat + (k,),
-                                              Fraction(expected), verified,
-                                              len(psi.terms)))
-        return table
 
-    fam = target
-    if fam.kind not in ("osc-l1", "xi0"):
-        raise ValueError(f"no spectrum table for family kind {fam.kind!r}")
-    H = at_time_zero(build_H(fam))
-    if fam.kind == "osc-l1":
-        weight_m, weight_n = Fraction(1), Fraction(1)
+        def order(qn):
+            return qn
     else:
-        # v_{-1} raises by omega2, w_{-1} by omega1
-        weight_m, weight_n = fam.params.omega2, fam.params.omega1
-    labels = ("m", "n", "k")
-    table = SpectrumTable(1, fam.name, Fraction(e_max), zero_mode_cutoff, labels)
-    for total in range(e_max + 1):
-        for m in range(total + 1):
-            n = total - m
-            for k in range(zero_mode_cutoff + 1):
-                psi = build_state(fam, m, n, k)
-                value = eigencheck(H, psi)
-                expected = weight_m * m + weight_n * n
-                verified = value is not None and value == expected
-                table.rows.append(SpectrumRow((m, n, k), expected, verified,
-                                              len(psi.terms)))
+        if target.kind not in ("osc-l1", "xi0"):
+            raise ValueError(f"no spectrum table for family kind {target.kind!r}")
+        H = at_time_zero(build_H(target))
+        table = SpectrumTable(1, target.name, Fraction(e_max), zero_mode_cutoff,
+                              ("m", "n", "k"))
+
+        def order(qn):
+            m, n, k = qn
+            return (m + n, m, k)
+
+    for qn, level, psi in _table_states(target, e_max, zero_mode_cutoff):
+        value = eigencheck(H, psi)
+        table.rows.append(SpectrumRow(qn, level,
+                                      value is not None and value == level,
+                                      len(psi.terms)))
+    table.rows.sort(key=lambda row: order(row.quantum_numbers))
     return table
 
 

@@ -23,6 +23,7 @@ from .weyl import (
     WeylElement,
     commutator,
     free_to_osc,
+    monomial,
     mul,
     remap,
 )
@@ -542,7 +543,7 @@ def _deriv_key(der):
 
 
 def _mon_key(table: VarTable, mon: Monomial):
-    dense = [mon.weight] + [Fraction(0)] * len(table.names)
+    dense = [mon.weight] + [0] * len(table.names)
     for i, p in mon.powers:
         dense[1 + i] = p
     return tuple(dense)
@@ -584,26 +585,16 @@ def extract_scalar_factor(comm: WeylElement, omega: WeylElement
         mc = max(work, key=lambda m: _mon_key(table, m))
         cc = work[mc]
         fc = cc / lead_c
-        powers = {i: p for i, p in mc.powers}
+        powers = dict(mc.powers)
         for i, p in lead_mon.powers:
-            q = powers.get(i, Fraction(0)) - p
-            if q:
-                powers[i] = q
-            else:
-                powers.pop(i, None)
-        fm = Monomial(mc.weight - lead_mon.weight,
-                      tuple(sorted(powers.items())))
+            powers[i] = powers.get(i, 0) - p
+        fm = monomial(mc.weight - lead_mon.weight, powers)
         f_terms[(fm, DER_NONE)] = f_terms.get((fm, DER_NONE), COEF_ZERO) + fc
         for m2, c2 in om_d.items():
             prod_powers = dict(fm.powers)
             for i, p in m2.powers:
-                q = prod_powers.get(i, Fraction(0)) + p
-                if q:
-                    prod_powers[i] = q
-                else:
-                    prod_powers.pop(i, None)
-            pm = Monomial(fm.weight + m2.weight,
-                          tuple(sorted(prod_powers.items())))
+                prod_powers[i] = prod_powers.get(i, 0) + p
+            pm = monomial(fm.weight + m2.weight, prod_powers)
             s = work.get(pm, COEF_ZERO) - fc * c2
             if s.is_zero():
                 work.pop(pm, None)

@@ -11,6 +11,14 @@ with the falling factorial valid for rational exponents p; distinct
 variables commute.  Canonical form (sorted term map, no zero coefficients,
 no zero exponents) makes equality a structural check.
 
+Exponents and time weights are exact rationals with one canonical type:
+``int`` when the value is integral, ``Fraction`` only when it is genuinely
+fractional (RAT-domain exponents, fractional weights).  :func:`monomial`
+is the only place that applies this rule, and every ``Monomial`` is built
+through it, so integral keys hash and compare as plain ints.  Since
+``hash(2) == hash(Fraction(2))`` and ``2 == Fraction(2)``, callers may
+still pass integral values as ``Fraction``; results are the same.
+
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the k >= 1 terms of the two orders, in one
@@ -32,6 +40,8 @@ from .scalar import COEF_ONE, COEF_ZERO, Coef, as_fraction, coef
 NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
 RAT = "rat"   # exponents in Q
+
+Exponent = int | Fraction  # int when integral, see monomial()
 
 _RESERVED_NAMES = {"e", "d", "t"}
 
@@ -78,7 +88,7 @@ class VarTable:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def check_power(self, idx: int, p: Fraction) -> None:
+    def check_power(self, idx: int, p: Exponent) -> None:
         dom = self.domains[idx]
         if dom == RAT:
             return
@@ -102,17 +112,19 @@ class Monomial:
     """e^(weight*t) times a product of variable powers.
 
     ``powers`` holds (variable index, exponent) pairs sorted by index with
-    no zero exponents.
+    no zero exponents.  The weight and every exponent are ``int`` when
+    integral and ``Fraction`` otherwise; build instances with
+    :func:`monomial`, which enforces this.
     """
 
-    weight: Fraction
-    powers: tuple[tuple[int, Fraction], ...]
+    weight: Exponent
+    powers: tuple[tuple[int, Exponent], ...]
 
-    def power_of(self, idx: int) -> Fraction:
+    def power_of(self, idx: int) -> Exponent:
         for i, p in self.powers:
             if i == idx:
                 return p
-        return Fraction(0)
+        return 0
 
 
 @dataclass(frozen=True, eq=True)
@@ -126,13 +138,21 @@ class DerivIndex:
         return not self.orders and not self.t_order
 
 
-MON_ONE = Monomial(Fraction(0), ())
+def monomial(weight: Exponent, powers: dict[int, Exponent]) -> Monomial:
+    """The canonical Monomial e^(weight*t) * prod_i v_i^powers[i].
+
+    Drops zero exponents, sorts by variable index, and stores each value
+    as ``int`` when it is integral and as ``Fraction`` only otherwise.
+    """
+    if type(weight) is not int and weight.denominator == 1:
+        weight = weight.numerator
+    return Monomial(weight, tuple(sorted(
+        (i, p if type(p) is int or p.denominator != 1 else p.numerator)
+        for i, p in powers.items() if p)))
+
+
+MON_ONE = monomial(0, {})
 DER_NONE = DerivIndex((), 0)
-
-
-def _mk_monomial(weight: Fraction, powers: dict[int, Fraction]) -> Monomial:
-    items = tuple(sorted((i, p) for i, p in powers.items() if p))
-    return Monomial(weight, items)
 
 
 def _mk_deriv(orders: dict[int, int], t_order: int) -> DerivIndex:
@@ -140,9 +160,9 @@ def _mk_deriv(orders: dict[int, int], t_order: int) -> DerivIndex:
     return DerivIndex(items, t_order)
 
 
-def falling(p: Fraction, k: int) -> Fraction:
-    """Falling factorial p(p-1)...(p-k+1); exact for rational p."""
-    out = Fraction(1)
+def falling(p: Exponent, k: int) -> Exponent:
+    """Falling factorial p(p-1)...(p-k+1); exact for rational p, int for int p."""
+    out = 1
     for i in range(k):
         out *= p - i
     return out
@@ -195,7 +215,7 @@ class WeylElement:
         p = as_fraction(power)
         i = table.index(name)
         table.check_power(i, p)
-        mon = _mk_monomial(Fraction(0), {i: p})
+        mon = monomial(0, {i: p})
         return WeylElement(table, {(mon, DER_NONE): COEF_ONE}, _checked=True)
 
     @staticmethod
@@ -216,7 +236,7 @@ class WeylElement:
         w = as_fraction(weight)
         if not table.has_time:
             raise DomainViolation("exponential weight in a table without time")
-        return WeylElement(table, {(Monomial(w, ()), DER_NONE): COEF_ONE},
+        return WeylElement(table, {(monomial(w, {}), DER_NONE): COEF_ONE},
                            _checked=True)
 
     # -- predicates -----------------------------------------------------------
@@ -320,27 +340,27 @@ def _reorder_options(table: VarTable, der: DerivIndex, mon: Monomial):
     for i, a in der.orders:
         p = mon.power_of(i)
         if p == 0:
-            choices.append([(i, 0, a, Fraction(1))])
+            choices.append([(i, 0, a, 1)])
             continue
         opts = []
         for k in range(a + 1):
-            f = Fraction(math.comb(a, k)) * falling(p, k)
+            f = math.comb(a, k) * falling(p, k)
             if f:
                 opts.append((i, k, a - k, f))
         choices.append(opts)
     if der.t_order:
         a, w = der.t_order, mon.weight
         if w == 0:
-            choices.append([(-1, 0, a, Fraction(1))])
+            choices.append([(-1, 0, a, 1)])
         else:
-            choices.append([(-1, k, a - k, Fraction(math.comb(a, k)) * w**k)
+            choices.append([(-1, k, a - k, math.comb(a, k) * w**k)
                             for k in range(a + 1)])
     if not choices:
-        yield Fraction(1), mon, DER_NONE
+        yield 1, mon, DER_NONE
         return
     base_powers = dict(mon.powers)
     for combo in cartesian(*choices):
-        factor = Fraction(1)
+        factor = 1
         powers = dict(base_powers)
         orders: dict[int, int] = {}
         t_rem = 0
@@ -350,12 +370,12 @@ def _reorder_options(table: VarTable, der: DerivIndex, mon: Monomial):
                 t_rem = rem
             else:
                 if k:
-                    powers[i] = powers.get(i, Fraction(0)) - k
+                    powers[i] = powers.get(i, 0) - k
                     if not powers[i]:
                         del powers[i]
                 if rem:
                     orders[i] = rem
-        yield factor, _mk_monomial(mon.weight, powers), _mk_deriv(orders, t_rem)
+        yield factor, monomial(mon.weight, powers), _mk_deriv(orders, t_rem)
 
 
 def _mon_mul(table: VarTable, a: Monomial, b: Monomial) -> Monomial:
@@ -365,13 +385,13 @@ def _mon_mul(table: VarTable, a: Monomial, b: Monomial) -> Monomial:
         return b
     powers = dict(a.powers)
     for i, p in b.powers:
-        q = powers.get(i, Fraction(0)) + p
+        q = powers.get(i, 0) + p
         if q:
             table.check_power(i, q)
             powers[i] = q
         else:
             del powers[i]
-    return _mk_monomial(a.weight + b.weight, powers)
+    return monomial(a.weight + b.weight, powers)
 
 
 def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
@@ -467,26 +487,29 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     out: dict[tuple[Monomial, DerivIndex], Coef] = {}
     for (m1, d1), c1 in a.terms.items():
         for (m2, _), c2 in f.terms.items():
-            factor = Fraction(1)
+            factor = 1
             powers = dict(m2.powers)
             for i, k in d1.orders:
-                p = m2.power_of(i)
+                p = powers.get(i, 0)
                 factor *= falling(p, k)
                 if not factor:
                     break
-                q = p - k
-                if q:
-                    powers[i] = q
-                else:
-                    powers.pop(i, None)
+                powers[i] = p - k
             if not factor:
                 continue
             if d1.t_order:
                 factor *= m2.weight ** d1.t_order
                 if not factor:
                     continue
-            key = (_mon_mul(table, m1, _mk_monomial(m2.weight, powers)), DER_NONE)
-            c = (c1 * c2).scale(factor)
+            for i, p in m1.powers:
+                powers[i] = powers.get(i, 0) + p
+            for i, p in powers.items():
+                if p:
+                    table.check_power(i, p)
+            key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
+            c = c1 * c2
+            if factor != 1:
+                c = c.scale(factor)
             s = out.get(key)
             if s is None:
                 out[key] = c
@@ -563,7 +586,7 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
         for i, k in der.orders:
             if i in (ix, iy):
                 w += k
-        base = WeylElement(src, {(Monomial(w, mon.powers),
+        base = WeylElement(src, {(monomial(w, dict(mon.powers)),
                                   DerivIndex(der.orders, 0)): c}, _checked=True)
         while len(shift_pows) <= der.t_order:
             shift_pows.append(mul(shift_pows[-1], shift))
@@ -578,12 +601,12 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
         if mon.weight.denominator != 1 and free_table.domains[itau] != RAT:
             raise NonIntegerTimeWeight(
                 f"tau exponent {mon.weight} is not an integer")
-        powers = {itau: Fraction(mon.weight)} if mon.weight else {}
+        powers = {itau: mon.weight}
         for i, p in mon.powers:
             powers[i + 1] = p
         orders = {i + 1: k for i, k in der.orders}
         base = WeylElement(free_table,
-                           {(_mk_monomial(Fraction(0), powers),
+                           {(monomial(0, powers),
                              _mk_deriv(orders, 0)): c})
         while len(td_pows) <= der.t_order:
             td_pows.append(mul(td_pows[-1], tau_dtau))
@@ -611,7 +634,7 @@ def degree_of(g: WeylElement, z0: WeylElement) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # plain-text serialization (exact round trip)
 
-def _exp_text(p: Fraction) -> str:
+def _exp_text(p: Exponent) -> str:
     if p == 1:
         return ""
     if p.denominator == 1 and p > 0:
@@ -757,8 +780,8 @@ class _Parser:
 
     def term(self) -> tuple[Monomial, DerivIndex, Coef]:
         c = self.coefficient()
-        weight = Fraction(0)
-        powers: dict[int, Fraction] = {}
+        weight = 0
+        powers: dict[int, Exponent] = {}
         orders: dict[int, int] = {}
         t_order = 0
         while self.peek() == "*":
@@ -786,11 +809,11 @@ class _Parser:
                     orders[i] = orders.get(i, 0) + k
             else:
                 i = self.table.index(tok)
-                p = Fraction(1)
+                p = 1
                 if self.peek() == "^":
                     p = self.exponent()
-                powers[i] = powers.get(i, Fraction(0)) + p
-        return _mk_monomial(weight, powers), _mk_deriv(orders, t_order), c
+                powers[i] = powers.get(i, 0) + p
+        return monomial(weight, powers), _mk_deriv(orders, t_order), c
 
     def element(self) -> WeylElement:
         if self.peek() == "0" and self.i + 1 == len(self.toks):
@@ -830,6 +853,6 @@ def remap(e: WeylElement, target: VarTable,
                   for i, p in mon.powers}
         orders = {target.index(nm.get(src_names[i], src_names[i])): k
                   for i, k in der.orders}
-        key = (_mk_monomial(mon.weight, powers), _mk_deriv(orders, der.t_order))
+        key = (monomial(mon.weight, powers), _mk_deriv(orders, der.t_order))
         out[key] = out.get(key, COEF_ZERO) + c
     return WeylElement(target, out)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import NAT, RAT, VarTable, WeylElement
+from cgaweyl.weyl import NAT, RAT, Monomial, VarTable, WeylElement
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -72,10 +72,31 @@ def random_state(table: VarTable, rng: random.Random, max_terms: int = 3,
     return out
 
 
+def is_canonical_exponent(p) -> bool:
+    """int when integral, Fraction only when genuinely fractional."""
+    return type(p) is int or (type(p) is Fraction and p.denominator != 1)
+
+
+def with_fraction_exponents(e: WeylElement) -> WeylElement:
+    """The same element with every weight and exponent stored as a Fraction.
+
+    Builds the Monomial keys directly, bypassing the canonical constructor,
+    so kernels can be fed integral exponents of the other type.
+    """
+    terms = {}
+    for (mon, der), c in e.terms.items():
+        mon = Monomial(Fraction(mon.weight),
+                       tuple((i, Fraction(p)) for i, p in mon.powers))
+        terms[(mon, der)] = c
+    return WeylElement(e.table, terms)
+
+
 def check_canonical(e: WeylElement) -> None:
     """Structural canonical-form invariants of a term map."""
     for (mon, der), c in e.terms.items():
         assert not c.is_zero()
+        assert is_canonical_exponent(mon.weight)
+        assert all(is_canonical_exponent(p) for _, p in mon.powers)
         assert list(mon.powers) == sorted(mon.powers)
         assert all(p != 0 for _, p in mon.powers)
         assert list(der.orders) == sorted(der.orders)

@@ -1,4 +1,5 @@
 """Coefficient field: exact arithmetic in gamma, xi over the rationals."""
+import operator
 import random
 from fractions import Fraction
 
@@ -108,3 +109,78 @@ def test_parampoly_text_and_lead():
 def test_coerce_rejects_floats():
     with pytest.raises(TypeError):
         coef(0.5)
+
+
+# -- the constant fast path against the ParamPoly path --------------------------
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+
+
+def _param_poly_path(sym, a, b):
+    """Coef's ParamPoly formulas for a op b, the fast path's reference."""
+    if sym == "+":
+        return Coef(a.num * b.den + b.num * a.den, a.den * b.den)
+    if sym == "-":
+        return Coef(a.num * b.den - b.num * a.den, a.den * b.den)
+    if sym == "*":
+        return Coef(a.num * b.num, a.den * b.den)
+    return Coef(a.num * b.den, a.den * b.num)
+
+
+def _disguised(c):
+    """The value of c with a non-constant num/den, so it takes the ParamPoly path."""
+    w = Coef.gamma() + Coef.xi()
+    return c * w / w
+
+
+def test_disguised_constants_take_the_param_poly_path():
+    c = _disguised(Coef.const(Fraction(-3, 2)))
+    assert c.den.as_const() is None
+    assert c.as_fraction() == Fraction(-3, 2)
+
+
+def test_constant_fast_path_matches_param_poly_path():
+    rng = random.Random(4243)
+    constants = [Coef.const(q) for q in RATIONAL_POOL + (0,)]
+    constants += [c for c in COEF_POOL if c.den.as_const() is not None
+                  and c.num.as_const() is not None]
+    for _ in range(300):
+        a, b = rng.choice(constants), rng.choice(constants)
+        qa, qb = a.as_fraction(), b.as_fraction()
+        for sym, op in OPS.items():
+            if sym == "/" and not qb:
+                for x, y in ((a, b), (_disguised(a), _disguised(b)), (a, qb)):
+                    with pytest.raises(DivisionByZero):
+                        op(x, y)
+                continue
+            fast = op(a, b)
+            ref = _param_poly_path(sym, a, b)
+            assert (fast.num, fast.den) == (ref.num, ref.den)
+            assert fast.text() == ref.text()
+            assert fast.as_fraction() == op(qa, qb)
+            for mixed in (op(a, qb), op(qa, b)):
+                assert (mixed.num, mixed.den) == (ref.num, ref.den)
+            slow = op(_disguised(a), _disguised(b))
+            assert slow.as_fraction() == op(qa, qb)
+            assert fast == slow and slow == fast
+        assert (a == b) == (_disguised(a) == _disguised(b)) == (qa == qb)
+        assert (-a).text() == Coef(-a.num, a.den).text()
+        q = rng.choice(RATIONAL_POOL + (0, 3))
+        scaled, ref = a.scale(q), Coef(a.num.scale(Fraction(q)), a.den)
+        assert (scaled.num, scaled.den) == (ref.num, ref.den)
+        assert scaled == _disguised(a).scale(q)
+
+
+def test_constant_and_symbolic_operands_mix():
+    rng = random.Random(4247)
+    constants = [Coef.const(q) for q in RATIONAL_POOL]
+    for _ in range(200):
+        a, c = rng.choice(constants), rng.choice(COEF_POOL)
+        for sym, op in OPS.items():
+            for x, y in ((a, c), (c, a)):
+                if sym == "/" and y.is_zero():
+                    continue
+                got = op(x, y)
+                assert got == op(_disguised(x), y)
+                assert got.text() == _param_poly_path(sym, x, y).text()

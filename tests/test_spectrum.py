@@ -1,4 +1,5 @@
 """Lowest-weight spectra: ground states, eigenstates, degeneracies, probes."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from cgaweyl.weyl import WeylElement, apply_to, parse_element
 from cgaweyl.realizations import (
+    LadderSet,
     build_H,
     build_free_l1,
     build_ladder,
@@ -15,6 +17,7 @@ from cgaweyl.realizations import (
 from cgaweyl.spectrum import (
     NotEigenstate,
     ZeroState,
+    _table_states,
     at_time_zero,
     build_state,
     build_state_general,
@@ -148,6 +151,37 @@ def test_two_frequency_spectrum():
     expected = {Fraction(2 * a + 3 * b) for a in range(6) for b in range(6)
                 if a + b <= 5}
     assert levels == expected
+
+
+def _from_ground(target, qn):
+    """The row's state rebuilt from the ground state by the public builders."""
+    if isinstance(target, LadderSet):
+        occ = tuple(zip(qn[0:-1:2], qn[1:-1:2]))
+        return build_state_general(target, occ, qn[-1])
+    return build_state(target, *qn)
+
+
+@pytest.mark.parametrize("target, e_max, cutoff, table_order", [
+    # general ell: occupations (n1, m1, n2, m2) lexicographically, then k
+    (build_ladder(2), 4, 1,
+     [occ + (k,) for occ in itertools.product(range(5), repeat=4)
+      if sum(occ[:2]) + 2 * sum(occ[2:]) <= 4 for k in range(2)]),
+    # ell = 1: by m + n, then m, then k
+    (build_osc_l1(), 4, 2,
+     [(m, t - m, k) for t in range(5) for m in range(t + 1) for k in range(3)]),
+    (build_xi0(2, 3), 4, 1,
+     [(m, t - m, k) for t in range(5) for m in range(t + 1) for k in range(2)]),
+], ids=["ladder-l2", "osc-l1", "xi0-2-3"])
+def test_incremental_states_match_from_ground_builders(target, e_max, cutoff,
+                                                       table_order):
+    """Each walked state equals its from-ground build; row order is unchanged."""
+    walked = list(_table_states(target, e_max, cutoff))
+    assert sorted(qn for qn, _, _ in walked) == sorted(table_order)
+    for qn, _, psi in walked:
+        assert psi == _from_ground(target, qn), qn
+    table = spectrum_table(target, e_max, cutoff)
+    assert [r.quantum_numbers for r in table.rows] == table_order
+    assert table.ok
 
 
 def test_ladder_relations():

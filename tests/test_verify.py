@@ -325,6 +325,20 @@ def test_xi0_onshell_factors():
     assert report.ok, report.failing()
 
 
+@pytest.mark.parametrize("w1, w2", [(1, 1), (2, 3)])
+def test_factor_extraction_budget_covers_the_reported_xi0_truncation(w1, w2):
+    """extract_scalar_factor gives up when its fuel runs out, which can only
+    turn a PASS into a FAIL; every on-shell pair that ``cgaweyl all`` checks
+    (symbolic gamma, cutoff 3) must still factor within the budget."""
+    fam = build_xi0(w1, w2, cutoff=3)
+    omega = fam["Omega"]
+    pairs = [name for name in fam.order if "(" in name]
+    assert len(pairs) == 70
+    for name in pairs:
+        comm = commutator(fam[name], omega)
+        assert extract_scalar_factor(comm, omega) is not None, name
+
+
 def test_xi0_sl2_at_both_frequency_pairs():
     for w1, w2 in ((1, 1), (2, 3)):
         fam = build_xi0(w1, w2)

@@ -25,7 +25,13 @@ from cgaweyl.weyl import (
     remap,
     substitute,
 )
-from cgaweyl.realizations import build_free_general, build_free_l1, build_osc_l1, build_xi0
+from cgaweyl.realizations import (
+    build_free_general,
+    build_free_l1,
+    build_ladder,
+    build_osc_l1,
+    build_xi0,
+)
 
 from helpers import (
     PLAIN_TABLE,
@@ -35,6 +41,7 @@ from helpers import (
     check_canonical,
     random_element,
     random_state,
+    with_fraction_exponents,
 )
 
 
@@ -154,6 +161,58 @@ def test_jacobi_identity_random():
         s = commutator(commutator(a, b), c) + commutator(commutator(b, c), a) \
             + commutator(commutator(c, a), b)
         assert s.is_zero()
+
+
+# -- exponent types: int when integral, Fraction otherwise ----------------------
+
+@pytest.mark.parametrize("table, weights, powers, seed", [
+    (PLAIN_TABLE, (0,), None, 211),
+    (TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None, 223),
+    (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 227),
+], ids=["plain", "time", "rat"])
+def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, seed):
+    """mul, commutator and apply_to give equal elements and identical text
+    whether integral exponents and weights are stored as int or Fraction."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        a = random_element(table, rng, max_terms=3, weights=weights, powers=powers)
+        b = random_element(table, rng, max_terms=3, weights=weights, powers=powers)
+        f = random_state(table, rng)
+        if table.has_time:
+            f = f * WeylElement.exp_t(table, rng.choice(weights))
+        for op, x, y in ((mul, a, b), (commutator, a, b), (apply_to, a, f)):
+            canonical = op(x, y)
+            check_canonical(canonical)
+            fx, fy = with_fraction_exponents(x), with_fraction_exponents(y)
+            for other in (op(fx, fy), op(fx, y), op(x, fy)):
+                assert other == canonical
+                assert other.text() == canonical.text()
+
+
+def test_integral_exponents_are_stored_as_int():
+    half = Fraction(1, 2)
+    built = [
+        WeylElement.var(TIME_TABLE, "x", Fraction(2)),
+        WeylElement.exp_t(TIME_TABLE, Fraction(4, 2)),
+        mul(WeylElement.var(RAT_TABLE, "x", half), WeylElement.var(RAT_TABLE, "x", half)),
+        mul(WeylElement.exp_t(RAT_TABLE, half), WeylElement.exp_t(RAT_TABLE, half)),
+        parse_element("(1) * e^(2*t) * x^(6/3) * y^(1/2)", RAT_TABLE),
+        with_fraction_exponents(V("x", 2)) * V("y"),
+    ]
+    for e in built:
+        check_canonical(e)
+    x_squared = built[0].terms
+    ((mon, _),) = x_squared
+    assert mon.powers == ((0, 2),) and type(mon.powers[0][1]) is int
+    for fam in (build_free_l1(), build_osc_l1(), build_free_l1(2, 3),
+                build_free_general(3, verbatim=False), build_xi0(2, 3, cutoff=3),
+                build_ladder(2).family):
+        for g in fam.generators.values():
+            check_canonical(g)
+    for g in build_osc_l1().generators.values():
+        check_canonical(free_to_osc(g))
+        check_canonical(substitute(g, {"x": Coef.const(3)}))
+        check_canonical(remap(g, g.table.widened("y", RAT)))
 
 
 def test_canonicality_is_idempotent():
