@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
 # Run `cgaweyl all` under every installed pyenv interpreter that the package
 # supports and require each report to match the golden sha256 byte for byte.
-# The package is stdlib-only, so no interpreter needs anything installed.
+# The golden hash is read from GOLDEN_ALL_SHA256 in tests/test_cli.py, the
+# one place it is pinned.  The package is stdlib-only, so no interpreter
+# needs anything installed.
 set -u
 
-GOLDEN_SHA256=9f894a56ba386127e3ca03585819c4071e81574e7a7250bd24f84798d7d3af3c
 VERSIONS=(3.10.13 3.11.7 3.12.1 3.13.0)
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
+pin="$repo/tests/test_cli.py"
+GOLDEN_SHA256=$(grep -A1 '^GOLDEN_ALL_SHA256 =' "$pin" 2>/dev/null \
+    | grep -oE '[0-9a-f]{64}')
+if ! [[ $GOLDEN_SHA256 =~ ^[0-9a-f]{64}$ ]]; then
+    echo "FAIL  cannot read one GOLDEN_ALL_SHA256 from $pin"
+    exit 1
+fi
 root=${PYENV_ROOT:-$HOME/.pyenv}
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT

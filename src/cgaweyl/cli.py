@@ -109,6 +109,12 @@ def _section_ok(payload: dict) -> bool:
     return bool(payload.get("ok", False))
 
 
+def _require_ell_one(args) -> None:
+    """--l picks ell for free-general only; every other family has ell = 1."""
+    if args.family != "free-general" and args.l != 1:
+        raise ConfigError(f"--family {args.family} has ell = 1, got --l {args.l}")
+
+
 def _xi0(args) -> rz.GeneratorFamily:
     return rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
 
@@ -129,6 +135,7 @@ def _xi0_onshell(fam: rz.GeneratorFamily) -> list[dict]:
 # commands
 
 def cmd_verify(args) -> list[dict]:
+    _require_ell_one(args)
     sections = []
     if args.family in ("free-l1", "osc-l1"):
         fam = rz.build_free_l1(args.gamma, args.xi) if args.family == "free-l1" \
@@ -171,6 +178,9 @@ def cmd_onshell(args) -> list[dict]:
             sections.append(report.to_dict())
             sections.append(vf.verify_sl2(triplet, 1).to_dict())
     elif args.family == "xi0":
+        if args.omega is not None:
+            raise ConfigError("--omega probes the free-l1 and osc-l1 families, "
+                              "not xi0")
         sections += _xi0_onshell(_xi0(args))
     else:
         raise ConfigError(f"unknown family {args.family!r}")
@@ -180,6 +190,7 @@ def cmd_onshell(args) -> list[dict]:
 def cmd_spectrum(args) -> list[dict]:
     if args.family is None:
         args.family = "osc-l1" if args.l == 1 else "free-general"
+    _require_ell_one(args)
     notes = []
     if args.family == "osc-l1":
         target = rz.build_osc_l1(args.gamma, args.xi)
@@ -234,9 +245,9 @@ def cmd_infinite(args) -> list[dict]:
 def cmd_all(args) -> list[dict]:
     ns = argparse.Namespace
     sections: list[dict] = []
-    sections += cmd_verify(ns(family="osc-l1", gamma=None, xi=None,
+    sections += cmd_verify(ns(family="osc-l1", gamma=None, xi=None, l=1,
                               calibrate=False))
-    sections += cmd_verify(ns(family="free-l1", gamma=None, xi=None,
+    sections += cmd_verify(ns(family="free-l1", gamma=None, xi=None, l=1,
                               calibrate=True))
     sections += cmd_onshell(ns(family="osc-l1", gamma=None, xi=None, omega=None))
     sections += cmd_onshell(ns(family="free-l1", gamma=None, xi=None, omega=None))
@@ -257,7 +268,7 @@ def cmd_all(args) -> list[dict]:
         sections.append(vf.verify_table(
             fam, vf.general_commutator_table(ell)).to_dict())
         sections.append(vf.verify_general_invariant(ell).to_dict())
-    sections += cmd_spectrum(ns(family="osc-l1", gamma=None, xi=None,
+    sections += cmd_spectrum(ns(family="osc-l1", gamma=None, xi=None, l=1,
                                 emax=6, k=3))
     for ell in (2, 3, 4):
         sections += cmd_spectrum(ns(family="free-general", l=ell, emax=6, k=1))

@@ -150,9 +150,6 @@ class _Alg:
         self.table = table
         self.one = WeylElement.const(table, 1)
 
-    def n(self, value) -> WeylElement:
-        return WeylElement.const(self.table, value)
-
     def v(self, name: str, power=1) -> WeylElement:
         return WeylElement.var(self.table, name, power)
 
@@ -207,7 +204,7 @@ def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily
     return GeneratorFamily("free-l1", "free-l1", FREE_L1_TABLE, gens, params)
 
 
-def build_osc_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:
+def build_osc_l1(gamma=None, xi=None) -> GeneratorFamily:
     """The exponential-time realization acting on functions of t, x, y, u."""
     g, x = _param(gamma, "gamma"), _param(xi, "xi")
     A = _Alg(OSC_L1_TABLE)
@@ -233,7 +230,7 @@ def build_osc_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:
         "theta": A.one,
         "q": xv * dy + (x / (two * g)) * A.v("u", 2),
     }
-    params = FamilyParams(gamma=g, xi=x, verbatim=verbatim)
+    params = FamilyParams(gamma=g, xi=x)
     return GeneratorFamily("osc-l1", "osc-l1", OSC_L1_TABLE, gens, params)
 
 

@@ -258,10 +258,6 @@ class Coef:
     def xi() -> "Coef":
         return Coef(ParamPoly.xi())
 
-    @staticmethod
-    def ratio(num, den) -> "Coef":
-        return Coef.const(num) / Coef.const(den)
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -11,6 +11,11 @@ with the falling factorial valid for rational exponents p; distinct
 variables commute.  Canonical form (sorted term map, no zero coefficients,
 no zero exponents) makes equality a structural check.
 
+The ``WeylElement`` constructor alone enforces canonical form for every
+element, kernel results included: it drops zero coefficients and rejects
+exponents outside their variable's domain and time parts over a table
+without time.  The kernels accumulate raw sums and leave both rules to it.
+
 Exponents and time weights are exact rationals with one canonical type:
 ``int`` when the value is integral, ``Fraction`` only when it is genuinely
 fractional (RAT-domain exponents, fractional weights).  :func:`monomial`
@@ -179,21 +184,19 @@ class WeylElement:
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable,
-                 terms: dict[tuple[Monomial, DerivIndex], Coef] | None = None,
-                 _checked: bool = False):
+                 terms: dict[tuple[Monomial, DerivIndex], Coef] | None = None):
         self.table = table
         cleaned: dict[tuple[Monomial, DerivIndex], Coef] = {}
         for key, c in (terms or {}).items():
             if c.is_zero():
                 continue
-            if not _checked:
-                mon, der = key
-                if mon.weight and not table.has_time:
-                    raise DomainViolation("exponential weight in a table without time")
-                if der.t_order and not table.has_time:
-                    raise DomainViolation("d[t] in a table without time")
-                for i, p in mon.powers:
-                    table.check_power(i, p)
+            mon, der = key
+            if mon.weight and not table.has_time:
+                raise DomainViolation("exponential weight in a table without time")
+            if der.t_order and not table.has_time:
+                raise DomainViolation("d[t] in a table without time")
+            for i, p in mon.powers:
+                table.check_power(i, p)
             cleaned[key] = c
         self.terms = cleaned
 
@@ -201,43 +204,34 @@ class WeylElement:
 
     @staticmethod
     def zero(table: VarTable) -> "WeylElement":
-        return WeylElement(table, {}, _checked=True)
+        return WeylElement(table)
 
     @staticmethod
     def const(table: VarTable, value) -> "WeylElement":
-        c = coef(value)
-        if c.is_zero():
-            return WeylElement.zero(table)
-        return WeylElement(table, {(MON_ONE, DER_NONE): c}, _checked=True)
+        return WeylElement(table, {(MON_ONE, DER_NONE): coef(value)})
 
     @staticmethod
     def var(table: VarTable, name: str, power=1) -> "WeylElement":
-        p = as_fraction(power)
-        i = table.index(name)
-        table.check_power(i, p)
-        mon = monomial(0, {i: p})
-        return WeylElement(table, {(mon, DER_NONE): COEF_ONE}, _checked=True)
+        mon = monomial(0, {table.index(name): as_fraction(power)})
+        return WeylElement(table, {(mon, DER_NONE): COEF_ONE})
 
     @staticmethod
     def deriv(table: VarTable, name: str, order: int = 1) -> "WeylElement":
-        i = table.index(name)
-        der = _mk_deriv({i: order}, 0)
-        return WeylElement(table, {(MON_ONE, der): COEF_ONE}, _checked=True)
+        der = _mk_deriv({table.index(name): order}, 0)
+        return WeylElement(table, {(MON_ONE, der): COEF_ONE})
 
     @staticmethod
     def time_deriv(table: VarTable, order: int = 1) -> "WeylElement":
         if not table.has_time:
             raise DomainViolation("d[t] in a table without time")
-        return WeylElement(table, {(MON_ONE, DerivIndex((), order)): COEF_ONE},
-                           _checked=True)
+        return WeylElement(table, {(MON_ONE, DerivIndex((), order)): COEF_ONE})
 
     @staticmethod
     def exp_t(table: VarTable, weight) -> "WeylElement":
         w = as_fraction(weight)
         if not table.has_time:
             raise DomainViolation("exponential weight in a table without time")
-        return WeylElement(table, {(monomial(w, {}), DER_NONE): COEF_ONE},
-                           _checked=True)
+        return WeylElement(table, {(monomial(w, {}), DER_NONE): COEF_ONE})
 
     # -- predicates -----------------------------------------------------------
 
@@ -281,29 +275,18 @@ class WeylElement:
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-        return WeylElement(self.table, out, _checked=True)
+            out[key] = c if s is None else s + c
+        return WeylElement(self.table, out)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.table, {k: -c for k, c in self.terms.items()},
-                           _checked=True)
+        return WeylElement(self.table, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
     def scaled(self, value) -> "WeylElement":
         c = coef(value)
-        if c.is_zero():
-            return WeylElement.zero(self.table)
-        return WeylElement(self.table, {k: v * c for k, v in self.terms.items()},
-                           _checked=True)
+        return WeylElement(self.table, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -331,7 +314,7 @@ class WeylElement:
 # ---------------------------------------------------------------------------
 # products
 
-def _reorder_options(table: VarTable, der: DerivIndex, mon: Monomial):
+def _reorder_options(der: DerivIndex, mon: Monomial):
     """All ways of passing the derivative block ``der`` through ``mon``.
 
     Yields (rational factor, picked-up monomial, remaining derivative).
@@ -370,27 +353,20 @@ def _reorder_options(table: VarTable, der: DerivIndex, mon: Monomial):
                 t_rem = rem
             else:
                 if k:
-                    powers[i] = powers.get(i, 0) - k
-                    if not powers[i]:
-                        del powers[i]
+                    powers[i] -= k
                 if rem:
                     orders[i] = rem
         yield factor, monomial(mon.weight, powers), _mk_deriv(orders, t_rem)
 
 
-def _mon_mul(table: VarTable, a: Monomial, b: Monomial) -> Monomial:
+def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b.powers and not b.weight:
         return a
     if not a.powers and not a.weight:
         return b
     powers = dict(a.powers)
     for i, p in b.powers:
-        q = powers.get(i, 0) + p
-        if q:
-            table.check_power(i, q)
-            powers[i] = q
-        else:
-            del powers[i]
+        powers[i] = powers.get(i, 0) + p
     return monomial(a.weight + b.weight, powers)
 
 
@@ -408,24 +384,16 @@ def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical normal-ordered product."""
     a._require_same_table(b)
-    table = a.table
     out: dict[tuple[Monomial, DerivIndex], Coef] = {}
     for (m1, d1), c1 in a.terms.items():
         for (m2, d2), c2 in b.terms.items():
             base = c1 * c2
-            for factor, m_mid, d_rem in _reorder_options(table, d1, m2):
-                key = (_mon_mul(table, m1, m_mid), _der_mul(d_rem, d2))
+            for factor, m_mid, d_rem in _reorder_options(d1, m2):
+                key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
                 c = base.scale(factor)
                 s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-    return WeylElement(table, out, _checked=True)
+                out[key] = c if s is None else s + c
+    return WeylElement(a.table, out)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -442,7 +410,6 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     ``mul(a, b) - mul(b, a)`` term for term.
     """
     a._require_same_table(b)
-    table = a.table
     out: dict[tuple[Monomial, DerivIndex], Coef] = {}
     for (m1, d1), c1 in a.terms.items():
         for (m2, d2), c2 in b.terms.items():
@@ -451,23 +418,16 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                                                        (m2, d2, m1, d1, -1)):
                 if d_left.is_empty():
                     continue
-                options = _reorder_options(table, d_left, right)
+                options = _reorder_options(d_left, right)
                 next(options)  # the all-k = 0 term, equal in both orders
                 for factor, m_mid, d_rem in options:
                     if base is None:
                         base = c1 * c2
-                    key = (_mon_mul(table, left, m_mid), _der_mul(d_rem, d_right))
+                    key = (_mon_mul(left, m_mid), _der_mul(d_rem, d_right))
                     c = base.scale(sign * factor)
                     s = out.get(key)
-                    if s is None:
-                        out[key] = c
-                    else:
-                        s = s + c
-                        if s.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = s
-    return WeylElement(table, out, _checked=True)
+                    out[key] = c if s is None else s + c
+    return WeylElement(a.table, out)
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -483,7 +443,6 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     a._require_same_table(f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    table = a.table
     out: dict[tuple[Monomial, DerivIndex], Coef] = {}
     for (m1, d1), c1 in a.terms.items():
         for (m2, _), c2 in f.terms.items():
@@ -503,23 +462,13 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
                     continue
             for i, p in m1.powers:
                 powers[i] = powers.get(i, 0) + p
-            for i, p in powers.items():
-                if p:
-                    table.check_power(i, p)
             key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
             c = c1 * c2
             if factor != 1:
                 c = c.scale(factor)
             s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-    return WeylElement(table, out, _checked=True)
+            out[key] = c if s is None else s + c
+    return WeylElement(a.table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +503,10 @@ def substitute(a: WeylElement, scales: dict[str, Coef]) -> WeylElement:
     return WeylElement(a.table, out)
 
 
-def free_table_for(osc_table: VarTable, tau_domain: str = INT) -> VarTable:
+def free_table_for(osc_table: VarTable) -> VarTable:
     """The power-of-tau table matching an exponential-time table."""
     return VarTable(("tau",) + osc_table.names,
-                    (tau_domain,) + osc_table.domains, has_time=False)
+                    (INT,) + osc_table.domains, has_time=False)
 
 
 def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylElement:
@@ -587,7 +536,7 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
             if i in (ix, iy):
                 w += k
         base = WeylElement(src, {(monomial(w, dict(mon.powers)),
-                                  DerivIndex(der.orders, 0)): c}, _checked=True)
+                                  DerivIndex(der.orders, 0)): c})
         while len(shift_pows) <= der.t_order:
             shift_pows.append(mul(shift_pows[-1], shift))
         conjugated = conjugated + mul(base, shift_pows[der.t_order])

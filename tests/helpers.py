@@ -91,6 +91,18 @@ def with_fraction_exponents(e: WeylElement) -> WeylElement:
     return WeylElement(e.table, terms)
 
 
+def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
+    """An element holding ``terms`` exactly as given.
+
+    Bypasses the WeylElement constructor and its checks, so a test can
+    feed the kernels an operand that no constructor would accept, such as
+    a term outside its table's exponent domain.
+    """
+    e = WeylElement.__new__(WeylElement)
+    e.table, e.terms = table, dict(terms)
+    return e
+
+
 def check_canonical(e: WeylElement) -> None:
     """Structural canonical-form invariants of a term map."""
     for (mon, der), c in e.terms.items():

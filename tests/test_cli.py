@@ -133,6 +133,18 @@ def test_config_errors_exit_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    # options that do not apply to the chosen family: one line each
+    for argv in (["onshell", "--family", "xi0", "--omega", "2"],
+                 ["verify", "--family", "osc-l1", "--l", "3"],
+                 ["verify", "--family", "free-l1", "--l", "3"],
+                 ["verify", "--family", "xi0", "--l", "3"],
+                 ["spectrum", "--family", "osc-l1", "--l", "3"],
+                 ["spectrum", "--family", "xi0", "--l", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 def test_bad_rational_rejected():

@@ -6,6 +6,7 @@ import pytest
 
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (
+    DER_NONE,
     INT,
     NAT,
     RAT,
@@ -20,6 +21,7 @@ from cgaweyl.weyl import (
     degree_of,
     element_to_text,
     free_to_osc,
+    monomial,
     mul,
     parse_element,
     remap,
@@ -41,6 +43,7 @@ from helpers import (
     check_canonical,
     random_element,
     random_state,
+    unchecked_element,
     with_fraction_exponents,
 )
 
@@ -92,6 +95,22 @@ def test_leibniz_agrees_with_repeated_first_order_steps():
 def test_domain_violation_on_negative_power():
     with pytest.raises(DomainViolation):
         WeylElement.var(PLAIN_TABLE, "x", -1)
+
+
+@pytest.mark.parametrize("weight, powers", [
+    (0, {0: -1}),                 # x^-1 with x in NAT
+    (0, {1: Fraction(1, 2)}),     # y^(1/2) with y in NAT
+    (1, {}),                      # e^t in a table without time
+], ids=["negative", "fractional", "time-weight"])
+def test_results_never_carry_out_of_domain_terms(weight, powers):
+    """Every result goes through the constructor's domain check, so an
+    operand that bypassed it cannot pass its bad term on."""
+    bad = unchecked_element(PLAIN_TABLE,
+                            {(monomial(weight, powers), DER_NONE): Coef.const(1)})
+    for build in (lambda: mul(bad, V("u")), lambda: bad + V("u"),
+                  lambda: -bad, lambda: bad.scaled(2)):
+        with pytest.raises(DomainViolation):
+            build()
 
 
 def test_commutator_antisymmetry_on_random_elements():
@@ -172,7 +191,22 @@ def test_jacobi_identity_random():
 ], ids=["plain", "time", "rat"])
 def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, seed):
     """mul, commutator and apply_to give equal elements and identical text
-    whether integral exponents and weights are stored as int or Fraction."""
+    whether integral exponents and weights are stored as int or Fraction.
+
+    The fixed inputs first have terms that cancel inside one kernel call,
+    so the zero sums must be dropped by the constructor; each result is
+    also checked against its reference.
+    """
+    x, y = WeylElement.var(table, "x"), WeylElement.var(table, "y")
+    dx, dy = WeylElement.deriv(table, "x"), WeylElement.deriv(table, "y")
+    # (x - y)(x + y) = x^2 - y^2: the xy terms cancel
+    assert mul(x - y, x + y) == \
+        WeylElement.var(table, "x", 2) - WeylElement.var(table, "y", 2)
+    cases = [(x - y, x + y, x * y),
+             (dx + dy, x - y, x - y),                # 1 - 1
+             (x * dx - y * dy, x * y, x * y)]        # xy - xy
+    for a, b, f in cases[1:]:
+        assert commutator(a, b).is_zero() and apply_to(a, f).is_zero()
     rng = random.Random(seed)
     for _ in range(60):
         a = random_element(table, rng, max_terms=3, weights=weights, powers=powers)
@@ -180,11 +214,16 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
         f = random_state(table, rng)
         if table.has_time:
             f = f * WeylElement.exp_t(table, rng.choice(weights))
-        for op, x, y in ((mul, a, b), (commutator, a, b), (apply_to, a, f)):
-            canonical = op(x, y)
+        cases.append((a, b, f))
+    for a, b, f in cases:
+        assert commutator(a, b) == mul(a, b) - mul(b, a)
+        assert apply_to(a, f) == WeylElement(table, {
+            key: c for key, c in mul(a, f).terms.items() if key[1] == DER_NONE})
+        for op, u, v in ((mul, a, b), (commutator, a, b), (apply_to, a, f)):
+            canonical = op(u, v)
             check_canonical(canonical)
-            fx, fy = with_fraction_exponents(x), with_fraction_exponents(y)
-            for other in (op(fx, fy), op(fx, y), op(x, fy)):
+            fu, fv = with_fraction_exponents(u), with_fraction_exponents(v)
+            for other in (op(fu, fv), op(fu, v), op(u, fv)):
                 assert other == canonical
                 assert other.text() == canonical.text()
 
