@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +26,8 @@ SCHEMA = "cgaweyl-report/1"
 REPORT_DIR_ENV = "CGAWEYL_REPORT_DIR"
 
 
-class ConfigError(ValueError):
-    """Bad rational syntax, unknown family, or invalid option combination."""
+class ConfigError(argparse.ArgumentTypeError):
+    """A bad option value; argparse reports its message as the reason."""
 
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?$")
@@ -53,8 +54,7 @@ def _int_at_least(low: int):
     """argparse type: a decimal integer no smaller than ``low``."""
     def parse(text: str) -> int:
         if not re.fullmatch(r"[+-]?\d+", text) or int(text) < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+            raise ConfigError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
     return parse
 
@@ -109,12 +109,6 @@ def _section_ok(payload: dict) -> bool:
     return bool(payload.get("ok", False))
 
 
-def _require_ell_one(args) -> None:
-    """--l picks ell for free-general only; every other family has ell = 1."""
-    if args.family != "free-general" and args.l != 1:
-        raise ConfigError(f"--family {args.family} has ell = 1, got --l {args.l}")
-
-
 def _xi0(args) -> rz.GeneratorFamily:
     return rz.build_xi0(args.omega1, args.omega2, args.gamma, args.cutoff)
 
@@ -135,62 +129,42 @@ def _xi0_onshell(fam: rz.GeneratorFamily) -> list[dict]:
 # commands
 
 def cmd_verify(args) -> list[dict]:
-    _require_ell_one(args)
-    sections = []
-    if args.family in ("free-l1", "osc-l1"):
-        fam = rz.build_free_l1(args.gamma, args.xi) if args.family == "free-l1" \
-            else rz.build_osc_l1(args.gamma, args.xi)
-        table = vf.cga_l1_table(fam)
-        if args.calibrate:
-            _, report = vf.calibrate_constants(fam, table)
-        else:
-            report = vf.verify_table(fam, table)
-        sections.append(report.to_dict())
-    elif args.family == "free-general":
+    if args.family == "xi0":
+        return _xi0_structure(_xi0(args))
+    if args.family == "free-general":
         fam = rz.build_free_general(args.l, verbatim=False)
         report = vf.verify_table(fam, vf.general_commutator_table(args.l))
         report.notes.append(
             "z+ built as +d[tau]; the printed sign satisfies no table entry "
             "involving z+ on the left (see sign report)")
-        sections.append(report.to_dict())
-        sections.append(vf.VerificationReport("z+ sign report", fam.name, notes=[
-            f"{k}: {'table holds' if v else 'table fails'}"
-            for k, v in vf.zplus_sign_report(args.l).items()]).to_dict())
-    elif args.family == "xi0":
-        sections += _xi0_structure(_xi0(args))
+        return [report.to_dict(), vf.VerificationReport(
+            "z+ sign report", fam.name, notes=[
+                f"{k}: {'table holds' if v else 'table fails'}"
+                for k, v in vf.zplus_sign_report(args.l).items()]).to_dict()]
+    fam = rz.build_free_l1(args.gamma, args.xi) if args.family == "free-l1" \
+        else rz.build_osc_l1(args.gamma, args.xi)
+    table = vf.cga_l1_table(fam)
+    if args.calibrate:
+        _, report = vf.calibrate_constants(fam, table)
     else:
-        raise ConfigError(f"unknown family {args.family!r}")
-    return sections
+        report = vf.verify_table(fam, table)
+    return [report.to_dict()]
 
 
 def cmd_onshell(args) -> list[dict]:
-    sections = []
-    if args.family in ("free-l1", "osc-l1"):
-        fam = rz.build_free_l1(args.gamma, args.xi, verbatim=False) \
-            if args.family == "free-l1" else rz.build_osc_l1(args.gamma, args.xi)
-        if args.omega is not None:
-            report = vf.omega_rigidity_check(fam, args.omega)
-            sections.append(report.to_dict())
-        else:
-            triplet = rz.build_triplet(fam)
-            report = vf.onshell_check(fam.generators, triplet.named(), fam.name,
-                                      vf.expected_onshell_factors(fam))
-            sections.append(report.to_dict())
-            sections.append(vf.verify_sl2(triplet, 1).to_dict())
-    elif args.family == "xi0":
-        if args.omega is not None:
-            raise ConfigError("--omega probes the free-l1 and osc-l1 families, "
-                              "not xi0")
-        sections += _xi0_onshell(_xi0(args))
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
-    return sections
+    if args.family == "xi0":
+        return _xi0_onshell(_xi0(args))
+    fam = rz.build_free_l1(args.gamma, args.xi, verbatim=False) \
+        if args.family == "free-l1" else rz.build_osc_l1(args.gamma, args.xi)
+    if args.omega is not None:
+        return [vf.omega_rigidity_check(fam, args.omega).to_dict()]
+    triplet = rz.build_triplet(fam)
+    report = vf.onshell_check(fam.generators, triplet.named(), fam.name,
+                              vf.expected_onshell_factors(fam))
+    return [report.to_dict(), vf.verify_sl2(triplet, 1).to_dict()]
 
 
 def cmd_spectrum(args) -> list[dict]:
-    if args.family is None:
-        args.family = "osc-l1" if args.l == 1 else "free-general"
-    _require_ell_one(args)
     notes = []
     if args.family == "osc-l1":
         target = rz.build_osc_l1(args.gamma, args.xi)
@@ -198,14 +172,12 @@ def cmd_spectrum(args) -> list[dict]:
     elif args.family == "free-general":
         target = rz.build_ladder(args.l)
         label, tag = target.family.name, f"l={args.l}"
-    elif args.family == "xi0":
+    else:
         target = _xi0(args)
         label, tag = target.name, "xi0"
         notes.append(f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
                      f"m*({target.params.omega2}) + n*({target.params.omega1}); "
                      "the level set equals {omega1*a + omega2*b}")
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
     sections = [_ground_section(f"ground state ({tag})", label, target),
                 _ladder_section(f"ladder relations ({tag})", label,
                                 sp.ladder_relations_check(target))]
@@ -243,14 +215,19 @@ def cmd_infinite(args) -> list[dict]:
 
 
 def cmd_all(args) -> list[dict]:
-    ns = argparse.Namespace
-    sections: list[dict] = []
-    sections += cmd_verify(ns(family="osc-l1", gamma=None, xi=None, l=1,
-                              calibrate=False))
-    sections += cmd_verify(ns(family="free-l1", gamma=None, xi=None, l=1,
-                              calibrate=True))
-    sections += cmd_onshell(ns(family="osc-l1", gamma=None, xi=None, omega=None))
-    sections += cmd_onshell(ns(family="free-l1", gamma=None, xi=None, omega=None))
+    parse = build_parser().parse_args
+
+    def commands(*lines: str) -> list[dict]:
+        # parsed like command lines, so every default comes from OPTIONS
+        sections = []
+        for line in lines:
+            sub = parse(line.split())
+            sections += COMMANDS[sub.command].run(sub)
+        return sections
+
+    sections = commands("verify --family osc-l1",
+                        "verify --family free-l1 --calibrate",
+                        "onshell --family osc-l1", "onshell --family free-l1")
     osc = rz.build_osc_l1()
     sections.append(vf.omega_rigidity_check(osc, 1).to_dict())
     probe2 = vf.omega_rigidity_check(osc, 2)
@@ -262,20 +239,16 @@ def cmd_all(args) -> list[dict]:
                     "" if broken else "deformation left invariance intact",
                     "failing: " + "; ".join(broken))],
         params={"omega": "2"}))
-    sections += cmd_similarity(ns(gamma=None, xi=None))
+    sections += commands("similarity")
     for ell in (1, 2, 3, 4):
         fam = rz.build_free_general(ell, verbatim=False)
         sections.append(vf.verify_table(
             fam, vf.general_commutator_table(ell)).to_dict())
         sections.append(vf.verify_general_invariant(ell).to_dict())
-    sections += cmd_spectrum(ns(family="osc-l1", gamma=None, xi=None, l=1,
-                                emax=6, k=3))
-    for ell in (2, 3, 4):
-        sections += cmd_spectrum(ns(family="free-general", l=ell, emax=6, k=1))
-    for w1, w2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(3))):
-        sections += cmd_infinite(ns(omega1=w1, omega2=w2, gamma=None,
-                                    cutoff=3, emax=5, k=2))
-    return sections
+    return sections + commands(
+        "spectrum --family osc-l1",
+        *(f"spectrum --family free-general --l {ell} --k 1" for ell in (2, 3, 4)),
+        "infinite", "infinite --omega1 2 --omega2 3")
 
 
 # ---------------------------------------------------------------------------
@@ -335,95 +308,124 @@ def emit_report(doc: dict, fmt: str, output: Path | None) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
-    p.add_argument("--output", type=Path, default=None,
-                   help="report file path (default: stdout, or "
-                        f"${REPORT_DIR_ENV}/<command>.<ext> when that is set)")
+_PARAMETER = dict(type=parse_parameter, default=None,
+                  help="rational p/q or 'symbolic' (default symbolic)")
+
+# Every option a family can read: its argparse keywords, default included,
+# in the order --help lists them.
+OPTIONS = {
+    "gamma": _PARAMETER,
+    "xi": _PARAMETER,
+    "l": dict(type=_int_at_least(1), default=1),
+    "omega": dict(type=parse_rational, default=None,
+                  help="probe the omega-deformed degree-0 operator"),
+    "emax": dict(type=_int_at_least(0), default=6),
+    "k": dict(type=_int_at_least(0), default=3, help="zero-mode cutoff"),
+    "omega1": dict(type=parse_rational, default=Fraction(1)),
+    "omega2": dict(type=parse_rational, default=Fraction(1)),
+    "cutoff": dict(flags=("--cutoff", "--n"), type=_int_at_least(1), default=3,
+                   help="mode truncation N for the infinite family"),
+    "calibrate": dict(action="store_true", default=False,
+                      help="solve for additive scalar shifts before checking"),
+}
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=parse_parameter, default=None,
-                   help="rational p/q or 'symbolic' (default symbolic)")
-    p.add_argument("--xi", type=parse_parameter, default=None,
-                   help="rational p/q or 'symbolic' (default symbolic)")
+# run: the cmd_ function; families: family -> the options it reads (family
+# None: no --family); changes: option -> this command's changes to OPTIONS
+Command = namedtuple("Command", "run help families changes")
+
+_L1 = ("gamma", "xi")
+_XI0 = ("omega1", "omega2", "cutoff", "gamma")
+_LEVELS = ("emax", "k")
+# the truncated structure check needs N >= 2
+_STRUCTURE = {"cutoff": dict(type=_int_at_least(2))}
+
+# Per command, the options each family reads.  The parser, the --family
+# choices, the defaults and the rejection of other options come from here.
+COMMANDS = {
+    "verify": Command(cmd_verify, "structure-constant tables", {
+        "free-l1": _L1 + ("calibrate",), "osc-l1": _L1 + ("calibrate",),
+        "free-general": ("l",), "xi0": _XI0}, _STRUCTURE),
+    "onshell": Command(cmd_onshell, "invariant-operator factorization", {
+        "free-l1": _L1 + ("omega",), "osc-l1": _L1 + ("omega",),
+        "xi0": _XI0}, {}),
+    "spectrum": Command(cmd_spectrum, "lowest-weight eigenvalue tables", {
+        "osc-l1": _L1 + _LEVELS, "free-general": ("l",) + _LEVELS,
+        "xi0": _XI0 + _LEVELS}, {}),
+    "similarity": Command(cmd_similarity, "exponential-time to tau picture map",
+                          {None: _L1}, {}),
+    "infinite": Command(cmd_infinite, "xi=0 infinite symmetry algebra suite",
+                        {None: _XI0 + _LEVELS},
+                        {**_STRUCTURE, "emax": {"default": 5}, "k": {"default": 2}}),
+    "all": Command(cmd_all, "the full reproduction suite", {None: ()}, {}),
+}
 
 
-def _add_frequencies(p: argparse.ArgumentParser, min_cutoff: int = 1) -> None:
-    p.add_argument("--omega1", type=parse_rational, default=Fraction(1))
-    p.add_argument("--omega2", type=parse_rational, default=Fraction(1))
-    p.add_argument("--cutoff", "--n", dest="cutoff",
-                   type=_int_at_least(min_cutoff), default=3,
-                   help="mode truncation N for the infinite family")
+def _option(command: str, name: str) -> dict:
+    return {**OPTIONS[name], **COMMANDS[command].changes.get(name, {})}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one ``error: <reason>`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+class _TableParser(_Parser):
+    """The top-level parser.  It rejects every option the chosen family does
+    not read, and fills in the default of every option it reads."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        given = vars(ns)
+        if ns.command == "spectrum" and ns.family is None:
+            # --l picks the family: osc-l1 for ell = 1, free-general otherwise
+            ns.family = "osc-l1" if given.get("l", 1) == 1 else "free-general"
+            if ns.family == "osc-l1":
+                given.pop("l", None)
+        family = given.get("family")
+        reads = COMMANDS[ns.command].families[family]
+        ignored = [name for name in OPTIONS if name in given and name not in reads]
+        if ignored:
+            self.error(f"{ns.command} --family {family} does not read --"
+                       + ", --".join(ignored) + " (it reads --"
+                       + ", --".join(reads) + ")")
+        for name in reads:
+            given.setdefault(name, _option(ns.command, name)["default"])
+        return ns, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _TableParser(
         prog="cgaweyl",
         description="exact verification of the centrally extended conformal "
                     "Galilei realizations, invariant operators, and spectra")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="structure-constant tables")
-    p.add_argument("--family", required=True,
-                   choices=("free-l1", "osc-l1", "free-general", "xi0"))
-    _add_params(p)
-    p.add_argument("--l", type=int, default=1)
-    # the truncated structure check needs N >= 2
-    _add_frequencies(p, min_cutoff=2)
-    p.add_argument("--calibrate", action="store_true",
-                   help="solve for additive scalar shifts before checking")
-    _add_common(p)
-
-    p = sub.add_parser("onshell", help="invariant-operator factorization")
-    p.add_argument("--family", required=True,
-                   choices=("free-l1", "osc-l1", "xi0"))
-    _add_params(p)
-    p.add_argument("--omega", type=parse_rational, default=None,
-                   help="probe the omega-deformed degree-0 operator")
-    _add_frequencies(p)
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="lowest-weight eigenvalue tables")
-    p.add_argument("--family", default=None,
-                   choices=("osc-l1", "free-general", "xi0"),
-                   help="defaults to osc-l1 for --l 1, free-general otherwise")
-    _add_params(p)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--emax", type=_int_at_least(0), default=6)
-    p.add_argument("--k", type=_int_at_least(0), default=3, help="zero-mode cutoff")
-    _add_frequencies(p)
-    _add_common(p)
-
-    p = sub.add_parser("similarity", help="exponential-time to tau picture map")
-    _add_params(p)
-    _add_common(p)
-
-    p = sub.add_parser("infinite", help="xi=0 infinite symmetry algebra suite")
-    _add_frequencies(p, min_cutoff=2)
-    p.add_argument("--gamma", type=parse_parameter, default=None)
-    p.add_argument("--emax", type=_int_at_least(0), default=5)
-    p.add_argument("--k", type=_int_at_least(0), default=2)
-    _add_common(p)
-
-    p = sub.add_parser("all", help="the full reproduction suite")
-    _add_common(p)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        if None not in spec.families:
+            picked = command == "spectrum"
+            p.add_argument("--family", required=not picked, default=None,
+                           choices=tuple(spec.families),
+                           help="defaults to osc-l1 for --l 1, free-general "
+                                "otherwise" if picked else None)
+        read = {name for names in spec.families.values() for name in names}
+        for name in [name for name in OPTIONS if name in read]:
+            kw = _option(command, name)
+            flags = kw.pop("flags", (f"--{name}",))
+            p.add_argument(*flags, dest=name, **{**kw, "default": argparse.SUPPRESS})
+        p.add_argument("--format", choices=("json", "markdown"), default="json")
+        p.add_argument("--output", type=Path, default=None,
+                       help="report file path (default: stdout, or "
+                            f"${REPORT_DIR_ENV}/<command>.<ext> when that is set)")
     return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "onshell": cmd_onshell,
-    "spectrum": cmd_spectrum,
-    "similarity": cmd_similarity,
-    "infinite": cmd_infinite,
-    "all": cmd_all,
-}
 
 
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Execute a parsed configuration; returns (exit status, report document)."""
-    sections = _COMMANDS[args.command](args)
+    sections = COMMANDS[args.command].run(args)
     ok = all(_section_ok(s) for s in sections)
     doc = {
         "schema": SCHEMA,
@@ -435,17 +437,12 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        status, doc = run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        status, doc = run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (rz.ZeroParameter, rz.InvalidEll, rz.ZeroFrequency) as exc:
+    except (rz.ZeroParameter, rz.ZeroFrequency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

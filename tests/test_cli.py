@@ -1,4 +1,5 @@
 """CLI contract: exit codes, deterministic reports, schema, atomic output."""
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-from cgaweyl.cli import REPORT_DIR_ENV, SCHEMA, main, parse_rational
+from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
+                          build_parser, main, parse_rational, run)
 
 # the `all` report, pinned byte for byte (same value as perfbench/workloads.py)
 GOLDEN_ALL_BYTES = 1_693_160
@@ -121,18 +123,35 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
     assert str(target) in out
 
 
-def test_config_errors_exit_two(capsys):
-    assert main(["verify", "--family", "osc-l1", "--gamma", "0.5"]) == 2
-    assert main(["verify", "--family", "free-general", "--l", "0"]) == 2
-    assert main(["infinite", "--cutoff", "1"]) == 2
-    assert main(["verify", "--family", "xi0", "--cutoff", "1"]) == 2
-    assert main(["onshell", "--family", "xi0", "--cutoff", "0"]) == 2
-    assert main(["spectrum", "--family", "xi0", "--cutoff", "0"]) == 2
-    assert main(["spectrum", "--emax", "-1"]) == 2
-    assert main(["spectrum", "--k", "-1"]) == 2
+def _assert_one_error_line(argv, capsys) -> str:
+    assert main(argv) == 2, argv
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "", argv
+    assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+    assert captured.err.startswith("error: "), argv
     assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_config_errors_exit_two(capsys):
+    for argv in (["verify", "--family", "free-general", "--l", "0"],
+                 ["infinite", "--cutoff", "1"],
+                 ["verify", "--family", "xi0", "--cutoff", "1"],
+                 ["onshell", "--family", "xi0", "--cutoff", "0"],
+                 ["spectrum", "--family", "xi0", "--cutoff", "0"],
+                 ["spectrum", "--emax", "-1"],
+                 ["spectrum", "--k", "-1"],
+                 ["verify", "--family", "osc-l1", "--gamma", "0"],
+                 ["verify", "--family", "xi0", "--omega1", "0"],
+                 ["verify", "--family", "nope"],
+                 ["verify"],
+                 []):
+        _assert_one_error_line(argv, capsys)
+    # a bad value keeps its reason
+    assert "not an exact p/q rational: '0.5'" in _assert_one_error_line(
+        ["verify", "--family", "osc-l1", "--gamma", "0.5"], capsys)
+    assert "zero denominator in '1/0'" in _assert_one_error_line(
+        ["verify", "--family", "osc-l1", "--gamma", "1/0"], capsys)
     # options that do not apply to the chosen family: one line each
     for argv in (["onshell", "--family", "xi0", "--omega", "2"],
                  ["verify", "--family", "osc-l1", "--l", "3"],
@@ -140,16 +159,109 @@ def test_config_errors_exit_two(capsys):
                  ["verify", "--family", "xi0", "--l", "3"],
                  ["spectrum", "--family", "osc-l1", "--l", "3"],
                  ["spectrum", "--family", "xi0", "--l", "3"]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ")
+        _assert_one_error_line(argv, capsys)
+
+
+def test_help_is_not_an_error(capsys):
+    assert main(["verify", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cgaweyl verify")
+    assert "--calibrate" in captured.out and captured.err == ""
+
+
+# A value other than the default for each option (None: a flag), and the
+# smallest sizes, which every configuration of the table test starts from.
+_OTHER_VALUE = {"gamma": "2", "xi": "3", "l": "2", "omega": "2", "emax": "2",
+                "k": "1", "omega1": "2", "omega2": "3", "cutoff": "3",
+                "calibrate": None}
+_SMALLEST = {"cutoff": "2", "emax": "1", "k": "0"}
+
+
+def _option_argv(name, value):
+    return [f"--{name}"] if value is None else [f"--{name}", value]
+
+
+def _table_configs():
+    """(command, family, the options it reads, its argv without options)."""
+    for command, spec in COMMANDS.items():
+        for family, reads in spec.families.items():
+            base = [command] + ([] if family is None else ["--family", family])
+            yield command, family, reads, base
+
+
+def test_table_rejects_every_option_a_family_does_not_read(capsys):
+    assert set(_OTHER_VALUE) == set(OPTIONS)
+    for command, family, reads, base in _table_configs():
+        for name in OPTIONS:
+            if name not in reads:
+                _assert_one_error_line(
+                    base + _option_argv(name, _OTHER_VALUE[name]), capsys)
+    # options that once exited 0 here, given at their default value, or
+    # several at once
+    for argv in (["verify", "--family", "osc-l1", "--omega1", "2", "--cutoff", "5"],
+                 ["verify", "--family", "free-general", "--l", "2", "--gamma", "3"],
+                 ["verify", "--family", "xi0", "--calibrate"],
+                 ["verify", "--family", "xi0", "--xi", "3"],
+                 ["spectrum", "--family", "free-general", "--gamma", "3"],
+                 ["onshell", "--family", "osc-l1", "--omega1", "5"],
+                 ["verify", "--family", "free-general", "--gamma", "symbolic"],
+                 ["onshell", "--family", "free-l1", "--omega1", "1"],
+                 ["verify", "--family", "osc-l1", "--l", "1"],
+                 ["spectrum", "--family", "osc-l1", "--l", "1"],
+                 ["spectrum", "--l", "1", "--cutoff", "3"],
+                 ["spectrum", "--l", "2", "--xi", "symbolic"]):
+        _assert_one_error_line(argv, capsys)
+
+
+# Reports that do not record gamma/xi: these options change what is checked,
+# but the emitted bytes are the same at every value.
+_NOT_IN_REPORT = {("onshell", family, name)
+                  for family in ("free-l1", "osc-l1") for name in ("gamma", "xi")} \
+    | {("onshell", "xi0", "gamma"), ("spectrum", "osc-l1", "gamma"),
+       ("spectrum", "osc-l1", "xi"), ("spectrum", "xi0", "gamma")}
+
+
+def _run_logging_reads(argv):
+    """(options the command read, exit status, report) for one command line."""
+    read = set()
+
+    class ReadLog(argparse.Namespace):
+        def __getattribute__(self, name):
+            if name in OPTIONS:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, ReadLog())
+    read.clear()          # drop what argparse itself looked up
+    status, doc = run(args)
+    return read, status, json.dumps(doc, sort_keys=True)
+
+
+def test_table_options_a_family_reads_change_its_report():
+    unchanged = set()
+    for command, family, reads, base in _table_configs():
+        if not reads:
+            continue
+        for name in reads:
+            if name in _SMALLEST:
+                base += [f"--{name}", _SMALLEST[name]]
+        read, status, reference = _run_logging_reads(base)
+        assert read == set(reads), base      # the table matches the cmd_ body
+        assert status in (0, 1), base
+        for name in reads:
+            argv = base + _option_argv(name, _OTHER_VALUE[name])
+            _, status, report = _run_logging_reads(argv)
+            assert status in (0, 1), argv
+            if report == reference:
+                unchanged.add((command, family, name))
+    assert unchanged == _NOT_IN_REPORT
 
 
 def test_bad_rational_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="not an exact p/q rational"):
         parse_rational("1.5e3")
+    with pytest.raises(ConfigError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_spectrum_report_rows(capsys):
@@ -170,6 +282,10 @@ def test_spectrum_family_dispatch_by_l(capsys):
     doc = json.loads(out)
     assert any("free-general(l=2)" in s.get("family", "")
                for s in doc["sections"])
+    # --l 1 picks osc-l1, which reads no --l: the same report as --family osc-l1
+    assert run_main(["spectrum", "--l", "1", "--emax", "1", "--k", "0"], capsys) \
+        == run_main(["spectrum", "--family", "osc-l1", "--emax", "1", "--k", "0"],
+                    capsys)
 
 
 def test_all_runs_clean(capsys):
@@ -185,7 +301,7 @@ def test_all_runs_clean(capsys):
     assert "failed" not in statuses
 
 
-def test_console_script_installed():
+def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "cgaweyl.cli", "verify",
                            "--family", "osc-l1", "--gamma", "1", "--xi", "1"],
                           capture_output=True, text=True)
