@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import NAT, RAT, Monomial, VarTable, WeylElement
+from cgaweyl.weyl import (NAT, RAT, Monomial, VarTable, WeylElement, _der_mul,
+                          _mon_mul, _reorder_options)
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -101,6 +102,23 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
     return e
+
+
+def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """The normal-ordered product built from the reordering generator alone.
+
+    Walks every option of ``_reorder_options``, the k = 0 term included,
+    and never reads the memo that ``mul`` and ``commutator`` use, so tests
+    can compare those kernels against it.
+    """
+    out = {}
+    for (m1, d1), c1 in a.terms.items():
+        for (m2, d2), c2 in b.terms.items():
+            for factor, m_mid, d_rem in _reorder_options(d1, m2):
+                key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
+                c = (c1 * c2).scale(factor)
+                out[key] = out[key] + c if key in out else c
+    return WeylElement(a.table, out)
 
 
 def check_canonical(e: WeylElement) -> None:

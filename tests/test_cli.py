@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,34 @@ def test_markdown_rendering(capsys):
     assert code == 0
     assert "## commutator table cga-l1" in out
     assert "- [z+, z0] = (-1)*z+ : exact" in out
+    assert out.rstrip().endswith("overall ok: true")
+
+
+@pytest.mark.parametrize("argv, levels, extra", [
+    (["spectrum", "--family", "free-general", "--l", "2", "--emax", "2",
+      "--k", "0"],
+     "level multiplicities: E=0: 1, E=1: 2, E=2: 5",
+     "- state (n1=0,m1=1,n2=0,m2=0,k=0) : E = 1 : verified"),
+    (["infinite", "--cutoff", "2", "--emax", "1", "--k", "0"],
+     "level multiplicities: E=0: 1, E=1: 2",
+     "- [j0(-2), j0(-1)] =  : skipped  residual: mode index outside truncation"),
+], ids=["spectrum-free-general-2", "infinite"])
+def test_markdown_rows_levels_and_residuals(argv, levels, extra, capsys):
+    """Every spectrum row of the JSON report has its Markdown line, and the
+    level multiplicities and residual texts are printed."""
+    code, out = run_main(argv + ["--format", "markdown"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert levels in lines
+    assert extra in lines
+    state = re.compile(r"- state \((.*)\) : E = (\S+) : verified")
+    printed = sorted((sorted(tuple(kv.split("=")) for kv in m[1].split(",")), m[2])
+                     for m in map(state.fullmatch, lines) if m)
+    _, doc = run_main(argv, capsys)     # JSON keys come back sorted
+    rows = sorted((sorted((k, str(v)) for k, v in r["quantum_numbers"].items()),
+                   r["eigenvalue"])
+                  for s in json.loads(doc)["sections"] for r in s.get("rows", []))
+    assert rows and printed == rows
     assert out.rstrip().endswith("overall ok: true")
 
 

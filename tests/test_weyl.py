@@ -1,5 +1,7 @@
 """Normal ordering, products, application, substitutions, and serialization."""
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from cgaweyl.weyl import (
     INT,
     NAT,
     RAT,
+    REORDER_CACHE_SIZE,
     DomainViolation,
     NonIntegerTimeWeight,
     VarTable,
@@ -26,6 +29,8 @@ from cgaweyl.weyl import (
     parse_element,
     remap,
     substitute,
+    _reorder_corrections,
+    _reorder_options,
 )
 from cgaweyl.realizations import (
     build_free_general,
@@ -43,6 +48,7 @@ from helpers import (
     check_canonical,
     random_element,
     random_state,
+    reference_mul,
     unchecked_element,
     with_fraction_exponents,
 )
@@ -120,8 +126,65 @@ def test_commutator_antisymmetry_on_random_elements():
         assert commutator(a, a).is_zero()
 
 
+@pytest.mark.parametrize("table, weights, powers, seed", [
+    (PLAIN_TABLE, (0,), None, 113),
+    (TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None, 127),
+    (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 131),
+], ids=["plain", "time", "rat"])
+def test_reorder_memo_matches_generator(table, weights, powers, seed):
+    """The memoized k >= 1 terms are the generator's options after its
+    first, and that first option is always (1, mon, der)."""
+    rng = random.Random(seed)
+    keys = set()
+    for _ in range(30):
+        e = random_element(table, rng, max_terms=3, max_pow=3, max_der=3,
+                           weights=weights, powers=powers)
+        keys.update(e.terms)
+    ders = {der for _, der in keys} | {DER_NONE}
+    mons = {mon for mon, _ in keys}
+    _reorder_corrections.cache_clear()
+    for der in ders:
+        for mon in mons:
+            options = tuple(_reorder_options(der, mon))
+            assert options[0] == (1, mon, der)
+            cached = _reorder_corrections(der, mon)
+            assert cached == options[1:]
+            assert _reorder_corrections(der, mon) is cached
+    info = _reorder_corrections.cache_info()
+    assert info.misses == len(ders) * len(mons) <= REORDER_CACHE_SIZE
+    assert info.maxsize == REORDER_CACHE_SIZE
+
+
+def test_reorder_memo_is_shared_safely_by_threads():
+    """Threads that fill and clear the memo at once all get the
+    single-threaded commutators."""
+    gens = list(build_free_general(2, verbatim=False).generators.values())
+    pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
+    expected = [commutator(a, b) for a, b in pairs]
+    results, interval = {}, sys.getswitchinterval()
+
+    def work(n):
+        for k in range(3):
+            if (n + k) % 2:
+                _reorder_corrections.cache_clear()
+            results[n, k] = [commutator(a, b) for a, b in pairs]
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 12
+    assert all(r == expected for r in results.values())
+
+
 def _assert_commutator_matches_products(a, b):
-    reference = mul(a, b) - mul(b, a)
+    reference = reference_mul(a, b) - reference_mul(b, a)
     fused = commutator(a, b)
     check_canonical(fused)
     assert fused == reference
@@ -159,7 +222,7 @@ def test_mul_associativity_random():
         a = random_element(PLAIN_TABLE, rng)
         b = random_element(PLAIN_TABLE, rng)
         c = random_element(PLAIN_TABLE, rng)
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(mul(a, b), c) == reference_mul(a, reference_mul(b, c))
 
 
 def test_mul_associativity_with_time():
@@ -168,7 +231,7 @@ def test_mul_associativity_with_time():
         a = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
         b = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
         c = random_element(TIME_TABLE, rng, weights=(0, 2, -1))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(mul(a, b), c) == reference_mul(a, reference_mul(b, c))
 
 
 def test_jacobi_identity_random():
@@ -216,14 +279,21 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
             f = f * WeylElement.exp_t(table, rng.choice(weights))
         cases.append((a, b, f))
     for a, b, f in cases:
-        assert commutator(a, b) == mul(a, b) - mul(b, a)
+        assert commutator(a, b) == reference_mul(a, b) - reference_mul(b, a)
         assert apply_to(a, f) == WeylElement(table, {
-            key: c for key, c in mul(a, f).terms.items() if key[1] == DER_NONE})
+            key: c for key, c in reference_mul(a, f).terms.items()
+            if key[1] == DER_NONE})
         for op, u, v in ((mul, a, b), (commutator, a, b), (apply_to, a, f)):
             canonical = op(u, v)
             check_canonical(canonical)
             fu, fv = with_fraction_exponents(u), with_fraction_exponents(v)
-            for other in (op(fu, fv), op(fu, v), op(u, fv)):
+            for args in ((fu, fv), (fu, v), (u, fv)):
+                # a Fraction(2) key equals and hashes like 2, so without the
+                # clear this call would read the int call's memo entries
+                _reorder_corrections.cache_clear()
+                other = op(*args)
+                if op is not apply_to:
+                    assert _reorder_corrections.cache_info().misses > 0
                 assert other == canonical
                 assert other.text() == canonical.text()
 
