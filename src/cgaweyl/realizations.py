@@ -453,6 +453,12 @@ def loop_name(prefix: str, n: int) -> str:
     return f"{prefix}({n})"
 
 
+def kappa(n: int, w1: Fraction, w2: Fraction) -> WeylElement:
+    """The mode factor kappa(n) = e^(n w2 t) x^(n w2/w1) of every loop generator."""
+    return mul(WeylElement.exp_t(XI0_TABLE, n * w2),
+               WeylElement.var(XI0_TABLE, "x", n * w2 / w1))
+
+
 def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
     """The xi = 0 family: rescaled limit operators, the invariant operator,
     and the truncated infinite symmetry algebra built on kappa = e^(w2 t) x^(w2/w1).
@@ -484,9 +490,6 @@ def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
         "Omega": omega,
     }
 
-    def kappa(n: int) -> WeylElement:
-        return A.e(n * w2) * A.v("x", n * w2 / w1)
-
     d0 = -dt + w1 * (xv * dx)
     rr = -(yv * dy) + uv * du
     j0_body = d0 - Fraction(w2, 2) * (rr + A.one)
@@ -505,7 +508,7 @@ def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
     }
     for prefix in XI0_LOOP_PREFIXES:
         for n in range(-cutoff, cutoff + 1):
-            gens[loop_name(prefix, n)] = mul(kappa(n), bodies[prefix])
+            gens[loop_name(prefix, n)] = mul(kappa(n, w1, w2), bodies[prefix])
 
     params = FamilyParams(gamma=g, omega1=w1, omega2=w2, cutoff=cutoff)
     return GeneratorFamily("xi0", f"xi0(w1={w1},w2={w2},N={cutoff})",

@@ -44,6 +44,7 @@ from .realizations import (
     gen_name,
     general_invariant_explicit,
     general_invariant_ladder,
+    kappa,
     loop_name,
 )
 
@@ -274,107 +275,71 @@ def xi0_core_table(fam: GeneratorFamily) -> RelationTable:
     return RelationTable("xi0-core", scope, _entry_map(entries))
 
 
-_H1 = ("j0", "j+", "j-")
-_H4 = ("w", "rho", "v", "u", "theta")
+def xi0_loop_rules(w1: Fraction, w2: Fraction) -> dict[tuple[str, str], tuple]:
+    """The xi=0 loop algebra as data: (p1, p2) -> (p3, shift, c0, cn, cm) states
+
+        [p1(n), p2(m)] = (c0 + cn*n + cm*m) * p3(n + m + shift)
+
+    for all integers n, m; every right side is affine in (n, m).  Prefix
+    pairs absent in both orders commute.
+    """
+    r, h = w2 / w1, w2 / 2
+    rules = {
+        ("j+", "j-"): ("j0", 0, 2 * w2, 0, 0),
+        ("j+", "w"): ("rho", -1, w2, 0, 0),
+        ("j+", "v"): ("u", -1, w2, 0, 0),
+        ("j-", "rho"): ("w", 1, w2, 0, 0),
+        ("j-", "u"): ("v", 1, w2, 0, 0),
+        ("chi", "chi"): ("chi", 0, 0, -r, r),
+        ("chi", "rho"): ("rho", 0, r, 0, r),
+        ("chi", "v"): ("v", 0, -r, 0, r),
+        ("rho", "v"): ("theta", 0, w2, 0, 0),
+        ("u", "w"): ("theta", 0, w2, 0, 0),
+    }
+    # j0 and r act diagonally: [p1(n), p(m)] = c * p(n + m)
+    for p1, row in (("j0", {"j+": w2, "j-": -w2, "w": -h, "rho": h, "v": -h, "u": h}),
+                    ("r", {"w": 1, "rho": 1, "v": -1, "u": -1})):
+        for p, c in row.items():
+            rules[(p1, p)] = (p, 0, c, 0, 0)
+    for p in ("j0", "j+", "j-", "r", "w", "u", "theta"):
+        rules[("chi", p)] = (p, 0, 0, 0, r)
+    return rules
 
 
-def xi0_subalgebra_of(prefix: str) -> str:
-    if prefix in _H1:
-        return "h1"
-    if prefix == "chi":
-        return "h2"
-    if prefix == "r":
-        return "h3"
-    return "h4"
-
-
-def _loop_rule(p1: str, p2: str, n: int, m: int, w1: Fraction, w2: Fraction):
-    """Expected [p1(n), p2(m)] for canonical prefix order; None if no rule."""
-    r = w2 / w1
-    if p1 == "j0":
-        if p2 == "j+":
-            return [(w2, "j+", n + m)]
-        if p2 == "j-":
-            return [(-w2, "j-", n + m)]
-        if p2 == "w":
-            return [(-w2 / 2, "w", n + m)]
-        if p2 == "rho":
-            return [(w2 / 2, "rho", n + m)]
-        if p2 == "v":
-            return [(-w2 / 2, "v", n + m)]
-        if p2 == "u":
-            return [(w2 / 2, "u", n + m)]
-    if p1 == "j+":
-        if p2 == "j-":
-            return [(2 * w2, "j0", n + m)]
-        if p2 == "w":
-            return [(w2, "rho", n + m - 1)]
-        if p2 == "v":
-            return [(w2, "u", n + m - 1)]
-    if p1 == "j-":
-        if p2 == "rho":
-            return [(w2, "w", n + m + 1)]
-        if p2 == "u":
-            return [(w2, "v", n + m + 1)]
-    if p1 == "chi":
-        if p2 == "chi":
-            return [(r * (m - n), "chi", n + m)]
-        if p2 in ("j0", "j+", "j-", "r", "w", "u", "theta"):
-            return [(r * m, p2, n + m)]
-        if p2 == "rho":
-            return [(r * (m + 1), "rho", n + m)]
-        if p2 == "v":
-            return [(r * (m - 1), "v", n + m)]
-    if p1 == "r":
-        if p2 == "w":
-            return [(Fraction(1), "w", n + m)]
-        if p2 == "rho":
-            return [(Fraction(1), "rho", n + m)]
-        if p2 == "v":
-            return [(Fraction(-1), "v", n + m)]
-        if p2 == "u":
-            return [(Fraction(-1), "u", n + m)]
-    if p1 == "rho" and p2 == "v":
-        return [(w2, "theta", n + m)]
-    if p1 == "u" and p2 == "w":
-        return [(w2, "theta", n + m)]
+def _loop_bracket(rules, p1: str, n: int, p2: str, m: int):
+    """[p1(n), p2(m)] as (coefficient, p3, mode), or None when they commute."""
+    if (p1, p2) in rules:
+        p3, shift, c0, cn, cm = rules[(p1, p2)]
+        return c0 + cn * n + cm * m, p3, n + m + shift
+    if (p2, p1) in rules:
+        c, p3, k = _loop_bracket(rules, p2, m, p1, n)
+        return -c, p3, k
     return None
 
 
 def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
-    """The truncated infinite-algebra table; results outside |n| <= N are skipped."""
-    w1, w2 = fam.params.omega1, fam.params.omega2
+    """The truncated infinite-algebra table; results outside |n| <= N are
+    skipped, zero coefficients (as in [chi(n), j0(0)]) are kept."""
     N = fam.params.cutoff
-    scope = tuple(loop_name(p, n) for p in XI0_LOOP_PREFIXES
-                  for n in range(-N, N + 1))
+    rules = xi0_loop_rules(fam.params.omega1, fam.params.omega2)
+    modes = [(p, n) for p in XI0_LOOP_PREFIXES for n in range(-N, N + 1)]
+    scope = tuple(loop_name(p, n) for p, n in modes)
     entries = {}
     skips: set[tuple[str, str]] = set()
-    prefix_rank = {p: i for i, p in enumerate(XI0_LOOP_PREFIXES)}
-
-    def expected(p1, n, p2, m):
-        rule = _loop_rule(p1, p2, n, m, w1, w2)
-        if rule is not None:
-            return 1, rule
-        rule = _loop_rule(p2, p1, m, n, w1, w2)
-        if rule is not None:
-            return -1, rule
-        return 1, []
-
-    for i, a in enumerate(scope):
-        for b in scope[i + 1:]:
-            p1, n = a[:a.index("(")], int(a[a.index("(") + 1:-1])
-            p2, m = b[:b.index("(")], int(b[b.index("(") + 1:-1])
+    for i, (a, (p1, n)) in enumerate(zip(scope, modes)):
+        for b, (p2, m) in zip(scope[i + 1:], modes[i + 1:]):
             if abs(n + m) > N:
                 skips.add((a, b))
                 continue
-            sign, rule = expected(p1, n, p2, m)
-            if any(abs(idx) > N for _, _, idx in rule):
+            bracket = _loop_bracket(rules, p1, n, p2, m)
+            if bracket is None:
+                continue
+            c, p3, k = bracket
+            if abs(k) > N:
                 skips.add((a, b))
                 continue
-            if rule:
-                rhs = tuple((coef(sign * c), loop_name(p, idx))
-                            for c, p, idx in rule)
-                entries[(a, b)] = RelationEntry(a, b, rhs, COEF_ZERO)
+            entries[(a, b)] = RelationEntry(
+                a, b, ((coef(c), loop_name(p3, k)),), COEF_ZERO)
     return RelationTable(f"xi0-loop(N={N})", scope, entries, skips)
 
 
@@ -567,8 +532,7 @@ def extract_scalar_factor(comm: WeylElement, omega: WeylElement
     for (mon, der), c in comm.terms.items():
         cm_parts.setdefault(der, {})[mon] = c
     dmax = max(om_parts, key=_deriv_key)
-    if max(cm_parts, key=_deriv_key) != dmax and \
-            _deriv_key(max(cm_parts, key=_deriv_key)) > _deriv_key(dmax):
+    if max(map(_deriv_key, cm_parts)) > _deriv_key(dmax):
         return None
     om_d = om_parts[dmax]
     work = dict(cm_parts.get(dmax, {}))
@@ -677,8 +641,7 @@ def expected_onshell_factors(fam: GeneratorFamily
     elif fam.kind == "xi0":
         w1, w2, N = fam.params.omega1, fam.params.omega2, fam.params.cutoff
         for n in range(-N, N + 1):
-            kappa_n = mul(WeylElement.exp_t(table, n * w2),
-                          WeylElement.var(table, "x", Fraction(n) * w2 / w1))
+            kappa_n = kappa(n, w1, w2)
             out[(loop_name("j+", n), "Omega")] = \
                 w2 * mul(kappa_n, WeylElement.exp_t(table, -w2))
             out[(loop_name("j-", n), "Omega")] = \
@@ -829,8 +792,18 @@ def general_vs_l1_diff() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # xi = 0 sector
 
+XI0_SUBALGEBRA = {"j0": "h1", "j+": "h1", "j-": "h1", "chi": "h2", "r": "h3",
+                  "w": "h4", "rho": "h4", "v": "h4", "u": "h4", "theta": "h4"}
+
+# the subalgebras that a bracket of two subalgebras may land in
+_XI0_BRACKETS = {frozenset(pair.split()): set(into.split()) for pair, into in (
+    ("h1", "h1"), ("h2", "h2"), ("h3", ""), ("h4", "h4"), ("h1 h2", "h1"),
+    ("h1 h3", ""), ("h2 h3", "h3"), ("h1 h4", "h4"), ("h2 h4", "h4"), ("h3 h4", "h4"))}
+
+
 def verify_subalgebra_structure(fam: GeneratorFamily) -> VerificationReport:
-    """Truncated infinite-algebra check plus subalgebra containment notes."""
+    """Truncated infinite-algebra check plus subalgebra containment notes;
+    containment is checked once per rule of ``xi0_loop_rules``, for all modes."""
     if fam.kind != "xi0":
         raise ValueError("subalgebra structure is defined for the xi0 family")
     if fam.params.cutoff < 2:
@@ -838,32 +811,12 @@ def verify_subalgebra_structure(fam: GeneratorFamily) -> VerificationReport:
     table = xi0_loop_table(fam)
     report = verify_table(fam, table)
     report.title = f"infinite-algebra truncation {table.name}"
-
-    def cls(label: str) -> str:
-        return xi0_subalgebra_of(label[:label.index("(")])
-
-    rules = {
-        frozenset(("h1",)): {"h1"},
-        frozenset(("h2",)): {"h2"},
-        frozenset(("h3",)): set(),
-        frozenset(("h1", "h2")): {"h1"},
-        frozenset(("h1", "h3")): set(),
-        frozenset(("h2", "h3")): {"h3"},
-        frozenset(("h1", "h4")): {"h4"},
-        frozenset(("h2", "h4")): {"h4"},
-        frozenset(("h3", "h4")): {"h4"},
-        frozenset(("h4",)): {"h4"},
-    }
-    for (a, b) in table.pairs():
-        found = table.lookup(a, b)
-        if found is None:
-            continue
-        _, entry = found
-        allowed = rules[frozenset((cls(a), cls(b)))]
-        for _, name in entry.rhs:
-            if cls(name) not in allowed:
-                report.notes.append(
-                    f"[{a}, {b}] lands in {cls(name)} outside {sorted(allowed)}")
+    rules = xi0_loop_rules(fam.params.omega1, fam.params.omega2)
+    for (p1, p2), (p3, *_) in rules.items():
+        allowed = _XI0_BRACKETS[frozenset((XI0_SUBALGEBRA[p1], XI0_SUBALGEBRA[p2]))]
+        if XI0_SUBALGEBRA[p3] not in allowed:
+            report.notes.append(f"[{p1}(n), {p2}(m)] lands in "
+                                f"{XI0_SUBALGEBRA[p3]} outside {sorted(allowed)}")
     report.notes.append(
         "subalgebras: h1 = loop sl(2) (j0, j+, j-); h2 = Witt (chi); "
         "h3 = abelian (r); h4 = (w, rho, v, u, theta) with theta central in h4; "

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
 from cgaweyl.weyl import WeylElement, commutator, mul, parse_element
 from cgaweyl.realizations import (
@@ -301,12 +302,46 @@ def test_xi0_loop_table_specific_entries():
 
 
 def test_xi0_subalgebra_structure():
-    fam = build_xi0(1, 1, cutoff=2)
-    report = verify_subalgebra_structure(fam)
-    assert report.ok
-    assert not [n for n in report.notes if "outside" in n]
-    kappa_entry = entry_by_lhs(report, "[Omega, theta(1)]")
-    assert kappa_entry.status == EXACT
+    for w1, w2 in [(1, 1), (3, 2), (3, 5), (5, 3)]:
+        fam = build_xi0(w1, w2, cutoff=2)
+        report = verify_subalgebra_structure(fam)
+        assert report.ok, (w1, w2, report.failing())
+        assert not [n for n in report.notes if "outside" in n]
+        kappa_entry = entry_by_lhs(report, "[Omega, theta(1)]")
+        assert kappa_entry.status == EXACT
+
+
+def _patch_loop_rules(monkeypatch, change):
+    """Make verify read xi0_loop_rules through ``change(rules)``."""
+    original = verify.xi0_loop_rules
+    monkeypatch.setattr(verify, "xi0_loop_rules",
+                        lambda w1, w2: change(original(w1, w2)))
+
+
+def test_xi0_subalgebra_structure_catches_a_flipped_witt_coefficient(monkeypatch):
+    """r*(m - n) -> r*(m + n) in [chi(n), chi(m)] fails for every n != 0."""
+    def flip(rules):
+        p3, shift, c0, cn, cm = rules[("chi", "chi")]
+        rules[("chi", "chi")] = (p3, shift, c0, -cn, cm)
+        return rules
+
+    _patch_loop_rules(monkeypatch, flip)
+    report = verify_subalgebra_structure(build_xi0(2, 3, cutoff=2))
+    assert {e.lhs for e in report.failing()} == {
+        f"[chi({n}), chi({m})]" for n in range(-2, 3) for m in range(n + 1, 3)
+        if n != 0 and abs(n + m) <= 2}
+
+
+def test_xi0_subalgebra_structure_notes_a_rule_outside_its_subalgebra(monkeypatch):
+    """[r, w] sent into the loop sl(2) h1 leaves the ideal h4 it must land in."""
+    def misplace(rules):
+        rules[("r", "w")] = ("j0",) + rules[("r", "w")][1:]
+        return rules
+
+    _patch_loop_rules(monkeypatch, misplace)
+    report = verify_subalgebra_structure(build_xi0(2, 3, cutoff=2))
+    assert "[r(n), w(m)] lands in h1 outside ['h4']" in report.notes
+    assert not report.ok
 
 
 def test_xi0_loop_table_skips_out_of_range_modes():
