@@ -11,9 +11,15 @@ common monomial factor and making the denominator monic) keeps the stored
 representations small and the printed forms readable.
 
 All values are immutable after construction and all operations are pure.
+
+The cached constant ``_q`` of a :class:`Coef` is private to this module.
+The Weyl kernels reach it only through :func:`rational_numerators` and
+:func:`rational_coef`, which move a whole term map to int numerators over
+one denominator and back.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -430,3 +436,33 @@ def coef(value) -> Coef:
     if isinstance(value, Coef):
         return value
     return Coef.const(value)
+
+
+def rational_numerators(terms: dict) -> tuple[dict, int] | None:
+    """``terms`` with every Coef value n/den as its int numerator n, and den.
+
+    ``den`` is the lcm of the values' denominators.  None when any value is
+    symbolic.  Only the cached constant ``_q`` is read, never
+    :meth:`Coef.as_fraction`, so a constant in disguise such as
+    (2*gamma + 2*xi)/(gamma + xi) counts as symbolic and keeps its text.
+    """
+    den = 1
+    for c in terms.values():
+        q = c._q
+        if q is None:
+            return None
+        if q.denominator != 1:
+            den = math.lcm(den, q.denominator)
+    if den == 1:
+        return {key: c._q.numerator for key, c in terms.items()}, 1
+    return {key: c._q.numerator * (den // c._q.denominator)
+            for key, c in terms.items()}, den
+
+
+def rational_coef(n, den: int) -> Coef:
+    """The Coef n/den, with the num/den of ``Coef.const(Fraction(n, den))``.
+
+    ``n`` is an int or, after a product with a fractional reordering
+    factor, a Fraction; the value is always stored as a Fraction.
+    """
+    return Coef._rational(Fraction(n) if den == 1 else Fraction(n, den))

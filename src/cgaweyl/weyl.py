@@ -37,6 +37,21 @@ every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.
 
+Parameter-free operands run on int numerators.  When every coefficient of
+both operands of :func:`mul`, :func:`commutator` or :func:`apply_to` is a
+plain rational, the kernel's one loop multiplies and adds Python ints, each
+operand's numerators taken over the lcm of its denominators, and each sum
+becomes a ``Coef`` once, over the product of the two denominators, at the
+end (zero sums are dropped there).  This is exact: every term of the result
+is a sum of c1 * c2 * factor with the same denominator, and the reordering
+factors are ints or, for fractional exponents and weights, Fractions, whose
+products with ints stay exact.  No ``Coef`` is built per term pair, and no
+``Fraction`` gcd runs per operation.  One symbolic coefficient in either
+operand sends the whole call through the ``Coef`` loop.  The int
+numerators come from :func:`cgaweyl.scalar.rational_numerators` and go
+back through :func:`cgaweyl.scalar.rational_coef`, so a coefficient's
+cached constant stays private to ``scalar``.
+
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  The memo is too:
 its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
@@ -47,12 +62,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product as cartesian
 
-from .scalar import COEF_ONE, COEF_ZERO, Coef, as_fraction, coef
+from .scalar import (COEF_ONE, COEF_ZERO, Coef, as_fraction, coef,
+                     rational_coef, rational_numerators)
 
 NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
@@ -135,11 +151,19 @@ class Monomial:
     ``powers`` holds (variable index, exponent) pairs sorted by index with
     no zero exponents.  The weight and every exponent are ``int`` when
     integral and ``Fraction`` otherwise; build instances with
-    :func:`monomial`, which enforces this.
+    :func:`monomial`, which enforces this.  The hash is computed once, at
+    construction, since every memo lookup and term-map access hashes keys.
     """
 
     weight: Exponent
     powers: tuple[tuple[int, Exponent], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.weight, self.powers)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def power_of(self, idx: int) -> Exponent:
         for i, p in self.powers:
@@ -150,10 +174,20 @@ class Monomial:
 
 @dataclass(frozen=True, eq=True)
 class DerivIndex:
-    """Derivative multi-index: (variable index, order) pairs plus d[t] order."""
+    """Derivative multi-index: (variable index, order) pairs plus d[t] order.
+
+    Hashed once, at construction, like :class:`Monomial`.
+    """
 
     orders: tuple[tuple[int, int], ...]
     t_order: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.orders, self.t_order)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_empty(self) -> bool:
         return not self.orders and not self.t_order
@@ -407,26 +441,50 @@ def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
     return _mk_deriv(orders, a.t_order + b.t_order)
 
 
+def _operands(a: WeylElement, b: WeylElement):
+    """The two term maps a kernel loops over, and the result's denominator.
+
+    When every coefficient of both operands is a plain rational, the maps
+    hold int numerators and the denominator is the product of the two
+    operands' common denominators; otherwise they are the Coef maps
+    themselves and the denominator is None.
+    """
+    a._require_same_table(b)
+    na = rational_numerators(a.terms)
+    if na is not None:
+        nb = rational_numerators(b.terms)
+        if nb is not None:
+            return na[0], nb[0], na[1] * nb[1]
+    return a.terms, b.terms, None
+
+
+def _result(table: VarTable, out: dict, den: int | None) -> WeylElement:
+    """The element of a kernel's sums; ``den`` as returned by :func:`_operands`."""
+    if den is not None:
+        out = {key: rational_coef(n, den) for key, n in out.items() if n}
+    return WeylElement(table, out)
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical normal-ordered product.
 
     Each term pair gives its leading term (m1 m2)(d1 d2), then the
     memoized k >= 1 reordering terms of d1 past m2.
     """
-    a._require_same_table(b)
-    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
-    for (m1, d1), c1 in a.terms.items():
-        for (m2, d2), c2 in b.terms.items():
+    terms_a, terms_b, den = _operands(a, b)
+    out = {}
+    for (m1, d1), c1 in terms_a.items():
+        for (m2, d2), c2 in terms_b.items():
             base = c1 * c2
             key = (_mon_mul(m1, m2), _der_mul(d1, d2))
             s = out.get(key)
             out[key] = base if s is None else s + base
             for factor, m_mid, d_rem in _reorder_corrections(d1, m2):
                 key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
-                c = base.scale(factor)
+                c = base * factor
                 s = out.get(key)
                 out[key] = c if s is None else s + c
-    return WeylElement(a.table, out)
+    return _result(a.table, out, den)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -446,10 +504,10 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     entries.  It is shared by all threads and thread-safe: it holds only
     immutable values, and ``lru_cache`` guards its own bookkeeping.
     """
-    a._require_same_table(b)
-    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
-    for (m1, d1), c1 in a.terms.items():
-        for (m2, d2), c2 in b.terms.items():
+    terms_a, terms_b, den = _operands(a, b)
+    out = {}
+    for (m1, d1), c1 in terms_a.items():
+        for (m2, d2), c2 in terms_b.items():
             base = None
             for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
                                                        (m2, d2, m1, d1, -1)):
@@ -457,10 +515,10 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                     if base is None:
                         base = c1 * c2
                     key = (_mon_mul(left, m_mid), _der_mul(d_rem, d_right))
-                    c = base.scale(sign * factor)
+                    c = base * (sign * factor)
                     s = out.get(key)
                     out[key] = c if s is None else s + c
-    return WeylElement(a.table, out)
+    return _result(a.table, out, den)
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -473,12 +531,12 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
     """
-    a._require_same_table(f)
+    terms_a, terms_f, den = _operands(a, f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
-    for (m1, d1), c1 in a.terms.items():
-        for (m2, _), c2 in f.terms.items():
+    out = {}
+    for (m1, d1), c1 in terms_a.items():
+        for (m2, _), c2 in terms_f.items():
             factor = 1
             powers = dict(m2.powers)
             for i, k in d1.orders:
@@ -498,10 +556,10 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
             key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
             c = c1 * c2
             if factor != 1:
-                c = c.scale(factor)
+                c = c * factor
             s = out.get(key)
             out[key] = c if s is None else s + c
-    return WeylElement(a.table, out)
+    return _result(a.table, out, den)
 
 
 # ---------------------------------------------------------------------------

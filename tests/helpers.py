@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import (NAT, RAT, Monomial, VarTable, WeylElement, _der_mul,
-                          _mon_mul, _reorder_options)
+from cgaweyl.weyl import (DER_NONE, NAT, RAT, Monomial, VarTable, WeylElement,
+                          _der_mul, _mon_mul, _reorder_options)
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -32,15 +32,15 @@ def random_coef(rng: random.Random) -> Coef:
 
 def random_element(table: VarTable, rng: random.Random, max_terms: int = 2,
                    max_pow: int = 2, max_der: int = 2,
-                   weights=(0,), powers=None) -> WeylElement:
+                   weights=(0,), powers=None, coefs=COEF_POOL) -> WeylElement:
     """A small random operator: bounded powers, derivatives, coefficients.
 
     Exponents are drawn from ``powers`` when given (e.g. Fractions for a
-    RAT-domain table), else from 0..max_pow.
+    RAT-domain table), else from 0..max_pow; coefficients from ``coefs``.
     """
     out = WeylElement.zero(table)
     for _ in range(rng.randint(1, max_terms)):
-        term = WeylElement.const(table, random_coef(rng))
+        term = WeylElement.const(table, rng.choice(coefs))
         for name in table.names:
             p = rng.choice(powers) if powers else rng.randint(0, max_pow)
             if p:
@@ -60,17 +60,32 @@ def random_element(table: VarTable, rng: random.Random, max_terms: int = 2,
 
 
 def random_state(table: VarTable, rng: random.Random, max_terms: int = 3,
-                 max_pow: int = 3) -> WeylElement:
-    """A random derivative-free polynomial state."""
+                 max_pow: int = 3, coefs=COEF_POOL) -> WeylElement:
+    """A random derivative-free polynomial state, coefficients from ``coefs``."""
     out = WeylElement.zero(table)
     for _ in range(rng.randint(1, max_terms)):
-        term = WeylElement.const(table, random_coef(rng))
+        term = WeylElement.const(table, rng.choice(coefs))
         for name in table.names:
             p = rng.randint(0, max_pow)
             if p:
                 term = term * WeylElement.var(table, name, p)
         out = out + term
     return out
+
+
+def disguised(c: Coef) -> Coef:
+    """The value of c with a non-constant num/den, so it takes the ParamPoly path.
+
+    c * w / w with w = gamma + xi: equal to c, but symbolic to every fast
+    path, including the kernels' int numerators.
+    """
+    w = Coef.gamma() + Coef.xi()
+    return c * w / w
+
+
+def disguised_element(e: WeylElement) -> WeylElement:
+    """``e`` with every coefficient :func:`disguised`."""
+    return WeylElement(e.table, {key: disguised(c) for key, c in e.terms.items()})
 
 
 def is_canonical_exponent(p) -> bool:
@@ -121,10 +136,21 @@ def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(a.table, out)
 
 
+def reference_apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
+    """``apply_to(a, f)`` as the derivative-free part of ``reference_mul(a, f)``."""
+    return WeylElement(a.table, {key: c for key, c in reference_mul(a, f).terms.items()
+                                 if key[1] == DER_NONE})
+
+
 def check_canonical(e: WeylElement) -> None:
-    """Structural canonical-form invariants of a term map."""
+    """Structural canonical-form invariants of a term map.
+
+    A constant coefficient's value is a ``Fraction``, never an ``int``.
+    """
     for (mon, der), c in e.terms.items():
         assert not c.is_zero()
+        q = c.as_fraction()
+        assert q is None or type(q) is Fraction
         assert is_canonical_exponent(mon.weight)
         assert all(is_canonical_exponent(p) for _, p in mon.powers)
         assert list(mon.powers) == sorted(mon.powers)

@@ -1,4 +1,5 @@
 """Coefficient field: exact arithmetic in gamma, xi over the rationals."""
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,8 +12,10 @@ from cgaweyl.scalar import (
     DivisionByZero,
     ParamPoly,
     coef,
+    rational_coef,
+    rational_numerators,
 )
-from helpers import COEF_POOL, RATIONAL_POOL, random_coef
+from helpers import COEF_POOL, RATIONAL_POOL, disguised, random_coef
 
 
 def test_like_term_addition():
@@ -128,16 +131,34 @@ def _param_poly_path(sym, a, b):
     return Coef(a.num * b.den, a.den * b.num)
 
 
-def _disguised(c):
-    """The value of c with a non-constant num/den, so it takes the ParamPoly path."""
-    w = Coef.gamma() + Coef.xi()
-    return c * w / w
-
-
 def test_disguised_constants_take_the_param_poly_path():
-    c = _disguised(Coef.const(Fraction(-3, 2)))
+    c = disguised(Coef.const(Fraction(-3, 2)))
     assert c.den.as_const() is None
     assert c.as_fraction() == Fraction(-3, 2)
+
+
+def test_rational_numerators_round_trip():
+    """Plain rationals go to int numerators over the lcm of their
+    denominators and come back as Coef.const of the same value; one
+    symbolic or disguised value leaves the whole map symbolic."""
+    rng = random.Random(4241)
+    for _ in range(100):
+        values = [rng.choice(RATIONAL_POOL) for _ in range(rng.randint(0, 4))]
+        terms = {i: Coef.const(q) for i, q in enumerate(values)}
+        nums, den = rational_numerators(terms)
+        assert den == math.lcm(1, *(q.denominator for q in values))
+        assert all(type(n) is int for n in nums.values())
+        for i, q in enumerate(values):
+            back = rational_coef(nums[i], den)
+            ref = Coef.const(q)
+            assert (back.num, back.den) == (ref.num, ref.den)
+            assert type(back.as_fraction()) is Fraction
+            assert back.text() == ref.text()
+        if values:
+            for odd in (Coef.gamma(), disguised(terms[0])):
+                assert rational_numerators({**terms, len(values): odd}) is None
+    assert rational_coef(0, 6).is_zero()
+    assert rational_coef(Fraction(3, 2), 9) == Coef.const(Fraction(1, 6))
 
 
 def test_constant_fast_path_matches_param_poly_path():
@@ -150,7 +171,7 @@ def test_constant_fast_path_matches_param_poly_path():
         qa, qb = a.as_fraction(), b.as_fraction()
         for sym, op in OPS.items():
             if sym == "/" and not qb:
-                for x, y in ((a, b), (_disguised(a), _disguised(b)), (a, qb)):
+                for x, y in ((a, b), (disguised(a), disguised(b)), (a, qb)):
                     with pytest.raises(DivisionByZero):
                         op(x, y)
                 continue
@@ -161,15 +182,15 @@ def test_constant_fast_path_matches_param_poly_path():
             assert fast.as_fraction() == op(qa, qb)
             for mixed in (op(a, qb), op(qa, b)):
                 assert (mixed.num, mixed.den) == (ref.num, ref.den)
-            slow = op(_disguised(a), _disguised(b))
+            slow = op(disguised(a), disguised(b))
             assert slow.as_fraction() == op(qa, qb)
             assert fast == slow and slow == fast
-        assert (a == b) == (_disguised(a) == _disguised(b)) == (qa == qb)
+        assert (a == b) == (disguised(a) == disguised(b)) == (qa == qb)
         assert (-a).text() == Coef(-a.num, a.den).text()
         q = rng.choice(RATIONAL_POOL + (0, 3))
         scaled, ref = a.scale(q), Coef(a.num.scale(Fraction(q)), a.den)
         assert (scaled.num, scaled.den) == (ref.num, ref.den)
-        assert scaled == _disguised(a).scale(q)
+        assert scaled == disguised(a).scale(q)
 
 
 def test_constant_and_symbolic_operands_mix():
@@ -182,5 +203,5 @@ def test_constant_and_symbolic_operands_mix():
                 if sym == "/" and y.is_zero():
                     continue
                 got = op(x, y)
-                assert got == op(_disguised(x), y)
+                assert got == op(disguised(x), y)
                 assert got.text() == _param_poly_path(sym, x, y).text()

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from cgaweyl.scalar import Coef
+from cgaweyl.scalar import Coef, rational_numerators
 from cgaweyl.weyl import (
     DER_NONE,
     INT,
     NAT,
     RAT,
     REORDER_CACHE_SIZE,
+    DerivIndex,
     DomainViolation,
+    Monomial,
     NonIntegerTimeWeight,
     VarTable,
     WeylElement,
@@ -29,6 +31,7 @@ from cgaweyl.weyl import (
     parse_element,
     remap,
     substitute,
+    _mk_deriv,
     _reorder_corrections,
     _reorder_options,
 )
@@ -42,12 +45,15 @@ from cgaweyl.realizations import (
 
 from helpers import (
     PLAIN_TABLE,
+    RATIONAL_POOL,
     RAT_EXPONENT_POOL,
     RAT_TABLE,
     TIME_TABLE,
     check_canonical,
+    disguised_element,
     random_element,
     random_state,
+    reference_apply_to,
     reference_mul,
     unchecked_element,
     with_fraction_exponents,
@@ -280,9 +286,7 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
         cases.append((a, b, f))
     for a, b, f in cases:
         assert commutator(a, b) == reference_mul(a, b) - reference_mul(b, a)
-        assert apply_to(a, f) == WeylElement(table, {
-            key: c for key, c in reference_mul(a, f).terms.items()
-            if key[1] == DER_NONE})
+        assert apply_to(a, f) == reference_apply_to(a, f)
         for op, u, v in ((mul, a, b), (commutator, a, b), (apply_to, a, f)):
             canonical = op(u, v)
             check_canonical(canonical)
@@ -296,6 +300,21 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
                     assert _reorder_corrections.cache_info().misses > 0
                 assert other == canonical
                 assert other.text() == canonical.text()
+
+
+def test_keys_hash_once_and_compare_by_value():
+    """Monomial and DerivIndex store their hash at construction; it is not
+    part of equality or repr, and a Fraction(2) key still equals and hashes
+    like 2."""
+    mon = monomial(2, {0: 3, 1: Fraction(1, 2)})
+    raw = Monomial(Fraction(2), ((0, Fraction(3)), (1, Fraction(1, 2))))
+    assert raw == mon and hash(raw) == hash(mon) == hash((2, mon.powers))
+    assert {raw: 1}[mon] == 1
+    assert repr(mon) == "Monomial(weight=2, powers=((0, 3), (1, Fraction(1, 2))))"
+    der = _mk_deriv({1: 2, 0: 1}, 3)
+    assert der == DerivIndex(((0, 1), (1, 2)), 3)
+    assert hash(der) == hash((der.orders, der.t_order))
+    assert repr(der) == "DerivIndex(orders=((0, 1), (1, 2)), t_order=3)"
 
 
 def test_integral_exponents_are_stored_as_int():
@@ -322,6 +341,75 @@ def test_integral_exponents_are_stored_as_int():
         check_canonical(free_to_osc(g))
         check_canonical(substitute(g, {"x": Coef.const(3)}))
         check_canonical(remap(g, g.table.widened("y", RAT)))
+
+
+# -- int numerators: parameter-free operands -----------------------------------
+
+RATIONAL_COEFS = tuple(Coef.const(q) for q in RATIONAL_POOL)
+
+
+@pytest.mark.parametrize("table, weights, powers, seed", [
+    (PLAIN_TABLE, (0,), None, 307),
+    (TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None, 311),
+    (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 313),
+], ids=["plain", "time", "rat"])
+def test_int_numerator_kernels_match_coef_path(table, weights, powers, seed):
+    """On parameter-free operands mul, commutator and apply_to run on int
+    numerators.  They equal their references and the same calls on
+    disguised operands, which take the Coef path, and every result
+    coefficient prints as ``Coef.const`` of its value."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        a, b = (random_element(table, rng, max_terms=3, weights=weights,
+                               powers=powers, coefs=RATIONAL_COEFS)
+                for _ in range(2))
+        f = random_state(table, rng, coefs=RATIONAL_COEFS)
+        if table.has_time:
+            f = f * WeylElement.exp_t(table, rng.choice(weights))
+        for e in (a, b, f):
+            assert rational_numerators(e.terms) is not None
+            assert rational_numerators(disguised_element(e).terms) is None
+        for op, u, v, reference in (
+                (mul, a, b, reference_mul(a, b)),
+                (commutator, a, b, reference_mul(a, b) - reference_mul(b, a)),
+                (apply_to, a, f, reference_apply_to(a, f))):
+            fast = op(u, v)
+            check_canonical(fast)
+            assert fast == reference
+            assert fast.text() == reference.text()
+            assert fast == op(disguised_element(u), disguised_element(v))
+            for c in fast.terms.values():
+                assert c.text() == Coef.const(c.as_fraction()).text()
+
+
+def test_parameter_free_calls_whose_terms_all_cancel_have_no_terms():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    xdx = mul(V("x"), D("x"))
+    assert commutator(xdx, xdx).terms == {}
+    assert apply_to(D("x", 3), V("x", 2)).terms == {}
+    # 1 - 1, summed over the common denominator 6 inside the call
+    assert apply_to(half * D("x") + third * D("y"), 2 * V("x") - 3 * V("y")).terms == {}
+
+
+def test_one_symbolic_coefficient_sends_the_whole_call_down_the_coef_path():
+    """A symbolic coefficient in either operand gives the same result as
+    the call on both operands disguised."""
+    rng = random.Random(317)
+    g = WeylElement.const(PLAIN_TABLE, Coef.gamma())
+    for _ in range(30):
+        a, b = (random_element(PLAIN_TABLE, rng, max_terms=3, coefs=RATIONAL_COEFS)
+                for _ in range(2))
+        f = random_state(PLAIN_TABLE, rng, coefs=RATIONAL_COEFS)
+        a_sym = a + mul(g, V("u", 3))
+        f_sym = f + mul(g, V("u", 4))
+        assert rational_numerators(a_sym.terms) is None
+        assert rational_numerators(f_sym.terms) is None
+        for op, u, v in ((mul, a_sym, b), (mul, b, a_sym),
+                         (commutator, a_sym, b), (commutator, b, a_sym),
+                         (apply_to, a_sym, f), (apply_to, a, f_sym)):
+            got = op(u, v)
+            check_canonical(got)
+            assert got == op(disguised_element(u), disguised_element(v))
 
 
 def test_canonicality_is_idempotent():
