@@ -12,10 +12,25 @@ representations small and the printed forms readable.
 
 All values are immutable after construction and all operations are pure.
 
-The cached constant ``_q`` of a :class:`Coef` is private to this module.
-The Weyl kernels reach it only through :func:`rational_numerators` and
-:func:`rational_coef`, which move a whole term map to int numerators over
-one denominator and back.
+The internals of a :class:`Coef` (``num``, ``den`` and the cached constant
+``_q``) are private to this module.  The Weyl kernels reach them only
+through :func:`split_blocks` and :func:`join_blocks`, which move a whole
+term map to int numerators over one denominator and back.
+
+Those two work on monomial blocks.  When every denominator of a term map
+is a single monic monomial gamma^i * xi^j (plain rationals have i = j = 0),
+each value is a Laurent polynomial sum_{a,b} q_ab * gamma^a * xi^b, and
+the map splits into blocks: block (a, b) maps each key to the numerator of
+its q_ab over one common int denominator.  Products of such values add
+block exponents, and sums add within a block, so a kernel can run its int
+loop once per pair of blocks.  Joining is exact and gives the Coef the
+ParamPoly path gives: with a monomial denominator, the stored form after
+stripping the common monomial content and making the denominator monic is
+unique, namely the denominator gamma^-min(a, 0) * xi^-min(b, 0) over the
+exponents of the nonzero blocks and the numerator shifted by the same
+exponents.  A denominator that is not a monomial, such as that of the
+disguised constant (2*gamma + 2*xi)/(gamma + xi), makes :func:`split_blocks`
+return None, and the caller falls back to ``Coef`` arithmetic.
 """
 from __future__ import annotations
 
@@ -438,31 +453,91 @@ def coef(value) -> Coef:
     return Coef.const(value)
 
 
-def rational_numerators(terms: dict) -> tuple[dict, int] | None:
-    """``terms`` with every Coef value n/den as its int numerator n, and den.
+def split_blocks(terms: dict) -> tuple[dict, int] | None:
+    """``terms`` split by the gamma^a * xi^b monomials of its values.
 
-    ``den`` is the lcm of the values' denominators.  None when any value is
-    symbolic.  Only the cached constant ``_q`` is read, never
-    :meth:`Coef.as_fraction`, so a constant in disguise such as
-    (2*gamma + 2*xi)/(gamma + xi) counts as symbolic and keeps its text.
+    Returns ``(blocks, den)``: ``blocks[(a, b)]`` maps each key whose value
+    has a gamma^a * xi^b term to that term's rational coefficient, as an
+    int numerator over the common denominator ``den`` (the lcm of all of
+    them).  None when some value's denominator is not a monomial.
+    A plain rational is the single block (0, 0); its cached ``_q`` is read
+    and :meth:`Coef.as_fraction` is never called, so a constant in disguise
+    keeps its text.
     """
     den = 1
     for c in terms.values():
         q = c._q
         if q is None:
-            return None
+            break
         if q.denominator != 1:
             den = math.lcm(den, q.denominator)
-    if den == 1:
-        return {key: c._q.numerator for key, c in terms.items()}, 1
-    return {key: c._q.numerator * (den // c._q.denominator)
-            for key, c in terms.items()}, den
+    else:  # parameter-free: the one block (0, 0)
+        return {(0, 0): {key: c._q.numerator * (den // c._q.denominator)
+                         for key, c in terms.items()}}, den
+    blocks: dict = {}
+    den = 1
+    for key, c in terms.items():
+        q = c._q
+        if q is not None:
+            parts = (((0, 0), q),)
+        else:
+            dens = c.den.terms
+            if len(dens) != 1:
+                return None
+            (dg, dx), = dens  # monic, as every Coef denominator
+            parts = (((g - dg, x - dx), v) for (g, x), v in c.num.terms.items())
+        for blk, v in parts:
+            block = blocks.get(blk)
+            if block is None:
+                blocks[blk] = {key: v}
+            else:
+                block[key] = v
+            if v.denominator != 1:
+                den = math.lcm(den, v.denominator)
+    return {blk: {key: v.numerator * (den // v.denominator)
+                  for key, v in block.items()}
+            for blk, block in blocks.items()}, den
 
 
-def rational_coef(n, den: int) -> Coef:
-    """The Coef n/den, with the num/den of ``Coef.const(Fraction(n, den))``.
+def join_blocks(blocks: dict, den: int) -> dict:
+    """The term map of ``blocks`` over ``den``; inverse of :func:`split_blocks`.
 
-    ``n`` is an int or, after a product with a fractional reordering
-    factor, a Fraction; the value is always stored as a Fraction.
+    Block values are ints or, after a product with a fractional reordering
+    factor, Fractions.  Zero values are dropped, and so is a key whose
+    values are all zero.  Each Coef is the one the ParamPoly path gives
+    (see the module docstring); a constant is built like ``Coef.const``,
+    with a Fraction value.
     """
-    return Coef._rational(Fraction(n) if den == 1 else Fraction(n, den))
+    if len(blocks) == 1 and (0, 0) in blocks:
+        return {key: Coef._rational(Fraction(n) if den == 1 else Fraction(n, den))
+                for key, n in blocks[(0, 0)].items() if n}
+    per_key: dict = {}
+    for blk, block in blocks.items():
+        for key, n in block.items():
+            if n:
+                parts = per_key.get(key)
+                if parts is None:
+                    per_key[key] = {blk: n}
+                else:
+                    parts[blk] = n
+    return {key: _laurent_coef(parts, den) for key, parts in per_key.items()}
+
+
+def _laurent_coef(parts: dict, den: int) -> Coef:
+    """The Coef sum_{(a, b)} parts[a, b]/den * gamma^a * xi^b, in reduced form."""
+    if len(parts) == 1 and (0, 0) in parts:
+        n = parts[(0, 0)]
+        return Coef._rational(Fraction(n) if den == 1 else Fraction(n, den))
+    dg = -min(0, min(g for g, _ in parts))
+    dx = -min(0, min(x for _, x in parts))
+    num = ParamPoly.__new__(ParamPoly)
+    num.terms = {(g + dg, x + dx): Fraction(n) if den == 1 else Fraction(n, den)
+                 for (g, x), n in parts.items()}
+    if dg or dx:
+        den_poly = ParamPoly.__new__(ParamPoly)
+        den_poly.terms = {(dg, dx): Fraction(1)}
+    else:
+        den_poly = _P_ONE
+    c = Coef.__new__(Coef)
+    c.num, c.den, c._q = num, den_poly, None
+    return c

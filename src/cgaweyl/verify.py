@@ -370,12 +370,14 @@ def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _residuals(fam: GeneratorFamily, table: RelationTable):
-    """Yield (a, b, sign, entry, residual) for every scope pair, in order.
+def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
+    """Yield (a, b, sign, entry, bracket, residual) for every scope pair, in order.
 
-    ``residual`` is [a, b] minus the expected right-hand side, or None for
-    a pair skipped by the truncation; ``entry`` is None for pairs that
-    must commute.
+    ``bracket`` is [a, b], taken from ``brackets[a, b]`` when given, and
+    ``residual`` is [a, b] minus the expected right-hand side: the zero
+    element when they are equal, [a, b] itself for a pair that must commute
+    (``entry`` is None), and None with ``bracket`` None for a pair skipped
+    by the truncation.
     """
     gens = fam.generators
     for a in table.scope:
@@ -383,21 +385,27 @@ def _residuals(fam: GeneratorFamily, table: RelationTable):
             raise UnknownGenerator(a)
     for a, b in table.pairs():
         if (a, b) in table.skips or (b, a) in table.skips:
-            yield a, b, 1, None, None
+            yield a, b, 1, None, None, None
             continue
         found = table.lookup(a, b)
         sign, entry = found if found else (1, None)
-        expected = (_rhs_element(gens, fam.table, entry, sign)
-                    if entry else WeylElement.zero(fam.table))
-        yield a, b, sign, entry, commutator(gens[a], gens[b]) - expected
+        bracket = (brackets[a, b] if brackets is not None
+                   else commutator(gens[a], gens[b]))
+        residual = bracket
+        if entry is not None:
+            expected = _rhs_element(gens, fam.table, entry, sign)
+            residual = (WeylElement.zero(fam.table) if bracket == expected
+                        else bracket - expected)
+        yield a, b, sign, entry, bracket, residual
 
 
-def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:
-    """Check every scope pair: listed entries exactly, unlisted pairs to zero."""
+def _table_report(fam: GeneratorFamily, table: RelationTable,
+                  brackets=None) -> VerificationReport:
+    """:func:`verify_table`, reading [a, b] from ``brackets`` when given."""
     report = VerificationReport(title=f"commutator table {table.name}",
                                 family=fam.name,
                                 params=fam.params.describe())
-    for a, b, sign, entry, residual in _residuals(fam, table):
+    for a, b, sign, entry, _, residual in _residuals(fam, table, brackets):
         lhs = f"[{a}, {b}]"
         if residual is None:
             report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
@@ -408,21 +416,30 @@ def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationRepo
     return report
 
 
+def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:
+    """Check every scope pair: listed entries exactly, unlisted pairs to zero."""
+    return _table_report(fam, table)
+
+
 def calibrate_constants(fam: GeneratorFamily, table: RelationTable
                         ) -> tuple[dict[str, Coef], VerificationReport]:
     """Solve exactly for additive scalar shifts making the table hold.
 
     Since [g + d_g, h + d_h] = [g, h], only right-hand sides depend on the
     shifts: each relation contributes the linear equation
-    sum_k c_k d_k = residual over the coefficient field.
+    sum_k c_k d_k = residual over the coefficient field.  For the same
+    reason the commutators are computed once: the shifted family's table
+    is checked against them.
     """
     unknowns = list(table.scope)
     rows: list[tuple[dict[str, Coef], Coef, set[str]]] = []
     pair_entries: list[RelationEntry | None] = []
-    for a, b, sign, entry, residual in _residuals(fam, table):
+    brackets = {}
+    for a, b, sign, entry, bracket, residual in _residuals(fam, table):
         pair_entries.append(entry)
         if residual is None:
             continue
+        brackets[a, b] = bracket
         value = residual.constant_value()
         lhs_label = f"[{a}, {b}]"
         if value is None:
@@ -439,8 +456,8 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
         rows.append((coeffs, value, {lhs_label}))
 
     deltas = _solve_linear(unknowns, rows)
-    # re-verifying the shifted family is the exact certificate of the solve
-    report = verify_table(fam.shifted(deltas), table)
+    # checking the shifted right-hand sides is the exact certificate of the solve
+    report = _table_report(fam.shifted(deltas), table, brackets)
     report.title = f"commutator table {table.name} (calibrated)"
     for entry_result, entry in zip(report.entries, pair_entries):
         d_used = entry is not None and any(

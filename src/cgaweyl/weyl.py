@@ -37,23 +37,29 @@ every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.
 
-Parameter-free operands run on int numerators.  When every coefficient of
-both operands of :func:`mul`, :func:`commutator` or :func:`apply_to` is a
-plain rational, the kernel's one loop multiplies and adds Python ints, each
-operand's numerators taken over the lcm of its denominators, and each sum
-becomes a ``Coef`` once, over the product of the two denominators, at the
-end (zero sums are dropped there).  This is exact: every term of the result
-is a sum of c1 * c2 * factor with the same denominator, and the reordering
-factors are ints or, for fractional exponents and weights, Fractions, whose
-products with ints stay exact.  No ``Coef`` is built per term pair, and no
-``Fraction`` gcd runs per operation.  One symbolic coefficient in either
-operand sends the whole call through the ``Coef`` loop.  The int
-numerators come from :func:`cgaweyl.scalar.rational_numerators` and go
-back through :func:`cgaweyl.scalar.rational_coef`, so a coefficient's
-cached constant stays private to ``scalar``.
+Symbolic coefficients run on int numerators too, one monomial block at a
+time.  When every denominator of an operand is a single monic monomial
+gamma^i * xi^j, :func:`cgaweyl.scalar.split_blocks` writes the operand as
+sum_{a,b} gamma^a * xi^b * A_ab, where each A_ab is a parameter-free term
+map of int numerators over one common denominator (a plain rational is
+the single block (0, 0)).  :func:`mul`, :func:`commutator` and
+:func:`apply_to` run their one loop body once per pair of blocks, on
+Python ints, and add each pair's sums into block (a1 + a2, b1 + b2).  This
+is exact: every term of the result is a sum of c1 * c2 * factor over the
+product of the two denominators, and the reordering factors are ints or,
+for fractional exponents and weights, Fractions.  No ``Coef`` is built per
+term pair; :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef``
+once, at the end, in the one reduced form that the ``Coef`` arithmetic
+gives for monomial denominators, so its text is the same.  An operand with
+a denominator that is not a monomial, such as a constant in disguise like
+(2*gamma + 2*xi)/(gamma + xi), sends the whole call through the same loop
+body on the ``Coef`` maps; that path is also the tests' reference.  Each
+element keeps its split form in a slot filled on first use.
 
 Elements are immutable after construction and every operation is a pure
-function, so values are safe to share across threads.  The memo is too:
+function, so values are safe to share across threads.  Two threads
+filling the same element's split-form slot at once store equal values.
+The memo is safe to share too:
 its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
 consistent under concurrent calls (two threads missing on the same key
 at once both compute it, with equal results).
@@ -68,7 +74,7 @@ from functools import lru_cache
 from itertools import islice, product as cartesian
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, as_fraction, coef,
-                     rational_coef, rational_numerators)
+                     join_blocks, split_blocks)
 
 NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
@@ -229,13 +235,19 @@ def _term_sort_key(key: tuple[Monomial, DerivIndex]):
 
 
 class WeylElement:
-    """Canonical normal-ordered operator: a term map (Monomial, DerivIndex) -> Coef."""
+    """Canonical normal-ordered operator: a term map (Monomial, DerivIndex) -> Coef.
 
-    __slots__ = ("table", "terms")
+    ``_blocks`` caches :func:`cgaweyl.scalar.split_blocks` of ``terms``
+    (False when that is None); it is None, or unset on an element made
+    without the constructor, until a kernel first uses the element.
+    """
+
+    __slots__ = ("table", "terms", "_blocks")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[Monomial, DerivIndex], Coef] | None = None):
         self.table = table
+        self._blocks = None
         cleaned: dict[tuple[Monomial, DerivIndex], Coef] = {}
         for key, c in (terms or {}).items():
             if c.is_zero():
@@ -441,28 +453,45 @@ def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
     return _mk_deriv(orders, a.t_order + b.t_order)
 
 
-def _operands(a: WeylElement, b: WeylElement):
-    """The two term maps a kernel loops over, and the result's denominator.
+def _split(e: WeylElement):
+    """``split_blocks(e.terms)``, or False for None; computed once per element."""
+    blocks = getattr(e, "_blocks", None)  # unset when made without __init__
+    if blocks is None:
+        blocks = e._blocks = split_blocks(e.terms) or False
+    return blocks
 
-    When every coefficient of both operands is a plain rational, the maps
-    hold int numerators and the denominator is the product of the two
-    operands' common denominators; otherwise they are the Coef maps
-    themselves and the denominator is None.
+
+def _operands(a: WeylElement, b: WeylElement):
+    """Where a kernel's loop body runs: ``(sums, den, pairs)``.
+
+    Each of ``pairs`` is (terms of a, terms of b, accumulator), and the
+    body runs once per pair.  When both operands split into monomial
+    blocks, there is one pair per pair of blocks, holding int numerators,
+    whose accumulator is ``sums[(a1 + a2, b1 + b2)]``, and ``den`` is the
+    product of the two common denominators.  Otherwise the one pair holds
+    the Coef maps themselves, ``sums`` is {(0, 0): accumulator} and ``den``
+    is None.
     """
     a._require_same_table(b)
-    na = rational_numerators(a.terms)
-    if na is not None:
-        nb = rational_numerators(b.terms)
-        if nb is not None:
-            return na[0], nb[0], na[1] * nb[1]
-    return a.terms, b.terms, None
+    split_a = _split(a)
+    split_b = _split(b) if split_a else False
+    if not split_b:
+        out = {}
+        return {(0, 0): out}, None, ((a.terms, b.terms, out),)
+    (blocks_a, den_a), (blocks_b, den_b) = split_a, split_b
+    sums, pairs = {}, []
+    for (ga, xa), terms_a in blocks_a.items():
+        for (gb, xb), terms_b in blocks_b.items():
+            pairs.append((terms_a, terms_b,
+                          sums.setdefault((ga + gb, xa + xb), {})))
+    return sums, den_a * den_b, pairs
 
 
-def _result(table: VarTable, out: dict, den: int | None) -> WeylElement:
-    """The element of a kernel's sums; ``den`` as returned by :func:`_operands`."""
-    if den is not None:
-        out = {key: rational_coef(n, den) for key, n in out.items() if n}
-    return WeylElement(table, out)
+def _result(table: VarTable, sums: dict, den: int | None) -> WeylElement:
+    """The element of a kernel's sums; ``sums`` and ``den`` from :func:`_operands`."""
+    if den is None:
+        return WeylElement(table, sums[(0, 0)])
+    return WeylElement(table, join_blocks(sums, den))
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -471,20 +500,20 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     Each term pair gives its leading term (m1 m2)(d1 d2), then the
     memoized k >= 1 reordering terms of d1 past m2.
     """
-    terms_a, terms_b, den = _operands(a, b)
-    out = {}
-    for (m1, d1), c1 in terms_a.items():
-        for (m2, d2), c2 in terms_b.items():
-            base = c1 * c2
-            key = (_mon_mul(m1, m2), _der_mul(d1, d2))
-            s = out.get(key)
-            out[key] = base if s is None else s + base
-            for factor, m_mid, d_rem in _reorder_corrections(d1, m2):
-                key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
-                c = base * factor
+    sums, den, pairs = _operands(a, b)
+    for terms_a, terms_b, out in pairs:
+        for (m1, d1), c1 in terms_a.items():
+            for (m2, d2), c2 in terms_b.items():
+                base = c1 * c2
+                key = (_mon_mul(m1, m2), _der_mul(d1, d2))
                 s = out.get(key)
-                out[key] = c if s is None else s + c
-    return _result(a.table, out, den)
+                out[key] = base if s is None else s + base
+                for factor, m_mid, d_rem in _reorder_corrections(d1, m2):
+                    key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
+                    c = base * factor
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
+    return _result(a.table, sums, den)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -504,21 +533,21 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     entries.  It is shared by all threads and thread-safe: it holds only
     immutable values, and ``lru_cache`` guards its own bookkeeping.
     """
-    terms_a, terms_b, den = _operands(a, b)
-    out = {}
-    for (m1, d1), c1 in terms_a.items():
-        for (m2, d2), c2 in terms_b.items():
-            base = None
-            for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
-                                                       (m2, d2, m1, d1, -1)):
-                for factor, m_mid, d_rem in _reorder_corrections(d_left, right):
-                    if base is None:
-                        base = c1 * c2
-                    key = (_mon_mul(left, m_mid), _der_mul(d_rem, d_right))
-                    c = base * (sign * factor)
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
-    return _result(a.table, out, den)
+    sums, den, pairs = _operands(a, b)
+    for terms_a, terms_b, out in pairs:
+        for (m1, d1), c1 in terms_a.items():
+            for (m2, d2), c2 in terms_b.items():
+                base = None
+                for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
+                                                           (m2, d2, m1, d1, -1)):
+                    for factor, m_mid, d_rem in _reorder_corrections(d_left, right):
+                        if base is None:
+                            base = c1 * c2
+                        key = (_mon_mul(left, m_mid), _der_mul(d_rem, d_right))
+                        c = base * (sign * factor)
+                        s = out.get(key)
+                        out[key] = c if s is None else s + c
+    return _result(a.table, sums, den)
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -531,35 +560,35 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
     """
-    terms_a, terms_f, den = _operands(a, f)
+    sums, den, pairs = _operands(a, f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    out = {}
-    for (m1, d1), c1 in terms_a.items():
-        for (m2, _), c2 in terms_f.items():
-            factor = 1
-            powers = dict(m2.powers)
-            for i, k in d1.orders:
-                p = powers.get(i, 0)
-                factor *= falling(p, k)
-                if not factor:
-                    break
-                powers[i] = p - k
-            if not factor:
-                continue
-            if d1.t_order:
-                factor *= m2.weight ** d1.t_order
+    for terms_a, terms_f, out in pairs:
+        for (m1, d1), c1 in terms_a.items():
+            for (m2, _), c2 in terms_f.items():
+                factor = 1
+                powers = dict(m2.powers)
+                for i, k in d1.orders:
+                    p = powers.get(i, 0)
+                    factor *= falling(p, k)
+                    if not factor:
+                        break
+                    powers[i] = p - k
                 if not factor:
                     continue
-            for i, p in m1.powers:
-                powers[i] = powers.get(i, 0) + p
-            key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
-            c = c1 * c2
-            if factor != 1:
-                c = c * factor
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-    return _result(a.table, out, den)
+                if d1.t_order:
+                    factor *= m2.weight ** d1.t_order
+                    if not factor:
+                        continue
+                for i, p in m1.powers:
+                    powers[i] = powers.get(i, 0) + p
+                key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
+                c = c1 * c2
+                if factor != 1:
+                    c = c * factor
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+    return _result(a.table, sums, den)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from cgaweyl.scalar import (
     DivisionByZero,
     ParamPoly,
     coef,
-    rational_coef,
-    rational_numerators,
+    join_blocks,
+    split_blocks,
 )
 from helpers import COEF_POOL, RATIONAL_POOL, disguised, random_coef
 
@@ -137,28 +137,55 @@ def test_disguised_constants_take_the_param_poly_path():
     assert c.as_fraction() == Fraction(-3, 2)
 
 
-def test_rational_numerators_round_trip():
-    """Plain rationals go to int numerators over the lcm of their
-    denominators and come back as Coef.const of the same value; one
-    symbolic or disguised value leaves the whole map symbolic."""
+def test_split_and_join_blocks_round_trip():
+    """Values with monomial denominators split into int numerators per
+    gamma^a * xi^b block, over the lcm of all their rational coefficients'
+    denominators, and join back into Coefs with the same num, den and text;
+    one disguised value leaves the whole map unsplit."""
     rng = random.Random(4241)
-    for _ in range(100):
-        values = [rng.choice(RATIONAL_POOL) for _ in range(rng.randint(0, 4))]
-        terms = {i: Coef.const(q) for i, q in enumerate(values)}
-        nums, den = rational_numerators(terms)
-        assert den == math.lcm(1, *(q.denominator for q in values))
-        assert all(type(n) is int for n in nums.values())
-        for i, q in enumerate(values):
-            back = rational_coef(nums[i], den)
-            ref = Coef.const(q)
-            assert (back.num, back.den) == (ref.num, ref.den)
-            assert type(back.as_fraction()) is Fraction
-            assert back.text() == ref.text()
-        if values:
-            for odd in (Coef.gamma(), disguised(terms[0])):
-                assert rational_numerators({**terms, len(values): odd}) is None
-    assert rational_coef(0, 6).is_zero()
-    assert rational_coef(Fraction(3, 2), 9) == Coef.const(Fraction(1, 6))
+    pool = COEF_POOL + tuple(Coef.const(q) for q in RATIONAL_POOL)
+    for _ in range(200):
+        terms = {}
+        for i in range(rng.randint(0, 4)):
+            c = rng.choice(pool)
+            if rng.random() < 0.4:
+                c = c + rng.choice(pool) * rng.choice(pool)
+            terms[i] = c
+        split = split_blocks(terms)
+        assert split is not None
+        blocks, den = split
+        rationals = [v for c in terms.values()
+                     for v in (c.num.terms.values() if c else ())]
+        assert den == math.lcm(1, *(q.denominator for q in rationals))
+        assert all(type(n) is int for block in blocks.values()
+                   for n in block.values())
+        back = join_blocks(blocks, den)
+        assert back.keys() == {i for i, c in terms.items() if c}
+        for i, c in back.items():
+            ref = terms[i]
+            assert (c.num, c.den) == (ref.num, ref.den)
+            assert c.text() == ref.text()
+            assert c == ref
+            q = c.as_fraction()
+            assert q is None or type(q) is Fraction
+        assert split_blocks({**terms, -1: disguised(Coef.const(5))}) is None
+    assert split_blocks({}) == ({(0, 0): {}}, 1)
+    assert split_blocks({0: Coef.gamma() / (Coef.gamma() + Coef.xi())}) is None
+
+
+def test_join_blocks_drops_zero_sums_and_reduces_the_denominator():
+    g, x = Coef.gamma(), Coef.xi()
+    joined = join_blocks({(0, 0): {"a": 0, "b": 3, "c": 0},
+                          (-1, 0): {"a": 0, "b": 0, "c": 2},
+                          (1, -2): {"c": Fraction(1, 2)}}, 6)
+    assert joined.keys() == {"b", "c"}
+    assert joined["b"].text() == Coef.const(Fraction(1, 2)).text() == "1/2"
+    expected = Coef.const(Fraction(1, 3)) / g + g / (Coef.const(12) * x * x)
+    assert joined["c"].text() == expected.text() == "(1/12*gamma^2 + 1/3*xi^2)/(gamma*xi^2)"
+    assert join_blocks({(0, 0): {"a": Fraction(3, 2)}}, 9)["a"] == \
+        Coef.const(Fraction(1, 6))
+    assert join_blocks({(2, 1): {"a": 4}}, 1)["a"].text() == (
+        Coef.const(4) * g * g * x).text() == "4*gamma^2*xi"
 
 
 def test_constant_fast_path_matches_param_poly_path():

@@ -105,6 +105,36 @@ def test_corrected_free_family_matches_calibration(gamma, xi):
         assert built[name] == reference[name], name
 
 
+def test_calibration_computes_each_commutator_once(monkeypatch):
+    """The shifted right-hand sides are checked against the commutators of
+    the first pass: each equals the one recomputed on the shifted family,
+    and the report is the shifted family's table report, with the entries
+    the shifts fix marked calibrated."""
+    fam = build_free_l1()
+    table = cga_l1_table(fam)
+    calls = []
+    original = verify.commutator
+    monkeypatch.setattr(verify, "commutator",
+                        lambda a, b: calls.append((a, b)) or original(a, b))
+    deltas, report = calibrate_constants(fam, table)
+    monkeypatch.undo()
+    pairs = list(table.pairs())
+    assert len(calls) == len(pairs) == 66
+    shifted = fam.shifted(deltas)
+    assert shifted["z0"] != fam["z0"]
+    for a, b in pairs:
+        assert commutator(fam[a], fam[b]) == commutator(shifted[a], shifted[b])
+    reference = verify_table(shifted, table).to_dict()
+    got = report.to_dict()
+    assert got["title"] == reference["title"] + " (calibrated)"
+    assert got["notes"] == ["calibration shifts: z0 -> z0 + (-2)"]
+    assert [e["status"] for e in got["entries"]].count(CALIBRATED) == 1
+    for e in got["entries"]:
+        if e["status"] == CALIBRATED:
+            e["status"] = EXACT
+    assert got["entries"] == reference["entries"]
+
+
 def test_calibration_on_consistent_family_is_trivial():
     fam = build_osc_l1()
     deltas, report = calibrate_constants(fam, cga_l1_table(fam))
@@ -318,18 +348,43 @@ def _patch_loop_rules(monkeypatch, change):
                         lambda w1, w2: change(original(w1, w2)))
 
 
+def _flip_witt(rules):
+    """r*(m - n) -> r*(m + n) in the rule for [chi(n), chi(m)]."""
+    p3, shift, c0, cn, cm = rules[("chi", "chi")]
+    rules[("chi", "chi")] = (p3, shift, c0, -cn, cm)
+    return rules
+
+
 def test_xi0_subalgebra_structure_catches_a_flipped_witt_coefficient(monkeypatch):
     """r*(m - n) -> r*(m + n) in [chi(n), chi(m)] fails for every n != 0."""
-    def flip(rules):
-        p3, shift, c0, cn, cm = rules[("chi", "chi")]
-        rules[("chi", "chi")] = (p3, shift, c0, -cn, cm)
-        return rules
-
-    _patch_loop_rules(monkeypatch, flip)
+    _patch_loop_rules(monkeypatch, _flip_witt)
     report = verify_subalgebra_structure(build_xi0(2, 3, cutoff=2))
     assert {e.lhs for e in report.failing()} == {
         f"[chi({n}), chi({m})]" for n in range(-2, 3) for m in range(n + 1, 3)
         if n != 0 and abs(n + m) <= 2}
+
+
+def test_failing_residual_text_is_the_commutator_minus_the_expected_side(monkeypatch):
+    """A listed pair is compared first and its difference built only when it
+    fails; that difference is [a, b] - expected, as the text shows."""
+    _patch_loop_rules(monkeypatch, _flip_witt)
+    fam = build_xi0(2, 3, cutoff=2)
+    table = xi0_loop_table(fam)
+    report = verify_table(fam, table)
+    assert len(report.failing()) == 6
+    for e in report.entries:
+        a, b = e.lhs[1:-1].split(", ")
+        found = table.lookup(a, b)
+        if e.status != FAILED:
+            assert e.residual_text == "" or e.status == verify.SKIPPED
+            continue
+        sign, entry = found
+        expected = WeylElement.zero(fam.table)
+        for c, name in entry.rhs:
+            expected = expected + fam[name].scaled(sign * c)
+        residual = commutator(fam[a], fam[b]) - expected
+        assert not residual.is_zero()
+        assert e.residual_text == residual.text()
 
 
 def test_xi0_subalgebra_structure_notes_a_rule_outside_its_subalgebra(monkeypatch):

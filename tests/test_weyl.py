@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgaweyl.scalar import Coef, rational_numerators
+from cgaweyl.scalar import Coef, split_blocks
 from cgaweyl.weyl import (
     DER_NONE,
     INT,
@@ -32,6 +32,7 @@ from cgaweyl.weyl import (
     remap,
     substitute,
     _mk_deriv,
+    _operands,
     _reorder_corrections,
     _reorder_options,
 )
@@ -44,12 +45,14 @@ from cgaweyl.realizations import (
 )
 
 from helpers import (
+    COEF_POOL,
     PLAIN_TABLE,
     RATIONAL_POOL,
     RAT_EXPONENT_POOL,
     RAT_TABLE,
     TIME_TABLE,
     check_canonical,
+    disguised,
     disguised_element,
     random_element,
     random_state,
@@ -162,11 +165,17 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
 
 
 def test_reorder_memo_is_shared_safely_by_threads():
-    """Threads that fill and clear the memo at once all get the
-    single-threaded commutators."""
-    gens = list(build_free_general(2, verbatim=False).generators.values())
-    pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
-    expected = [commutator(a, b) for a, b in pairs]
+    """Threads that fill and clear the memo at once, and fill the split-form
+    slots of shared fresh operands at once, all get the single-threaded
+    commutators."""
+    pairs, fresh = [], []
+    for fam in (build_free_general(2, verbatim=False), build_osc_l1()):
+        gens = [WeylElement(g.table, g.terms) for g in fam.generators.values()]
+        pairs += [(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
+        fresh += gens
+    expected = [commutator(WeylElement(a.table, a.terms),
+                           WeylElement(b.table, b.terms)) for a, b in pairs]
+    assert all(g._blocks is None for g in fresh)
     results, interval = {}, sys.getswitchinterval()
 
     def work(n):
@@ -187,6 +196,7 @@ def test_reorder_memo_is_shared_safely_by_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 12
     assert all(r == expected for r in results.values())
+    assert all(g._blocks == split_blocks(g.terms) is not None for g in fresh)
 
 
 def _assert_commutator_matches_products(a, b):
@@ -343,9 +353,38 @@ def test_integral_exponents_are_stored_as_int():
         check_canonical(remap(g, g.table.widened("y", RAT)))
 
 
-# -- int numerators: parameter-free operands -----------------------------------
+# -- int numerators: monomial blocks -------------------------------------------
 
 RATIONAL_COEFS = tuple(Coef.const(q) for q in RATIONAL_POOL)
+
+def _kernel_cases(table, weights, powers, rng, coefs):
+    """Random (a, b, f) with coefficients from ``coefs``; f is a state."""
+    a, b = (random_element(table, rng, max_terms=3, weights=weights,
+                           powers=powers, coefs=coefs)
+            for _ in range(2))
+    f = random_state(table, rng, coefs=coefs)
+    if table.has_time:
+        f = f * WeylElement.exp_t(table, rng.choice(weights))
+    return a, b, f
+
+
+def _assert_kernels_match_references(a, b, f):
+    """Each kernel equals its Coef-path reference, coefficient text included,
+    and the same call on disguised operands; returns the results."""
+    out = []
+    for op, u, v, reference in (
+            (mul, a, b, reference_mul(a, b)),
+            (commutator, a, b, reference_mul(a, b) - reference_mul(b, a)),
+            (apply_to, a, f, reference_apply_to(a, f))):
+        fast = op(u, v)
+        check_canonical(fast)
+        assert fast == reference
+        assert fast.text() == reference.text()
+        for key, c in fast.terms.items():
+            assert c.text() == reference.terms[key].text()
+        assert fast == op(disguised_element(u), disguised_element(v))
+        out.append(fast)
+    return out
 
 
 @pytest.mark.parametrize("table, weights, powers, seed", [
@@ -354,32 +393,40 @@ RATIONAL_COEFS = tuple(Coef.const(q) for q in RATIONAL_POOL)
     (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 313),
 ], ids=["plain", "time", "rat"])
 def test_int_numerator_kernels_match_coef_path(table, weights, powers, seed):
-    """On parameter-free operands mul, commutator and apply_to run on int
-    numerators.  They equal their references and the same calls on
-    disguised operands, which take the Coef path, and every result
+    """On parameter-free operands mul, commutator and apply_to run on one
+    block of int numerators.  They equal their references and the same
+    calls on disguised operands, which take the Coef path, and every result
     coefficient prints as ``Coef.const`` of its value."""
     rng = random.Random(seed)
     for _ in range(40):
-        a, b = (random_element(table, rng, max_terms=3, weights=weights,
-                               powers=powers, coefs=RATIONAL_COEFS)
-                for _ in range(2))
-        f = random_state(table, rng, coefs=RATIONAL_COEFS)
-        if table.has_time:
-            f = f * WeylElement.exp_t(table, rng.choice(weights))
+        a, b, f = _kernel_cases(table, weights, powers, rng, RATIONAL_COEFS)
         for e in (a, b, f):
-            assert rational_numerators(e.terms) is not None
-            assert rational_numerators(disguised_element(e).terms) is None
-        for op, u, v, reference in (
-                (mul, a, b, reference_mul(a, b)),
-                (commutator, a, b, reference_mul(a, b) - reference_mul(b, a)),
-                (apply_to, a, f, reference_apply_to(a, f))):
-            fast = op(u, v)
-            check_canonical(fast)
-            assert fast == reference
-            assert fast.text() == reference.text()
-            assert fast == op(disguised_element(u), disguised_element(v))
+            assert split_blocks(e.terms)[0].keys() <= {(0, 0)}
+            assert split_blocks(disguised_element(e).terms) is None
+        for fast in _assert_kernels_match_references(a, b, f):
             for c in fast.terms.values():
                 assert c.text() == Coef.const(c.as_fraction()).text()
+
+
+@pytest.mark.parametrize("table, weights, powers, seed", [
+    (PLAIN_TABLE, (0,), None, 331),
+    (TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None, 337),
+    (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 347),
+], ids=["plain", "time", "rat"])
+def test_block_kernels_match_coef_path(table, weights, powers, seed):
+    """With gamma, xi, 2/xi and gamma/(2 xi) among the coefficients the
+    kernels run once per pair of monomial blocks, and still give the Coef
+    path's coefficients, text included."""
+    rng = random.Random(seed)
+    blocks_seen = set()
+    for _ in range(40):
+        a, b, f = _kernel_cases(table, weights, powers, rng, COEF_POOL)
+        for e in (a, b, f):
+            blocks, _ = split_blocks(e.terms)
+            blocks_seen.update(blocks)
+        assert _operands(a, b)[1] is not None
+        _assert_kernels_match_references(a, b, f)
+    assert {(1, 0), (0, 1), (0, -1), (1, -1), (0, 0)} <= blocks_seen
 
 
 def test_parameter_free_calls_whose_terms_all_cancel_have_no_terms():
@@ -391,25 +438,84 @@ def test_parameter_free_calls_whose_terms_all_cancel_have_no_terms():
     assert apply_to(half * D("x") + third * D("y"), 2 * V("x") - 3 * V("y")).terms == {}
 
 
-def test_one_symbolic_coefficient_sends_the_whole_call_down_the_coef_path():
-    """A symbolic coefficient in either operand gives the same result as
-    the call on both operands disguised."""
+def test_terms_that_cancel_across_blocks_drop_the_key():
+    """gamma*xi from the block pair ((1, 0), (0, 1)) cancels -xi*gamma from
+    ((0, 1), (1, 0)), so the key has no term, while the other keys keep
+    the blocks that survive."""
+    g, x = Coef.gamma(), Coef.xi()
+    a = g * D("x") - x * D("y")
+    f = x * V("x") + g * V("y")
+    assert apply_to(a, f).terms == {}
+    assert commutator(a, f).terms == {}
+    # (gamma + xi)(xi - gamma) u: the gamma*xi block cancels, the key stays
+    got = mul(g * V("u") + x * V("u"), x * V("y") - g * V("y"))
+    ((key, c),) = got.terms.items()
+    assert c.text() == "-gamma^2 + xi^2"
+    assert c.text() == (reference_mul(g * V("u") + x * V("u"),
+                                      x * V("y") - g * V("y")).terms[key].text())
+
+
+def test_sums_over_two_monomial_denominators_print_as_the_coef_path():
+    """a/gamma + b/xi in one output term is (b*gamma + a*xi)/(gamma*xi),
+    as Coef arithmetic writes it."""
+    g, x = Coef.gamma(), Coef.xi()
+    a = (Coef.const(2) / g) * D("x") + (Coef.const(Fraction(-3, 4)) / x) * D("y")
+    f = V("x") * V("u") + V("y") * V("u")
+    got = apply_to(a, f)
+    expected = Coef.const(2) / g + Coef.const(Fraction(-3, 4)) / x
+    assert got.terms == {(V("u").terms.popitem()[0][0], DER_NONE): expected}
+    (c,) = got.terms.values()
+    assert c.text() == expected.text() == "(-3/4*gamma + 2*xi)/(gamma*xi)"
+    # divided once more by gamma: the denominator becomes gamma^2*xi
+    got = mul(WeylElement.const(PLAIN_TABLE, Coef.const(1) / g), got)
+    (c,) = got.terms.values()
+    assert c.text() == (expected / g).text() == "(-3/4*gamma + 2*xi)/(gamma^2*xi)"
+
+
+def test_one_disguised_coefficient_sends_the_whole_call_down_the_coef_path():
+    """A coefficient whose denominator is not a monomial, in either
+    operand, makes the call loop over the Coef maps; the result equals the
+    call on both operands disguised and the reference.  Symbolic monomial
+    coefficients alone do not."""
     rng = random.Random(317)
     g = WeylElement.const(PLAIN_TABLE, Coef.gamma())
+    odd = WeylElement.const(PLAIN_TABLE, disguised(Coef.const(Fraction(2, 3))))
     for _ in range(30):
-        a, b = (random_element(PLAIN_TABLE, rng, max_terms=3, coefs=RATIONAL_COEFS)
+        a, b = (random_element(PLAIN_TABLE, rng, max_terms=3, coefs=COEF_POOL)
                 for _ in range(2))
-        f = random_state(PLAIN_TABLE, rng, coefs=RATIONAL_COEFS)
-        a_sym = a + mul(g, V("u", 3))
-        f_sym = f + mul(g, V("u", 4))
-        assert rational_numerators(a_sym.terms) is None
-        assert rational_numerators(f_sym.terms) is None
-        for op, u, v in ((mul, a_sym, b), (mul, b, a_sym),
-                         (commutator, a_sym, b), (commutator, b, a_sym),
-                         (apply_to, a_sym, f), (apply_to, a, f_sym)):
+        f = random_state(PLAIN_TABLE, rng, coefs=COEF_POOL)
+        a_odd = a + mul(odd, V("u", 3))
+        f_odd = f + mul(odd, V("u", 4))
+        assert split_blocks(a_odd.terms) is None
+        assert split_blocks(f_odd.terms) is None
+        assert _operands(a + mul(g, V("u", 3)), b)[1] is not None
+        for op, u, v in ((mul, a_odd, b), (mul, b, a_odd),
+                         (commutator, a_odd, b), (commutator, b, a_odd),
+                         (apply_to, a_odd, f), (apply_to, a, f_odd)):
+            assert _operands(u, v)[1] is None
             got = op(u, v)
             check_canonical(got)
             assert got == op(disguised_element(u), disguised_element(v))
+            reference = (reference_apply_to(u, v) if op is apply_to
+                         else reference_mul(u, v) if op is mul
+                         else reference_mul(u, v) - reference_mul(v, u))
+            assert got == reference
+        assert a_odd._blocks is False and f_odd._blocks is False
+
+
+def test_unchecked_operands_fill_their_split_slot():
+    """An element made without the constructor has no split form yet; a
+    kernel computes it on first use, stores it, and reads it after."""
+    rng = random.Random(349)
+    for _ in range(10):
+        a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2), None, rng, COEF_POOL)
+        raw_a, raw_f = (unchecked_element(e.table, e.terms) for e in (a, f))
+        assert not hasattr(raw_a, "_blocks") and not hasattr(raw_f, "_blocks")
+        assert mul(raw_a, b) == mul(a, b)
+        assert apply_to(raw_a, raw_f) == apply_to(a, f)
+        assert raw_a._blocks == split_blocks(a.terms) is not None
+        assert raw_f._blocks == split_blocks(f.terms)
+        assert commutator(raw_a, b) == commutator(a, b)
 
 
 def test_canonicality_is_idempotent():
