@@ -117,22 +117,23 @@ def build_state_general(ladder: LadderSet,
 def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
     """The exact eigenvalue E with H psi = E psi, or None.
 
-    The candidate is read off one term and certified by exact subtraction;
-    it must be a plain rational (parameter-free).
+    The candidate is read off one term, must be a plain rational
+    (parameter-free), and is certified term by term: H psi and psi have the
+    same keys, and each coefficient of H psi is E times that of psi, exactly.
     """
     if psi.is_zero():
         raise ZeroState("eigencheck on the zero state")
-    image = apply_to(H, psi)
-    if image.is_zero():
+    image = apply_to(H, psi).terms
+    if not image:
         return Fraction(0)
-    key = next(iter(psi.terms))
-    top = image.terms.get(key)
-    if top is None:
+    if image.keys() != psi.terms.keys():
         return None
-    ratio = (top / psi.terms[key]).as_fraction()
+    key = next(iter(psi.terms))
+    ratio = (image[key] / psi.terms[key]).as_fraction()
     if ratio is None:
         return None
-    return ratio if image == psi.scaled(ratio) else None
+    ok = all(image[k] == c * ratio for k, c in psi.terms.items())
+    return ratio if ok else None
 
 
 @dataclass

@@ -19,10 +19,12 @@ without time.  The kernels accumulate raw sums and leave both rules to it.
 Exponents and time weights are exact rationals with one canonical type:
 ``int`` when the value is integral, ``Fraction`` only when it is genuinely
 fractional (RAT-domain exponents, fractional weights).  :func:`monomial`
-is the only place that applies this rule, and every ``Monomial`` is built
-through it, so integral keys hash and compare as plain ints.  Since
-``hash(2) == hash(Fraction(2))`` and ``2 == Fraction(2)``, callers may
-still pass integral values as ``Fraction``; results are the same.
+is the only place that applies this rule.  Every ``Monomial`` is built
+through it except the all-int keys of :func:`apply_to`, which need no
+rule (see :func:`_dense_monomial`), so integral keys hash and compare as
+plain ints.  Since ``hash(2) == hash(Fraction(2))`` and ``2 ==
+Fraction(2)``, callers may still pass integral values as ``Fraction``;
+results are the same.
 
 Reorderings are memoized.  Passing a derivative block past a monomial is
 a pure function of two immutable, hashable values, and the same pairs
@@ -36,6 +38,15 @@ The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.
+
+:func:`apply_to` runs on dense exponent vectors.  Inside one call each
+operand monomial becomes one tuple: a slot per table variable, then the
+time weight.  The image of each distinct derivative block d1 on the terms
+of ``f`` (the shifted vectors, with the falling factorials and the d[t]
+weight factor folded into their coefficients) is made once, not once per
+term of ``a``; a term m1 * d1 adds m1's vector to each entry of it.  The
+sums are keyed by the vectors, and one ``Monomial`` is built per output
+key, at the end.
 
 Symbolic coefficients run on int numerators too, one monomial block at a
 time.  When every denominator of an operand is a single monic monomial
@@ -72,6 +83,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product as cartesian
+from operator import add
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, as_fraction, coef,
                      join_blocks, split_blocks)
@@ -157,7 +169,8 @@ class Monomial:
     ``powers`` holds (variable index, exponent) pairs sorted by index with
     no zero exponents.  The weight and every exponent are ``int`` when
     integral and ``Fraction`` otherwise; build instances with
-    :func:`monomial`, which enforces this.  The hash is computed once, at
+    :func:`monomial`, which enforces this (:func:`_dense_monomial` builds
+    all-int ones directly).  The hash is computed once, at
     construction, since every memo lookup and term-map access hashes keys.
     """
 
@@ -204,12 +217,26 @@ def monomial(weight: Exponent, powers: dict[int, Exponent]) -> Monomial:
 
     Drops zero exponents, sorts by variable index, and stores each value
     as ``int`` when it is integral and as ``Fraction`` only otherwise.
+    The one place that applies this rule; ``apply_to`` sends every output
+    key holding a ``Fraction`` here (:func:`_dense_monomial`).
     """
     if type(weight) is not int and weight.denominator == 1:
         weight = weight.numerator
     return Monomial(weight, tuple(sorted(
         (i, p if type(p) is int or p.denominator != 1 else p.numerator)
         for i, p in powers.items() if p)))
+
+
+def _dense_monomial(v: tuple) -> Monomial:
+    """The Monomial of a dense vector: exponents by variable index, then weight.
+
+    An all-int vector, the one kind whose sum is an int, is canonical as it
+    stands; any other goes through :func:`monomial`.
+    """
+    powers = v[:-1]
+    if type(sum(v)) is int:  # a list first, as for the keys in apply_to
+        return Monomial(v[-1], tuple([(i, p) for i, p in enumerate(powers) if p]))
+    return monomial(v[-1], dict(enumerate(powers)))
 
 
 MON_ONE = monomial(0, {})
@@ -559,35 +586,48 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
 
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
+    Runs on dense exponent vectors; see the module docstring.
     """
     sums, den, pairs = _operands(a, f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
+    size, dense = len(a.table.names) + 1, {}
+    for mon, _ in (*a.terms, *f.terms):
+        v = [0] * size
+        for i, p in mon.powers:
+            v[i] = p
+        v[-1] = mon.weight
+        dense[mon] = tuple(v)
     for terms_a, terms_f, out in pairs:
+        f_vectors = [(dense[m2], c2) for (m2, _), c2 in terms_f.items()]
+        images = {}
         for (m1, d1), c1 in terms_a.items():
-            for (m2, _), c2 in terms_f.items():
-                factor = 1
-                powers = dict(m2.powers)
-                for i, k in d1.orders:
-                    p = powers.get(i, 0)
-                    factor *= falling(p, k)
-                    if not factor:
-                        break
-                    powers[i] = p - k
-                if not factor:
-                    continue
-                if d1.t_order:
-                    factor *= m2.weight ** d1.t_order
-                    if not factor:
-                        continue
-                for i, p in m1.powers:
-                    powers[i] = powers.get(i, 0) + p
-                key = (monomial(m1.weight + m2.weight, powers), DER_NONE)
+            image = images.get(d1)
+            if image is None:
+                image = images[d1] = []
+                for w, c2 in f_vectors:
+                    factor = 1
+                    for i, k in d1.orders:
+                        factor *= falling(w[i], k)
+                    if d1.t_order:
+                        factor *= w[-1] ** d1.t_order
+                    if factor:
+                        w = list(w)
+                        for i, k in d1.orders:
+                            w[i] -= k
+                        image.append((tuple(w), c2 if factor == 1 else c2 * factor))
+            e1 = dense[m1]
+            for w, c2 in image:
+                # Via a list: tuple(map(...)) allocates by a guessed length
+                # and resizes, so its keys would skip CPython's per-length
+                # tuple free lists on allocation yet fill them on release.
+                key = tuple([*map(add, e1, w)])
                 c = c1 * c2
-                if factor != 1:
-                    c = c * factor
                 s = out.get(key)
                 out[key] = c if s is None else s + c
+    mons = {v: _dense_monomial(v) for out in sums.values() for v, c in out.items() if c}
+    for blk, out in sums.items():
+        sums[blk] = {(mons[v], DER_NONE): c for v, c in out.items() if c}
     return _result(a.table, sums, den)
 
 

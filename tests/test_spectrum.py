@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgaweyl.weyl import WeylElement, apply_to, parse_element
+from cgaweyl.weyl import NAT, VarTable, WeylElement, apply_to, parse_element
 from cgaweyl.realizations import (
     LadderSet,
     build_H,
@@ -72,6 +72,26 @@ def test_eigencheck_examples():
     assert eigencheck(H, mixed) is None
     with pytest.raises(ZeroState):
         eigencheck(H, WeylElement.zero(fam.table))
+
+
+EULER_TABLE = VarTable(("x", "y"), (NAT, NAT))
+
+
+@pytest.mark.parametrize("H, psi, expected", [
+    # eigenstate: x d[x] + y d[y] counts the degree
+    ("(1) * x * d[x] + (1) * y * d[y]", "(1) * x^2 + (3) * x * y", Fraction(2)),
+    # same keys, the y^2 coefficient off by a factor 2
+    ("(1) * x * d[x] + (2) * y * d[y]", "(1) * x^2 + (1) * y^2", None),
+    # the image has a key psi lacks
+    ("(1) * x * d[x] + (1) * x", "(1) * x", None),
+    # the image lacks a key of psi
+    ("(1) * x * d[x]", "(1) * x + (1)", None),
+    # the zero image is the eigenvalue 0
+    ("(1) * d[x] + (1) * d[y]^2", "(5)", Fraction(0)),
+])
+def test_eigencheck_certifies_term_by_term(H, psi, expected):
+    H, psi = parse_element(H, EULER_TABLE), parse_element(psi, EULER_TABLE)
+    assert eigencheck(H, psi) == expected
 
 
 def test_eigencheck_scaling_invariance():

@@ -518,6 +518,88 @@ def test_unchecked_operands_fill_their_split_slot():
         assert commutator(raw_a, b) == commutator(a, b)
 
 
+# -- apply_to on dense exponent vectors ----------------------------------------
+
+TAU_TABLE = VarTable(("tau", "x", "y"), (INT, INT, INT))
+
+
+def _scalar_function(table, rng, powers, weights, coefs):
+    """A random derivative-free element, exponents drawn from ``powers``."""
+    out = WeylElement.zero(table)
+    for _ in range(rng.randint(1, 4)):
+        term = WeylElement.const(table, rng.choice(coefs))
+        for name in table.names:
+            term = term * WeylElement.var(table, name, rng.choice(powers))
+        if table.has_time:
+            term = term * WeylElement.exp_t(table, rng.choice(weights))
+        out = out + term
+    return out
+
+
+def _shared_block_operator(table, rng, powers, weights, coefs):
+    """F * D: one term m_j D per term of a random function F, all with the
+    same derivative block D (d[t] included on a table with time)."""
+    block = WeylElement.const(table, 1)
+    for name in table.names:
+        k = rng.randint(0, 2)
+        if k:
+            block = block * WeylElement.deriv(table, name, k)
+    if table.has_time and rng.random() < 0.7:
+        block = block * WeylElement.time_deriv(table, rng.randint(1, 2))
+    return _scalar_function(table, rng, powers, weights, coefs) * block
+
+
+def test_apply_to_spends_half_powers_to_an_int_exponent():
+    """x^(1/2) d[x] on x^(3/2) is 3/2 x: the Fraction exponents sum to an
+    integral value, stored as int."""
+    half = Fraction(1, 2)
+    x = WeylElement.var(RAT_TABLE, "x")
+    a = WeylElement.var(RAT_TABLE, "x", half) * WeylElement.deriv(RAT_TABLE, "x")
+    f = WeylElement.var(RAT_TABLE, "x", Fraction(3, 2))
+    got = apply_to(a, f)
+    check_canonical(got)
+    assert got == reference_apply_to(a, f) == Fraction(3, 2) * x
+    ((mon, _),) = got.terms
+    assert mon.powers == ((0, 1),) and type(mon.powers[0][1]) is int
+    # the same with the weights: e^(t/2) d[t] on e^(3t/2) is 3/2 e^(2t)
+    a = WeylElement.exp_t(RAT_TABLE, half) * WeylElement.time_deriv(RAT_TABLE)
+    got = apply_to(a, WeylElement.exp_t(RAT_TABLE, Fraction(3, 2)))
+    check_canonical(got)
+    assert got == Fraction(3, 2) * WeylElement.exp_t(RAT_TABLE, 2)
+    assert type(next(iter(got.terms))[0].weight) is int
+
+
+@pytest.mark.parametrize("table, powers, weights, coefs, seed", [
+    (RAT_TABLE, RAT_EXPONENT_POOL, (0, 1, Fraction(-3, 2), Fraction(1, 2)),
+     RATIONAL_COEFS, 401),
+    (TAU_TABLE, (-2, -1, 0, 1, 2, 3), (0,), RATIONAL_COEFS, 409),
+    (TIME_TABLE, (0, 1, 2, 3), (0, 1, -2, Fraction(1, 2), Fraction(-3, 2)),
+     RATIONAL_COEFS, 419),
+    (TIME_TABLE, (0, 1, 2, 3), (0, 1, Fraction(1, 2)), COEF_POOL, 421),
+    (RAT_TABLE, RAT_EXPONENT_POOL, (0, Fraction(1, 3)), COEF_POOL, 431),
+], ids=["rat", "int-tau", "exp-time", "symbolic-time", "symbolic-rat"])
+def test_apply_to_matches_reference_on_dense_vectors(table, powers, weights,
+                                                      coefs, seed):
+    """apply_to equals the derivative-free part of the reference product,
+    coefficient text included, when several terms of the operator share
+    one derivative block, on Fraction exponents and weights, negative
+    powers of tau, d[t] over exponential weights and gamma/xi blocks; and
+    so does the same call with a disguised operand, on the Coef path."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        a = (_shared_block_operator(table, rng, powers, weights, coefs)
+             + random_element(table, rng, max_terms=3, weights=weights,
+                              powers=powers, coefs=coefs))
+        f = _scalar_function(table, rng, powers, weights, coefs)
+        for u, v in ((a, f), (disguised_element(a), f), (a, disguised_element(f))):
+            got = apply_to(u, v)
+            check_canonical(got)
+            reference = reference_apply_to(u, v)
+            assert got == reference
+            assert got.text() == reference.text()
+            assert (_operands(u, v)[1] is None) == (u is not a or v is not f)
+
+
 def test_canonicality_is_idempotent():
     rng = random.Random(19)
     for _ in range(40):
