@@ -2,7 +2,7 @@
 Galilei algebras: operator realizations, structure-constant verification,
 on-shell invariant operators, and lowest-weight ladder spectra."""
 
-from .scalar import Coef, ParamPoly, coef
+from .scalar import Coef, coef
 from .weyl import (
     INT,
     NAT,
@@ -34,7 +34,7 @@ from .realizations import (
 )
 
 __all__ = [
-    "Coef", "ParamPoly", "coef",
+    "Coef", "coef",
     "NAT", "INT", "RAT", "VarTable", "WeylElement",
     "mul", "commutator", "anticommutator", "apply_to", "substitute",
     "free_to_osc", "degree_of", "element_to_text", "parse_element", "remap",

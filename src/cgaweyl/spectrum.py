@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import as_fraction
+from .scalar import NotDivisible, as_fraction
 from .weyl import (
     RAT,
     WeylElement,
@@ -129,7 +129,10 @@ def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
     if image.keys() != psi.terms.keys():
         return None
     key = next(iter(psi.terms))
-    ratio = (image[key] / psi.terms[key]).as_fraction()
+    try:
+        ratio = (image[key] / psi.terms[key]).as_fraction()
+    except NotDivisible:
+        return None
     if ratio is None:
         return None
     ok = all(image[k] == c * ratio for k, c in psi.terms.items())

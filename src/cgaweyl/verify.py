@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import COEF_ZERO, Coef, as_fraction, coef
+from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef
 from .weyl import (
     DER_NONE,
     DomainViolation,
@@ -474,7 +474,11 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
 def _solve_linear(unknowns: list[str],
                   rows: list[tuple[dict[str, Coef], Coef, set[str]]]
                   ) -> dict[str, Coef]:
-    """Gaussian elimination over the coefficient field with row provenance."""
+    """Gaussian elimination over the coefficients with row provenance.
+
+    Each pivot must divide its row's entries in Q[gamma^±1, xi^±1]; one
+    that does not raises :class:`cgaweyl.scalar.NotDivisible`.
+    """
     work = [(dict(c), v, set(p)) for c, v, p in rows]
     solution: dict[str, Coef] = {}
     assignments: list[tuple[str, dict[str, Coef], Coef]] = []
@@ -565,7 +569,10 @@ def extract_scalar_factor(comm: WeylElement, omega: WeylElement
             return None
         mc = max(work, key=lambda m: _mon_key(table, m))
         cc = work[mc]
-        fc = cc / lead_c
+        try:
+            fc = cc / lead_c
+        except NotDivisible:
+            return None
         powers = dict(mc.powers)
         for i, p in lead_mon.powers:
             powers[i] = powers.get(i, 0) - p

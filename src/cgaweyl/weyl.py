@@ -48,9 +48,9 @@ term of ``a``; a term m1 * d1 adds m1's vector to each entry of it.  The
 sums are keyed by the vectors, and one ``Monomial`` is built per output
 key, at the end.
 
-Symbolic coefficients run on int numerators too, one monomial block at a
-time.  When every denominator of an operand is a single monic monomial
-gamma^i * xi^j, :func:`cgaweyl.scalar.split_blocks` writes the operand as
+Coefficients run on int numerators, one monomial block at a time.  Every
+coefficient is a Laurent polynomial in gamma and xi, so
+:func:`cgaweyl.scalar.split_blocks` writes an operand as
 sum_{a,b} gamma^a * xi^b * A_ab, where each A_ab is a parameter-free term
 map of int numerators over one common denominator (a plain rational is
 the single block (0, 0)).  :func:`mul`, :func:`commutator` and
@@ -60,12 +60,8 @@ is exact: every term of the result is a sum of c1 * c2 * factor over the
 product of the two denominators, and the reordering factors are ints or,
 for fractional exponents and weights, Fractions.  No ``Coef`` is built per
 term pair; :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef``
-once, at the end, in the one reduced form that the ``Coef`` arithmetic
-gives for monomial denominators, so its text is the same.  An operand with
-a denominator that is not a monomial, such as a constant in disguise like
-(2*gamma + 2*xi)/(gamma + xi), sends the whole call through the same loop
-body on the ``Coef`` maps; that path is also the tests' reference.  Each
-element keeps its split form in a slot filled on first use.
+once, at the end.  Each element keeps its split form in a slot filled on
+first use.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
@@ -85,8 +81,8 @@ from functools import lru_cache
 from itertools import islice, product as cartesian
 from operator import add
 
-from .scalar import (COEF_ONE, COEF_ZERO, Coef, as_fraction, coef,
-                     join_blocks, split_blocks)
+from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
+                     as_fraction, coef, join_blocks, split_blocks)
 
 NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
@@ -264,9 +260,9 @@ def _term_sort_key(key: tuple[Monomial, DerivIndex]):
 class WeylElement:
     """Canonical normal-ordered operator: a term map (Monomial, DerivIndex) -> Coef.
 
-    ``_blocks`` caches :func:`cgaweyl.scalar.split_blocks` of ``terms``
-    (False when that is None); it is None, or unset on an element made
-    without the constructor, until a kernel first uses the element.
+    ``_blocks`` caches :func:`cgaweyl.scalar.split_blocks` of ``terms``; it
+    is None, or unset on an element made without the constructor, until a
+    kernel first uses the element.
     """
 
     __slots__ = ("table", "terms", "_blocks")
@@ -481,44 +477,30 @@ def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
 
 
 def _split(e: WeylElement):
-    """``split_blocks(e.terms)``, or False for None; computed once per element."""
+    """``split_blocks(e.terms)``, computed once per element."""
     blocks = getattr(e, "_blocks", None)  # unset when made without __init__
     if blocks is None:
-        blocks = e._blocks = split_blocks(e.terms) or False
+        blocks = e._blocks = split_blocks(e.terms)
     return blocks
 
 
 def _operands(a: WeylElement, b: WeylElement):
     """Where a kernel's loop body runs: ``(sums, den, pairs)``.
 
-    Each of ``pairs`` is (terms of a, terms of b, accumulator), and the
-    body runs once per pair.  When both operands split into monomial
-    blocks, there is one pair per pair of blocks, holding int numerators,
-    whose accumulator is ``sums[(a1 + a2, b1 + b2)]``, and ``den`` is the
-    product of the two common denominators.  Otherwise the one pair holds
-    the Coef maps themselves, ``sums`` is {(0, 0): accumulator} and ``den``
-    is None.
+    Each of ``pairs`` is (terms of a, terms of b, accumulator) for one pair
+    of monomial blocks, holding int numerators; the body runs once per
+    pair, and its accumulator is ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is
+    the product of the two common denominators, so the kernel's result is
+    ``join_blocks(sums, den)``.
     """
     a._require_same_table(b)
-    split_a = _split(a)
-    split_b = _split(b) if split_a else False
-    if not split_b:
-        out = {}
-        return {(0, 0): out}, None, ((a.terms, b.terms, out),)
-    (blocks_a, den_a), (blocks_b, den_b) = split_a, split_b
+    (blocks_a, den_a), (blocks_b, den_b) = _split(a), _split(b)
     sums, pairs = {}, []
     for (ga, xa), terms_a in blocks_a.items():
         for (gb, xb), terms_b in blocks_b.items():
             pairs.append((terms_a, terms_b,
                           sums.setdefault((ga + gb, xa + xb), {})))
     return sums, den_a * den_b, pairs
-
-
-def _result(table: VarTable, sums: dict, den: int | None) -> WeylElement:
-    """The element of a kernel's sums; ``sums`` and ``den`` from :func:`_operands`."""
-    if den is None:
-        return WeylElement(table, sums[(0, 0)])
-    return WeylElement(table, join_blocks(sums, den))
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -540,7 +522,7 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
                     c = base * factor
                     s = out.get(key)
                     out[key] = c if s is None else s + c
-    return _result(a.table, sums, den)
+    return WeylElement(a.table, join_blocks(sums, den))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -574,7 +556,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                         c = base * (sign * factor)
                         s = out.get(key)
                         out[key] = c if s is None else s + c
-    return _result(a.table, sums, den)
+    return WeylElement(a.table, join_blocks(sums, den))
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -628,7 +610,7 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     mons = {v: _dense_monomial(v) for out in sums.values() for v, c in out.items() if c}
     for blk, out in sums.items():
         sums[blk] = {(mons[v], DER_NONE): c for v, c in out.items() if c}
-    return _result(a.table, sums, den)
+    return WeylElement(a.table, join_blocks(sums, den))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +716,10 @@ def degree_of(g: WeylElement, z0: WeylElement) -> Fraction | None:
     top = c.terms.get(key)
     if top is None:
         return None
-    n = (top / g.terms[key]).as_fraction()
+    try:
+        n = (top / g.terms[key]).as_fraction()
+    except NotDivisible:
+        return None
     if n is None:
         return None
     return n if c == g.scaled(n) else None
@@ -818,9 +803,8 @@ class _Parser:
             raise ValueError(f"expected a number, got {tok!r}")
         return sign * Fraction(tok)
 
-    def poly(self):
-        from .scalar import ParamPoly
-        total = ParamPoly.zero()
+    def poly(self) -> Coef:
+        total = COEF_ZERO
         sign = 1
         if self.peek() == "-":
             self.take()
@@ -835,8 +819,7 @@ class _Parser:
             else:
                 return total
 
-    def _poly_term(self):
-        from .scalar import ParamPoly
+    def _poly_term(self) -> Coef:
         q = Fraction(1)
         g = x = 0
         saw = False
@@ -864,7 +847,7 @@ class _Parser:
                 break
         if not saw:
             raise ValueError(f"expected a polynomial term near {self.peek()!r}")
-        return ParamPoly({(g, x): q})
+        return Coef({(g, x): q})
 
     def coefficient(self) -> Coef:
         self.take("(")
@@ -875,8 +858,12 @@ class _Parser:
             self.take("(")
             den = self.poly()
             self.take(")")
-            return Coef(num, den)
-        return Coef(num)
+            try:
+                return num / den
+            except (NotDivisible, DivisionByZero) as exc:
+                raise ValueError(f"coefficient ({num.text()})/({den.text()}): "
+                                 f"{exc}") from None
+        return num
 
     def exponent(self) -> Fraction:
         self.take("^")

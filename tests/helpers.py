@@ -18,6 +18,14 @@ COEF_POOL = (
     Coef.const(2) / Coef.xi(), Coef.gamma() / (Coef.const(2) * Coef.xi()),
 )
 
+# Values of two or more terms, negative powers included.
+LAURENT_POOL = (
+    Coef.gamma() + Coef.xi(),
+    Coef.const(2) / Coef.xi() - Coef.gamma() / Coef.const(3),
+    Coef.gamma() * Coef.xi() - Coef.const(Fraction(1, 2)),
+    Coef.gamma() ** 2 + Coef.const(3) / Coef.xi() + Coef.const(1),
+)
+
 RATIONAL_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3),
     Fraction(5, 3), Fraction(-1, 4), Fraction(7),
@@ -73,19 +81,16 @@ def random_state(table: VarTable, rng: random.Random, max_terms: int = 3,
     return out
 
 
-def disguised(c: Coef) -> Coef:
-    """The value of c with a non-constant num/den, so it takes the ParamPoly path.
-
-    c * w / w with w = gamma + xi: equal to c, but symbolic to every fast
-    path, including the kernels' int numerators.
-    """
-    w = Coef.gamma() + Coef.xi()
-    return c * w / w
+def random_point(rng: random.Random) -> tuple[Fraction, Fraction]:
+    """A point (gamma, xi) of nonzero rationals."""
+    return tuple(Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 4, 7)),
+                          rng.randint(1, 4)) for _ in range(2))
 
 
-def disguised_element(e: WeylElement) -> WeylElement:
-    """``e`` with every coefficient :func:`disguised`."""
-    return WeylElement(e.table, {key: disguised(c) for key, c in e.terms.items()})
+def at_point(e: WeylElement, gamma_val, xi_val) -> WeylElement:
+    """``e`` with every coefficient instantiated at (gamma, xi)."""
+    return WeylElement(e.table, {key: Coef.const(c.instantiate(gamma_val, xi_val))
+                                 for key, c in e.terms.items()})
 
 
 def is_canonical_exponent(p) -> bool:

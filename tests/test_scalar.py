@@ -1,4 +1,4 @@
-"""Coefficient field: exact arithmetic in gamma, xi over the rationals."""
+"""Coefficient ring: exact Laurent polynomials in gamma, xi over the rationals."""
 import math
 import operator
 import random
@@ -7,15 +7,16 @@ from fractions import Fraction
 import pytest
 
 from cgaweyl.scalar import (
+    COEF_ONE,
     Coef,
-    DenominatorVanishes,
     DivisionByZero,
-    ParamPoly,
+    NotDivisible,
     coef,
     join_blocks,
     split_blocks,
 )
-from helpers import COEF_POOL, RATIONAL_POOL, disguised, random_coef
+from helpers import (COEF_POOL, LAURENT_POOL, RATIONAL_POOL, random_coef,
+                     random_point)
 
 
 def test_like_term_addition():
@@ -25,8 +26,8 @@ def test_like_term_addition():
 
 def test_inverse_pairs():
     g = Coef.gamma()
-    assert ((Coef.const(2) / g) * (g / Coef.const(2))).is_one()
-    assert ((Coef.const(1) / Coef.xi()) * Coef.xi()).is_one()
+    assert (Coef.const(2) / g) * (g / Coef.const(2)) == COEF_ONE
+    assert (Coef.const(1) / Coef.xi()) * Coef.xi() == COEF_ONE
 
 
 def test_is_zero_via_cross_multiplication():
@@ -55,8 +56,12 @@ def test_division_by_zero():
 def test_instantiate_examples():
     two_over_xi = Coef.const(2) / Coef.xi()
     assert two_over_xi.instantiate(1, 1) == 2
-    with pytest.raises(DenominatorVanishes):
+    # a negative power met at a zero parameter
+    with pytest.raises(DivisionByZero):
         two_over_xi.instantiate(1, 0)
+    with pytest.raises(DivisionByZero):
+        (Coef.xi() + Coef.gamma() ** -2).instantiate(0, 3)
+    assert (Coef.gamma() * Coef.xi() + Coef.const(5)).instantiate(0, 0) == 5
     # the coefficient of the extra symmetry generator at gamma = xi = 1
     q_coef = Coef.xi() / (Coef.const(2) * Coef.gamma())
     assert q_coef.instantiate(1, 1) == Fraction(1, 2)
@@ -90,23 +95,71 @@ def test_field_axioms_on_random_triples():
             assert (a / b) * b == a
 
 
+def test_division_is_exact_laurent_division():
+    g, x = Coef.gamma(), Coef.xi()
+    two = Coef.const(2)
+    assert (two * g + two * x) / (g + x) == two
+    assert ((two * g + two * x) / (g + x)).as_fraction() == 2
+    assert (g * g - x * x) / (g + x) == g - x
+    for bad in ((g, g + x), (COEF_ONE, g + x), (g + two, g * x - two),
+                # lex order alone would never stop: gamma * xi^-n for every n
+                (COEF_ONE + g, COEF_ONE + x)):
+        with pytest.raises(NotDivisible):
+            bad[0] / bad[1]
+    with pytest.raises(NotDivisible):
+        (g + x).inv()
+    with pytest.raises(NotDivisible):
+        (g + x) ** -1
+    rng = random.Random(4243)
+    pool = COEF_POOL + LAURENT_POOL
+    for _ in range(200):
+        a, b = rng.choice(pool), rng.choice(LAURENT_POOL)
+        assert (a * b) / b == a
+        if a.as_fraction() is not None:
+            assert ((a * b) / b).as_fraction() == a.as_fraction()
+        with pytest.raises(NotDivisible):
+            (a * b + g ** 5) / b
+
+
 def test_instantiate_is_a_ring_homomorphism():
+    """At random nonzero rational points, instantiate commutes with + - *
+    / scale ** inv and ==, on monomials and on multi-term values."""
     rng = random.Random(77)
-    points = [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3)),
-              (Fraction(1, 2), Fraction(5, 3))]
-    for _ in range(100):
-        a, b = random_coef(rng), random_coef(rng)
-        gv, xv = rng.choice(points)
-        assert (a * b).instantiate(gv, xv) == \
-            a.instantiate(gv, xv) * b.instantiate(gv, xv)
-        assert (a + b).instantiate(gv, xv) == \
-            a.instantiate(gv, xv) + b.instantiate(gv, xv)
+    pool = COEF_POOL + LAURENT_POOL
+    for _ in range(300):
+        a, b = rng.choice(pool), rng.choice(pool)
+        point = random_point(rng)
+        va, vb = a.instantiate(*point), b.instantiate(*point)
+        assert (a + b).instantiate(*point) == va + vb
+        assert (a - b).instantiate(*point) == va - vb
+        assert (a * b).instantiate(*point) == va * vb
+        assert ((a * b) / b).instantiate(*point) == va
+        q = rng.choice(RATIONAL_POOL + (0,))
+        assert a.scale(q).instantiate(*point) == va * q
+        n = rng.randint(0, 3)
+        assert (a ** n).instantiate(*point) == va ** n
+        if len(b.terms) == 1:
+            assert (a / b).instantiate(*point) == va / vb
+            assert b.inv().instantiate(*point) == 1 / vb
+            assert (b ** -n).instantiate(*point) == vb ** -n
+        others = [random_point(rng) for _ in range(3)]
+        assert (a == b) == all(a.instantiate(*p) == b.instantiate(*p)
+                               for p in [point] + others)
 
 
-def test_parampoly_text_and_lead():
-    p = ParamPoly({(2, 0): Fraction(2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(1)})
-    assert p.text() == "2*gamma^2 - 1/3*xi + 1"
-    assert p.lead() == ((2, 0), Fraction(2))
+def test_coef_text_orders_terms_and_clears_negative_powers():
+    c = Coef({(2, 0): 2, (0, 1): Fraction(-1, 3), (0, 0): 1})
+    assert c.text() == "2*gamma^2 - 1/3*xi + 1"
+    assert c.wrapped_text() == "(2*gamma^2 - 1/3*xi + 1)"
+    # den = gamma^1 * xi^2 clears the negative powers; num is the value times den
+    c = Coef.gamma() ** -1 + Coef.const(3) * Coef.xi() ** -2 - Coef.gamma()
+    assert c.text() == c.wrapped_text() == "(-gamma^2*xi^2 + 3*gamma + xi^2)/(gamma*xi^2)"
+    assert c.num.terms == {(2, 2): -1, (1, 0): 3, (0, 2): 1}
+    assert c.den.terms == {(1, 2): 1}
+    # positive powers common to every term stay in the numerator
+    c = Coef.const(4) * Coef.gamma() ** 2 * Coef.xi()
+    assert (c.text(), c.den.terms) == ("4*gamma^2*xi", {(0, 0): 1})
+    assert Coef.const(0).text() == "0" and Coef.const(0).wrapped_text() == "(0)"
 
 
 def test_coerce_rejects_floats():
@@ -114,36 +167,16 @@ def test_coerce_rejects_floats():
         coef(0.5)
 
 
-# -- the constant fast path against the ParamPoly path --------------------------
-
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
        "/": operator.truediv}
 
 
-def _param_poly_path(sym, a, b):
-    """Coef's ParamPoly formulas for a op b, the fast path's reference."""
-    if sym == "+":
-        return Coef(a.num * b.den + b.num * a.den, a.den * b.den)
-    if sym == "-":
-        return Coef(a.num * b.den - b.num * a.den, a.den * b.den)
-    if sym == "*":
-        return Coef(a.num * b.num, a.den * b.den)
-    return Coef(a.num * b.den, a.den * b.num)
-
-
-def test_disguised_constants_take_the_param_poly_path():
-    c = disguised(Coef.const(Fraction(-3, 2)))
-    assert c.den.as_const() is None
-    assert c.as_fraction() == Fraction(-3, 2)
-
-
 def test_split_and_join_blocks_round_trip():
-    """Values with monomial denominators split into int numerators per
-    gamma^a * xi^b block, over the lcm of all their rational coefficients'
-    denominators, and join back into Coefs with the same num, den and text;
-    one disguised value leaves the whole map unsplit."""
+    """Laurent values split into int numerators per gamma^a * xi^b block,
+    over the lcm of all their rational coefficients' denominators, and join
+    back into the same Coefs, text included."""
     rng = random.Random(4241)
-    pool = COEF_POOL + tuple(Coef.const(q) for q in RATIONAL_POOL)
+    pool = COEF_POOL + LAURENT_POOL + tuple(Coef.const(q) for q in RATIONAL_POOL)
     for _ in range(200):
         terms = {}
         for i in range(rng.randint(0, 4)):
@@ -151,26 +184,18 @@ def test_split_and_join_blocks_round_trip():
             if rng.random() < 0.4:
                 c = c + rng.choice(pool) * rng.choice(pool)
             terms[i] = c
-        split = split_blocks(terms)
-        assert split is not None
-        blocks, den = split
-        rationals = [v for c in terms.values()
-                     for v in (c.num.terms.values() if c else ())]
+        blocks, den = split_blocks(terms)
+        rationals = [v for c in terms.values() for v in c.terms.values()]
         assert den == math.lcm(1, *(q.denominator for q in rationals))
         assert all(type(n) is int for block in blocks.values()
                    for n in block.values())
         back = join_blocks(blocks, den)
         assert back.keys() == {i for i, c in terms.items() if c}
         for i, c in back.items():
-            ref = terms[i]
-            assert (c.num, c.den) == (ref.num, ref.den)
-            assert c.text() == ref.text()
-            assert c == ref
-            q = c.as_fraction()
-            assert q is None or type(q) is Fraction
-        assert split_blocks({**terms, -1: disguised(Coef.const(5))}) is None
-    assert split_blocks({}) == ({(0, 0): {}}, 1)
-    assert split_blocks({0: Coef.gamma() / (Coef.gamma() + Coef.xi())}) is None
+            assert c == terms[i]
+            assert c.text() == terms[i].text()
+            assert all(type(v) is Fraction for v in c.terms.values())
+    assert split_blocks({}) == ({}, 1)
 
 
 def test_join_blocks_drops_zero_sums_and_reduces_the_denominator():
@@ -188,47 +213,25 @@ def test_join_blocks_drops_zero_sums_and_reduces_the_denominator():
         Coef.const(4) * g * g * x).text() == "4*gamma^2*xi"
 
 
-def test_constant_fast_path_matches_param_poly_path():
-    rng = random.Random(4243)
-    constants = [Coef.const(q) for q in RATIONAL_POOL + (0,)]
-    constants += [c for c in COEF_POOL if c.den.as_const() is not None
-                  and c.num.as_const() is not None]
-    for _ in range(300):
-        a, b = rng.choice(constants), rng.choice(constants)
-        qa, qb = a.as_fraction(), b.as_fraction()
-        for sym, op in OPS.items():
-            if sym == "/" and not qb:
-                for x, y in ((a, b), (disguised(a), disguised(b)), (a, qb)):
-                    with pytest.raises(DivisionByZero):
-                        op(x, y)
-                continue
-            fast = op(a, b)
-            ref = _param_poly_path(sym, a, b)
-            assert (fast.num, fast.den) == (ref.num, ref.den)
-            assert fast.text() == ref.text()
-            assert fast.as_fraction() == op(qa, qb)
-            for mixed in (op(a, qb), op(qa, b)):
-                assert (mixed.num, mixed.den) == (ref.num, ref.den)
-            slow = op(disguised(a), disguised(b))
-            assert slow.as_fraction() == op(qa, qb)
-            assert fast == slow and slow == fast
-        assert (a == b) == (disguised(a) == disguised(b)) == (qa == qb)
-        assert (-a).text() == Coef(-a.num, a.den).text()
-        q = rng.choice(RATIONAL_POOL + (0, 3))
-        scaled, ref = a.scale(q), Coef(a.num.scale(Fraction(q)), a.den)
-        assert (scaled.num, scaled.den) == (ref.num, ref.den)
-        assert scaled == disguised(a).scale(q)
-
-
 def test_constant_and_symbolic_operands_mix():
+    """A plain int or Fraction on either side of + - * / acts as its
+    ``Coef.const``, and the result instantiates to the rational operation."""
     rng = random.Random(4247)
-    constants = [Coef.const(q) for q in RATIONAL_POOL]
+    pool = COEF_POOL + LAURENT_POOL
     for _ in range(200):
-        a, c = rng.choice(constants), rng.choice(COEF_POOL)
+        q, c = rng.choice(RATIONAL_POOL), rng.choice(pool)
+        point = random_point(rng)
+        vc = c.instantiate(*point)
         for sym, op in OPS.items():
-            for x, y in ((a, c), (c, a)):
-                if sym == "/" and y.is_zero():
+            pairs = [((q, c), (Coef.const(q), c), (q, vc)),
+                     ((c, q), (c, Coef.const(q)), (vc, q))]
+            for (x, y), (cx, cy), (vx, vy) in pairs:
+                if sym == "/" and len(cy.terms) > 1:
+                    with pytest.raises(NotDivisible):
+                        op(x, y)
                     continue
                 got = op(x, y)
-                assert got == op(disguised(x), y)
-                assert got.text() == _param_poly_path(sym, x, y).text()
+                assert got == op(cx, cy)
+                assert got.text() == op(cx, cy).text()
+                assert got.instantiate(*point) == op(vx, vy)
+    assert type((Coef.const(3) / 2).as_fraction()) is Fraction

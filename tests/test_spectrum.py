@@ -88,6 +88,12 @@ EULER_TABLE = VarTable(("x", "y"), (NAT, NAT))
     ("(1) * x * d[x]", "(1) * x + (1)", None),
     # the zero image is the eigenvalue 0
     ("(1) * d[x] + (1) * d[y]^2", "(5)", Fraction(0)),
+    # a (gamma + xi) factor divides out exactly
+    ("(1) * x * d[x] + (1) * y * d[y]", "(gamma + xi) * x^2 + (3*gamma) * x * y",
+     Fraction(2)),
+    # the x coefficient of the image, 2*gamma + xi, is no multiple of gamma + xi
+    ("(1) * x * d[x] + (1) * y * d[y] + (1) * x * d[y]",
+     "(gamma + xi) * x + (gamma) * y", None),
 ])
 def test_eigencheck_certifies_term_by_term(H, psi, expected):
     H, psi = parse_element(H, EULER_TABLE), parse_element(psi, EULER_TABLE)
@@ -100,6 +106,7 @@ def test_eigencheck_scaling_invariance():
     psi = build_state(fam, 2, 1, 1)
     from cgaweyl.scalar import Coef
     assert eigencheck(H, psi.scaled(Coef.gamma())) == 3
+    assert eigencheck(H, psi.scaled(Coef.gamma() + Coef.xi())) == 3
     assert eigencheck(H, psi.scaled(Fraction(-7, 3))) == 3
 
 

@@ -229,6 +229,13 @@ def test_factor_extraction_rejects_non_multiples():
     fam = build_osc_l1()
     trip = build_triplet(fam)
     assert extract_scalar_factor(fam["v+1"], trip.zero) is None
+    # a multi-term leading coefficient: exact division or no factor
+    omega = parse_element("(gamma + xi) * d[x]", fam.table)
+    comm = parse_element("(gamma^2 - xi^2) * x * d[x]", fam.table)
+    assert extract_scalar_factor(comm, omega) == parse_element(
+        "(gamma - xi) * x", fam.table)
+    assert extract_scalar_factor(parse_element("(gamma) * d[x]", fam.table),
+                                 omega) is None
 
 
 def test_require_onshell_factor():

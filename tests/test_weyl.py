@@ -1,5 +1,6 @@
 """Normal ordering, products, application, substitutions, and serialization."""
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -32,7 +33,6 @@ from cgaweyl.weyl import (
     remap,
     substitute,
     _mk_deriv,
-    _operands,
     _reorder_corrections,
     _reorder_options,
 )
@@ -46,15 +46,16 @@ from cgaweyl.realizations import (
 
 from helpers import (
     COEF_POOL,
+    LAURENT_POOL,
     PLAIN_TABLE,
     RATIONAL_POOL,
     RAT_EXPONENT_POOL,
     RAT_TABLE,
     TIME_TABLE,
+    at_point,
     check_canonical,
-    disguised,
-    disguised_element,
     random_element,
+    random_point,
     random_state,
     reference_apply_to,
     reference_mul,
@@ -368,9 +369,10 @@ def _kernel_cases(table, weights, powers, rng, coefs):
     return a, b, f
 
 
-def _assert_kernels_match_references(a, b, f):
-    """Each kernel equals its Coef-path reference, coefficient text included,
-    and the same call on disguised operands; returns the results."""
+def _assert_kernels_match_references(a, b, f, point):
+    """Each kernel equals its Coef-arithmetic reference, coefficient text
+    included, and instantiating its result at ``point`` gives the same
+    kernel on the instantiated operands; returns the results."""
     out = []
     for op, u, v, reference in (
             (mul, a, b, reference_mul(a, b)),
@@ -382,7 +384,7 @@ def _assert_kernels_match_references(a, b, f):
         assert fast.text() == reference.text()
         for key, c in fast.terms.items():
             assert c.text() == reference.terms[key].text()
-        assert fast == op(disguised_element(u), disguised_element(v))
+        assert at_point(fast, *point) == op(at_point(u, *point), at_point(v, *point))
         out.append(fast)
     return out
 
@@ -394,16 +396,14 @@ def _assert_kernels_match_references(a, b, f):
 ], ids=["plain", "time", "rat"])
 def test_int_numerator_kernels_match_coef_path(table, weights, powers, seed):
     """On parameter-free operands mul, commutator and apply_to run on one
-    block of int numerators.  They equal their references and the same
-    calls on disguised operands, which take the Coef path, and every result
+    block of int numerators.  They equal their references, and every result
     coefficient prints as ``Coef.const`` of its value."""
     rng = random.Random(seed)
     for _ in range(40):
         a, b, f = _kernel_cases(table, weights, powers, rng, RATIONAL_COEFS)
         for e in (a, b, f):
             assert split_blocks(e.terms)[0].keys() <= {(0, 0)}
-            assert split_blocks(disguised_element(e).terms) is None
-        for fast in _assert_kernels_match_references(a, b, f):
+        for fast in _assert_kernels_match_references(a, b, f, random_point(rng)):
             for c in fast.terms.values():
                 assert c.text() == Coef.const(c.as_fraction()).text()
 
@@ -414,18 +414,19 @@ def test_int_numerator_kernels_match_coef_path(table, weights, powers, seed):
     (RAT_TABLE, (0, 1, Fraction(-3, 2)), RAT_EXPONENT_POOL, 347),
 ], ids=["plain", "time", "rat"])
 def test_block_kernels_match_coef_path(table, weights, powers, seed):
-    """With gamma, xi, 2/xi and gamma/(2 xi) among the coefficients the
-    kernels run once per pair of monomial blocks, and still give the Coef
-    path's coefficients, text included."""
+    """With gamma, xi, 2/xi, gamma/(2 xi) and multi-term Laurent values among
+    the coefficients the kernels run once per pair of monomial blocks, and
+    still give the Coef arithmetic's coefficients, text included, and
+    commute with instantiation at random points."""
     rng = random.Random(seed)
     blocks_seen = set()
     for _ in range(40):
-        a, b, f = _kernel_cases(table, weights, powers, rng, COEF_POOL)
+        a, b, f = _kernel_cases(table, weights, powers, rng,
+                                COEF_POOL + LAURENT_POOL)
         for e in (a, b, f):
             blocks, _ = split_blocks(e.terms)
             blocks_seen.update(blocks)
-        assert _operands(a, b)[1] is not None
-        _assert_kernels_match_references(a, b, f)
+        _assert_kernels_match_references(a, b, f, random_point(rng))
     assert {(1, 0), (0, 1), (0, -1), (1, -1), (0, 0)} <= blocks_seen
 
 
@@ -472,35 +473,27 @@ def test_sums_over_two_monomial_denominators_print_as_the_coef_path():
     assert c.text() == (expected / g).text() == "(-3/4*gamma + 2*xi)/(gamma^2*xi)"
 
 
-def test_one_disguised_coefficient_sends_the_whole_call_down_the_coef_path():
-    """A coefficient whose denominator is not a monomial, in either
-    operand, makes the call loop over the Coef maps; the result equals the
-    call on both operands disguised and the reference.  Symbolic monomial
-    coefficients alone do not."""
-    rng = random.Random(317)
-    g = WeylElement.const(PLAIN_TABLE, Coef.gamma())
-    odd = WeylElement.const(PLAIN_TABLE, disguised(Coef.const(Fraction(2, 3))))
-    for _ in range(30):
-        a, b = (random_element(PLAIN_TABLE, rng, max_terms=3, coefs=COEF_POOL)
-                for _ in range(2))
-        f = random_state(PLAIN_TABLE, rng, coefs=COEF_POOL)
-        a_odd = a + mul(odd, V("u", 3))
-        f_odd = f + mul(odd, V("u", 4))
-        assert split_blocks(a_odd.terms) is None
-        assert split_blocks(f_odd.terms) is None
-        assert _operands(a + mul(g, V("u", 3)), b)[1] is not None
-        for op, u, v in ((mul, a_odd, b), (mul, b, a_odd),
-                         (commutator, a_odd, b), (commutator, b, a_odd),
-                         (apply_to, a_odd, f), (apply_to, a, f_odd)):
-            assert _operands(u, v)[1] is None
-            got = op(u, v)
-            check_canonical(got)
-            assert got == op(disguised_element(u), disguised_element(v))
-            reference = (reference_apply_to(u, v) if op is apply_to
-                         else reference_mul(u, v) if op is mul
-                         else reference_mul(u, v) - reference_mul(v, u))
-            assert got == reference
-        assert a_odd._blocks is False and f_odd._blocks is False
+@pytest.mark.parametrize("build", [build_osc_l1, build_free_l1])
+def test_symbolic_family_kernels_commute_with_instantiation(build):
+    """Every coefficient of mul, commutator and apply_to on the symbolic
+    generators, instantiated at a random nonzero point, equals the same
+    kernel on the family built at that numeric gamma and xi."""
+    rng = random.Random(353)
+    symbolic = build()
+    for _ in range(3):
+        point = random_point(rng)
+        numeric = build(*point)
+        names = list(symbolic.generators)
+        for p in names:
+            a, a_num = symbolic[p], numeric[p]
+            assert at_point(a, *point) == a_num
+            f = random_state(symbolic.table, rng, coefs=COEF_POOL + LAURENT_POOL)
+            assert (at_point(apply_to(a, f), *point)
+                    == apply_to(a_num, at_point(f, *point)))
+            for q in names:
+                b, b_num = symbolic[q], numeric[q]
+                assert at_point(mul(a, b), *point) == mul(a_num, b_num)
+                assert at_point(commutator(a, b), *point) == commutator(a_num, b_num)
 
 
 def test_unchecked_operands_fill_their_split_slot():
@@ -584,20 +577,22 @@ def test_apply_to_matches_reference_on_dense_vectors(table, powers, weights,
     coefficient text included, when several terms of the operator share
     one derivative block, on Fraction exponents and weights, negative
     powers of tau, d[t] over exponential weights and gamma/xi blocks; and
-    so does the same call with a disguised operand, on the Coef path."""
+    instantiating it at a random point gives apply_to on the instantiated
+    operands."""
     rng = random.Random(seed)
     for _ in range(30):
         a = (_shared_block_operator(table, rng, powers, weights, coefs)
              + random_element(table, rng, max_terms=3, weights=weights,
                               powers=powers, coefs=coefs))
         f = _scalar_function(table, rng, powers, weights, coefs)
-        for u, v in ((a, f), (disguised_element(a), f), (a, disguised_element(f))):
-            got = apply_to(u, v)
-            check_canonical(got)
-            reference = reference_apply_to(u, v)
-            assert got == reference
-            assert got.text() == reference.text()
-            assert (_operands(u, v)[1] is None) == (u is not a or v is not f)
+        got = apply_to(a, f)
+        check_canonical(got)
+        reference = reference_apply_to(a, f)
+        assert got == reference
+        assert got.text() == reference.text()
+        point = random_point(rng)
+        assert at_point(got, *point) == apply_to(at_point(a, *point),
+                                                 at_point(f, *point))
 
 
 def test_canonicality_is_idempotent():
@@ -757,6 +752,10 @@ def test_degree_of_generators():
     assert degree_of(z0, z0) == 0
     assert degree_of(free["q"], z0) == 0
     assert degree_of(free["v+1"] + free["v0"], z0) is None
+    # the top coefficient of [z0, g] is (3 gamma + 2 xi) x^2, which
+    # gamma + xi does not divide
+    g = parse_element("(gamma + xi) * x^2 + (gamma) * x", PLAIN_TABLE)
+    assert degree_of(g, mul(V("x"), D("x")) + mul(V("x", 2), D("x"))) is None
 
 
 def test_degree_table_matches_index_labels():
@@ -794,6 +793,18 @@ def test_roundtrip_is_byte_stable():
         e = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
         text = element_to_text(e)
         assert element_to_text(parse_element(text, TIME_TABLE)) == text
+
+
+def test_parse_divides_by_a_dividing_denominator_and_names_any_other():
+    x = V("x")
+    g, xi = Coef.gamma(), Coef.xi()
+    assert parse_element("(2*gamma + 2*xi)/(gamma + xi) * x", PLAIN_TABLE) == 2 * x
+    got = parse_element("(gamma^2 - xi^2)/(gamma + xi) * x", PLAIN_TABLE)
+    assert got == (g - xi) * x
+    assert element_to_text(got) == "(gamma - xi) * x"
+    for coefficient in ("(gamma)/(gamma + xi)", "(1)/(0)"):
+        with pytest.raises(ValueError, match=re.escape(coefficient)):
+            parse_element(coefficient + " * x", PLAIN_TABLE)
 
 
 def test_roundtrip_rational_exponents_and_weights():
