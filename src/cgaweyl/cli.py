@@ -450,7 +450,12 @@ def main(argv=None) -> int:
     if output is None and os.environ.get(REPORT_DIR_ENV):
         ext = "json" if args.format == "json" else "md"
         output = Path(os.environ[REPORT_DIR_ENV]) / f"{args.command}.{ext}"
-    text = emit_report(doc, args.format, output)
+    try:
+        text = emit_report(doc, args.format, output)
+    except OSError as exc:
+        print(f"error: cannot write report to {output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     if output is not None:
         print(f"report written to {output} (ok={str(doc['ok']).lower()})")
     else:

@@ -20,7 +20,6 @@ from .weyl import (
     WeylElement,
     apply_to,
     commutator,
-    monomial,
     remap,
 )
 from .realizations import (
@@ -42,7 +41,7 @@ def at_time_zero(e: WeylElement) -> WeylElement:
     """Evaluate exponential weights at t = 0 (e^(c*t) -> 1)."""
     out: dict = {}
     for (mon, der), c in e.terms.items():
-        key = (monomial(0, dict(mon.powers)), der)
+        key = (mon[:-1] + (0,), der)
         s = out.get(key)
         out[key] = c if s is None else s + c
     return WeylElement(e.table, out)

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef
 from .weyl import (
-    DER_NONE,
     DomainViolation,
-    Monomial,
     VarTable,
     WeylElement,
     commutator,
     free_to_osc,
-    monomial,
     mul,
     remap,
 )
@@ -525,14 +523,7 @@ def _solve_linear(unknowns: list[str],
 # on-shell invariance
 
 def _deriv_key(der):
-    return (der.t_order, sum(k for _, k in der.orders), der.orders)
-
-
-def _mon_key(table: VarTable, mon: Monomial):
-    dense = [mon.weight] + [0] * len(table.names)
-    for i, p in mon.powers:
-        dense[1 + i] = p
-    return tuple(dense)
+    return (der[-1], sum(der), der)
 
 
 def extract_scalar_factor(comm: WeylElement, omega: WeylElement
@@ -559,30 +550,26 @@ def extract_scalar_factor(comm: WeylElement, omega: WeylElement
     work = dict(cm_parts.get(dmax, {}))
     if not work:
         return None
-    lead_mon = max(om_d, key=lambda m: _mon_key(table, m))
+    # the tuple order is total and products preserve it, so leads divide
+    lead_mon = max(om_d)
     lead_c = om_d[lead_mon]
-    f_terms: dict[tuple[Monomial, object], Coef] = {}
+    f_terms: dict[tuple[tuple, tuple], Coef] = {}
     fuel = 8 * (len(work) + len(om_d)) + 64
     while work:
         fuel -= 1
         if fuel < 0:
             return None
-        mc = max(work, key=lambda m: _mon_key(table, m))
+        mc = max(work)
         cc = work[mc]
         try:
             fc = cc / lead_c
         except NotDivisible:
             return None
-        powers = dict(mc.powers)
-        for i, p in lead_mon.powers:
-            powers[i] = powers.get(i, 0) - p
-        fm = monomial(mc.weight - lead_mon.weight, powers)
-        f_terms[(fm, DER_NONE)] = f_terms.get((fm, DER_NONE), COEF_ZERO) + fc
+        fm = tuple(map(sub, mc, lead_mon))
+        key = (fm, table.zeros)
+        f_terms[key] = f_terms.get(key, COEF_ZERO) + fc
         for m2, c2 in om_d.items():
-            prod_powers = dict(fm.powers)
-            for i, p in m2.powers:
-                prod_powers[i] = prod_powers.get(i, 0) + p
-            pm = monomial(fm.weight + m2.weight, prod_powers)
+            pm = tuple(map(add, fm, m2))
             s = work.get(pm, COEF_ZERO) - fc * c2
             if s.is_zero():
                 work.pop(pm, None)

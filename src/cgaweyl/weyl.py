@@ -8,23 +8,27 @@ derivative factors to the right using
     d[t]^a e^(ct) = sum_k C(a,k) c^k e^(ct) d[t]^(a-k)
 
 with the falling factorial valid for rational exponents p; distinct
-variables commute.  Canonical form (sorted term map, no zero coefficients,
-no zero exponents) makes equality a structural check.
+variables commute.  Canonical form (one key per term, no zero
+coefficients) makes equality a structural check.
 
 The ``WeylElement`` constructor alone enforces canonical form for every
-element, kernel results included: it drops zero coefficients and rejects
-exponents outside their variable's domain and time parts over a table
-without time.  The kernels accumulate raw sums and leave both rules to it.
+element, kernel results included: it drops zero coefficients, stores
+integral exponents as ``int``, and rejects exponents outside their
+variable's domain and time parts over a table without time.  The kernels
+accumulate raw sums and leave these rules to it.
 
-Exponents and time weights are exact rationals with one canonical type:
-``int`` when the value is integral, ``Fraction`` only when it is genuinely
-fractional (RAT-domain exponents, fractional weights).  :func:`monomial`
-is the only place that applies this rule.  Every ``Monomial`` is built
-through it except the all-int keys of :func:`apply_to`, which need no
-rule (see :func:`_dense_monomial`), so integral keys hash and compare as
-plain ints.  Since ``hash(2) == hash(Fraction(2))`` and ``2 ==
-Fraction(2)``, callers may still pass integral values as ``Fraction``;
-results are the same.
+Every term is keyed by a pair of plain tuples with one slot per table
+variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
+exponents and the weight of e^(weight*t), and ``der = (k_0, ..., k_{n-1},
+t_order)``, the derivative orders and the order of d[t].  Multiplying
+monomials (or derivative blocks) adds their keys slot by slot, and
+``VarTable.zeros`` is both the monomial 1 and the empty block.  A slot is
+``int`` when integral and ``Fraction`` only when genuinely fractional.
+Since ``hash(2) == hash(Fraction(2))`` and ``2 == Fraction(2)``, kernels
+may carry integral Fractions in their sums; the constructor stores them as
+``int``.  Terms print in the order of (d[t] order, (index, order) pairs,
+weight, (index, exponent) pairs) read off the nonzero slots, not in the
+order of the raw tuples.
 
 Reorderings are memoized.  Passing a derivative block past a monomial is
 a pure function of two immutable, hashable values, and the same pairs
@@ -38,15 +42,6 @@ The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.
-
-:func:`apply_to` runs on dense exponent vectors.  Inside one call each
-operand monomial becomes one tuple: a slot per table variable, then the
-time weight.  The image of each distinct derivative block d1 on the terms
-of ``f`` (the shifted vectors, with the falling factorials and the d[t]
-weight factor folded into their coefficients) is made once, not once per
-term of ``a``; a term m1 * d1 adds m1's vector to each entry of it.  The
-sums are keyed by the vectors, and one ``Monomial`` is built per output
-key, at the end.
 
 Coefficients run on int numerators, one monomial block at a time.  Every
 coefficient is a Laurent polynomial in gamma and xi, so
@@ -78,7 +73,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as cartesian
+from itertools import groupby, islice, product as cartesian
 from operator import add
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
@@ -88,7 +83,7 @@ NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
 RAT = "rat"   # exponents in Q
 
-Exponent = int | Fraction  # int when integral, see monomial()
+Exponent = int | Fraction  # int when integral, see WeylElement
 
 _RESERVED_NAMES = {"e", "d", "t"}
 
@@ -114,12 +109,17 @@ class VarTable:
     """Ordered variable set with per-variable exponent domains.
 
     ``has_time`` enables the distinguished time variable t, carried by
-    elements as exponential weights e^(a*t) together with d[t].
+    elements as exponential weights e^(a*t) together with d[t].  ``zeros``
+    is the all-zero key vector of the table: the monomial 1 and the empty
+    derivative block.
     """
 
     names: tuple[str, ...]
     domains: tuple[str, ...]
     has_time: bool = False
+    zeros: tuple = field(init=False, repr=False, compare=False)
+    # one slice per run of adjacent NAT variables, for the constructor
+    _nat_runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
@@ -132,6 +132,14 @@ class VarTable:
         for d in self.domains:
             if d not in (NAT, INT, RAT):
                 raise ValueError(f"unknown exponent domain {d!r}")
+        runs, start = [], 0
+        for is_nat, run in groupby(self.domains, key=NAT.__eq__):
+            end = start + len(list(run))
+            if is_nat:
+                runs.append(slice(start, end))
+            start = end
+        object.__setattr__(self, "zeros", (0,) * (len(self.names) + 1))
+        object.__setattr__(self, "_nat_runs", tuple(runs))
 
     def index(self, name: str) -> int:
         try:
@@ -158,92 +166,6 @@ class VarTable:
         return VarTable(self.names, tuple(doms), self.has_time)
 
 
-@dataclass(frozen=True, eq=True)
-class Monomial:
-    """e^(weight*t) times a product of variable powers.
-
-    ``powers`` holds (variable index, exponent) pairs sorted by index with
-    no zero exponents.  The weight and every exponent are ``int`` when
-    integral and ``Fraction`` otherwise; build instances with
-    :func:`monomial`, which enforces this (:func:`_dense_monomial` builds
-    all-int ones directly).  The hash is computed once, at
-    construction, since every memo lookup and term-map access hashes keys.
-    """
-
-    weight: Exponent
-    powers: tuple[tuple[int, Exponent], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.weight, self.powers)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def power_of(self, idx: int) -> Exponent:
-        for i, p in self.powers:
-            if i == idx:
-                return p
-        return 0
-
-
-@dataclass(frozen=True, eq=True)
-class DerivIndex:
-    """Derivative multi-index: (variable index, order) pairs plus d[t] order.
-
-    Hashed once, at construction, like :class:`Monomial`.
-    """
-
-    orders: tuple[tuple[int, int], ...]
-    t_order: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.orders, self.t_order)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def is_empty(self) -> bool:
-        return not self.orders and not self.t_order
-
-
-def monomial(weight: Exponent, powers: dict[int, Exponent]) -> Monomial:
-    """The canonical Monomial e^(weight*t) * prod_i v_i^powers[i].
-
-    Drops zero exponents, sorts by variable index, and stores each value
-    as ``int`` when it is integral and as ``Fraction`` only otherwise.
-    The one place that applies this rule; ``apply_to`` sends every output
-    key holding a ``Fraction`` here (:func:`_dense_monomial`).
-    """
-    if type(weight) is not int and weight.denominator == 1:
-        weight = weight.numerator
-    return Monomial(weight, tuple(sorted(
-        (i, p if type(p) is int or p.denominator != 1 else p.numerator)
-        for i, p in powers.items() if p)))
-
-
-def _dense_monomial(v: tuple) -> Monomial:
-    """The Monomial of a dense vector: exponents by variable index, then weight.
-
-    An all-int vector, the one kind whose sum is an int, is canonical as it
-    stands; any other goes through :func:`monomial`.
-    """
-    powers = v[:-1]
-    if type(sum(v)) is int:  # a list first, as for the keys in apply_to
-        return Monomial(v[-1], tuple([(i, p) for i, p in enumerate(powers) if p]))
-    return monomial(v[-1], dict(enumerate(powers)))
-
-
-MON_ONE = monomial(0, {})
-DER_NONE = DerivIndex((), 0)
-
-
-def _mk_deriv(orders: dict[int, int], t_order: int) -> DerivIndex:
-    items = tuple(sorted((i, k) for i, k in orders.items() if k))
-    return DerivIndex(items, t_order)
-
-
 def falling(p: Exponent, k: int) -> Exponent:
     """Falling factorial p(p-1)...(p-k+1); exact for rational p, int for int p."""
     out = 1
@@ -252,13 +174,18 @@ def falling(p: Exponent, k: int) -> Exponent:
     return out
 
 
-def _term_sort_key(key: tuple[Monomial, DerivIndex]):
+def _sparse(v: tuple) -> list:
+    """The (variable index, value) pairs of the nonzero variable slots of ``v``."""
+    return [(i, p) for i, p in enumerate(v[:-1]) if p]
+
+
+def _term_sort_key(key: tuple[tuple, tuple]):
     mon, der = key
-    return (der.t_order, der.orders, mon.weight, mon.powers)
+    return (der[-1], _sparse(der), mon[-1], _sparse(mon))
 
 
 class WeylElement:
-    """Canonical normal-ordered operator: a term map (Monomial, DerivIndex) -> Coef.
+    """Canonical normal-ordered operator: a term map (mon, der) -> Coef.
 
     ``_blocks`` caches :func:`cgaweyl.scalar.split_blocks` of ``terms``; it
     is None, or unset on an element made without the constructor, until a
@@ -268,20 +195,31 @@ class WeylElement:
     __slots__ = ("table", "terms", "_blocks")
 
     def __init__(self, table: VarTable,
-                 terms: dict[tuple[Monomial, DerivIndex], Coef] | None = None):
+                 terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
         self._blocks = None
-        cleaned: dict[tuple[Monomial, DerivIndex], Coef] = {}
+        timeless, runs = not table.has_time, table._nat_runs
+        cleaned: dict[tuple[tuple, tuple], Coef] = {}
         for key, c in (terms or {}).items():
             if c.is_zero():
                 continue
             mon, der = key
-            if mon.weight and not table.has_time:
+            if timeless and mon[-1]:
                 raise DomainViolation("exponential weight in a table without time")
-            if der.t_order and not table.has_time:
+            if timeless and der[-1]:
                 raise DomainViolation("d[t] in a table without time")
-            for i, p in mon.powers:
-                table.check_power(i, p)
+            check = Fraction in map(type, mon)
+            if check:  # the int rule
+                mon = tuple([p if type(p) is int or p.denominator != 1
+                             else p.numerator for p in mon])
+                key = (mon, der)
+            else:  # all int: only a negative NAT slot can leave its domain
+                for s in runs:
+                    if min(mon[s]) < 0:
+                        check = True
+            if check:
+                for i, p in enumerate(mon[:-1]):
+                    table.check_power(i, p)
             cleaned[key] = c
         self.terms = cleaned
 
@@ -293,30 +231,36 @@ class WeylElement:
 
     @staticmethod
     def const(table: VarTable, value) -> "WeylElement":
-        return WeylElement(table, {(MON_ONE, DER_NONE): coef(value)})
+        return WeylElement(table, {(table.zeros, table.zeros): coef(value)})
+
+    @staticmethod
+    def _unit(table: VarTable, slot: int, value, derivative: bool) -> "WeylElement":
+        v = list(table.zeros)
+        v[slot] = value
+        key = (table.zeros, tuple(v)) if derivative else (tuple(v), table.zeros)
+        return WeylElement(table, {key: COEF_ONE})
 
     @staticmethod
     def var(table: VarTable, name: str, power=1) -> "WeylElement":
-        mon = monomial(0, {table.index(name): as_fraction(power)})
-        return WeylElement(table, {(mon, DER_NONE): COEF_ONE})
+        p = power if type(power) is int else as_fraction(power)
+        return WeylElement._unit(table, table.index(name), p, False)
 
     @staticmethod
     def deriv(table: VarTable, name: str, order: int = 1) -> "WeylElement":
-        der = _mk_deriv({table.index(name): order}, 0)
-        return WeylElement(table, {(MON_ONE, der): COEF_ONE})
+        return WeylElement._unit(table, table.index(name), order, True)
 
     @staticmethod
     def time_deriv(table: VarTable, order: int = 1) -> "WeylElement":
         if not table.has_time:
             raise DomainViolation("d[t] in a table without time")
-        return WeylElement(table, {(MON_ONE, DerivIndex((), order)): COEF_ONE})
+        return WeylElement._unit(table, -1, order, True)
 
     @staticmethod
     def exp_t(table: VarTable, weight) -> "WeylElement":
-        w = as_fraction(weight)
+        w = weight if type(weight) is int else as_fraction(weight)
         if not table.has_time:
             raise DomainViolation("exponential weight in a table without time")
-        return WeylElement(table, {(monomial(w, {}), DER_NONE): COEF_ONE})
+        return WeylElement._unit(table, -1, w, False)
 
     # -- predicates -----------------------------------------------------------
 
@@ -325,7 +269,8 @@ class WeylElement:
 
     def is_scalar_function(self) -> bool:
         """True when no term carries a derivative factor."""
-        return all(der.is_empty() for _, der in self.terms)
+        zeros = self.table.zeros
+        return all(der == zeros for _, der in self.terms)
 
     def constant_value(self) -> Coef | None:
         """The Coef value of a constant element (possibly zero), else None."""
@@ -333,18 +278,14 @@ class WeylElement:
             return COEF_ZERO
         if len(self.terms) == 1:
             (key, c), = self.terms.items()
-            if key == (MON_ONE, DER_NONE):
+            if key == (self.table.zeros, self.table.zeros):
                 return c
         return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        if self.table != other.table:
-            return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.table == other.table and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -399,81 +340,39 @@ class WeylElement:
 # ---------------------------------------------------------------------------
 # products
 
-def _reorder_options(der: DerivIndex, mon: Monomial):
+def _reorder_options(der: tuple, mon: tuple):
     """All ways of passing the derivative block ``der`` through ``mon``.
 
     Yields (rational factor, picked-up monomial, remaining derivative).
     """
-    choices = []
-    for i, a in der.orders:
-        p = mon.power_of(i)
-        if p == 0:
-            choices.append([(i, 0, a, 1)])
-            continue
-        opts = []
-        for k in range(a + 1):
-            f = math.comb(a, k) * falling(p, k)
-            if f:
-                opts.append((i, k, a - k, f))
-        choices.append(opts)
-    if der.t_order:
-        a, w = der.t_order, mon.weight
-        if w == 0:
-            choices.append([(-1, 0, a, 1)])
-        else:
-            choices.append([(-1, k, a - k, math.comb(a, k) * w**k)
-                            for k in range(a + 1)])
-    if not choices:
-        yield 1, mon, DER_NONE
-        return
-    base_powers = dict(mon.powers)
+    last, choices = len(der) - 1, []
+    for i, a in enumerate(der):
+        if a:
+            p = mon[i]
+            opts = []
+            for k in range(a + 1):
+                f = math.comb(a, k) * (p**k if i == last else falling(p, k))
+                if f:
+                    opts.append((i, k, a - k, f))
+            choices.append(opts)
     for combo in cartesian(*choices):
-        factor = 1
-        powers = dict(base_powers)
-        orders: dict[int, int] = {}
-        t_rem = 0
+        factor, m, d = 1, list(mon), [0] * len(der)
         for i, k, rem, f in combo:
             factor *= f
-            if i == -1:
-                t_rem = rem
-            else:
-                if k:
-                    powers[i] -= k
-                if rem:
-                    orders[i] = rem
-        yield factor, monomial(mon.weight, powers), _mk_deriv(orders, t_rem)
+            d[i] = rem
+            if i != last:  # d[t] keeps the weight
+                m[i] -= k
+        yield factor, tuple(m), tuple(d)
 
 
 @lru_cache(maxsize=REORDER_CACHE_SIZE)
-def _reorder_corrections(der: DerivIndex, mon: Monomial):
+def _reorder_corrections(der: tuple, mon: tuple):
     """The k >= 1 options of ``_reorder_options(der, mon)``, as a tuple.
 
     The first option, (1, mon, der), is dropped, so the tuple is empty
     for an empty ``der``.  Memoized, at most ``REORDER_CACHE_SIZE`` entries.
     """
     return tuple(islice(_reorder_options(der, mon), 1, None))
-
-
-def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not b.powers and not b.weight:
-        return a
-    if not a.powers and not a.weight:
-        return b
-    powers = dict(a.powers)
-    for i, p in b.powers:
-        powers[i] = powers.get(i, 0) + p
-    return monomial(a.weight + b.weight, powers)
-
-
-def _der_mul(a: DerivIndex, b: DerivIndex) -> DerivIndex:
-    if a.is_empty():
-        return b
-    if b.is_empty():
-        return a
-    orders = dict(a.orders)
-    for i, k in b.orders:
-        orders[i] = orders.get(i, 0) + k
-    return _mk_deriv(orders, a.t_order + b.t_order)
 
 
 def _split(e: WeylElement):
@@ -514,11 +413,16 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
         for (m1, d1), c1 in terms_a.items():
             for (m2, d2), c2 in terms_b.items():
                 base = c1 * c2
-                key = (_mon_mul(m1, m2), _der_mul(d1, d2))
+                # Key sums go via a list: tuple(map(...)) allocates by a
+                # guessed length and resizes, so its keys would skip
+                # CPython's per-length tuple free lists on allocation yet
+                # fill them on release.
+                key = (tuple([*map(add, m1, m2)]), tuple([*map(add, d1, d2)]))
                 s = out.get(key)
                 out[key] = base if s is None else s + base
                 for factor, m_mid, d_rem in _reorder_corrections(d1, m2):
-                    key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
+                    key = (tuple([*map(add, m1, m_mid)]),
+                           tuple([*map(add, d_rem, d2)]))
                     c = base * factor
                     s = out.get(key)
                     out[key] = c if s is None else s + c
@@ -552,7 +456,8 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                     for factor, m_mid, d_rem in _reorder_corrections(d_left, right):
                         if base is None:
                             base = c1 * c2
-                        key = (_mon_mul(left, m_mid), _der_mul(d_rem, d_right))
+                        key = (tuple([*map(add, left, m_mid)]),
+                               tuple([*map(add, d_rem, d_right)]))
                         c = base * (sign * factor)
                         s = out.get(key)
                         out[key] = c if s is None else s + c
@@ -568,48 +473,38 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
 
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
-    Runs on dense exponent vectors; see the module docstring.
+    The image of each distinct derivative block d1 on the terms of ``f``
+    (the shifted monomials, with the falling factorials and the d[t] weight
+    factor folded into their coefficients) is made once, not once per term
+    of ``a``; a term m1 * d1 adds m1 to each monomial of it.
     """
     sums, den, pairs = _operands(a, f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    size, dense = len(a.table.names) + 1, {}
-    for mon, _ in (*a.terms, *f.terms):
-        v = [0] * size
-        for i, p in mon.powers:
-            v[i] = p
-        v[-1] = mon.weight
-        dense[mon] = tuple(v)
+    zeros = a.table.zeros
     for terms_a, terms_f, out in pairs:
-        f_vectors = [(dense[m2], c2) for (m2, _), c2 in terms_f.items()]
         images = {}
         for (m1, d1), c1 in terms_a.items():
             image = images.get(d1)
             if image is None:
                 image = images[d1] = []
-                for w, c2 in f_vectors:
+                orders, t_order = _sparse(d1), d1[-1]
+                for (w, _), c2 in terms_f.items():
                     factor = 1
-                    for i, k in d1.orders:
+                    for i, k in orders:
                         factor *= falling(w[i], k)
-                    if d1.t_order:
-                        factor *= w[-1] ** d1.t_order
+                    if t_order:
+                        factor *= w[-1] ** t_order
                     if factor:
                         w = list(w)
-                        for i, k in d1.orders:
+                        for i, k in orders:
                             w[i] -= k
                         image.append((tuple(w), c2 if factor == 1 else c2 * factor))
-            e1 = dense[m1]
             for w, c2 in image:
-                # Via a list: tuple(map(...)) allocates by a guessed length
-                # and resizes, so its keys would skip CPython's per-length
-                # tuple free lists on allocation yet fill them on release.
-                key = tuple([*map(add, e1, w)])
+                key = (tuple([*map(add, m1, w)]), zeros)  # a list first, see mul
                 c = c1 * c2
                 s = out.get(key)
                 out[key] = c if s is None else s + c
-    mons = {v: _dense_monomial(v) for out in sums.values() for v, c in out.items() if c}
-    for blk, out in sums.items():
-        sums[blk] = {(mons[v], DER_NONE): c for v, c in out.items() if c}
     return WeylElement(a.table, join_blocks(sums, den))
 
 
@@ -628,20 +523,17 @@ def substitute(a: WeylElement, scales: dict[str, Coef]) -> WeylElement:
         if c.is_zero():
             raise ZeroScaleFactor(f"zero scale factor for {name!r}")
         idx_scales[a.table.index(name)] = c
-    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
+    out: dict[tuple[tuple, tuple], Coef] = {}
     for (mon, der), c in a.terms.items():
-        for i, p in mon.powers:
-            if i in idx_scales:
-                if p.denominator != 1:
+        for i, scale in idx_scales.items():
+            if mon[i]:
+                if mon[i].denominator != 1:
                     raise DomainViolation(
                         "dilation substitution needs integer exponents")
-                c = c * idx_scales[i] ** int(p)
-        for i, k in der.orders:
-            if i in idx_scales:
-                c = c * idx_scales[i] ** (-k)
-        key = (mon, der)
-        s = out.get(key)
-        out[key] = c if s is None else s + c
+                c = c * scale ** int(mon[i])
+            if der[i]:
+                c = c * scale ** (-der[i])
+        out[(mon, der)] = c
     return WeylElement(a.table, out)
 
 
@@ -658,7 +550,9 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
     e^(-t) factors, d[x], d[y] pick up e^(t), and d[t] shifts to
     d[t] + x d[x] + y d[y]), then reparametrizes time: e^(k*t) -> tau^k,
     d[t] -> tau d[tau].  The composite is an algebra isomorphism onto the
-    tau picture, so it preserves all commutators.
+    tau picture, so it preserves all commutators.  ``free_table`` lists
+    tau first and then the variables of ``a.table``, as
+    :func:`free_table_for` builds it.
     """
     src = a.table
     if not src.has_time:
@@ -673,35 +567,25 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
 
     conjugated = WeylElement.zero(src)
     for (mon, der), c in a.terms.items():
-        w = mon.weight - mon.power_of(ix) - mon.power_of(iy)
-        for i, k in der.orders:
-            if i in (ix, iy):
-                w += k
-        base = WeylElement(src, {(monomial(w, dict(mon.powers)),
-                                  DerivIndex(der.orders, 0)): c})
-        while len(shift_pows) <= der.t_order:
+        w = mon[-1] - mon[ix] - mon[iy] + der[ix] + der[iy]
+        base = WeylElement(src, {(mon[:-1] + (w,), der[:-1] + (0,)): c})
+        while len(shift_pows) <= der[-1]:
             shift_pows.append(mul(shift_pows[-1], shift))
-        conjugated = conjugated + mul(base, shift_pows[der.t_order])
+        conjugated = conjugated + mul(base, shift_pows[der[-1]])
 
-    itau = free_table.index("tau")
     tau_dtau = mul(WeylElement.var(free_table, "tau"),
                    WeylElement.deriv(free_table, "tau"))
     td_pows = [WeylElement.const(free_table, 1)]
     out = WeylElement.zero(free_table)
     for (mon, der), c in conjugated.terms.items():
-        if mon.weight.denominator != 1 and free_table.domains[itau] != RAT:
+        if mon[-1].denominator != 1 and free_table.domains[0] != RAT:
             raise NonIntegerTimeWeight(
-                f"tau exponent {mon.weight} is not an integer")
-        powers = {itau: mon.weight}
-        for i, p in mon.powers:
-            powers[i + 1] = p
-        orders = {i + 1: k for i, k in der.orders}
-        base = WeylElement(free_table,
-                           {(monomial(0, powers),
-                             _mk_deriv(orders, 0)): c})
-        while len(td_pows) <= der.t_order:
+                f"tau exponent {mon[-1]} is not an integer")
+        base = WeylElement(free_table, {((mon[-1],) + mon[:-1] + (0,),
+                                         (0,) + der[:-1] + (0,)): c})
+        while len(td_pows) <= der[-1]:
             td_pows.append(mul(td_pows[-1], tau_dtau))
-        out = out + mul(base, td_pows[der.t_order])
+        out = out + mul(base, td_pows[der[-1]])
     return out
 
 
@@ -712,7 +596,7 @@ def degree_of(g: WeylElement, z0: WeylElement) -> Fraction | None:
         return Fraction(0)
     if g.is_zero():
         return None
-    key = max(g.terms, key=_term_sort_key)
+    key = next(iter(g.terms))
     top = c.terms.get(key)
     if top is None:
         return None
@@ -743,14 +627,14 @@ def element_to_text(e: WeylElement) -> str:
     parts = []
     for (mon, der), c in e.sorted_terms():
         factors = [c.wrapped_text()]
-        if mon.weight:
-            factors.append(f"e^({mon.weight}*t)")
-        for i, p in mon.powers:
+        if mon[-1]:
+            factors.append(f"e^({mon[-1]}*t)")
+        for i, p in _sparse(mon):
             factors.append(names[i] + _exp_text(p))
-        for i, k in der.orders:
+        for i, k in _sparse(der):
             factors.append(f"d[{names[i]}]" + ("" if k == 1 else f"^{k}"))
-        if der.t_order:
-            factors.append("d[t]" + ("" if der.t_order == 1 else f"^{der.t_order}"))
+        if der[-1]:
+            factors.append("d[t]" + ("" if der[-1] == 1 else f"^{der[-1]}"))
         parts.append(" * ".join(factors))
     return " + ".join(parts)
 
@@ -874,19 +758,17 @@ class _Parser:
             return p
         return self.fraction()
 
-    def term(self) -> tuple[Monomial, DerivIndex, Coef]:
+    def term(self) -> tuple[tuple, tuple, Coef]:
+        """One term; repeated factors multiply, so their slots add."""
         c = self.coefficient()
-        weight = 0
-        powers: dict[int, Exponent] = {}
-        orders: dict[int, int] = {}
-        t_order = 0
+        mon, der = list(self.table.zeros), list(self.table.zeros)
         while self.peek() == "*":
             self.take()
             tok = self.take()
             if tok == "e":
                 self.take("^")
                 self.take("(")
-                weight = self.fraction()
+                mon[-1] += self.fraction()
                 self.take("*")
                 self.take("t")
                 self.take(")")
@@ -898,24 +780,17 @@ class _Parser:
                 if self.peek() == "^":
                     self.take()
                     k = int(self.take())
-                if var == "t":
-                    t_order += k
-                else:
-                    i = self.table.index(var)
-                    orders[i] = orders.get(i, 0) + k
+                der[-1 if var == "t" else self.table.index(var)] += k
             else:
-                i = self.table.index(tok)
-                p = 1
-                if self.peek() == "^":
-                    p = self.exponent()
-                powers[i] = powers.get(i, 0) + p
-        return monomial(weight, powers), _mk_deriv(orders, t_order), c
+                mon[self.table.index(tok)] += (self.exponent()
+                                               if self.peek() == "^" else 1)
+        return tuple(mon), tuple(der), c
 
     def element(self) -> WeylElement:
         if self.peek() == "0" and self.i + 1 == len(self.toks):
             self.take()
             return WeylElement.zero(self.table)
-        terms: dict[tuple[Monomial, DerivIndex], Coef] = {}
+        terms: dict[tuple[tuple, tuple], Coef] = {}
         while True:
             mon, der, c = self.term()
             key = (mon, der)
@@ -942,13 +817,15 @@ def remap(e: WeylElement, target: VarTable,
     domain or comparing families built over differently ordered tables.
     """
     nm = name_map or {}
-    src_names = e.table.names
-    out: dict[tuple[Monomial, DerivIndex], Coef] = {}
+    size = len(target.names) + 1
+    out: dict[tuple[tuple, tuple], Coef] = {}
     for (mon, der), c in e.terms.items():
-        powers = {target.index(nm.get(src_names[i], src_names[i])): p
-                  for i, p in mon.powers}
-        orders = {target.index(nm.get(src_names[i], src_names[i])): k
-                  for i, k in der.orders}
-        key = (monomial(mon.weight, powers), _mk_deriv(orders, der.t_order))
+        m, d = [0] * size, [0] * size
+        m[-1], d[-1] = mon[-1], der[-1]
+        for i, name in enumerate(e.table.names):
+            if mon[i] or der[i]:
+                j = target.index(nm.get(name, name))
+                m[j], d[j] = mon[i], der[i]
+        key = (tuple(m), tuple(d))
         out[key] = out.get(key, COEF_ZERO) + c
     return WeylElement(target, out)

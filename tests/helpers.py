@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import (DER_NONE, NAT, RAT, Monomial, VarTable, WeylElement,
-                          _der_mul, _mon_mul, _reorder_options)
+from cgaweyl.weyl import NAT, RAT, VarTable, WeylElement, _reorder_options
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -101,15 +101,11 @@ def is_canonical_exponent(p) -> bool:
 def with_fraction_exponents(e: WeylElement) -> WeylElement:
     """The same element with every weight and exponent stored as a Fraction.
 
-    Builds the Monomial keys directly, bypassing the canonical constructor,
-    so kernels can be fed integral exponents of the other type.
+    Builds the keys directly, bypassing the canonical constructor, so
+    kernels can be fed integral exponents of the other type.
     """
-    terms = {}
-    for (mon, der), c in e.terms.items():
-        mon = Monomial(Fraction(mon.weight),
-                       tuple((i, Fraction(p)) for i, p in mon.powers))
-        terms[(mon, der)] = c
-    return WeylElement(e.table, terms)
+    return unchecked_element(e.table, {(tuple(map(Fraction, mon)), der): c
+                                       for (mon, der), c in e.terms.items()})
 
 
 def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
@@ -135,7 +131,7 @@ def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     for (m1, d1), c1 in a.terms.items():
         for (m2, d2), c2 in b.terms.items():
             for factor, m_mid, d_rem in _reorder_options(d1, m2):
-                key = (_mon_mul(m1, m_mid), _der_mul(d_rem, d2))
+                key = (tuple(map(add, m1, m_mid)), tuple(map(add, d_rem, d2)))
                 c = (c1 * c2).scale(factor)
                 out[key] = out[key] + c if key in out else c
     return WeylElement(a.table, out)
@@ -144,24 +140,25 @@ def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
 def reference_apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     """``apply_to(a, f)`` as the derivative-free part of ``reference_mul(a, f)``."""
     return WeylElement(a.table, {key: c for key, c in reference_mul(a, f).terms.items()
-                                 if key[1] == DER_NONE})
+                                 if not any(key[1])})
 
 
 def check_canonical(e: WeylElement) -> None:
     """Structural canonical-form invariants of a term map.
 
-    A constant coefficient's value is a ``Fraction``, never an ``int``.
+    Each key is two vectors of one slot per table variable and one for
+    time.  A constant coefficient's value is a ``Fraction``, never an
+    ``int``.
     """
+    size = len(e.table.names) + 1
     for (mon, der), c in e.terms.items():
         assert not c.is_zero()
         q = c.as_fraction()
         assert q is None or type(q) is Fraction
-        assert is_canonical_exponent(mon.weight)
-        assert all(is_canonical_exponent(p) for _, p in mon.powers)
-        assert list(mon.powers) == sorted(mon.powers)
-        assert all(p != 0 for _, p in mon.powers)
-        assert list(der.orders) == sorted(der.orders)
-        assert all(k > 0 for _, k in der.orders)
-        assert der.t_order >= 0
-        for i, p in mon.powers:
+        assert type(mon) is tuple and type(der) is tuple
+        assert len(mon) == len(der) == size
+        assert all(is_canonical_exponent(p) for p in mon)
+        assert all(type(k) is int and k >= 0 for k in der)
+        assert e.table.has_time or not (mon[-1] or der[-1])
+        for i, p in enumerate(mon[:-1]):
             e.table.check_power(i, p)

@@ -152,6 +152,26 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
     assert str(target) in out
 
 
+def test_unwritable_report_path_exits_two(tmp_path, capsys, monkeypatch):
+    """A report path that is a directory, or a report directory that is a
+    regular file, is one error line and exit 2; no temp file is left."""
+    target = tmp_path / "taken"
+    target.mkdir()
+    err = _assert_one_error_line(
+        ["verify", "--family", "osc-l1", "--output", str(target)], capsys)
+    assert err == f"error: cannot write report to {target}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+    plain = tmp_path / "plain"
+    plain.write_text("keep\n")
+    monkeypatch.setenv(REPORT_DIR_ENV, str(plain))
+    err = _assert_one_error_line(["verify", "--family", "osc-l1"], capsys)
+    assert err == (f"error: cannot write report to {plain / 'verify.json'}: "
+                   "File exists\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "taken"]
+    assert plain.read_text() == "keep\n"
+
+
 def _assert_one_error_line(argv, capsys) -> str:
     assert main(argv) == 2, argv
     captured = capsys.readouterr()

@@ -169,8 +169,8 @@ def test_general_invariant_coefficient_example():
     # coefficient of d[y2] d[u] at l = 2 is (-1)^2 / (2! 1!) = 1/2
     om = general_invariant_explicit(2)
     key = next(k for k in om.terms
-               if k[1].orders and len(k[1].orders) == 2 and not k[0].powers)
-    names = [om.table.names[i] for i, _ in key[1].orders]
+               if sum(map(bool, k[1][:-1])) == 2 and not any(k[0][:-1]))
+    names = [om.table.names[i] for i, k in enumerate(key[1][:-1]) if k]
     assert sorted(names) == ["u", "y2"]
     assert om.terms[key] == Coef.const(Fraction(1, 2))
 
