@@ -22,21 +22,26 @@ variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
 exponents and the weight of e^(weight*t), and ``der = (k_0, ..., k_{n-1},
 t_order)``, the derivative orders and the order of d[t].  Multiplying
 monomials (or derivative blocks) adds their keys slot by slot, and
-``VarTable.zeros`` is both the monomial 1 and the empty block.  A slot is
-``int`` when integral and ``Fraction`` only when genuinely fractional.
-Since ``hash(2) == hash(Fraction(2))`` and ``2 == Fraction(2)``, kernels
-may carry integral Fractions in their sums; the constructor stores them as
-``int``.  Terms print in the order of (d[t] order, (index, order) pairs,
-weight, (index, exponent) pairs) read off the nonzero slots, not in the
-order of the raw tuples.
+``VarTable.zeros`` is both the monomial 1 and the empty block.  A slot of
+a stored key is ``int`` when integral and ``Fraction`` only when genuinely
+fractional (the xi = 0 family's x^(w2/w1), weights such as e^(t/2)).
+Inside the kernels every slot is an ``int``: each element's exponent unit
+L is the lcm of the denominators of its monomial slots (1 when all are
+ints), and its keys enter a kernel with every monomial slot, weight
+included, times L.  A call runs on the lcm of its operands' units, and
+:func:`_result` divides each output key by it, storing ``int`` where the
+quotient is integral; so no ``Fraction`` is hashed or added per term pair.
+Terms print in the order of (d[t] order, (index, order) pairs, weight,
+(index, exponent) pairs) read off the nonzero slots, not in the order of
+the raw tuples.
 
-Reorderings are memoized.  Passing a derivative block past a monomial is
-a pure function of two immutable, hashable values, and the same pairs
-recur across thousands of term pairs, so :func:`_reorder_corrections`
-keeps its k >= 1 terms in a ``functools.lru_cache`` bounded by
-``REORDER_CACHE_SIZE`` entries.  The k = 0 term is always (1, mon, der)
+Reorderings are memoized.  Passing a derivative block past a monomial on
+the lattice of a unit is a pure function of three immutable, hashable
+values, and the same triples recur across thousands of term pairs, so
+:func:`_reorder_corrections` keeps its k >= 1 terms in a
+``functools.lru_cache`` bounded by ``REORDER_CACHE_SIZE`` entries.  The k = 0 term is always (1, mon, der)
 and is not cached: :func:`mul` writes it itself.  The generator
-:func:`_reorder_options` fills the cache and is the tests' reference.
+:func:`_reorder_options`, on the unscaled keys, is the tests' reference.
 
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
@@ -53,10 +58,12 @@ the single block (0, 0)).  :func:`mul`, :func:`commutator` and
 Python ints, and add each pair's sums into block (a1 + a2, b1 + b2).  This
 is exact: every term of the result is a sum of c1 * c2 * factor over the
 product of the two denominators, and the reordering factors are ints or,
-for fractional exponents and weights, Fractions.  No ``Coef`` is built per
-term pair; :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef``
-once, at the end.  Each element keeps its split form in a slot filled on
-first use.
+for a unit L > 1, an int over L^K, K the number of derivatives moved (a
+``Fraction`` unless it is integral).  No ``Coef`` is built per term pair;
+:func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
+the end.  Each element keeps its split form in a slot filled on
+first use, together with its unit; the constructor records when every
+slot is an ``int``, so splitting such an element needs no scan.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
@@ -88,7 +95,8 @@ Exponent = int | Fraction  # int when integral, see WeylElement
 _RESERVED_NAMES = {"e", "d", "t"}
 
 # Bound on the memoized reorderings (entries of _reorder_corrections).  One
-# `cgaweyl all` run fills 1,415 entries, about 0.6 MB in all.
+# `cgaweyl all` run fills 2,013 entries, about 0.6 MB in all (tracemalloc,
+# CPython 3.11.7).
 REORDER_CACHE_SIZE = 4096
 
 
@@ -187,18 +195,20 @@ def _term_sort_key(key: tuple[tuple, tuple]):
 class WeylElement:
     """Canonical normal-ordered operator: a term map (mon, der) -> Coef.
 
-    ``_blocks`` caches :func:`cgaweyl.scalar.split_blocks` of ``terms``; it
-    is None, or unset on an element made without the constructor, until a
-    kernel first uses the element.
+    ``_blocks`` caches the split form of :func:`_split`; it is None, or
+    unset on an element made without the constructor, until a kernel first
+    uses the element.  ``_int_keys`` records that the constructor saw no
+    ``Fraction`` slot, so splitting needs no scan for the exponent unit.
     """
 
-    __slots__ = ("table", "terms", "_blocks")
+    __slots__ = ("table", "terms", "_blocks", "_int_keys")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
         self._blocks = None
         timeless, runs = not table.has_time, table._nat_runs
+        int_keys = True
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
         for key, c in (terms or {}).items():
             if c.is_zero():
@@ -210,6 +220,7 @@ class WeylElement:
                 raise DomainViolation("d[t] in a table without time")
             check = Fraction in map(type, mon)
             if check:  # the int rule
+                int_keys = False
                 mon = tuple([p if type(p) is int or p.denominator != 1
                              else p.numerator for p in mon])
                 key = (mon, der)
@@ -222,6 +233,7 @@ class WeylElement:
                     table.check_power(i, p)
             cleaned[key] = c
         self.terms = cleaned
+        self._int_keys = int_keys
 
     # -- constructors ---------------------------------------------------------
 
@@ -365,41 +377,119 @@ def _reorder_options(der: tuple, mon: tuple):
         yield factor, tuple(m), tuple(d)
 
 
-@lru_cache(maxsize=REORDER_CACHE_SIZE)
-def _reorder_corrections(der: tuple, mon: tuple):
-    """The k >= 1 options of ``_reorder_options(der, mon)``, as a tuple.
+def _lattice_falling(n: int, k: int, unit: int) -> int:
+    """n(n - unit)...(n - (k-1)*unit), which is unit^k * falling(n/unit, k)."""
+    return math.prod(range(n, n - k * unit, -unit))
 
-    The first option, (1, mon, der), is dropped, so the tuple is empty
-    for an empty ``der``.  Memoized, at most ``REORDER_CACHE_SIZE`` entries.
+
+def _over_unit(num: int, unit: int, moved: int) -> int | Fraction:
+    """num / unit^moved, an ``int`` when it is integral."""
+    q = Fraction(num, unit ** moved)
+    return q.numerator if q.denominator == 1 else q
+
+
+@lru_cache(maxsize=REORDER_CACHE_SIZE)
+def _reorder_corrections(der: tuple, mon: tuple, unit: int):
+    """The k >= 1 options of ``_reorder_options`` on lattice keys, as a tuple.
+
+    ``mon`` holds every slot times ``unit`` as an int, and so does each
+    picked-up monomial: the option (f, m, d) of ``_reorder_options(der,
+    mon/unit)`` appears here as (f, m*unit, d).  Moving k derivatives off a
+    slot n takes the int n(n - unit)...(n - (k-1)*unit), or c^k off the time
+    weight c, and lowers n by k*unit; the product of these ints over
+    unit^K, K the number of derivatives moved, is f.  The first option, (1,
+    mon, der), is dropped, so the tuple is empty for an empty ``der``.
+    Memoized, at most ``REORDER_CACHE_SIZE`` entries.
     """
-    return tuple(islice(_reorder_options(der, mon), 1, None))
+    last, choices = len(der) - 1, []
+    for i, a in enumerate(der):
+        if a:
+            n = mon[i]
+            opts = []
+            for k in range(a + 1):
+                f = math.comb(a, k) * (n**k if i == last
+                                       else _lattice_falling(n, k, unit))
+                if f:
+                    opts.append((i, k, a - k, f))
+            choices.append(opts)
+    out = []
+    for combo in islice(cartesian(*choices), 1, None):
+        factor, m, d, moved = 1, list(mon), [0] * len(der), 0
+        for i, k, rem, f in combo:
+            factor *= f
+            d[i] = rem
+            moved += k
+            if i != last:  # d[t] keeps the weight
+                m[i] -= k * unit
+        out.append((_over_unit(factor, unit, moved), tuple(m), tuple(d)))
+    return tuple(out)
+
+
+def _scale_keys(terms: dict, r: int) -> dict:
+    """``terms`` with every monomial slot multiplied by ``r``, as ints.
+
+    ``r`` must clear every slot's denominator.
+    """
+    return {(tuple([p.numerator * (r // p.denominator) for p in mon]), der): v
+            for (mon, der), v in terms.items()}
 
 
 def _split(e: WeylElement):
-    """``split_blocks(e.terms)``, computed once per element."""
-    blocks = getattr(e, "_blocks", None)  # unset when made without __init__
-    if blocks is None:
-        blocks = e._blocks = split_blocks(e.terms)
-    return blocks
+    """The split form ``(blocks, den, unit)`` of ``e``, computed once.
+
+    ``unit`` is the exponent unit of ``e``: the lcm of the denominators of
+    its monomial slots, 1 when all are ints.  ``(blocks, den)`` is
+    ``split_blocks`` of ``e.terms`` with every monomial slot times ``unit``,
+    so every key slot is an int.
+    """
+    split = getattr(e, "_blocks", None)  # unset when made without __init__
+    if split is None:
+        if getattr(e, "_int_keys", False):
+            terms, unit = e.terms, 1
+        else:  # scan, and store integral Fraction slots as ints too
+            unit = math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
+            terms = _scale_keys(e.terms, unit)
+        split = e._blocks = (*split_blocks(terms), unit)
+    return split
 
 
 def _operands(a: WeylElement, b: WeylElement):
-    """Where a kernel's loop body runs: ``(sums, den, pairs)``.
+    """Where a kernel's loop body runs: ``(sums, den, unit, pairs)``.
 
     Each of ``pairs`` is (terms of a, terms of b, accumulator) for one pair
     of monomial blocks, holding int numerators; the body runs once per
     pair, and its accumulator is ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is
-    the product of the two common denominators, so the kernel's result is
-    ``join_blocks(sums, den)``.
+    the product of the two common denominators.  Both operands' keys are on
+    the lattice of ``unit``, the lcm of their exponent units (an operand
+    with a smaller unit is rescaled for this call), so the kernel's result
+    is ``_result(table, sums, den, unit)``.
     """
     a._require_same_table(b)
-    (blocks_a, den_a), (blocks_b, den_b) = _split(a), _split(b)
+    (blocks_a, den_a, unit_a), (blocks_b, den_b, unit_b) = _split(a), _split(b)
+    unit = math.lcm(unit_a, unit_b)
+    if unit_a != unit:
+        blocks_a = {blk: _scale_keys(t, unit // unit_a) for blk, t in blocks_a.items()}
+    if unit_b != unit:
+        blocks_b = {blk: _scale_keys(t, unit // unit_b) for blk, t in blocks_b.items()}
     sums, pairs = {}, []
     for (ga, xa), terms_a in blocks_a.items():
         for (gb, xb), terms_b in blocks_b.items():
             pairs.append((terms_a, terms_b,
                           sums.setdefault((ga + gb, xa + xb), {})))
-    return sums, den_a * den_b, pairs
+    return sums, den_a * den_b, unit, pairs
+
+
+def _result(table: VarTable, sums: dict, den: int, unit: int) -> WeylElement:
+    """The element of ``join_blocks(sums, den)`` with every key divided by ``unit``.
+
+    A slot that ``unit`` divides becomes an int, any other a ``Fraction``.
+    """
+    terms = join_blocks(sums, den)
+    if unit != 1:
+        terms = {(tuple([n // unit if n % unit == 0 else Fraction(n, unit)
+                         for n in mon]), der): c
+                 for (mon, der), c in terms.items()}
+    return WeylElement(table, terms)
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -408,7 +498,7 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     Each term pair gives its leading term (m1 m2)(d1 d2), then the
     memoized k >= 1 reordering terms of d1 past m2.
     """
-    sums, den, pairs = _operands(a, b)
+    sums, den, unit, pairs = _operands(a, b)
     for terms_a, terms_b, out in pairs:
         for (m1, d1), c1 in terms_a.items():
             for (m2, d2), c2 in terms_b.items():
@@ -420,13 +510,13 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
                 key = (tuple([*map(add, m1, m2)]), tuple([*map(add, d1, d2)]))
                 s = out.get(key)
                 out[key] = base if s is None else s + base
-                for factor, m_mid, d_rem in _reorder_corrections(d1, m2):
+                for factor, m_mid, d_rem in _reorder_corrections(d1, m2, unit):
                     key = (tuple([*map(add, m1, m_mid)]),
                            tuple([*map(add, d_rem, d2)]))
                     c = base * factor
                     s = out.get(key)
                     out[key] = c if s is None else s + c
-    return WeylElement(a.table, join_blocks(sums, den))
+    return _result(a.table, sums, den, unit)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -446,14 +536,14 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     entries.  It is shared by all threads and thread-safe: it holds only
     immutable values, and ``lru_cache`` guards its own bookkeeping.
     """
-    sums, den, pairs = _operands(a, b)
+    sums, den, unit, pairs = _operands(a, b)
     for terms_a, terms_b, out in pairs:
         for (m1, d1), c1 in terms_a.items():
             for (m2, d2), c2 in terms_b.items():
                 base = None
                 for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
                                                            (m2, d2, m1, d1, -1)):
-                    for factor, m_mid, d_rem in _reorder_corrections(d_left, right):
+                    for factor, m_mid, d_rem in _reorder_corrections(d_left, right, unit):
                         if base is None:
                             base = c1 * c2
                         key = (tuple([*map(add, left, m_mid)]),
@@ -461,7 +551,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                         c = base * (sign * factor)
                         s = out.get(key)
                         out[key] = c if s is None else s + c
-    return WeylElement(a.table, join_blocks(sums, den))
+    return _result(a.table, sums, den, unit)
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -478,7 +568,7 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     factor folded into their coefficients) is made once, not once per term
     of ``a``; a term m1 * d1 adds m1 to each monomial of it.
     """
-    sums, den, pairs = _operands(a, f)
+    sums, den, unit, pairs = _operands(a, f)
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
     zeros = a.table.zeros
@@ -489,23 +579,26 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
             if image is None:
                 image = images[d1] = []
                 orders, t_order = _sparse(d1), d1[-1]
+                moved = sum(d1)
                 for (w, _), c2 in terms_f.items():
                     factor = 1
-                    for i, k in orders:
-                        factor *= falling(w[i], k)
+                    for i, k in orders:  # _lattice_falling, inlined
+                        factor *= math.prod(range(w[i], w[i] - k * unit, -unit))
                     if t_order:
                         factor *= w[-1] ** t_order
                     if factor:
+                        if unit != 1:
+                            factor = _over_unit(factor, unit, moved)
                         w = list(w)
                         for i, k in orders:
-                            w[i] -= k
+                            w[i] -= k * unit
                         image.append((tuple(w), c2 if factor == 1 else c2 * factor))
             for w, c2 in image:
                 key = (tuple([*map(add, m1, w)]), zeros)  # a list first, see mul
                 c = c1 * c2
                 s = out.get(key)
                 out[key] = c if s is None else s + c
-    return WeylElement(a.table, join_blocks(sums, den))
+    return _result(a.table, sums, den, unit)
 
 
 # ---------------------------------------------------------------------------

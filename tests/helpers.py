@@ -1,11 +1,12 @@
 """Shared builders for the randomized engine tests (seeded, deterministic)."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from operator import add
 
-from cgaweyl.scalar import Coef
+from cgaweyl.scalar import Coef, split_blocks
 from cgaweyl.weyl import NAT, RAT, VarTable, WeylElement, _reorder_options
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
@@ -118,6 +119,19 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
     return e
+
+
+def split_form(e: WeylElement) -> tuple[dict, int, int]:
+    """The split form a kernel caches for ``e``, built independently.
+
+    ``(blocks, den, unit)``: ``unit`` is the lcm of the denominators of the
+    monomial slots of ``e``, and ``(blocks, den)`` is ``split_blocks`` of
+    its terms with every monomial slot times ``unit``, as an int.
+    """
+    unit = math.lcm(*(Fraction(p).denominator for mon, _ in e.terms for p in mon))
+    scaled = {(tuple(int(p * unit) for p in mon), der): c
+              for (mon, der), c in e.terms.items()}
+    return (*split_blocks(scaled), unit)
 
 
 def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -1,4 +1,5 @@
 """Normal ordering, products, application, substitutions, and serialization."""
+import math
 import random
 import re
 import sys
@@ -30,6 +31,7 @@ from cgaweyl.weyl import (
     substitute,
     _reorder_corrections,
     _reorder_options,
+    _split,
 )
 from cgaweyl.realizations import (
     build_free_general,
@@ -54,6 +56,7 @@ from helpers import (
     random_state,
     reference_apply_to,
     reference_mul,
+    split_form,
     unchecked_element,
     with_fraction_exponents,
 )
@@ -139,7 +142,11 @@ def test_commutator_antisymmetry_on_random_elements():
 ], ids=["plain", "time", "rat"])
 def test_reorder_memo_matches_generator(table, weights, powers, seed):
     """The memoized k >= 1 terms are the generator's options after its
-    first, and that first option is always (1, mon, der)."""
+    first, and that first option is always (1, mon, der).  The memo runs on
+    lattice keys: at unit L (the lcm of 1, 2 or 21 with the key's own
+    denominators) it takes every monomial slot times L, gives the same
+    factors, an int wherever the factor is integral, and picked-up
+    monomials of int slots that are the generator's times L."""
     rng = random.Random(seed)
     keys = set()
     for _ in range(30):
@@ -148,17 +155,26 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
         keys.update(e.terms)
     ders = {der for _, der in keys} | {table.zeros}
     mons = {mon for mon, _ in keys}
-    _reorder_corrections.cache_clear()
-    for der in ders:
-        for mon in mons:
-            options = tuple(_reorder_options(der, mon))
-            assert options[0] == (1, mon, der)
-            cached = _reorder_corrections(der, mon)
-            assert cached == options[1:]
-            assert _reorder_corrections(der, mon) is cached
-    info = _reorder_corrections.cache_info()
-    assert info.misses == len(ders) * len(mons) <= REORDER_CACHE_SIZE
-    assert info.maxsize == REORDER_CACHE_SIZE
+    for base_unit in (1, 2, 21):
+        _reorder_corrections.cache_clear()
+        for der in ders:
+            for mon in mons:
+                options = tuple(_reorder_options(der, mon))
+                assert options[0] == (1, mon, der)
+                unit = math.lcm(base_unit, *(Fraction(p).denominator for p in mon))
+                scaled = tuple(int(p * unit) for p in mon)
+                cached = _reorder_corrections(der, scaled, unit)
+                assert len(cached) == len(options) - 1
+                for (f, m, d), (f_ref, m_ref, d_ref) in zip(cached, options[1:]):
+                    assert f == f_ref and d == d_ref
+                    assert type(f) is (int if Fraction(f).denominator == 1
+                                       else Fraction)
+                    assert all(type(n) is int for n in m)
+                    assert tuple(Fraction(n, unit) for n in m) == m_ref
+                assert _reorder_corrections(der, scaled, unit) is cached
+        info = _reorder_corrections.cache_info()
+        assert info.misses == len(ders) * len(mons) <= REORDER_CACHE_SIZE
+        assert info.maxsize == REORDER_CACHE_SIZE
 
 
 def test_reorder_memo_is_shared_safely_by_threads():
@@ -193,7 +209,7 @@ def test_reorder_memo_is_shared_safely_by_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 12
     assert all(r == expected for r in results.values())
-    assert all(g._blocks == split_blocks(g.terms) is not None for g in fresh)
+    assert all(g._blocks == split_form(g) for g in fresh)
 
 
 def _assert_commutator_matches_products(a, b):
@@ -351,6 +367,88 @@ def test_fraction_exponents_that_sum_to_an_integer_are_stored_as_int():
     assert "x^" not in mul(fam["r(1)"], fam["r(-1)"]).text()
 
 
+def _assert_lattice_keys(e):
+    """The split form of ``e`` holds only int key slots."""
+    blocks, _, unit = _split(e)
+    assert type(unit) is int and unit >= 1
+    for block in blocks.values():
+        for mon, der in block:
+            assert all(type(n) is int for n in mon + der)
+
+
+@pytest.mark.parametrize("table, powers_a, powers_b, weights_a, weights_b, seed", [
+    (RAT_TABLE, (0, 1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)),
+     (0, 2, Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3)),
+     (0, Fraction(1, 2), Fraction(-1, 2)), (0, 1, Fraction(-1, 3)), 503),
+    (TIME_TABLE, None, None, (0, Fraction(1, 2), Fraction(-1, 2)),
+     (0, Fraction(3, 2), Fraction(-1, 7), 2), 509),
+], ids=["rat", "time"])
+def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
+                                             weights_a, weights_b, seed):
+    """Operands on different exponent lattices (x^(1/2) against x^(1/3),
+    e^(t/2) d[t]^2 against e^(-t/7)) meet on the lcm of their units.  mul,
+    commutator and apply_to equal their references; every result stores an
+    int slot wherever the value is integral, zero included; and the split
+    form of every operand and result, integral Fraction slots included,
+    holds only int key slots."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    x, y = WeylElement.var(table, "x"), WeylElement.var(table, "y")
+    dx, dt2 = WeylElement.deriv(table, "x"), WeylElement.time_deriv(table, 2)
+    e_half = WeylElement.exp_t(table, half)
+    e_minus_half = WeylElement.exp_t(table, -half)
+    cases = [(e_half * dt2, e_minus_half * x, e_minus_half * x * y)]
+    if table is RAT_TABLE:
+        xh, xt = (WeylElement.var(table, "x", p) for p in (half, third))
+        cases += [(xh * dx, xt, xt),
+                  (WeylElement.var(table, "x", -half) * dx,
+                   WeylElement.var(table, "x", Fraction(3, 2)) * y,
+                   WeylElement.var(table, "x", Fraction(3, 2))),
+                  (WeylElement.var(table, "y", Fraction(2, 3)) * dx,
+                   WeylElement.var(table, "y", third) * xh,
+                   WeylElement.var(table, "x", -half))]
+    rng = random.Random(seed)
+    for _ in range(40):
+        a = random_element(table, rng, max_terms=3, weights=weights_a,
+                           powers=powers_a)
+        a = a + e_half * dt2 * random_state(table, rng, max_terms=2)
+        b = random_element(table, rng, max_terms=3, weights=weights_b,
+                           powers=powers_b)
+        f = random_state(table, rng) * WeylElement.exp_t(table,
+                                                         rng.choice(weights_b))
+        if powers_b:
+            f = f * WeylElement.var(table, "x", rng.choice(powers_b))
+        cases.append((a, b, f))
+    units = set()
+    for a, b, f in cases:
+        results = [(mul(a, b), reference_mul(a, b)),
+                   (commutator(a, b), reference_mul(a, b) - reference_mul(b, a)),
+                   (apply_to(a, f), reference_apply_to(a, f))]
+        for got, reference in results:
+            check_canonical(got)
+            assert got == reference
+            assert got.text() == reference.text()
+        fa, ff = with_fraction_exponents(a), with_fraction_exponents(f)
+        assert mul(fa, b) == results[0][0] and apply_to(fa, ff) == results[2][0]
+        for e in (a, b, f, fa, ff, *(got for got, _ in results)):
+            _assert_lattice_keys(e)
+        units.add((_split(a)[2], _split(b)[2], _split(f)[2]))
+    # the fixed cases: products whose Fraction slots sum to an integer or 0
+    got = mul(*cases[0][:2])
+    assert {mon[-1] for mon, _ in got.terms} == {0}
+    assert all(type(p) is int for mon, _ in got.terms for p in mon)
+    if table is RAT_TABLE:
+        # x^(-1/2) d[x] x^(3/2) = 3/2: the x slot is an int 0
+        got = apply_to(cases[2][0], cases[2][2])
+        assert got.terms == {(table.zeros, table.zeros): Coef.const(Fraction(3, 2))}
+        assert all(type(p) is int for mon, _ in got.terms for p in mon)
+        # y^(2/3) d[x] y^(1/3) x^(1/2): y^1 in an int slot beside x^(+-1/2)
+        got = mul(*cases[3][:2])
+        assert {(mon[0], mon[1]) for mon, _ in got.terms} == {(half, 1), (-half, 1)}
+        assert all(type(mon[1]) is int for mon, _ in got.terms)
+        assert (2, 3, 3) in units
+    assert any(ua != ub for ua, ub, _ in units)
+
+
 # -- int numerators: monomial blocks -------------------------------------------
 
 RATIONAL_COEFS = tuple(Coef.const(q) for q in RATIONAL_POOL)
@@ -494,17 +592,20 @@ def test_symbolic_family_kernels_commute_with_instantiation(build):
 
 
 def test_unchecked_operands_fill_their_split_slot():
-    """An element made without the constructor has no split form yet; a
-    kernel computes it on first use, stores it, and reads it after."""
+    """An element made without the constructor has no split form yet, and
+    no record that its keys are all int; a kernel scans it for its
+    exponent unit on first use, stores the split form, and reads it after."""
     rng = random.Random(349)
     for _ in range(10):
-        a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2), None, rng, COEF_POOL)
+        a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None,
+                                rng, COEF_POOL)
         raw_a, raw_f = (unchecked_element(e.table, e.terms) for e in (a, f))
         assert not hasattr(raw_a, "_blocks") and not hasattr(raw_f, "_blocks")
+        assert not hasattr(raw_a, "_int_keys") and not hasattr(raw_f, "_int_keys")
         assert mul(raw_a, b) == mul(a, b)
         assert apply_to(raw_a, raw_f) == apply_to(a, f)
-        assert raw_a._blocks == split_blocks(a.terms) is not None
-        assert raw_f._blocks == split_blocks(f.terms)
+        assert raw_a._blocks == split_form(a)
+        assert raw_f._blocks == split_form(f)
         assert commutator(raw_a, b) == commutator(a, b)
 
 
