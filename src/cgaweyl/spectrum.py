@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import NotDivisible, as_fraction
+from .scalar import as_fraction
 from .weyl import (
     RAT,
     WeylElement,
+    _eigenvalue,
     apply_to,
     commutator,
     remap,
@@ -116,26 +117,15 @@ def build_state_general(ladder: LadderSet,
 def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
     """The exact eigenvalue E with H psi = E psi, or None.
 
-    The candidate is read off one term, must be a plain rational
-    (parameter-free), and is certified term by term: H psi and psi have the
-    same keys, and each coefficient of H psi is E times that of psi, exactly.
+    E must be a plain rational (parameter-free).  The check runs on the
+    int numerators that apply_to's kernel produces, one gamma^a xi^b block
+    at a time, without building H psi as ``Coef`` values: H psi and psi
+    must have the same blocks and keys, and every numerator of H psi must
+    be E times psi's, exactly (``weyl._eigenvalue``).
     """
     if psi.is_zero():
         raise ZeroState("eigencheck on the zero state")
-    image = apply_to(H, psi).terms
-    if not image:
-        return Fraction(0)
-    if image.keys() != psi.terms.keys():
-        return None
-    key = next(iter(psi.terms))
-    try:
-        ratio = (image[key] / psi.terms[key]).as_fraction()
-    except NotDivisible:
-        return None
-    if ratio is None:
-        return None
-    ok = all(image[k] == c * ratio for k, c in psi.terms.items())
-    return ratio if ok else None
+    return _eigenvalue(H, psi)
 
 
 @dataclass

@@ -61,9 +61,13 @@ product of the two denominators, and the reordering factors are ints or,
 for a unit L > 1, an int over L^K, K the number of derivatives moved (a
 ``Fraction`` unless it is integral).  No ``Coef`` is built per term pair;
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
-the end.  Each element keeps its split form in a slot filled on
-first use, together with its unit; the constructor records when every
-slot is an ``int``, so splitting such an element needs no scan.
+the end.  The loop of :func:`apply_to` is :func:`_apply_core`, which stops
+before that join and has a second consumer: :func:`_eigenvalue`, behind
+the spectrum's eigenvalue checks, compares its sums with the split form of
+the state directly, so H psi is never built as ``Coef`` values.  Each
+element keeps its split form in a slot filled on first use, together with
+its unit; the constructor records when every slot is an ``int``, so
+splitting such an element needs no scan.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
@@ -568,9 +572,14 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     factor folded into their coefficients) is made once, not once per term
     of ``a``; a term m1 * d1 adds m1 to each monomial of it.
     """
-    sums, den, unit, pairs = _operands(a, f)
+    return _result(a.table, *_apply_core(a, f))
+
+
+def _apply_core(a: WeylElement, f: WeylElement):
+    """The loop of :func:`apply_to`, in split form: ``(sums, den, unit)``."""
     if not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
+    sums, den, unit, pairs = _operands(a, f)
     zeros = a.table.zeros
     for terms_a, terms_f, out in pairs:
         images = {}
@@ -598,7 +607,48 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
                 c = c1 * c2
                 s = out.get(key)
                 out[key] = c if s is None else s + c
-    return _result(a.table, sums, den, unit)
+    return sums, den, unit
+
+
+def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
+    """The rational E with ``apply_to(a, f) == E * f``, or None; ``f`` nonzero.
+
+    Runs on the split forms, so the image is never joined into ``Coef``
+    values.  Write the image as numerators n over ``den`` and ``f`` as
+    numerators n_f over ``den_f``, per gamma^a xi^b block and lattice key.
+    The image is E * f for a rational E exactly when both have the same
+    blocks, each block the same keys, and every n * den_f / (n_f * den)
+    equals E; so E is read off one term and each term is certified by
+    cross-multiplying with E = p/q.  A ratio that is not constant, gamma or
+    gamma + xi for instance, moves the highest block of ``f`` (in any
+    monomial order), so the block sets differ and the answer is None.  The
+    numerators are ints, or ``Fraction`` where a unit above 1 gives a
+    fractional reordering factor.
+    """
+    sums, den, unit = _apply_core(a, f)
+    image = {}
+    for blk, block in sums.items():
+        block = {key: n for key, n in block.items() if n}
+        if block:
+            image[blk] = block
+    if not image:
+        return Fraction(0)
+    blocks, den_f, unit_f = _split(f)
+    if unit_f != unit:
+        blocks = {blk: _scale_keys(t, unit // unit_f) for blk, t in blocks.items()}
+    if image.keys() != blocks.keys() or any(
+            block.keys() != blocks[blk].keys() for blk, block in image.items()):
+        return None
+    blk, block = next(iter(image.items()))
+    key, n = next(iter(block.items()))
+    value = Fraction(n * den_f, blocks[blk][key] * den)
+    scale_image, scale_f = value.denominator * den_f, value.numerator * den
+    for blk, block in image.items():
+        ref = blocks[blk]
+        for key, n in block.items():
+            if n * scale_image != ref[key] * scale_f:
+                return None
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 from operator import add
 
-from cgaweyl.scalar import Coef, split_blocks
-from cgaweyl.weyl import NAT, RAT, VarTable, WeylElement, _reorder_options
+from cgaweyl.scalar import Coef, NotDivisible, split_blocks
+from cgaweyl.spectrum import ZeroState
+from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _reorder_options,
+                          apply_to)
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -155,6 +157,31 @@ def reference_apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     """``apply_to(a, f)`` as the derivative-free part of ``reference_mul(a, f)``."""
     return WeylElement(a.table, {key: c for key, c in reference_mul(a, f).terms.items()
                                  if not any(key[1])})
+
+
+def reference_eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
+    """``eigencheck`` on ``Coef`` values: the image is the joined ``apply_to``.
+
+    The candidate E is the quotient of one term of H psi by the same term
+    of psi; it must be a plain rational, and H psi and psi must have the
+    same keys with every coefficient of H psi equal to E times psi's.
+    """
+    if psi.is_zero():
+        raise ZeroState("eigencheck on the zero state")
+    image = apply_to(H, psi).terms
+    if not image:
+        return Fraction(0)
+    if image.keys() != psi.terms.keys():
+        return None
+    key = next(iter(psi.terms))
+    try:
+        ratio = (image[key] / psi.terms[key]).as_fraction()
+    except NotDivisible:
+        return None
+    if ratio is None:
+        return None
+    ok = all(image[k] == c * ratio for k, c in psi.terms.items())
+    return ratio if ok else None
 
 
 def check_canonical(e: WeylElement) -> None:

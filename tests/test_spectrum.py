@@ -1,11 +1,14 @@
 """Lowest-weight spectra: ground states, eigenstates, degeneracies, probes."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cgaweyl.weyl import NAT, VarTable, WeylElement, apply_to, parse_element
+from cgaweyl.scalar import Coef
+from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core, _split,
+                          apply_to, parse_element, remap)
 from cgaweyl.realizations import (
     LadderSet,
     build_H,
@@ -27,6 +30,8 @@ from cgaweyl.spectrum import (
     ladder_relations_check,
     spectrum_table,
 )
+
+from helpers import reference_eigencheck, split_form
 
 
 def test_ground_state_osc():
@@ -94,10 +99,127 @@ EULER_TABLE = VarTable(("x", "y"), (NAT, NAT))
     # the x coefficient of the image, 2*gamma + xi, is no multiple of gamma + xi
     ("(1) * x * d[x] + (1) * y * d[y] + (1) * x * d[y]",
      "(gamma + xi) * x + (gamma) * y", None),
+    # same blocks, but one block of the image lacks a key of psi's; the
+    # two orders put the short block first and last
+    ("(1) * x * d[x] + (1) * y * d[y]", "(1) * x^2 + (gamma) * y^2 + (gamma)",
+     None),
+    ("(1) * x * d[x] + (1) * y * d[y]", "(gamma) * x^2 + (1) * y^2 + (1)",
+     None),
 ])
 def test_eigencheck_certifies_term_by_term(H, psi, expected):
     H, psi = parse_element(H, EULER_TABLE), parse_element(psi, EULER_TABLE)
     assert eigencheck(H, psi) == expected
+    assert reference_eigencheck(H, psi) == expected
+
+
+def _probe(lam):
+    """The continuous probe's operator and its state y^lam (osc-l1, symbolic)."""
+    H = build_H(build_osc_l1())
+    table = H.table.widened("y", RAT)
+    return at_time_zero(remap(H, table)), WeylElement.var(table, "y", lam)
+
+
+def _eigen_cases():
+    """(label, H, psi) for the walked table states of each family, then the
+    continuous probe's y^lambda for lambda in {1/3, -2/5, 4}."""
+    for label, target, e_max, cutoff in (
+            ("ladder-l1", build_ladder(1), 5, 1),
+            ("ladder-l2", build_ladder(2), 4, 1),
+            ("ladder-l3", build_ladder(3), 3, 1),
+            ("osc-l1", build_osc_l1(), 4, 1),
+            ("osc-l1(2,-3)", build_osc_l1(2, -3), 4, 1),
+            ("xi0(2,3)", build_xi0(2, 3), 4, 1),
+            ("xi0(3/2,5/7)", build_xi0(Fraction(3, 2), Fraction(5, 7)), 4, 1)):
+        H = build_H(target)
+        if not isinstance(target, LadderSet):
+            H = at_time_zero(H)
+        for qn, _, psi in _table_states(target, e_max, cutoff):
+            yield f"{label} {qn}", H, psi
+    for lam in (Fraction(1, 3), Fraction(-2, 5), Fraction(4)):
+        yield f"probe {lam}", *_probe(lam)
+
+
+def _perturbed(psi, rng):
+    """psi, psi with one numerator of its split form raised by 1, psi with
+    one term dropped, and psi scaled by gamma, gamma + xi and -7/3."""
+    yield "psi", psi
+    key = rng.choice(list(psi.terms))
+    c = psi.terms[key]
+    blk = rng.choice(list(c.terms))
+    bumped = dict(psi.terms)
+    bumped[key] = Coef({**c.terms, blk: c.terms[blk] + Fraction(1, split_form(psi)[1])})
+    yield "numerator+1", WeylElement(psi.table, bumped)
+    dropped = dict(psi.terms)
+    del dropped[key]
+    yield "dropped", WeylElement(psi.table, dropped)
+    for factor in (Coef.gamma(), Coef.gamma() + Coef.xi(), Fraction(-7, 3)):
+        yield "scaled", psi.scaled(factor)
+
+
+def _outcome(check, H, psi):
+    """``check(H, psi)`` with its type, or ZeroState when it raises that."""
+    try:
+        value = check(H, psi)
+    except ZeroState:
+        return ZeroState
+    return type(value), value
+
+
+def test_eigencheck_matches_coef_reference():
+    """On the split form, eigencheck returns exactly what the Coef-level
+    reference returns, on eigenstates and on perturbed states alike, and
+    on each unperturbed state under H times gamma and H times gamma + xi,
+    whose image is a non-rational multiple of psi."""
+    rng = random.Random(1501)
+    seen, scaled_ops = Counter(), {}
+    for label, H, psi in _eigen_cases():
+        ops = scaled_ops.get(id(H))
+        if ops is None:
+            ops = scaled_ops[id(H)] = [(H.scaled(Coef.gamma()), "H*gamma"),
+                                       (H.scaled(Coef.gamma() + Coef.xi()), "H*(gamma+xi)")]
+        cases = [(H, how, state) for how, state in _perturbed(psi, rng)]
+        cases += [(op, how, psi) for op, how in ops]
+        for op, how, state in cases:
+            got = _outcome(eigencheck, op, state)
+            assert got == _outcome(reference_eigencheck, op, state), (label, how)
+            seen[how, "zero state" if got is ZeroState
+                 else "none" if got[1] is None else "value"] += 1
+    # every unperturbed or rescaled state is an eigenstate; the other
+    # perturbations reach both other outcomes
+    assert set(seen) >= {("psi", "value"), ("numerator+1", "none"),
+                         ("dropped", "none"), ("dropped", "zero state"),
+                         ("scaled", "value"), ("H*gamma", "none"),
+                         ("H*(gamma+xi)", "none")}
+    assert not {("psi", "none"), ("scaled", "none")} & set(seen)
+
+
+HALF_TABLE = VarTable(("x", "y"), (RAT, NAT))
+
+
+def test_eigencheck_rescales_psi_to_the_call_unit():
+    """H has unit 2 (x^(1/2)), psi = x^2 unit 1: psi's keys are rescaled."""
+    x, half = WeylElement.var(HALF_TABLE, "x"), Fraction(1, 2)
+    H = (x * WeylElement.deriv(HALF_TABLE, "x")
+         + WeylElement.var(HALF_TABLE, "x", half) * WeylElement.deriv(HALF_TABLE, "y"))
+    psi = x * x
+    assert _split(psi)[2] == 1 and _apply_core(H, psi)[2] == 2
+    assert eigencheck(H, psi) == reference_eigencheck(H, psi) == 2
+    assert type(eigencheck(H, psi)) is Fraction
+    off = psi + WeylElement.var(HALF_TABLE, "x", half)
+    assert eigencheck(H, off) is reference_eigencheck(H, off) is None
+
+
+def test_eigencheck_on_fraction_valued_sums():
+    """The continuous probe at fractional lambda sums Fraction numerators."""
+    for lam in (Fraction(1, 3), Fraction(-2, 5)):
+        H, psi = _probe(lam)
+        sums, _, unit = _apply_core(H, psi)
+        assert unit == lam.denominator
+        assert any(type(n) is Fraction for block in sums.values()
+                   for n in block.values())
+        assert eigencheck(H, psi) == reference_eigencheck(H, psi) == lam
+        shifted = psi + WeylElement.var(psi.table, "y", lam + 1)
+        assert eigencheck(H, shifted) is reference_eigencheck(H, shifted) is None
 
 
 def test_eigencheck_scaling_invariance():

@@ -733,6 +733,14 @@ def test_apply_rejects_operators():
         apply_to(D("x"), D("x"))
 
 
+def test_apply_rejects_operators_before_splitting():
+    """The derivative-free check runs first: neither operand is split."""
+    a, f = V("x") * D("y"), V("y") * D("x")
+    with pytest.raises(ValueError):
+        apply_to(a, f)
+    assert f._blocks is None and a._blocks is None
+
+
 def test_substitute_euler_invariance():
     lam = Coef.const(Fraction(5, 7))
     euler = mul(V("x"), D("x"))
