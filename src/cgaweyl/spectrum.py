@@ -1,6 +1,13 @@
 """Lowest-weight representation: ground state, ladder-generated eigenstates,
 exact eigenvalue tables, and the continuous-spectrum probe.
 
+One record per target (a ladder set, or an ell = 1 family), built by
+:func:`_ladder`, supplies everything the spectrum functions read: the
+named operators, the annihilators of the ground state, the ladder
+relations [H, op] = e*op with their energies e, and the walk that
+generates the table's states.  A row's level is the sum of the e of its
+creation operators, each e being the one its relation certifies.
+
 States are derivative-free elements (polynomials in the space variables).
 For exponential-time families the operator H carries no d[t] and every
 creation operator factors as e^(c*t) times a t-free operator, so states
@@ -48,24 +55,61 @@ def at_time_zero(e: WeylElement) -> WeylElement:
     return WeylElement(e.table, out)
 
 
-def ground_state(fam_or_ladder) -> WeylElement:
-    table = fam_or_ladder.family.table if isinstance(fam_or_ladder, LadderSet) \
-        else fam_or_ladder.table
-    return WeylElement.const(table, 1)
+@dataclass(frozen=True)
+class _Ladder:
+    """The ladder structure of one spectrum target.
+
+    ``relations`` rows are (name, e, rhs) for [H, op] = e*op, ``rhs``
+    printing e*op by the operator's role (raising, lowering or zero), not
+    by the sign of e.  ``stages`` rows are (label, name, budget index,
+    cost) in application order; a state's quantum numbers are its stage
+    counts in reverse order.  ``root`` builds the walk's root with a
+    public builder, and ``order`` is the rows' sort key.
+    """
+
+    family: GeneratorFamily
+    ell: int
+    ops: dict
+    annihilators: tuple
+    relations: tuple
+    stages: tuple
+    sliced: bool
+    root: object
+    order: object
 
 
-def annihilators(target) -> dict[str, WeylElement]:
-    """The operators required to kill the ground state."""
+def _ladder(target) -> _Ladder:
+    """The ladder record of a ladder set or of an ell = 1 family."""
     if isinstance(target, LadderSet):
-        out = {}
-        for n in range(target.ell + 1):
-            out[f"a{n}"] = target.a[n]
-            if n >= 1:
-                out[f"b{n}"] = target.b[n]
-        return out
-    if target.kind in ("osc-l1", "xi0"):
-        return {name: target[name] for name in ("v+1", "w+1", "v0")}
-    raise ValueError(f"no annihilator set for family kind {target.kind!r}")
+        ell = target.ell
+        relations, stages = [], [("k", "a0d", 0, 1)]
+        for n in range(1, ell + 1):
+            relations += [(f"a{n}d", n, f"{n}*a{n}d"), (f"b{n}d", n, f"{n}*b{n}d"),
+                          (f"a{n}", -n, f"-{n}*a{n}"), (f"b{n}", -n, f"-{n}*b{n}")]
+        for j in range(ell, 0, -1):
+            stages += [(f"m{j}", f"a{j}d", 1, j), (f"n{j}", f"b{j}d", 1, j)]
+        return _Ladder(
+            family=target.family, ell=ell, ops=target.named(),
+            annihilators=("a0", *(f"{x}{n}" for n in range(1, ell + 1)
+                                  for x in "ab")),
+            relations=(*relations, ("a0d", 0, "0"), ("a0", 0, "0")),
+            stages=tuple(stages), sliced=False,
+            root=lambda: build_state_general(target, ((0, 0),) * ell),
+            order=tuple)
+    if target.kind not in ("osc-l1", "xi0"):
+        raise ValueError(f"no ladder operators for family kind {target.kind!r}")
+    # v_{-1} raises by omega2, w_{-1} by omega1 (both 1 for osc-l1)
+    w1, w2 = ((target.params.omega1, target.params.omega2)
+              if target.kind == "xi0" else (1, 1))
+    return _Ladder(
+        family=target, ell=1, ops=target.generators,
+        annihilators=("v+1", "w+1", "v0"),
+        relations=(("v+1", -w1, f"-({w1})*v+1"), ("w+1", -w2, f"-({w2})*w+1"),
+                   ("v-1", w2, f"({w2})*v-1"), ("w-1", w1, f"({w1})*w-1"),
+                   ("v0", 0, "0"), ("w0", 0, "0")),
+        stages=(("k", "w0", 0, 1), ("n", "w-1", 1, 1), ("m", "v-1", 1, 1)),
+        sliced=True, root=lambda: build_state(target, 0, 0, 0),
+        order=lambda qn: (qn[0] + qn[1], *qn))
 
 
 def ground_state_verify(target) -> tuple[bool, str | None]:
@@ -73,23 +117,29 @@ def ground_state_verify(target) -> tuple[bool, str | None]:
 
     Returns (ok, offending operator name).
     """
-    psi0 = ground_state(target)
-    for name, op in annihilators(target).items():
-        if not apply_to(op, psi0).is_zero():
+    rec = _ladder(target)
+    psi0 = WeylElement.const(rec.family.table, 1)
+    for name in rec.annihilators:
+        if not apply_to(rec.ops[name], psi0).is_zero():
             return False, name
     return True, None
 
 
+def _from_ground(rec: _Ladder, qn: tuple[int, ...]) -> WeylElement:
+    """The state with quantum numbers ``qn``, applied stage by stage to 1."""
+    psi = WeylElement.const(rec.family.table, 1)
+    for (_, name, _, _), count in zip(rec.stages, reversed(qn)):
+        for _ in range(count):
+            psi = apply_to(rec.ops[name], psi)
+    return at_time_zero(psi) if rec.sliced else psi
+
+
 def build_state(fam: GeneratorFamily, m: int, n: int, k: int) -> WeylElement:
     """The ell=1 state v_{-1}^m w_{-1}^n w_0^k applied to 1, at t = 0."""
-    if fam.kind not in ("osc-l1", "xi0"):
+    rec = _ladder(fam)
+    if not rec.sliced:
         raise ValueError("build_state expects an exponential-time family")
-    psi = ground_state(fam)
-    for name, count in (("w0", k), ("w-1", n), ("v-1", m)):
-        op = fam[name]
-        for _ in range(count):
-            psi = apply_to(op, psi)
-    return at_time_zero(psi)
+    return _from_ground(rec, (m, n, k))
 
 
 def build_state_general(ladder: LadderSet,
@@ -102,16 +152,8 @@ def build_state_general(ladder: LadderSet,
     """
     if len(occupations) != ladder.ell:
         raise ValueError("one (n_j, m_j) pair per mode j = 1..ell required")
-    psi = ground_state(ladder)
-    for _ in range(zero_modes):
-        psi = apply_to(ladder.ad[0], psi)
-    for j in range(ladder.ell, 0, -1):
-        n_j, m_j = occupations[j - 1]
-        for _ in range(m_j):
-            psi = apply_to(ladder.ad[j], psi)
-        for _ in range(n_j):
-            psi = apply_to(ladder.bd[j], psi)
-    return psi
+    qn = tuple(c for n_j, m_j in occupations for c in (n_j, m_j))
+    return _from_ground(_ladder(ladder), qn + (zero_modes,))
 
 
 def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
@@ -209,35 +251,26 @@ def _state_walk(psi: WeylElement, stages, budgets: tuple[int, ...],
 def _table_states(target, e_max: int, zero_mode_cutoff: int):
     """(quantum numbers, level, state) for every spectrum-table row.
 
-    The states come from one :func:`_state_walk` rooted at the ground row
-    that :func:`build_state` or :func:`build_state_general` gives, so each
-    costs one apply_to; those builders remain the from-ground reference.
-    The ell = 1 walk applies the creation operators on the t = 0 slice,
-    which commutes with apply_to because they carry no d[t].  Rows come in
-    walk order, not table order.
+    The states come from one :func:`_state_walk` over the record's stages,
+    rooted at the ground row that :func:`build_state` or
+    :func:`build_state_general` gives, so each costs one apply_to; those
+    builders remain the from-ground reference.  On the t = 0 slice the
+    walk applies the sliced creation operators, which commutes with
+    apply_to because they carry no d[t].  A row's level is the sum of
+    its counts times the stage energies.  Rows come in walk order, not
+    table order.
     """
-    budgets = (zero_mode_cutoff, e_max)
-    if isinstance(target, LadderSet):
-        stages = [(target.ad[0], 0, 1)]
-        for j in range(target.ell, 0, -1):
-            stages += [(target.ad[j], 1, j), (target.bd[j], 1, j)]
-        root = build_state_general(target, ((0, 0),) * target.ell)
-        for counts, psi in _state_walk(root, stages, budgets):
-            # counts are (k, m_ell, n_ell, ..., m_1, n_1)
-            qn = counts[:0:-1] + counts[:1]
-            level = sum((i // 2 + 1) * c for i, c in enumerate(qn[:-1]))
-            yield qn, Fraction(level), psi
-        return
-    fam = target
-    if fam.kind == "osc-l1":
-        weight_m, weight_n = Fraction(1), Fraction(1)
-    else:
-        # v_{-1} raises by omega2, w_{-1} by omega1
-        weight_m, weight_n = fam.params.omega2, fam.params.omega1
-    stages = [(at_time_zero(fam[name]), pool, 1)
-              for name, pool in (("w0", 0), ("w-1", 1), ("v-1", 1))]
-    for (k, n, m), psi in _state_walk(build_state(fam, 0, 0, 0), stages, budgets):
-        yield (m, n, k), weight_m * m + weight_n * n, psi
+    rec = _ladder(target)
+    energy = {name: e for name, e, _ in rec.relations}
+    stages, energies = [], []
+    for _, name, pool, cost in rec.stages:
+        op = rec.ops[name]
+        stages.append((at_time_zero(op) if rec.sliced else op, pool, cost))
+        energies.append(energy[name])
+    for counts, psi in _state_walk(rec.root(), stages,
+                                   (zero_mode_cutoff, e_max)):
+        level = sum(e * c for e, c in zip(energies, counts))
+        yield counts[::-1], Fraction(level), psi
 
 
 def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTable:
@@ -249,78 +282,33 @@ def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTab
     with E = sum j (n_j + m_j), plus a_0^+ zero modes, rows ordered by
     (n_1, m_1, ..., n_ell, m_ell, k).
     """
-    if isinstance(target, LadderSet):
-        H = build_H(target)
-        labels = tuple(x for j in range(1, target.ell + 1)
-                       for x in (f"n{j}", f"m{j}")) + ("k",)
-        table = SpectrumTable(target.ell, f"free-general(l={target.ell})",
-                              Fraction(e_max), zero_mode_cutoff, labels)
-
-        def order(qn):
-            return qn
-    else:
-        if target.kind not in ("osc-l1", "xi0"):
-            raise ValueError(f"no spectrum table for family kind {target.kind!r}")
-        H = at_time_zero(build_H(target))
-        table = SpectrumTable(1, target.name, Fraction(e_max), zero_mode_cutoff,
-                              ("m", "n", "k"))
-
-        def order(qn):
-            m, n, k = qn
-            return (m + n, m, k)
-
+    rec = _ladder(target)
+    H = at_time_zero(build_H(target)) if rec.sliced else build_H(target)
+    table = SpectrumTable(rec.ell, rec.family.name, Fraction(e_max),
+                          zero_mode_cutoff,
+                          tuple(label for label, *_ in reversed(rec.stages)))
     for qn, level, psi in _table_states(target, e_max, zero_mode_cutoff):
         value = eigencheck(H, psi)
         table.rows.append(SpectrumRow(qn, level,
                                       value is not None and value == level,
                                       len(psi.terms)))
-    table.rows.sort(key=lambda row: order(row.quantum_numbers))
+    table.rows.sort(key=lambda row: rec.order(row.quantum_numbers))
     return table
 
 
 def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":
-    """Operator identities [H, g] = c g for the raising/lowering set.
+    """Operator identities [H, g] = e g for the raising/lowering set.
 
     Returns (description, ok, residual text) triples.
     """
+    rec = _ladder(target)
+    H = build_H(target)
     out = []
-
-    def check(label: str, residual: WeylElement):
-        out.append((label, residual.is_zero(),
-                    "" if residual.is_zero() else residual.text()))
-
-    if isinstance(target, LadderSet):
-        H = build_H(target)
-        for n in range(1, target.ell + 1):
-            check(f"[H, a{n}d] = {n}*a{n}d",
-                  commutator(H, target.ad[n]) - n * target.ad[n])
-            check(f"[H, b{n}d] = {n}*b{n}d",
-                  commutator(H, target.bd[n]) - n * target.bd[n])
-            check(f"[H, a{n}] = -{n}*a{n}",
-                  commutator(H, target.a[n]) + n * target.a[n])
-            check(f"[H, b{n}] = -{n}*b{n}",
-                  commutator(H, target.b[n]) + n * target.b[n])
-        check("[H, a0d] = 0", commutator(H, target.ad[0]))
-        check("[H, a0] = 0", commutator(H, target.a[0]))
-        return out
-
-    fam = target
-    H = build_H(fam)
-    if fam.kind == "osc-l1":
-        wplus = {"v+1": Fraction(1), "w+1": Fraction(1)}
-        wminus = {"v-1": Fraction(1), "w-1": Fraction(1)}
-    elif fam.kind == "xi0":
-        w1, w2 = fam.params.omega1, fam.params.omega2
-        wplus = {"v+1": w1, "w+1": w2}
-        wminus = {"v-1": w2, "w-1": w1}
-    else:
-        raise ValueError(f"no ladder relations for family kind {fam.kind!r}")
-    for name, c in wplus.items():
-        check(f"[H, {name}] = -({c})*{name}", commutator(H, fam[name]) + c * fam[name])
-    for name, c in wminus.items():
-        check(f"[H, {name}] = ({c})*{name}", commutator(H, fam[name]) - c * fam[name])
-    check("[H, v0] = 0", commutator(H, fam["v0"]))
-    check("[H, w0] = 0", commutator(H, fam["w0"]))
+    for name, e, rhs in rec.relations:
+        op = rec.ops[name]
+        residual = commutator(H, op) + op.scaled(-e)
+        ok = residual.is_zero()
+        out.append((f"[H, {name}] = {rhs}", ok, "" if ok else residual.text()))
     return out
 
 

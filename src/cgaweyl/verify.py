@@ -59,10 +59,6 @@ class InconsistentSystem(ValueError):
         self.failing = failing
 
 
-class FactorizationFailed(ValueError):
-    """A commutator is not a scalar multiple of the invariant operator."""
-
-
 # ---------------------------------------------------------------------------
 # report records
 
@@ -580,16 +576,6 @@ def extract_scalar_factor(comm: WeylElement, omega: WeylElement
     except DomainViolation:
         return None
     return f if mul(f, omega) == comm else None
-
-
-def require_onshell_factor(g: WeylElement, omega: WeylElement) -> WeylElement:
-    """The multiplier f with [g, omega] = f * omega; raises when there is none."""
-    comm = commutator(g, omega)
-    f = extract_scalar_factor(comm, omega)
-    if f is None:
-        raise FactorizationFailed(
-            "the commutator is not a scalar multiple of the invariant operator")
-    return f
 
 
 def onshell_check(gens: dict[str, WeylElement], omegas: dict[str, WeylElement],

@@ -20,6 +20,7 @@ from cgaweyl.realizations import (
 from cgaweyl.spectrum import (
     NotEigenstate,
     ZeroState,
+    _ladder,
     _table_states,
     at_time_zero,
     build_state,
@@ -42,6 +43,21 @@ def test_ground_state_osc():
 def test_ground_state_ladder():
     ok, offender = ground_state_verify(build_ladder(3))
     assert ok and offender is None
+
+
+def test_ground_state_verify_names_the_offender():
+    """v0 plus a constant no longer kills 1; v+1 and w+1 still do."""
+    fam = build_osc_l1().shifted({"v0": Coef.const(1)})
+    assert ground_state_verify(fam) == (False, "v0")
+
+
+@pytest.mark.parametrize("check", [
+    ground_state_verify, ladder_relations_check,
+    lambda fam: spectrum_table(fam, 2)],
+    ids=["ground_state_verify", "ladder_relations_check", "spectrum_table"])
+def test_unsupported_family_kind_raises(check):
+    with pytest.raises(ValueError, match="free-l1"):
+        check(build_free_l1())
 
 
 def test_non_ground_state_detected():
@@ -131,7 +147,7 @@ def _eigen_cases():
             ("xi0(2,3)", build_xi0(2, 3), 4, 1),
             ("xi0(3/2,5/7)", build_xi0(Fraction(3, 2), Fraction(5, 7)), 4, 1)):
         H = build_H(target)
-        if not isinstance(target, LadderSet):
+        if _ladder(target).sliced:
             H = at_time_zero(H)
         for qn, _, psi in _table_states(target, e_max, cutoff):
             yield f"{label} {qn}", H, psi
@@ -171,12 +187,14 @@ def test_eigencheck_matches_coef_reference():
     on each unperturbed state under H times gamma and H times gamma + xi,
     whose image is a non-rational multiple of psi."""
     rng = random.Random(1501)
-    seen, scaled_ops = Counter(), {}
+    seen, last_H, ops = Counter(), None, []
     for label, H, psi in _eigen_cases():
-        ops = scaled_ops.get(id(H))
-        if ops is None:
-            ops = scaled_ops[id(H)] = [(H.scaled(Coef.gamma()), "H*gamma"),
-                                       (H.scaled(Coef.gamma() + Coef.xi()), "H*(gamma+xi)")]
+        # _eigen_cases yields each H's states in a row; last_H keeps the H
+        # that ops belong to alive, so an `is` test cannot match a new H
+        # that reuses a dropped one's address
+        if H is not last_H:
+            last_H, ops = H, [(H.scaled(Coef.gamma()), "H*gamma"),
+                              (H.scaled(Coef.gamma() + Coef.xi()), "H*(gamma+xi)")]
         cases = [(H, how, state) for how, state in _perturbed(psi, rng)]
         cases += [(op, how, psi) for op, how in ops]
         for op, how, state in cases:

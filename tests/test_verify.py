@@ -238,17 +238,6 @@ def test_factor_extraction_rejects_non_multiples():
                                  omega) is None
 
 
-def test_require_onshell_factor():
-    from cgaweyl.verify import FactorizationFailed, require_onshell_factor
-    fam = build_osc_l1()
-    trip = build_triplet(fam)
-    f = require_onshell_factor(fam["z-"], trip.plus)
-    assert f == 2 * WeylElement.exp_t(fam.table, 1)
-    from cgaweyl.realizations import deformed_degree0
-    with pytest.raises(FactorizationFailed):
-        require_onshell_factor(fam["w+1"], deformed_degree0(fam, 2))
-
-
 def test_onshell_full_suites():
     for builder, kw in ((build_osc_l1, {}), (build_free_l1, {"verbatim": False})):
         fam = builder(**kw)
