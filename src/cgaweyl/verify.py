@@ -1,8 +1,14 @@
 """Exact verification machinery.
 
 Structure-constant tables are checked by computing every commutator of a
-family in canonical form: listed pairs must reproduce their stated linear
-combination, unlisted pairs must commute.  Additive-constant calibration
+family: listed pairs must reproduce their stated linear combination,
+unlisted pairs must commute.  One pair loop, :func:`_residuals`, serves
+every table check and the calibration.  It takes each [a, b] in the split
+form of the commutator kernel (int numerators per gamma^a xi^b block and
+lattice key) and compares it with the expected side on those numerators,
+so a pair that holds builds no element; only a failing pair builds [a, b]
+and its residual, [a, b] minus the expected side, whose text the report
+prints.  Additive-constant calibration
 solves exactly for scalar shifts g -> g + delta_g absorbing constant
 residuals (commutators are blind to the shifts, so the system is linear).
 On-shell invariance [g, Omega] = f * Omega is certified by derivative-free
@@ -20,6 +26,9 @@ from .weyl import (
     DomainViolation,
     VarTable,
     WeylElement,
+    _commutator_core,
+    _is_combination,
+    _result,
     commutator,
     free_to_osc,
     mul,
@@ -340,13 +349,22 @@ def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
 # ---------------------------------------------------------------------------
 # table verification and calibration
 
-def _rhs_element(fam_gens: dict[str, WeylElement], table: VarTable,
-                 entry: RelationEntry, sign: int) -> WeylElement:
-    out = WeylElement.zero(table)
+def _rhs_terms(fam_gens: dict[str, WeylElement], entry: RelationEntry
+               ) -> list[tuple[Coef, WeylElement]]:
+    """The (coefficient, generator) pairs of ``entry.rhs``, every name checked."""
+    out = []
     for c, name in entry.rhs:
         if name not in fam_gens:
             raise UnknownGenerator(name)
-        out = out + (sign * c) * fam_gens[name]
+        out.append((c, fam_gens[name]))
+    return out
+
+
+def _rhs_element(fam_gens: dict[str, WeylElement], table: VarTable,
+                 entry: RelationEntry, sign: int) -> WeylElement:
+    out = WeylElement.zero(table)
+    for c, g in _rhs_terms(fam_gens, entry):
+        out = out + (sign * c) * g
     if not entry.scalar.is_zero():
         out = out + WeylElement.const(table, sign * entry.scalar)
     return out
@@ -367,11 +385,13 @@ def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
 def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
     """Yield (a, b, sign, entry, bracket, residual) for every scope pair, in order.
 
-    ``bracket`` is [a, b], taken from ``brackets[a, b]`` when given, and
-    ``residual`` is [a, b] minus the expected right-hand side: the zero
-    element when they are equal, [a, b] itself for a pair that must commute
-    (``entry`` is None), and None with ``bracket`` None for a pair skipped
-    by the truncation.
+    ``bracket`` is [a, b] in the split form of ``weyl._commutator_core``,
+    taken from ``brackets[a, b]`` when given, and None for a pair skipped by
+    the truncation.  It is compared with the expected right-hand side on
+    the split forms (``weyl._is_combination``; zero for a pair that must
+    commute, ``entry`` None), and ``residual`` is None when they are equal.
+    Only a pair that fails builds elements: ``residual`` is then [a, b]
+    minus the expected side, or [a, b] itself for a pair that must commute.
     """
     gens = fam.generators
     for a in table.scope:
@@ -384,12 +404,14 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
         found = table.lookup(a, b)
         sign, entry = found if found else (1, None)
         bracket = (brackets[a, b] if brackets is not None
-                   else commutator(gens[a], gens[b]))
-        residual = bracket
-        if entry is not None:
-            expected = _rhs_element(gens, fam.table, entry, sign)
-            residual = (WeylElement.zero(fam.table) if bracket == expected
-                        else bracket - expected)
+                   else _commutator_core(gens[a], gens[b]))
+        combo, scalar = ((_rhs_terms(gens, entry), entry.scalar)
+                         if entry is not None else ((), COEF_ZERO))
+        residual = None
+        if not _is_combination(fam.table, bracket, combo, scalar, sign):
+            residual = _result(fam.table, *bracket)
+            if entry is not None:
+                residual = residual - _rhs_element(gens, fam.table, entry, sign)
         yield a, b, sign, entry, bracket, residual
 
 
@@ -399,11 +421,14 @@ def _table_report(fam: GeneratorFamily, table: RelationTable,
     report = VerificationReport(title=f"commutator table {table.name}",
                                 family=fam.name,
                                 params=fam.params.describe())
-    for a, b, sign, entry, _, residual in _residuals(fam, table, brackets):
+    for a, b, sign, entry, bracket, residual in _residuals(fam, table, brackets):
         lhs = f"[{a}, {b}]"
-        if residual is None:
+        if bracket is None:
             report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
                                               "mode index outside truncation"))
+        elif residual is None:
+            report.entries.append(EntryResult(
+                fam.name, lhs, _expected_text(entry, sign), EXACT))
         else:
             report.entries.append(_residual_entry(
                 fam.name, lhs, _expected_text(entry, sign), residual))
@@ -422,8 +447,8 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
     Since [g + d_g, h + d_h] = [g, h], only right-hand sides depend on the
     shifts: each relation contributes the linear equation
     sum_k c_k d_k = residual over the coefficient field.  For the same
-    reason the commutators are computed once: the shifted family's table
-    is checked against them.
+    reason the commutators are computed once, in split form: the shifted
+    family's table is checked against them.
     """
     unknowns = list(table.scope)
     rows: list[tuple[dict[str, Coef], Coef, set[str]]] = []
@@ -431,10 +456,10 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
     brackets = {}
     for a, b, sign, entry, bracket, residual in _residuals(fam, table):
         pair_entries.append(entry)
-        if residual is None:
+        if bracket is None:
             continue
         brackets[a, b] = bracket
-        value = residual.constant_value()
+        value = COEF_ZERO if residual is None else residual.constant_value()
         lhs_label = f"[{a}, {b}]"
         if value is None:
             raise InconsistentSystem(

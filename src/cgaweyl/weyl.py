@@ -46,7 +46,8 @@ and is not cached: :func:`mul` writes it itself.  The generator
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
-in one accumulator.
+in one accumulator.  Its loop is :func:`_commutator_core`, which, like
+:func:`_apply_core` below, stops before the result is joined.
 
 Coefficients run on int numerators, one monomial block at a time.  Every
 coefficient is a Laurent polynomial in gamma and xi, so
@@ -64,14 +65,23 @@ for a unit L > 1, an int over L^K, K the number of derivatives moved (a
 the end.  The loop of :func:`apply_to` is :func:`_apply_core`, which stops
 before that join and has a second consumer: :func:`_eigenvalue`, behind
 the spectrum's eigenvalue checks, compares its sums with the split form of
-the state directly, so H psi is never built as ``Coef`` values.  Each
-element keeps its split form in a slot filled on first use, together with
-its unit; the constructor records when every slot is an ``int``, so
+the state directly, so H psi is never built as ``Coef`` values.  The split
+form of :func:`_commutator_core` has a consumer of its own:
+:func:`_is_combination`, behind the verifier's commutator tables,
+certifies [a, b] = sum c_i * g_i + s by cross-multiplying its int
+numerators with those of the split forms of the g_i, so a pair that holds
+builds no element and no ``Coef``.  Each element keeps its split form in a
+slot filled on first use, together with its unit, and, in a second slot,
+its form on each larger unit that a call asks for (an operand beside one
+of larger unit, a g_i beside a bracket of larger unit), so each is
+rescaled once.  The constructor records when every slot is an ``int``, so
 splitting such an element needs no scan.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
-filling the same element's split-form slot at once store equal values.
+filling the same element's split form, or its form on the same larger
+unit, at once store equal values; a form stored into a dict of forms that
+another thread has just replaced is only made again on a later call.
 The memo is safe to share too:
 its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
 consistent under concurrent calls (two threads missing on the same key
@@ -201,16 +211,18 @@ class WeylElement:
 
     ``_blocks`` caches the split form of :func:`_split`; it is None, or
     unset on an element made without the constructor, until a kernel first
-    uses the element.  ``_int_keys`` records that the constructor saw no
-    ``Fraction`` slot, so splitting needs no scan for the exponent unit.
+    uses the element.  ``_rescaled`` holds, once some call needs one, the
+    split forms on larger units.  ``_int_keys`` records that the
+    constructor saw no ``Fraction`` slot, so splitting needs no scan for
+    the exponent unit.
     """
 
-    __slots__ = ("table", "terms", "_blocks", "_int_keys")
+    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_int_keys")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._blocks = None
+        self._blocks = self._rescaled = None
         timeless, runs = not table.has_time, table._nat_runs
         int_keys = True
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
@@ -438,23 +450,37 @@ def _scale_keys(terms: dict, r: int) -> dict:
             for (mon, der), v in terms.items()}
 
 
-def _split(e: WeylElement):
-    """The split form ``(blocks, den, unit)`` of ``e``, computed once.
+def _split(e: WeylElement, unit: int | None = None):
+    """The split form ``(blocks, den, unit)`` of ``e``, computed once per unit.
 
-    ``unit`` is the exponent unit of ``e``: the lcm of the denominators of
-    its monomial slots, 1 when all are ints.  ``(blocks, den)`` is
-    ``split_blocks`` of ``e.terms`` with every monomial slot times ``unit``,
-    so every key slot is an int.
+    With ``unit`` None it is on the element's own exponent unit: the lcm of
+    the denominators of its monomial slots, 1 when all are ints.
+    ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with every monomial
+    slot times that unit, so every key slot is an int.  A ``unit`` that is
+    a multiple of the own one asks for the same form with every monomial
+    slot times ``unit``; such a form is rescaled from the own one on the
+    first request and kept in ``e._rescaled``.
     """
     split = getattr(e, "_blocks", None)  # unset when made without __init__
     if split is None:
         if getattr(e, "_int_keys", False):
-            terms, unit = e.terms, 1
+            terms, own = e.terms, 1
         else:  # scan, and store integral Fraction slots as ints too
-            unit = math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
-            terms = _scale_keys(e.terms, unit)
-        split = e._blocks = (*split_blocks(terms), unit)
-    return split
+            own = math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
+            terms = _scale_keys(e.terms, own)
+        split = e._blocks = (*split_blocks(terms), own)
+    if unit is None or unit == split[2]:
+        return split
+    rescaled = getattr(e, "_rescaled", None)
+    if rescaled is None:
+        rescaled = e._rescaled = {}
+    form = rescaled.get(unit)
+    if form is None:
+        blocks, den, own = split
+        r = unit // own
+        form = rescaled[unit] = ({blk: _scale_keys(t, r) for blk, t in blocks.items()},
+                                 den, unit)
+    return form
 
 
 def _operands(a: WeylElement, b: WeylElement):
@@ -465,16 +491,16 @@ def _operands(a: WeylElement, b: WeylElement):
     pair, and its accumulator is ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is
     the product of the two common denominators.  Both operands' keys are on
     the lattice of ``unit``, the lcm of their exponent units (an operand
-    with a smaller unit is rescaled for this call), so the kernel's result
-    is ``_result(table, sums, den, unit)``.
+    with a smaller unit enters in its split form for ``unit``, made once),
+    so the kernel's result is ``_result(table, sums, den, unit)``.
     """
     a._require_same_table(b)
     (blocks_a, den_a, unit_a), (blocks_b, den_b, unit_b) = _split(a), _split(b)
     unit = math.lcm(unit_a, unit_b)
     if unit_a != unit:
-        blocks_a = {blk: _scale_keys(t, unit // unit_a) for blk, t in blocks_a.items()}
+        blocks_a = _split(a, unit)[0]
     if unit_b != unit:
-        blocks_b = {blk: _scale_keys(t, unit // unit_b) for blk, t in blocks_b.items()}
+        blocks_b = _split(b, unit)[0]
     sums, pairs = {}, []
     for (ga, xa), terms_a in blocks_a.items():
         for (gb, xb), terms_b in blocks_b.items():
@@ -540,6 +566,11 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     entries.  It is shared by all threads and thread-safe: it holds only
     immutable values, and ``lru_cache`` guards its own bookkeeping.
     """
+    return _result(a.table, *_commutator_core(a, b))
+
+
+def _commutator_core(a: WeylElement, b: WeylElement):
+    """The loop of :func:`commutator`, in split form: ``(sums, den, unit)``."""
     sums, den, unit, pairs = _operands(a, b)
     for terms_a, terms_b, out in pairs:
         for (m1, d1), c1 in terms_a.items():
@@ -555,7 +586,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                         c = base * (sign * factor)
                         s = out.get(key)
                         out[key] = c if s is None else s + c
-    return _result(a.table, sums, den, unit)
+    return sums, den, unit
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -633,9 +664,7 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
             image[blk] = block
     if not image:
         return Fraction(0)
-    blocks, den_f, unit_f = _split(f)
-    if unit_f != unit:
-        blocks = {blk: _scale_keys(t, unit // unit_f) for blk, t in blocks.items()}
+    blocks, den_f, _ = _split(f, unit)
     if image.keys() != blocks.keys() or any(
             block.keys() != blocks[blk].keys() for blk, block in image.items()):
         return None
@@ -649,6 +678,52 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
             if n * scale_image != ref[key] * scale_f:
                 return None
     return value
+
+
+def _is_combination(table: VarTable, core, combo, scalar: Coef,
+                    sign: int) -> bool:
+    """Whether the kernel result ``core = (sums, den, unit)`` equals
+    sign * (sum c * g + scalar) over the (c, g) pairs of ``combo``.
+
+    Runs on split forms, so no ``Coef``, no ``Fraction`` key and no element
+    is built.  ``core`` holds numerators n over ``den`` per gamma^a xi^b
+    block and lattice key.  The right side is written the same way, as int
+    numerators r over one common denominator R: the term q * gamma^a xi^b
+    of c times a block of g, numerators n_g over den_g, adds q.numerator *
+    n_g * R / (q.denominator * den_g) at each key of that block shifted by
+    (a, b); ``scalar`` is such a term times the constant 1.  Both sides are
+    equal exactly when n * R == r * den at every block and key, a key
+    absent on one side reading 0 there, so zero terms on either side (a
+    coefficient 0 kept by a table, a sum that cancelled) need no care.  The
+    keys are compared on the lcm of ``unit`` and the units of the g with
+    c != 0; each such g enters in its split form for that lcm.
+    """
+    sums, den, unit = core
+    combo = [(c, g) for c, g in combo if c.terms]
+    lattice = math.lcm(unit, *[_split(g)[2] for _, g in combo])
+    if lattice != unit:
+        sums = {blk: _scale_keys(t, lattice // unit) for blk, t in sums.items()}
+    parts = [(c, _split(g, lattice)) for c, g in combo]
+    parts.append((scalar, ({(0, 0): {(table.zeros, table.zeros): 1}}, 1, 1)))
+    R = math.lcm(*[q.denominator * den_g
+                   for c, (_, den_g, _) in parts for q in c.terms.values()])
+    expected = {}
+    for c, (blocks, den_g, _) in parts:
+        for (a, b), q in c.terms.items():
+            f = sign * q.numerator * (R // (q.denominator * den_g))
+            for (ga, xb), terms in blocks.items():
+                out = expected.setdefault((a + ga, b + xb), {})
+                for key, n in terms.items():
+                    s = out.get(key)
+                    out[key] = f * n if s is None else s + f * n
+    for blk, block in sums.items():
+        ref = expected.pop(blk, {})
+        for key, n in block.items():
+            if n * R != ref.pop(key, 0) * den:
+                return False
+        if any(ref.values()):
+            return False
+    return not any(any(ref.values()) for ref in expected.values())
 
 
 # ---------------------------------------------------------------------------

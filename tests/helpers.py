@@ -123,14 +123,16 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
     return e
 
 
-def split_form(e: WeylElement) -> tuple[dict, int, int]:
+def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]:
     """The split form a kernel caches for ``e``, built independently.
 
     ``(blocks, den, unit)``: ``unit`` is the lcm of the denominators of the
-    monomial slots of ``e``, and ``(blocks, den)`` is ``split_blocks`` of
-    its terms with every monomial slot times ``unit``, as an int.
+    monomial slots of ``e`` unless given, and ``(blocks, den)`` is
+    ``split_blocks`` of its terms with every monomial slot times ``unit``,
+    as an int.
     """
-    unit = math.lcm(*(Fraction(p).denominator for mon, _ in e.terms for p in mon))
+    if unit is None:
+        unit = math.lcm(*(Fraction(p).denominator for mon, _ in e.terms for p in mon))
     scaled = {(tuple(int(p * unit) for p in mon), der): c
               for (mon, der), c in e.terms.items()}
     return (*split_blocks(scaled), unit)

@@ -1,21 +1,27 @@
 """CLI contract: exit codes, deterministic reports, schema, atomic output."""
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import golden
 from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
                           build_parser, main, parse_rational, run)
 
-# the `all` report, pinned byte for byte (same value as perfbench/workloads.py)
-GOLDEN_ALL_BYTES = 1_693_160
-GOLDEN_ALL_SHA256 = \
-    "9f894a56ba386127e3ca03585819c4071e81574e7a7250bd24f84798d7d3af3c"
+# the `all` report, pinned section by section and byte for byte in
+# tests/golden_all.json (its whole-report sha256 is the one that
+# perfbench/workloads.py gates on)
+GOLDEN = golden.load_pin()
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_main(argv, capsys):
@@ -337,17 +343,106 @@ def test_spectrum_family_dispatch_by_l(capsys):
                     capsys)
 
 
-def test_all_runs_clean(capsys):
-    code, out = run_main(["all"], capsys)
+@pytest.fixture(scope="module")
+def all_report():
+    """(exit status, standard output) of `cgaweyl all`, run once per module."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["all"])
+    return code, buf.getvalue()
+
+
+def test_all_runs_clean(all_report):
+    code, out = all_report
     assert code == 0
+    problem = golden.mismatch(out, GOLDEN)
+    assert problem is None, problem
     data = out.encode("utf-8")
-    assert len(data) == GOLDEN_ALL_BYTES
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_ALL_SHA256
+    assert len(data) == GOLDEN["bytes"]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN["sha256"]
     doc = json.loads(out)
     assert doc["ok"] is True
     statuses = {e["status"] for s in doc["sections"]
                 for e in s.get("entries", [])}
     assert "failed" not in statuses
+
+
+def _one_byte_changed(out, position):
+    """The report ``out`` with one character of one entry string of the
+    section at ``position`` changed (same length), re-emitted."""
+    doc = json.loads(out)
+    sec = doc["sections"][position]
+    key = "entries" if sec.get("entries") else "rows"
+    item = sec[key][len(sec[key]) // 2]
+    field = next(k for k, v in sorted(item.items()) if isinstance(v, str) and v)
+    text = item[field]
+    item[field] = text[:-1] + ("x" if text[-1] != "x" else "y")
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_golden_pin_names_the_section_a_one_byte_change_is_in(all_report):
+    _, out = all_report
+    sections = GOLDEN["sections"]
+    for position in (0, len(sections) // 2, len(sections) - 1):
+        changed = _one_byte_changed(out, position)
+        assert len(changed) == len(out)
+        problem = golden.mismatch(changed, GOLDEN)
+        pin = sections[position]
+        assert problem == (f"section {position} ({pin['title']!r}, family "
+                           f"{pin['family']!r}) differs in sha256")
+
+
+def test_golden_pin_still_checks_the_whole_report(all_report):
+    """A wrong whole-report pin fails with every section matching, and so
+    does a change outside the sections."""
+    _, out = all_report
+    wrong = dict(GOLDEN, sha256="0" * 64)
+    assert golden.mismatch(out, wrong).startswith("whole report differs")
+    outside = out.replace('"schema": ', '"schema":  ', 1)
+    assert golden.mismatch(outside, GOLDEN).startswith("whole report differs")
+    assert golden.mismatch(out, dict(GOLDEN, sections=GOLDEN["sections"][:-1])) \
+        .startswith(f"{len(GOLDEN['sections'])} sections where the pin has")
+
+
+def _matrix_copy(tmp_path, report, pin):
+    """A checkout holding ``scripts/interp_matrix.sh``, ``tests/golden.py``,
+    the pin ``pin`` and a stand-in ``cgaweyl.cli`` that prints ``report``."""
+    for rel in ("scripts/interp_matrix.sh", "tests/golden.py"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(REPO / rel, tmp_path / rel)
+    (tmp_path / "tests" / "golden_all.json").write_text(json.dumps(pin))
+    pkg = tmp_path / "src" / "cgaweyl"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(f"import sys\nsys.stdout.write({report!r})\n")
+    return tmp_path / "scripts" / "interp_matrix.sh"
+
+
+def _run_matrix(root, report, pin):
+    script = _matrix_copy(root, report, pin)
+    return subprocess.run(["bash", str(script)], capture_output=True, text=True)
+
+
+def test_interp_matrix_exits_one_on_a_mismatch(tmp_path):
+    """A wrong section pin or whole-report pin makes the script exit 1; the
+    right pin passes on every interpreter it finds."""
+    doc = {"sections": [{"title": "t", "family": "f", "entries": []}], "ok": True}
+    report = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    data = report.encode()
+    pin = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+           "sections": golden.section_pins(doc)}
+    wrong_pins = {"section": dict(pin, sections=[dict(pin["sections"][0], bytes=1)]),
+                  "whole": dict(pin, sha256="0" * 64)}
+    for name, wrong in wrong_pins.items():
+        proc = _run_matrix(tmp_path / name, report, wrong)
+        assert proc.returncode == 1, proc.stdout
+        assert "FAIL" in proc.stdout
+        if name == "section" and "no interpreter found" not in proc.stdout:
+            assert "section 0 ('t', family 'f') differs in bytes\n" in proc.stdout
+    proc = _run_matrix(tmp_path / "ok", report, pin)
+    if "no interpreter found" in proc.stdout:
+        pytest.skip("no pyenv interpreter of the matrix is installed")
+    assert proc.returncode == 0, proc.stdout
 
 
 def test_module_entry_point_runs():

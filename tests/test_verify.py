@@ -1,4 +1,5 @@
 """Verification machinery: tables, calibration, on-shell witnesses, maps."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
 from cgaweyl.weyl import WeylElement, commutator, mul, parse_element
 from cgaweyl.realizations import (
+    GeneratorFamily,
     build_free_general,
     build_free_l1,
     build_ladder,
@@ -113,8 +115,8 @@ def test_calibration_computes_each_commutator_once(monkeypatch):
     fam = build_free_l1()
     table = cga_l1_table(fam)
     calls = []
-    original = verify.commutator
-    monkeypatch.setattr(verify, "commutator",
+    original = verify._commutator_core
+    monkeypatch.setattr(verify, "_commutator_core",
                         lambda a, b: calls.append((a, b)) or original(a, b))
     deltas, report = calibrate_constants(fam, table)
     monkeypatch.undo()
@@ -445,3 +447,192 @@ def test_jacobi_on_l1_family_triples():
             + commutator(pairwise[(b, c)], fam[a]) \
             - commutator(pairwise[(a, c)], fam[b])
         assert total.is_zero(), (a, b, c)
+
+
+# -- the split-form table check against its element-level reference -----------
+
+def _reference_entries(fam, table):
+    """(status, residual text) per scope pair, from elements: [a, b] minus
+    the expected side, built with ``commutator`` and ``_rhs_element``."""
+    out = []
+    for a, b in table.pairs():
+        if (a, b) in table.skips or (b, a) in table.skips:
+            out.append((verify.SKIPPED, "mode index outside truncation"))
+            continue
+        residual = commutator(fam[a], fam[b])
+        found = table.lookup(a, b)
+        if found is not None:
+            sign, entry = found
+            residual = residual - verify._rhs_element(
+                fam.generators, fam.table, entry, sign)
+        out.append((EXACT, "") if residual.is_zero()
+                   else (FAILED, residual.text()))
+    return out
+
+
+def _checked_entries(fam, table):
+    """(status, residual text) per scope pair of ``verify_table``, after
+    asserting that the split-form comparison alone gave each verdict: an
+    exact pair built no residual, a failed one a nonzero residual."""
+    entries = verify_table(fam, table).entries
+    for e, (*_, bracket, residual) in zip(entries, verify._residuals(fam, table)):
+        if bracket is not None:
+            assert (residual is None) == (e.status == EXACT), e.lhs
+    return [(e.status, e.residual_text) for e in entries]
+
+
+def _xi0_case(w1, w2):
+    fam = build_xi0(w1, w2, cutoff=2)
+    return fam, xi0_loop_table(fam)
+
+
+def _l1_case(build, gamma, xi):
+    fam = build(gamma, xi)
+    return fam, cga_l1_table(fam)
+
+
+def _ccr_case(ell):
+    ladder = build_ladder(ell)
+    return (GeneratorFamily("ladder", "ccr", ladder.family.table, ladder.named(),
+                            ladder.family.params),
+            verify.ladder_ccr_table(ladder))
+
+
+# every kind of table the check runs on: label -> () -> (family, table)
+_REFERENCE_CASES = {
+    "xi0(2, 3)": lambda: _xi0_case(2, 3),
+    "xi0(3/2, 5/7)": lambda: _xi0_case(Fraction(3, 2), Fraction(5, 7)),
+    "osc-l1": lambda: _l1_case(build_osc_l1, None, None),
+    "free-l1": lambda: _l1_case(build_free_l1, None, None),
+    "osc-l1(2, -3)": lambda: _l1_case(build_osc_l1, 2, -3),
+    "free-l1(2, -3)": lambda: _l1_case(build_free_l1, 2, -3),
+    "general(2)": lambda: (build_free_general(2, verbatim=False),
+                           general_commutator_table(2)),
+    "general(2, verbatim)": lambda: (build_free_general(2), general_commutator_table(2)),
+    "ladder-ccr(2)": lambda: _ccr_case(2),
+}
+
+
+def _with_rhs(entry, rhs=None, scalar=None):
+    return RelationEntry(entry.left, entry.right,
+                         entry.rhs if rhs is None else tuple(rhs),
+                         entry.scalar if scalar is None else scalar)
+
+
+def _neighbour(fam, name, rng):
+    order = fam.order
+    i = order.index(name)
+    return order[i - 1 if i and (i + 1 == len(order) or rng.random() < 0.5) else i + 1]
+
+
+def _mutants(fam, table, rng):
+    """(kind, left, right, mutated entry) for up to three seeded picks of
+    every kind of mistake a table can carry."""
+    listed = sorted(table.entries.values(), key=lambda e: (e.left, e.right))
+    with_rhs = [e for e in listed if e.rhs]
+    kept_zero = [e for e in with_rhs if any(c.is_zero() for c, _ in e.rhs)]
+    commuting = [(a, b) for a, b in table.pairs()
+                 if table.lookup(a, b) is None and (a, b) not in table.skips]
+    one, gamma = Coef.const(1), Coef.gamma()
+
+    def pick(pool):
+        return rng.sample(pool, min(3, len(pool)))
+
+    def edit_coefficient(e, change):
+        i = rng.randrange(len(e.rhs))
+        rhs = list(e.rhs)
+        rhs[i] = (change(rhs[i][0]), rhs[i][1])
+        return _with_rhs(e, rhs)
+
+    for e in pick(with_rhs):
+        step = one if rng.random() < 0.5 else -one
+        yield "coefficient +-1", e.left, e.right, edit_coefficient(e, lambda c: c + step)
+    for e in pick(with_rhs):
+        yield "coefficient * gamma", e.left, e.right, edit_coefficient(e, lambda c: c * gamma)
+    for e in pick(with_rhs):
+        i = rng.randrange(len(e.rhs))
+        rhs = list(e.rhs)
+        rhs[i] = (rhs[i][0], _neighbour(fam, rhs[i][1], rng))
+        yield "neighbouring target", e.left, e.right, _with_rhs(e, rhs)
+    for e in pick(listed):
+        scalar = COEF_ZERO if not e.scalar.is_zero() else Coef.const(Fraction(-1, 2))
+        yield "scalar added or dropped", e.left, e.right, _with_rhs(e, scalar=scalar)
+    for e in pick(kept_zero):
+        rhs = [(one if c.is_zero() else c, name) for c, name in e.rhs]
+        yield "kept zero made nonzero", e.left, e.right, _with_rhs(e, rhs)
+    for a, b in pick(commuting):
+        if rng.random() < 0.5:
+            entry = RelationEntry(a, b, ((one, rng.choice(fam.order)),), COEF_ZERO)
+        else:
+            entry = RelationEntry(a, b, (), one)
+        yield "must-commute pair given an entry", a, b, entry
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_table_check_matches_the_element_reference(label):
+    """Every scope pair of every kind of table gets the status and the
+    residual text of [a, b] minus the expected side built as elements."""
+    fam, table = _REFERENCE_CASES[label]()
+    assert _checked_entries(fam, table) == _reference_entries(fam, table)
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_mutated_tables_match_the_element_reference(label):
+    """A wrong coefficient, target or scalar, a kept zero made nonzero, or
+    an entry for a pair that must commute: the check and its reference give
+    the same status and residual text, pair by pair (each mutant is checked
+    on the two-generator table of its pair)."""
+    fam, table = _REFERENCE_CASES[label]()
+    rng = random.Random(1709)
+    kinds, failed = set(), set()
+    for kind, a, b, entry in _mutants(fam, table, rng):
+        pair = RelationTable(table.name, (a, b), {(entry.left, entry.right): entry})
+        got = _checked_entries(fam, pair)
+        assert got == _reference_entries(fam, pair), (kind, a, b)
+        kinds.add(kind)
+        if got[0][0] == FAILED:
+            failed.add(kind)
+    assert failed == kinds  # every kind of mistake is caught at least once
+
+
+def test_combination_check_lifts_to_a_unit_the_bracket_lacks():
+    """A right side whose generators have exponent units that do not divide
+    the bracket's is compared on the lcm of all of them."""
+    from cgaweyl.weyl import RAT, VarTable, _commutator_core, _is_combination, _split
+    table = VarTable(("x",), (RAT,))
+    x = lambda p: WeylElement.var(table, "x", p)  # noqa: E731
+    d = WeylElement.deriv(table, "x")
+    half, third = Coef.const(Fraction(1, 2)), Coef.const(Fraction(4, 3))
+    cases = [  # (a, b, [(c, g)], is [a, b] == sum c * g)
+        (d, x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
+                   (Coef.const(-2), x(Fraction(1, 2)))], True),
+        (d, x(2), [(Coef.const(2), x(Fraction(1, 2)))], False),
+        (d, x(Fraction(4, 3)), [(third, x(Fraction(1, 3)) + x(Fraction(1, 2))),
+                                (-third, x(Fraction(1, 2)))], True),
+        (d, x(Fraction(4, 3)), [(third, x(Fraction(1, 3))),
+                                (half, x(Fraction(1, 2)))], False),
+    ]
+    for a, b, combo, holds in cases:
+        core = _commutator_core(a, b)
+        assert any(core[2] % _split(g)[2] for _, g in combo)
+        rhs = WeylElement.zero(table)
+        for c, g in combo:
+            rhs = rhs + g.scaled(c)
+        assert (commutator(a, b) == rhs) is holds
+        assert _is_combination(table, core, combo, COEF_ZERO, 1) is holds
+        assert _is_combination(table, core, [(-c, g) for c, g in combo],
+                               COEF_ZERO, -1) is holds
+
+
+def test_missing_generator_on_the_right_side_is_rejected():
+    """A right side naming a generator the family lacks raises, also with a
+    zero coefficient and also for a pair whose bracket it would match."""
+    fam = build_xi0(2, 3, cutoff=2)
+    table = xi0_loop_table(fam)
+    a, b = "j0(0)", "chi(1)"
+    entry = table.entries[a, b]
+    assert entry.rhs[0][0].is_zero()
+    for rhs in (((COEF_ZERO, "ghost(1)"),), entry.rhs + ((COEF_ZERO, "ghost(1)"),)):
+        bad = RelationTable(table.name, (a, b), {(a, b): _with_rhs(entry, rhs)})
+        with pytest.raises(UnknownGenerator):
+            verify_table(fam, bad)

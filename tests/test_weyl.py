@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cgaweyl import weyl
 from cgaweyl.scalar import Coef, split_blocks
 from cgaweyl.weyl import (
     INT,
@@ -182,8 +183,12 @@ def test_reorder_memo_is_shared_safely_by_threads():
     slots of shared fresh operands at once, all get the single-threaded
     commutators."""
     pairs, fresh = [], []
-    for fam in (build_free_general(2, verbatim=False), build_osc_l1()):
-        gens = [WeylElement(g.table, g.terms) for g in fam.generators.values()]
+    xi0 = build_xi0(2, 3, cutoff=1)  # loop modes of units 1 and 2
+    loop = {n: xi0[n] for n in ("j+(0)", "j+(1)", "w(-1)", "w(0)", "chi(1)",
+                                "rho(1)", "v(0)", "u(-1)")}
+    for gens in (build_free_general(2, verbatim=False).generators,
+                 build_osc_l1().generators, loop):
+        gens = [WeylElement(g.table, g.terms) for g in gens.values()]
         pairs += [(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
         fresh += gens
     expected = [commutator(WeylElement(a.table, a.terms),
@@ -210,6 +215,28 @@ def test_reorder_memo_is_shared_safely_by_threads():
     assert len(results) == 12
     assert all(r == expected for r in results.values())
     assert all(g._blocks == split_form(g) for g in fresh)
+    rescaled = [(g, unit, form) for g in fresh for unit, form in (g._rescaled or {}).items()]
+    assert {unit for _, unit, _ in rescaled} == {2}
+    assert all(form == split_form(g, unit) for g, unit, form in rescaled)
+
+
+def test_rescaled_split_forms_are_made_once(monkeypatch):
+    """An operand beside one of a larger unit is rescaled on the first call
+    only; the form is kept per unit and equals a direct split on that unit."""
+    fam = build_xi0(Fraction(3, 2), Fraction(5, 7), cutoff=1)
+    a, b = (WeylElement(fam[n].table, fam[n].terms) for n in ("j+(0)", "w(1)"))
+    unit_a, unit_b = _split(a)[2], _split(b)[2]
+    assert unit_b % unit_a == 0 and unit_b > unit_a
+    calls = []
+    original = weyl._scale_keys
+    monkeypatch.setattr(weyl, "_scale_keys",
+                        lambda terms, r: calls.append(r) or original(terms, r))
+    first = commutator(a, b)
+    made = len(calls)
+    assert made and set(calls) == {unit_b // unit_a}
+    assert commutator(a, b) == first and commutator(b, a) == -first
+    assert len(calls) == made
+    assert a._rescaled == {unit_b: split_form(a, unit_b)} and b._rescaled is None
 
 
 def _assert_commutator_matches_products(a, b):
@@ -432,6 +459,9 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
         for e in (a, b, f, fa, ff, *(got for got, _ in results)):
             _assert_lattice_keys(e)
         units.add((_split(a)[2], _split(b)[2], _split(f)[2]))
+        for e in (a, b, f):
+            for unit, form in (e._rescaled or {}).items():
+                assert form == split_form(e, unit)
     # the fixed cases: products whose Fraction slots sum to an integer or 0
     got = mul(*cases[0][:2])
     assert {mon[-1] for mon, _ in got.terms} == {0}
