@@ -366,7 +366,16 @@ def _option(command: str, name: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every parse error is one ``error: <reason>`` line and exit 2."""
+    """Every parse error is one ``error: <reason>`` line and exit 2.
+
+    A negative p/q such as ``-3/2`` is an option's value, as ``-3`` is:
+    argparse's own pattern for negative numbers takes only ``-n`` and
+    ``-n.m``, so ``--omega2 -3/2`` would read as a missing value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -5,10 +5,11 @@ family: listed pairs must reproduce their stated linear combination,
 unlisted pairs must commute.  One pair loop, :func:`_residuals`, serves
 every table check and the calibration.  It takes each [a, b] in the split
 form of the commutator kernel (int numerators per gamma^a xi^b block and
-lattice key) and compares it with the expected side on those numerators,
-so a pair that holds builds no element; only a failing pair builds [a, b]
-and its residual, [a, b] minus the expected side, whose text the report
-prints.  Additive-constant calibration
+lattice key) and compares it on those numerators with the expected side
+written as c * g, c of at most one term (``weyl._is_multiple``), so a pair
+that holds builds no element; only a failing pair builds [a, b] and its
+residual, [a, b] minus the expected side, whose text the report prints.
+Additive-constant calibration
 solves exactly for scalar shifts g -> g + delta_g absorbing constant
 residuals (commutators are blind to the shifts, so the system is linear).
 On-shell invariance [g, Omega] = f * Omega is certified by derivative-free
@@ -21,13 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 
-from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef
+from .scalar import COEF_ONE, COEF_ZERO, Coef, NotDivisible, as_fraction, coef
 from .weyl import (
     DomainViolation,
     VarTable,
     WeylElement,
     _commutator_core,
-    _is_combination,
+    _is_multiple,
     _result,
     commutator,
     free_to_osc,
@@ -387,16 +388,19 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
 
     ``bracket`` is [a, b] in the split form of ``weyl._commutator_core``,
     taken from ``brackets[a, b]`` when given, and None for a pair skipped by
-    the truncation.  It is compared with the expected right-hand side on
-    the split forms (``weyl._is_combination``; zero for a pair that must
-    commute, ``entry`` None), and ``residual`` is None when they are equal.
-    Only a pair that fails builds elements: ``residual`` is then [a, b]
-    minus the expected side, or [a, b] itself for a pair that must commute.
+    the truncation.  It is compared on the split forms with the expected
+    side as c * g (``weyl._is_multiple``): c = 0 for a pair that must
+    commute (``entry`` None); a one-term side, as every entry of the tables
+    built here is, against its generator or, for a scalar, the constant 1;
+    any other side built as one element by :func:`_rhs_element`, with c = 1.
+    ``residual`` is None when they are equal, and otherwise [a, b] minus
+    the expected side, built only then.
     """
     gens = fam.generators
     for a in table.scope:
         if a not in gens:
             raise UnknownGenerator(a)
+    one = WeylElement.const(fam.table, 1)
     for a, b in table.pairs():
         if (a, b) in table.skips or (b, a) in table.skips:
             yield a, b, 1, None, None, None
@@ -405,13 +409,20 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
         sign, entry = found if found else (1, None)
         bracket = (brackets[a, b] if brackets is not None
                    else _commutator_core(gens[a], gens[b]))
-        combo, scalar = ((_rhs_terms(gens, entry), entry.scalar)
-                         if entry is not None else ((), COEF_ZERO))
+        if entry is None:
+            c, g = COEF_ZERO, one
+        elif not entry.rhs:
+            c, g = sign * entry.scalar, one
+        elif len(entry.rhs) == 1 and entry.scalar.is_zero():
+            (c, g), = _rhs_terms(gens, entry)
+            c = sign * c
+        else:
+            c = None
+        if c is None or len(c.terms) > 1:
+            c, g = COEF_ONE, _rhs_element(gens, fam.table, entry, sign)
         residual = None
-        if not _is_combination(fam.table, bracket, combo, scalar, sign):
-            residual = _result(fam.table, *bracket)
-            if entry is not None:
-                residual = residual - _rhs_element(gens, fam.table, entry, sign)
+        if not _is_multiple(bracket, g, c):
+            residual = _result(fam.table, *bracket) - g.scaled(c)
         yield a, b, sign, entry, bracket, residual
 
 

@@ -62,20 +62,22 @@ product of the two denominators, and the reordering factors are ints or,
 for a unit L > 1, an int over L^K, K the number of derivatives moved (a
 ``Fraction`` unless it is integral).  No ``Coef`` is built per term pair;
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
-the end.  The loop of :func:`apply_to` is :func:`_apply_core`, which stops
-before that join and has a second consumer: :func:`_eigenvalue`, behind
-the spectrum's eigenvalue checks, compares its sums with the split form of
-the state directly, so H psi is never built as ``Coef`` values.  The split
-form of :func:`_commutator_core` has a consumer of its own:
-:func:`_is_combination`, behind the verifier's commutator tables,
-certifies [a, b] = sum c_i * g_i + s by cross-multiplying its int
-numerators with those of the split forms of the g_i, so a pair that holds
-builds no element and no ``Coef``.  Each element keeps its split form in a
-slot filled on first use, together with its unit, and, in a second slot,
-its form on each larger unit that a call asks for (an operand beside one
-of larger unit, a g_i beside a bracket of larger unit), so each is
-rescaled once.  The constructor records when every slot is an ``int``, so
-splitting such an element needs no scan.
+the end.  The loops of :func:`apply_to` and :func:`commutator` are
+:func:`_apply_core` and :func:`_commutator_core`, which stop before that
+join, and one comparator reads their split forms: :func:`_is_multiple`
+answers whether a kernel result equals c * g, for an element g and a
+coefficient c of at most one term q * gamma^a * xi^b, by shifting the
+blocks of g by (a, b) and cross-multiplying int numerators key by key.
+:func:`_eigenvalue`, behind the spectrum's eigenvalue checks, reads E off
+one term of H psi and certifies H psi = E * psi with it; the verifier's
+commutator tables certify [a, b] = c * g with it.  So neither H psi nor a
+bracket that holds is built as an element or as ``Coef`` values.  Each
+element keeps its split form in a slot filled on first use, together with
+its unit, and, in a second slot, its form on each larger unit that a call
+asks for (an operand beside one of larger unit, a g beside a kernel
+result of larger unit), so each is rescaled once.  The constructor
+records when every slot is an ``int``, so splitting such an element needs
+no scan.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
@@ -209,12 +211,11 @@ def _term_sort_key(key: tuple[tuple, tuple]):
 class WeylElement:
     """Canonical normal-ordered operator: a term map (mon, der) -> Coef.
 
-    ``_blocks`` caches the split form of :func:`_split`; it is None, or
-    unset on an element made without the constructor, until a kernel first
-    uses the element.  ``_rescaled`` holds, once some call needs one, the
-    split forms on larger units.  ``_int_keys`` records that the
-    constructor saw no ``Fraction`` slot, so splitting needs no scan for
-    the exponent unit.
+    ``_blocks`` caches the split form of :func:`_split`; it is None until
+    a kernel first uses the element.  ``_rescaled`` holds, once some call
+    needs one, the split forms on larger units.  ``_int_keys`` records that
+    the constructor saw no ``Fraction`` slot, so splitting needs no scan
+    for the exponent unit.
     """
 
     __slots__ = ("table", "terms", "_blocks", "_rescaled", "_int_keys")
@@ -461,9 +462,9 @@ def _split(e: WeylElement, unit: int | None = None):
     slot times ``unit``; such a form is rescaled from the own one on the
     first request and kept in ``e._rescaled``.
     """
-    split = getattr(e, "_blocks", None)  # unset when made without __init__
+    split = e._blocks
     if split is None:
-        if getattr(e, "_int_keys", False):
+        if e._int_keys:
             terms, own = e.terms, 1
         else:  # scan, and store integral Fraction slots as ints too
             own = math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
@@ -471,7 +472,7 @@ def _split(e: WeylElement, unit: int | None = None):
         split = e._blocks = (*split_blocks(terms), own)
     if unit is None or unit == split[2]:
         return split
-    rescaled = getattr(e, "_rescaled", None)
+    rescaled = e._rescaled
     if rescaled is None:
         rescaled = e._rescaled = {}
     form = rescaled.get(unit)
@@ -645,85 +646,55 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
     """The rational E with ``apply_to(a, f) == E * f``, or None; ``f`` nonzero.
 
     Runs on the split forms, so the image is never joined into ``Coef``
-    values.  Write the image as numerators n over ``den`` and ``f`` as
-    numerators n_f over ``den_f``, per gamma^a xi^b block and lattice key.
-    The image is E * f for a rational E exactly when both have the same
-    blocks, each block the same keys, and every n * den_f / (n_f * den)
-    equals E; so E is read off one term and each term is certified by
-    cross-multiplying with E = p/q.  A ratio that is not constant, gamma or
-    gamma + xi for instance, moves the highest block of ``f`` (in any
-    monomial order), so the block sets differ and the answer is None.  The
-    numerators are ints, or ``Fraction`` where a unit above 1 gives a
-    fractional reordering factor.
+    values: E is read off the first nonzero numerator of the image and the
+    same key of ``f``, and :func:`_is_multiple` certifies the image as E * f.
     """
-    sums, den, unit = _apply_core(a, f)
-    image = {}
-    for blk, block in sums.items():
-        block = {key: n for key, n in block.items() if n}
-        if block:
-            image[blk] = block
-    if not image:
+    core = sums, den, unit = _apply_core(a, f)
+    first = next(((blk, key, n) for blk, block in sums.items()
+                  for key, n in block.items() if n), None)
+    if first is None:
         return Fraction(0)
+    blk, key, n = first
     blocks, den_f, _ = _split(f, unit)
-    if image.keys() != blocks.keys() or any(
-            block.keys() != blocks[blk].keys() for blk, block in image.items()):
+    n_f = blocks.get(blk, {}).get(key)
+    if n_f is None:
         return None
-    blk, block = next(iter(image.items()))
-    key, n = next(iter(block.items()))
-    value = Fraction(n * den_f, blocks[blk][key] * den)
-    scale_image, scale_f = value.denominator * den_f, value.numerator * den
-    for blk, block in image.items():
-        ref = blocks[blk]
-        for key, n in block.items():
-            if n * scale_image != ref[key] * scale_f:
-                return None
-    return value
+    value = Fraction(n * den_f, n_f * den)
+    return value if _is_multiple(core, f, coef(value)) else None
 
 
-def _is_combination(table: VarTable, core, combo, scalar: Coef,
-                    sign: int) -> bool:
-    """Whether the kernel result ``core = (sums, den, unit)`` equals
-    sign * (sum c * g + scalar) over the (c, g) pairs of ``combo``.
+def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
+    """Whether the kernel result ``core = (sums, den, unit)`` equals c * g.
 
-    Runs on split forms, so no ``Coef``, no ``Fraction`` key and no element
-    is built.  ``core`` holds numerators n over ``den`` per gamma^a xi^b
-    block and lattice key.  The right side is written the same way, as int
-    numerators r over one common denominator R: the term q * gamma^a xi^b
-    of c times a block of g, numerators n_g over den_g, adds q.numerator *
-    n_g * R / (q.denominator * den_g) at each key of that block shifted by
-    (a, b); ``scalar`` is such a term times the constant 1.  Both sides are
-    equal exactly when n * R == r * den at every block and key, a key
-    absent on one side reading 0 there, so zero terms on either side (a
-    coefficient 0 kept by a table, a sum that cancelled) need no care.  The
-    keys are compared on the lcm of ``unit`` and the units of the g with
-    c != 0; each such g enters in its split form for that lcm.
+    ``c`` has at most one term q * gamma^a * xi^b.  Runs on split forms, so
+    no ``Coef``, no ``Fraction`` key and no element is built.  ``core``
+    holds numerators n over ``den`` per gamma^a xi^b block and lattice key
+    (ints, or ``Fraction`` where a unit above 1 gives a fractional
+    reordering factor), ``g`` numerators n_g over den_g.  c * g has the
+    blocks of g shifted by (a, b), and equals ``core`` exactly when the
+    nonzero numerators of ``core`` sit at just those keys, each with
+    n * den_g * q.denominator == n_g * q.numerator * den.  A g whose unit
+    does not divide ``unit`` has a key off the lattice of ``core``; when c
+    or g is zero, ``core`` must vanish.
     """
     sums, den, unit = core
-    combo = [(c, g) for c, g in combo if c.terms]
-    lattice = math.lcm(unit, *[_split(g)[2] for _, g in combo])
-    if lattice != unit:
-        sums = {blk: _scale_keys(t, lattice // unit) for blk, t in sums.items()}
-    parts = [(c, _split(g, lattice)) for c, g in combo]
-    parts.append((scalar, ({(0, 0): {(table.zeros, table.zeros): 1}}, 1, 1)))
-    R = math.lcm(*[q.denominator * den_g
-                   for c, (_, den_g, _) in parts for q in c.terms.values()])
-    expected = {}
-    for c, (blocks, den_g, _) in parts:
-        for (a, b), q in c.terms.items():
-            f = sign * q.numerator * (R // (q.denominator * den_g))
-            for (ga, xb), terms in blocks.items():
-                out = expected.setdefault((a + ga, b + xb), {})
-                for key, n in terms.items():
-                    s = out.get(key)
-                    out[key] = f * n if s is None else s + f * n
-    for blk, block in sums.items():
-        ref = expected.pop(blk, {})
-        for key, n in block.items():
-            if n * R != ref.pop(key, 0) * den:
-                return False
-        if any(ref.values()):
+    blocks, (a, b), scale_core, scale_g = {}, (0, 0), 1, 0
+    if c.terms and g.terms:
+        ((a, b), q), = c.terms.items()
+        if unit % _split(g)[2]:
             return False
-    return not any(any(ref.values()) for ref in expected.values())
+        blocks, den_g, _ = _split(g, unit)
+        scale_core, scale_g = den_g * q.denominator, q.numerator * den
+    found = 0
+    for (x, y), block in sums.items():
+        ref = blocks.get((x - a, y - b), {})
+        for key, n in block.items():
+            if n:
+                n_g = ref.get(key)
+                if n_g is None or n * scale_core != n_g * scale_g:
+                    return False
+                found += 1
+    return found == sum(map(len, blocks.values()))
 
 
 # ---------------------------------------------------------------------------

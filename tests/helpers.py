@@ -116,10 +116,13 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
 
     Bypasses the WeylElement constructor and its checks, so a test can
     feed the kernels an operand that no constructor would accept, such as
-    a term outside its table's exponent domain.
+    a term outside its table's exponent domain.  Its split-form slots are
+    empty and it claims no all-int keys, so a kernel scans it on first use.
     """
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
+    e._blocks = e._rescaled = None
+    e._int_keys = False
     return e
 
 

@@ -207,6 +207,9 @@ def test_config_errors_exit_two(capsys):
         ["verify", "--family", "osc-l1", "--gamma", "0.5"], capsys)
     assert "zero denominator in '1/0'" in _assert_one_error_line(
         ["verify", "--family", "osc-l1", "--gamma", "1/0"], capsys)
+    # a value that looks like an option, not like a negative p/q, is missing
+    assert "expected one argument" in _assert_one_error_line(
+        ["similarity", "--xi", "-x"], capsys)
     # options that do not apply to the chosen family: one line each
     for argv in (["onshell", "--family", "xi0", "--omega", "2"],
                  ["verify", "--family", "osc-l1", "--l", "3"],
@@ -215,6 +218,20 @@ def test_config_errors_exit_two(capsys):
                  ["spectrum", "--family", "osc-l1", "--l", "3"],
                  ["spectrum", "--family", "xi0", "--l", "3"]):
         _assert_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["similarity"], "--gamma"),
+    (["similarity"], "--xi"),
+    (["onshell", "--family", "free-l1"], "--omega"),
+    (["spectrum", "--family", "xi0", "--emax", "1", "--k", "0"], "--omega1"),
+    (["spectrum", "--family", "xi0", "--emax", "1", "--k", "0"], "--omega2"),
+])
+def test_negative_fraction_as_a_separate_token(argv, option, capsys):
+    """``--option -p/q`` reads -p/q as the value, as ``--option=-p/q`` does."""
+    joined = run_main(argv + [f"{option}=-3/2"], capsys)
+    assert joined[0] in (0, 1)
+    assert run_main(argv + [option, "-3/2"], capsys) == joined
 
 
 def test_help_is_not_an_error(capsys):

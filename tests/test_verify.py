@@ -6,8 +6,10 @@ import pytest
 
 from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
-from cgaweyl.weyl import WeylElement, commutator, mul, parse_element
+from cgaweyl.weyl import (RAT, VarTable, WeylElement, _commutator_core, _is_multiple,
+                          commutator, mul, parse_element)
 from cgaweyl.realizations import (
+    FamilyParams,
     GeneratorFamily,
     build_free_general,
     build_free_l1,
@@ -596,32 +598,59 @@ def test_mutated_tables_match_the_element_reference(label):
 
 
 def test_combination_check_lifts_to_a_unit_the_bracket_lacks():
-    """A right side whose generators have exponent units that do not divide
-    the bracket's is compared on the lcm of all of them."""
-    from cgaweyl.weyl import RAT, VarTable, _commutator_core, _is_combination, _split
+    """A right side of several parts is built as one element and compared at
+    c = 1, also when its generators have exponent units that do not divide
+    the bracket's: where their off-lattice terms cancel the entry holds,
+    and where they do not it fails, in either order of the pair."""
     table = VarTable(("x",), (RAT,))
     x = lambda p: WeylElement.var(table, "x", p)  # noqa: E731
     d = WeylElement.deriv(table, "x")
     half, third = Coef.const(Fraction(1, 2)), Coef.const(Fraction(4, 3))
-    cases = [  # (a, b, [(c, g)], is [a, b] == sum c * g)
-        (d, x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
-                   (Coef.const(-2), x(Fraction(1, 2)))], True),
-        (d, x(2), [(Coef.const(2), x(Fraction(1, 2)))], False),
-        (d, x(Fraction(4, 3)), [(third, x(Fraction(1, 3)) + x(Fraction(1, 2))),
-                                (-third, x(Fraction(1, 2)))], True),
-        (d, x(Fraction(4, 3)), [(third, x(Fraction(1, 3))),
-                                (half, x(Fraction(1, 2)))], False),
+    cases = [  # (b, [(c, g)], is [d, b] == sum c * g)
+        (x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
+                (Coef.const(-2), x(Fraction(1, 2)))], True),
+        (x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
+                (Coef.const(-1), x(Fraction(1, 2)))], False),
+        (x(Fraction(4, 3)), [(third, x(Fraction(1, 3)) + x(Fraction(1, 2))),
+                             (-third, x(Fraction(1, 2)))], True),
+        (x(Fraction(4, 3)), [(third, x(Fraction(1, 3))),
+                             (half, x(Fraction(1, 2)))], False),
     ]
-    for a, b, combo, holds in cases:
-        core = _commutator_core(a, b)
-        assert any(core[2] % _split(g)[2] for _, g in combo)
-        rhs = WeylElement.zero(table)
-        for c, g in combo:
-            rhs = rhs + g.scaled(c)
-        assert (commutator(a, b) == rhs) is holds
-        assert _is_combination(table, core, combo, COEF_ZERO, 1) is holds
-        assert _is_combination(table, core, [(-c, g) for c, g in combo],
-                               COEF_ZERO, -1) is holds
+    for b, combo, holds in cases:
+        gens = {"d": d, "b": b, **{f"g{i}": g for i, (_, g) in enumerate(combo)}}
+        fam = GeneratorFamily("rat", "rat", table, gens, FamilyParams())
+        rhs = tuple((c, f"g{i}") for i, (c, _) in enumerate(combo))
+        for left, right, sign in (("d", "b", 1), ("b", "d", -1)):
+            entry = RelationEntry(left, right, tuple((sign * c, n) for c, n in rhs),
+                                  COEF_ZERO)
+            pair = RelationTable("rat", ("d", "b"), {(left, right): entry})
+            got = _checked_entries(fam, pair)
+            assert got == _reference_entries(fam, pair)
+            assert got[0][0] == (EXACT if holds else FAILED)
+
+
+def test_one_term_comparator():
+    """``_is_multiple`` on its own: a coefficient gamma^a xi^b shifts g's
+    blocks, a g off the bracket's lattice is no match, and c = 0 asks the
+    bracket to vanish."""
+    fam = build_osc_l1()
+    core, w0 = _commutator_core(fam["v0"], fam["q"]), fam["w0"]
+    g_over_x = Coef.gamma() / Coef.xi()
+    assert _is_multiple(core, w0, g_over_x)  # [v0, q] = (gamma/xi) w0
+    assert _is_multiple(core, w0.scaled(2), g_over_x * Fraction(1, 2))
+    for c in (Coef.gamma(), -g_over_x, g_over_x * 2, Coef.const(1), COEF_ZERO):
+        assert not _is_multiple(core, w0, c)
+    table = VarTable(("x",), (RAT,))
+    x = lambda p: WeylElement.var(table, "x", p)  # noqa: E731
+    d = WeylElement.deriv(table, "x")
+    one = WeylElement.const(table, 1)
+    assert _is_multiple(_commutator_core(d, x(1)), one, Coef.const(1))
+    assert not _is_multiple(_commutator_core(d, x(1)), x(Fraction(1, 2)), Coef.const(1))
+    assert not _is_multiple(_commutator_core(d, x(2)), x(Fraction(1, 2)), Coef.const(2))
+    assert _is_multiple(_commutator_core(x(1), x(2)), one, COEF_ZERO)
+    assert _is_multiple(_commutator_core(x(1), x(2)), WeylElement.zero(table),
+                        Coef.const(1))
+    assert not _is_multiple(_commutator_core(d, x(1)), one, COEF_ZERO)
 
 
 def test_missing_generator_on_the_right_side_is_rejected():

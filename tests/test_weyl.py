@@ -630,8 +630,8 @@ def test_unchecked_operands_fill_their_split_slot():
         a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None,
                                 rng, COEF_POOL)
         raw_a, raw_f = (unchecked_element(e.table, e.terms) for e in (a, f))
-        assert not hasattr(raw_a, "_blocks") and not hasattr(raw_f, "_blocks")
-        assert not hasattr(raw_a, "_int_keys") and not hasattr(raw_f, "_int_keys")
+        assert raw_a._blocks is None and raw_f._blocks is None
+        assert raw_a._int_keys is False and raw_f._int_keys is False
         assert mul(raw_a, b) == mul(a, b)
         assert apply_to(raw_a, raw_f) == apply_to(a, f)
         assert raw_a._blocks == split_form(a)
