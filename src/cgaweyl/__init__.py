@@ -23,7 +23,6 @@ from .weyl import (
 from .realizations import (
     GeneratorFamily,
     InvariantTriplet,
-    LadderSet,
     build_H,
     build_free_general,
     build_free_l1,
@@ -38,7 +37,7 @@ __all__ = [
     "NAT", "INT", "RAT", "VarTable", "WeylElement",
     "mul", "commutator", "anticommutator", "apply_to", "substitute",
     "free_to_osc", "degree_of", "element_to_text", "parse_element", "remap",
-    "GeneratorFamily", "InvariantTriplet", "LadderSet",
+    "GeneratorFamily", "InvariantTriplet",
     "build_free_l1", "build_osc_l1", "build_free_general", "build_ladder",
     "build_xi0", "build_triplet", "build_H",
 ]

@@ -167,17 +167,15 @@ def cmd_onshell(args) -> list[dict]:
 def cmd_spectrum(args) -> list[dict]:
     notes = []
     if args.family == "osc-l1":
-        target = rz.build_osc_l1(args.gamma, args.xi)
-        label, tag = target.name, "osc-l1"
+        target, tag = rz.build_osc_l1(args.gamma, args.xi), "osc-l1"
     elif args.family == "free-general":
-        target = rz.build_ladder(args.l)
-        label, tag = target.family.name, f"l={args.l}"
+        target, tag = rz.build_ladder(args.l), f"l={args.l}"
     else:
-        target = _xi0(args)
-        label, tag = target.name, "xi0"
+        target, tag = _xi0(args), "xi0"
         notes.append(f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
                      f"m*({target.params.omega2}) + n*({target.params.omega1}); "
                      "the level set equals {omega1*a + omega2*b}")
+    label = target.name
     sections = [_ground_section(f"ground state ({tag})", label, target),
                 _ladder_section(f"ladder relations ({tag})", label,
                                 sp.ladder_relations_check(target))]

@@ -1,12 +1,13 @@
 """Lowest-weight representation: ground state, ladder-generated eigenstates,
 exact eigenvalue tables, and the continuous-spectrum probe.
 
-One record per target (a ladder set, or an ell = 1 family), built by
-:func:`_ladder`, supplies everything the spectrum functions read: the
-named operators, the annihilators of the ground state, the ladder
-relations [H, op] = e*op with their energies e, and the walk that
-generates the table's states.  A row's level is the sum of the e of its
-creation operators, each e being the one its relation certifies.
+One record per target (a family of kind "ladder", "osc-l1" or "xi0"),
+built by :func:`_ladder`, supplies everything the spectrum functions read
+beyond the family's own generators: the annihilators of the ground state,
+the ladder relations [H, op] = e*op with their energies e, and the walk
+that generates the table's states from the ground state 1.  A row's
+level is the sum of the e of its creation operators, each e being the one
+its relation certifies.
 
 States are derivative-free elements (polynomials in the space variables).
 For exponential-time families the operator H carries no d[t] and every
@@ -23,18 +24,13 @@ from fractions import Fraction
 
 from .scalar import as_fraction
 from .weyl import (
-    RAT,
     WeylElement,
     _eigenvalue,
     apply_to,
     commutator,
     remap,
 )
-from .realizations import (
-    GeneratorFamily,
-    LadderSet,
-    build_H,
-)
+from .realizations import GeneratorFamily, build_H
 
 
 class ZeroState(ValueError):
@@ -59,29 +55,27 @@ def at_time_zero(e: WeylElement) -> WeylElement:
 class _Ladder:
     """The ladder structure of one spectrum target.
 
-    ``relations`` rows are (name, e, rhs) for [H, op] = e*op, ``rhs``
-    printing e*op by the operator's role (raising, lowering or zero), not
-    by the sign of e.  ``stages`` rows are (label, name, budget index,
-    cost) in application order; a state's quantum numbers are its stage
-    counts in reverse order.  ``root`` builds the walk's root with a
-    public builder, and ``order`` is the rows' sort key.
+    Operators are named by the target family's generators.  ``relations``
+    rows are (name, e, rhs) for [H, op] = e*op, ``rhs`` printing e*op by
+    the operator's role (raising, lowering or zero), not by the sign of e.
+    ``stages`` rows are (label, name, budget index, cost) in application
+    order; a state's quantum numbers are its stage counts in reverse
+    order.  ``order`` is the rows' sort key.
     """
 
     family: GeneratorFamily
     ell: int
-    ops: dict
     annihilators: tuple
     relations: tuple
     stages: tuple
     sliced: bool
-    root: object
     order: object
 
 
 def _ladder(target) -> _Ladder:
-    """The ladder record of a ladder set or of an ell = 1 family."""
-    if isinstance(target, LadderSet):
-        ell = target.ell
+    """The ladder record of a ladder family or of an ell = 1 family."""
+    if target.kind == "ladder":
+        ell = target.params.ell
         relations, stages = [], [("k", "a0d", 0, 1)]
         for n in range(1, ell + 1):
             relations += [(f"a{n}d", n, f"{n}*a{n}d"), (f"b{n}d", n, f"{n}*b{n}d"),
@@ -89,27 +83,24 @@ def _ladder(target) -> _Ladder:
         for j in range(ell, 0, -1):
             stages += [(f"m{j}", f"a{j}d", 1, j), (f"n{j}", f"b{j}d", 1, j)]
         return _Ladder(
-            family=target.family, ell=ell, ops=target.named(),
+            family=target, ell=ell,
             annihilators=("a0", *(f"{x}{n}" for n in range(1, ell + 1)
                                   for x in "ab")),
             relations=(*relations, ("a0d", 0, "0"), ("a0", 0, "0")),
-            stages=tuple(stages), sliced=False,
-            root=lambda: build_state_general(target, ((0, 0),) * ell),
-            order=tuple)
+            stages=tuple(stages), sliced=False, order=tuple)
     if target.kind not in ("osc-l1", "xi0"):
         raise ValueError(f"no ladder operators for family kind {target.kind!r}")
     # v_{-1} raises by omega2, w_{-1} by omega1 (both 1 for osc-l1)
     w1, w2 = ((target.params.omega1, target.params.omega2)
               if target.kind == "xi0" else (1, 1))
     return _Ladder(
-        family=target, ell=1, ops=target.generators,
+        family=target, ell=1,
         annihilators=("v+1", "w+1", "v0"),
         relations=(("v+1", -w1, f"-({w1})*v+1"), ("w+1", -w2, f"-({w2})*w+1"),
                    ("v-1", w2, f"({w2})*v-1"), ("w-1", w1, f"({w1})*w-1"),
                    ("v0", 0, "0"), ("w0", 0, "0")),
         stages=(("k", "w0", 0, 1), ("n", "w-1", 1, 1), ("m", "v-1", 1, 1)),
-        sliced=True, root=lambda: build_state(target, 0, 0, 0),
-        order=lambda qn: (qn[0] + qn[1], *qn))
+        sliced=True, order=lambda qn: (qn[0] + qn[1], *qn))
 
 
 def ground_state_verify(target) -> tuple[bool, str | None]:
@@ -120,7 +111,7 @@ def ground_state_verify(target) -> tuple[bool, str | None]:
     rec = _ladder(target)
     psi0 = WeylElement.const(rec.family.table, 1)
     for name in rec.annihilators:
-        if not apply_to(rec.ops[name], psi0).is_zero():
+        if not apply_to(rec.family[name], psi0).is_zero():
             return False, name
     return True, None
 
@@ -130,7 +121,7 @@ def _from_ground(rec: _Ladder, qn: tuple[int, ...]) -> WeylElement:
     psi = WeylElement.const(rec.family.table, 1)
     for (_, name, _, _), count in zip(rec.stages, reversed(qn)):
         for _ in range(count):
-            psi = apply_to(rec.ops[name], psi)
+            psi = apply_to(rec.family[name], psi)
     return at_time_zero(psi) if rec.sliced else psi
 
 
@@ -142,7 +133,7 @@ def build_state(fam: GeneratorFamily, m: int, n: int, k: int) -> WeylElement:
     return _from_ground(rec, (m, n, k))
 
 
-def build_state_general(ladder: LadderSet,
+def build_state_general(ladder: GeneratorFamily,
                         occupations: tuple[tuple[int, int], ...],
                         zero_modes: int = 0) -> WeylElement:
     """The state prod_j (b_j^+)^{n_j} (a_j^+)^{m_j} (a_0^+)^k applied to 1.
@@ -150,10 +141,13 @@ def build_state_general(ladder: LadderSet,
     ``occupations[j-1] = (n_j, m_j)`` for j = 1..ell.  Zero modes use a_0^+
     (b_0 differs only by sign).
     """
-    if len(occupations) != ladder.ell:
+    rec = _ladder(ladder)
+    if rec.sliced:
+        raise ValueError("build_state_general expects a ladder family")
+    if len(occupations) != rec.ell:
         raise ValueError("one (n_j, m_j) pair per mode j = 1..ell required")
     qn = tuple(c for n_j, m_j in occupations for c in (n_j, m_j))
-    return _from_ground(_ladder(ladder), qn + (zero_modes,))
+    return _from_ground(rec, qn + (zero_modes,))
 
 
 def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
@@ -253,22 +247,23 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
 
     The states come from one :func:`_state_walk` over the record's stages,
     rooted at the ground row that :func:`build_state` or
-    :func:`build_state_general` gives, so each costs one apply_to; those
-    builders remain the from-ground reference.  On the t = 0 slice the
-    walk applies the sliced creation operators, which commutes with
-    apply_to because they carry no d[t].  A row's level is the sum of
-    its counts times the stage energies.  Rows come in walk order, not
-    table order.
+    :func:`build_state_general` gives (the constant state 1), so each
+    costs one apply_to; those builders remain the from-ground reference.
+    On the t = 0 slice the walk applies the sliced creation operators,
+    which commutes with apply_to because they carry no d[t].  A row's
+    level is the sum of its counts times the stage energies.  Rows come
+    in walk order, not table order.
     """
     rec = _ladder(target)
     energy = {name: e for name, e, _ in rec.relations}
     stages, energies = [], []
     for _, name, pool, cost in rec.stages:
-        op = rec.ops[name]
+        op = rec.family[name]
         stages.append((at_time_zero(op) if rec.sliced else op, pool, cost))
         energies.append(energy[name])
-    for counts, psi in _state_walk(rec.root(), stages,
-                                   (zero_mode_cutoff, e_max)):
+    root = (build_state(target, 0, 0, 0) if rec.sliced
+            else build_state_general(target, ((0, 0),) * rec.ell))
+    for counts, psi in _state_walk(root, stages, (zero_mode_cutoff, e_max)):
         level = sum(e * c for e, c in zip(energies, counts))
         yield counts[::-1], Fraction(level), psi
 
@@ -305,7 +300,7 @@ def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":
     H = build_H(target)
     out = []
     for name, e, rhs in rec.relations:
-        op = rec.ops[name]
+        op = rec.family[name]
         residual = commutator(H, op) + op.scaled(-e)
         ok = residual.is_zero()
         out.append((f"[H, {name}] = {rhs}", ok, "" if ok else residual.text()))
@@ -322,7 +317,7 @@ def continuous_probe(H: WeylElement, lam) -> Fraction:
     lam = as_fraction(lam)
     if 2 * lam <= -1:
         raise ValueError(f"lambda must exceed -1/2, got {lam}")
-    probe_table = H.table.widened("y", RAT)
+    probe_table = H.table.widened("y")
     Hp = at_time_zero(remap(H, probe_table))
     psi = WeylElement.var(probe_table, "y", lam)
     value = eigencheck(Hp, psi)

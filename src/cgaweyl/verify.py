@@ -39,11 +39,9 @@ from .realizations import (
     XI0_LOOP_PREFIXES,
     GeneratorFamily,
     InvariantTriplet,
-    LadderSet,
     build_H,
     build_free_general,
     build_free_l1,
-    build_ladder,
     build_osc_l1,
     build_triplet,
     closed_form_triplet,
@@ -52,7 +50,9 @@ from .realizations import (
     gen_name,
     general_invariant_explicit,
     general_invariant_ladder,
+    general_order,
     kappa,
+    ladder_over,
     loop_name,
 )
 
@@ -245,13 +245,13 @@ def general_commutator_table(ell: int) -> RelationTable:
         entries.append(_entry(gen_name("v", n), gen_name("w", -n), scalar=-I))
         if n:
             entries.append(_entry(gen_name("v", -n), gen_name("w", n), scalar=-I))
-    fam_order = build_free_general(ell).order
-    return RelationTable(f"cga-general(l={ell})", fam_order, _entry_map(entries))
+    return RelationTable(f"cga-general(l={ell})", general_order(ell),
+                         _entry_map(entries))
 
 
-def ladder_ccr_table(ladder: LadderSet) -> RelationTable:
-    """Canonical commutation relations of the creation/annihilation set."""
-    ell = ladder.ell
+def ladder_ccr_table(ladder: GeneratorFamily) -> RelationTable:
+    """Canonical commutation relations of a ladder family."""
+    ell = ladder.params.ell
     names = [f"a{n}" for n in range(ell + 1)] + [f"a{n}d" for n in range(ell + 1)] \
         + [f"b{n}" for n in range(ell + 1)] + [f"b{n}d" for n in range(ell + 1)]
     entries = []
@@ -767,9 +767,9 @@ def verify_general_invariant(ell: int) -> VerificationReport:
     Omega_0 = z0 + sum n (a_n^+ a_n + b_n^+ b_n) + ell(ell+1)/2;
     (iii) the canonical commutation relations and the n=0 identifications.
     """
-    ladder = build_ladder(ell)
-    fam = ladder.family
-    label = f"free-general(l={ell})"
+    fam = build_free_general(ell, verbatim=False)
+    ladder = ladder_over(fam)
+    label = fam.name
     report = VerificationReport(title="degree-1 invariant operator",
                                 family=label, params=fam.params.describe())
 
@@ -785,14 +785,12 @@ def verify_general_invariant(ell: int) -> VerificationReport:
         label, "[z-, Omega_1]", "-2*Omega_0",
         commutator(fam["z-"], explicit) + 2 * omega0))
 
-    named = ladder.named()
     report.entries.append(_residual_entry(
-        label, "b0 + a0d", "0", named["b0"] + named["a0d"]))
+        label, "b0 + a0d", "0", ladder["b0"] + ladder["a0d"]))
     report.entries.append(_residual_entry(
-        label, "b0d - a0", "0", named["b0d"] - named["a0"]))
+        label, "b0d - a0", "0", ladder["b0d"] - ladder["a0"]))
 
-    ccr_fam = GeneratorFamily("ladder", label, fam.table, named, fam.params)
-    ccr = verify_table(ccr_fam, ladder_ccr_table(ladder))
+    ccr = verify_table(ladder, ladder_ccr_table(ladder))
     report.entries.extend(ccr.entries)
     return report
 

@@ -182,11 +182,11 @@ class VarTable:
             raise DomainViolation(
                 f"negative exponent {p} for variable {self.names[idx]!r}")
 
-    def widened(self, name: str, domain: str = RAT) -> "VarTable":
-        """Copy of this table with one variable's exponent domain relaxed."""
+    def widened(self, name: str) -> "VarTable":
+        """Copy of this table in which one variable admits rational powers."""
         i = self.index(name)
         doms = list(self.domains)
-        doms[i] = domain
+        doms[i] = RAT
         return VarTable(self.names, tuple(doms), self.has_time)
 
 

@@ -1,12 +1,13 @@
-"""Import guard: every module loads under the running interpreter, and the
+"""Import guard: every module loads under the running interpreter, the
 module graph scalar -> weyl -> realizations -> {verify, spectrum} -> cli
-has no back edge."""
+has no back edge, and README's quick tour runs as written."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 MODULES = ("scalar", "weyl", "realizations", "verify", "spectrum", "cli")
 
@@ -31,4 +32,12 @@ def test_calibrated_free_family_does_not_load_verify():
         "from cgaweyl.realizations import build_free_l1\n"
         "build_free_l1(verbatim=False)\n"
         "assert 'cgaweyl.verify' not in sys.modules, 'verify was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr

@@ -177,19 +177,19 @@ def test_general_invariant_coefficient_example():
 
 def test_ladder_ccr_examples():
     lad = build_ladder(2)
-    one = WeylElement.const(lad.family.table, 1)
-    assert commutator(lad.a[1], lad.ad[1]) == one
-    assert commutator(lad.a[1], lad.ad[2]).is_zero()
-    assert commutator(lad.b[2], lad.bd[2]) == one
-    assert commutator(lad.a[1], lad.b[2]).is_zero()
-    assert (lad.b[0] + lad.ad[0]).is_zero()
-    assert (lad.bd[0] - lad.a[0]).is_zero()
+    one = WeylElement.const(lad.table, 1)
+    assert commutator(lad["a1"], lad["a1d"]) == one
+    assert commutator(lad["a1"], lad["a2d"]).is_zero()
+    assert commutator(lad["b2"], lad["b2d"]) == one
+    assert commutator(lad["a1"], lad["b2"]).is_zero()
+    assert (lad["b0"] + lad["a0d"]).is_zero()
+    assert (lad["b0d"] - lad["a0"]).is_zero()
 
 
 def test_ladder_H_at_ell_one_matches_hand_expansion():
     lad = build_ladder(1)
     H = build_H(lad)
-    expected = parse_over(lad.family, "(1) * x1 * d[x1] + (1) * y1 * d[y1] "
+    expected = parse_over(lad, "(1) * x1 * d[x1] + (1) * y1 * d[y1] "
                           "+ (-1) * tau * u * d[x1] + (1) * tau * d[y1] * d[u]")
     assert H == expected
 

@@ -10,8 +10,8 @@ from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core, _split,
                           apply_to, parse_element, remap)
 from cgaweyl.realizations import (
-    LadderSet,
     build_H,
+    build_free_general,
     build_free_l1,
     build_ladder,
     build_osc_l1,
@@ -53,11 +53,20 @@ def test_ground_state_verify_names_the_offender():
 
 @pytest.mark.parametrize("check", [
     ground_state_verify, ladder_relations_check,
-    lambda fam: spectrum_table(fam, 2)],
-    ids=["ground_state_verify", "ladder_relations_check", "spectrum_table"])
+    lambda fam: spectrum_table(fam, 2), build_H],
+    ids=["ground_state_verify", "ladder_relations_check", "spectrum_table",
+         "build_H"])
 def test_unsupported_family_kind_raises(check):
-    with pytest.raises(ValueError, match="free-l1"):
-        check(build_free_l1())
+    for fam in (build_free_l1(), build_free_general(2)):
+        with pytest.raises(ValueError, match=fam.kind):
+            check(fam)
+
+
+def test_state_builders_reject_the_other_kind():
+    with pytest.raises(ValueError, match="exponential-time"):
+        build_state(build_ladder(1), 0, 0, 0)
+    with pytest.raises(ValueError, match="ladder family"):
+        build_state_general(build_osc_l1(), ((0, 0),))
 
 
 def test_non_ground_state_detected():
@@ -131,7 +140,7 @@ def test_eigencheck_certifies_term_by_term(H, psi, expected):
 def _probe(lam):
     """The continuous probe's operator and its state y^lam (osc-l1, symbolic)."""
     H = build_H(build_osc_l1())
-    table = H.table.widened("y", RAT)
+    table = H.table.widened("y")
     return at_time_zero(remap(H, table)), WeylElement.var(table, "y", lam)
 
 
@@ -322,7 +331,7 @@ def test_two_frequency_spectrum():
 
 def _from_ground(target, qn):
     """The row's state rebuilt from the ground state by the public builders."""
-    if isinstance(target, LadderSet):
+    if target.kind == "ladder":
         occ = tuple(zip(qn[0:-1:2], qn[1:-1:2]))
         return build_state_general(target, occ, qn[-1])
     return build_state(target, *qn)
@@ -362,7 +371,7 @@ def test_general_states_keep_tau():
     ladder = build_ladder(1)
     H = build_H(ladder)
     psi = build_state_general(ladder, ((0, 1),))      # one a_1^+ quantum
-    assert psi == parse_element("(1) * x1 + (-1) * tau * u", ladder.family.table)
+    assert psi == parse_element("(1) * x1 + (-1) * tau * u", ladder.table)
     assert eigencheck(H, psi) == 1
 
 

@@ -18,6 +18,7 @@ from cgaweyl.realizations import (
     build_triplet,
     build_xi0,
     closed_form_triplet,
+    general_table,
     loop_name,
 )
 from cgaweyl.verify import (
@@ -197,6 +198,33 @@ def test_general_table_specific_row_l3():
         assert c == (3 - a) * fam[succ] if a < 3 else c.is_zero()
 
 
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_general_table_scope_is_the_family_order(ell):
+    assert general_commutator_table(ell).scope == build_free_general(ell).order
+
+
+def test_general_checks_build_no_extra_family(monkeypatch):
+    """The table reads the generator order without building the family; the
+    invariant checks build the general family once and take the ladder from it."""
+    calls, build = [], verify.build_free_general
+    monkeypatch.setattr(verify, "build_free_general",
+                        lambda *args, **kw: calls.append(args) or build(*args, **kw))
+    general_commutator_table(3)
+    assert calls == []
+    verify_general_invariant(1)
+    assert calls == [(1,)]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_ladder_is_a_family_over_the_general_one(ell):
+    ladder = build_ladder(ell)
+    assert (ladder.kind, ladder.name) == ("ladder", f"free-general(l={ell})")
+    assert ladder.table == general_table(ell)
+    scope = verify.ladder_ccr_table(ladder).scope
+    assert len(scope) == 4 * (ell + 1)
+    assert sorted(ladder.order) == sorted(scope)
+
+
 def test_zplus_sign_report():
     rep = zplus_sign_report(2)
     assert rep == {"printed_minus_dtau": False, "plus_dtau": True}
@@ -215,6 +243,11 @@ def test_general_invariant_checks(ell):
     assert entry_by_lhs(report, "Omega_1 (explicit)").status == EXACT
     assert entry_by_lhs(report, "[z-, Omega_1]").status == EXACT
     assert entry_by_lhs(report, "b0 + a0d").status == EXACT
+    # the CCR entries close the report, exactly as the ladder family's table
+    ladder = build_ladder(ell)
+    ccr = verify_table(ladder, verify.ladder_ccr_table(ladder)).entries
+    assert len(report.entries) == 4 + len(ccr)
+    assert [e.to_dict() for e in report.entries[4:]] == [e.to_dict() for e in ccr]
 
 
 # -- on-shell -----------------------------------------------------------------
@@ -495,9 +528,7 @@ def _l1_case(build, gamma, xi):
 
 def _ccr_case(ell):
     ladder = build_ladder(ell)
-    return (GeneratorFamily("ladder", "ccr", ladder.family.table, ladder.named(),
-                            ladder.family.params),
-            verify.ladder_ccr_table(ladder))
+    return ladder, verify.ladder_ccr_table(ladder)
 
 
 # every kind of table the check runs on: label -> () -> (family, table)

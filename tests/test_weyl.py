@@ -369,13 +369,13 @@ def test_integral_exponents_are_stored_as_int():
     assert mon == (2, 0, 0, 0) and type(mon[0]) is int
     for fam in (build_free_l1(), build_osc_l1(), build_free_l1(2, 3),
                 build_free_general(3, verbatim=False), build_xi0(2, 3, cutoff=3),
-                build_ladder(2).family):
+                build_free_general(2, verbatim=False), build_ladder(2)):
         for g in fam.generators.values():
             check_canonical(g)
     for g in build_osc_l1().generators.values():
         check_canonical(free_to_osc(g))
         check_canonical(substitute(g, {"x": Coef.const(3)}))
-        check_canonical(remap(g, g.table.widened("y", RAT)))
+        check_canonical(remap(g, g.table.widened("y")))
 
 
 def test_fraction_exponents_that_sum_to_an_integer_are_stored_as_int():
@@ -972,7 +972,7 @@ def test_roundtrip_rational_exponents_and_weights():
 
 def test_remap_widens_domains():
     e = mul(V("y"), D("y"))
-    wide = PLAIN_TABLE.widened("y", RAT)
+    wide = PLAIN_TABLE.widened("y")
     moved = remap(e, wide)
     assert element_to_text(moved) == element_to_text(e)
     y_lam = WeylElement.var(wide, "y", Fraction(7, 3))
