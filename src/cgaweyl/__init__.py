@@ -12,7 +12,6 @@ from .weyl import (
     anticommutator,
     apply_to,
     commutator,
-    degree_of,
     element_to_text,
     free_to_osc,
     mul,
@@ -36,7 +35,7 @@ __all__ = [
     "Coef", "coef",
     "NAT", "INT", "RAT", "VarTable", "WeylElement",
     "mul", "commutator", "anticommutator", "apply_to", "substitute",
-    "free_to_osc", "degree_of", "element_to_text", "parse_element", "remap",
+    "free_to_osc", "element_to_text", "parse_element", "remap",
     "GeneratorFamily", "InvariantTriplet",
     "build_free_l1", "build_osc_l1", "build_free_general", "build_ladder",
     "build_xi0", "build_triplet", "build_H",

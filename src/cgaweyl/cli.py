@@ -225,9 +225,9 @@ def cmd_all(args) -> list[dict]:
 
     sections = commands("verify --family osc-l1",
                         "verify --family free-l1 --calibrate",
-                        "onshell --family osc-l1", "onshell --family free-l1")
+                        "onshell --family osc-l1", "onshell --family free-l1",
+                        "onshell --family osc-l1 --omega 1")
     osc = rz.build_osc_l1()
-    sections.append(vf.omega_rigidity_check(osc, 1).to_dict())
     probe2 = vf.omega_rigidity_check(osc, 2)
     broken = sorted(e.lhs for e in probe2.failing())
     sections.append(_checks_section(

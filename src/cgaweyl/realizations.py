@@ -11,8 +11,9 @@ generators are rescaled generators of the general-ell family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 from .scalar import Coef, as_fraction, coef
 from .weyl import (
@@ -59,20 +60,16 @@ class FamilyParams:
     verbatim: bool = True
 
     def describe(self) -> dict[str, str]:
+        """The set fields as report text, in field order."""
         out: dict[str, str] = {}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma.text()
-        if self.xi is not None:
-            out["xi"] = self.xi.text()
-        if self.omega1 is not None:
-            out["omega1"] = str(self.omega1)
-        if self.omega2 is not None:
-            out["omega2"] = str(self.omega2)
-        if self.ell is not None:
-            out["ell"] = str(self.ell)
-        if self.cutoff is not None:
-            out["cutoff"] = str(self.cutoff)
-        out["verbatim"] = "true" if self.verbatim else "false"
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                out[f.name] = "true" if value else "false"
+            elif isinstance(value, Coef):
+                out[f.name] = value.text()
+            elif value is not None:
+                out[f.name] = str(value)
         return out
 
 
@@ -255,22 +252,15 @@ def closed_form_triplet(fam: GeneratorFamily) -> InvariantTriplet:
 def deformed_degree0(fam: GeneratorFamily, omega) -> WeylElement:
     """The omega-deformed degree-0 operator (equals the invariant one at omega=1).
 
-    In the exponential-time picture this is
+    It is the closed-form Omega0 plus (omega - 1) y d[y].  In the
+    exponential-time picture this is
     -d[t] + x d[x] + omega y d[y] + gamma d[y] d[u] - xi u d[x];
     in the tau picture it is the image of that operator under the
     similarity/time map, namely -tau*Omega_{+1} + (omega - 1) y d[y].
     """
-    w = as_fraction(omega)
-    g, x = fam.params.gamma, fam.params.xi
     A = _Alg(fam.table)
-    ydY = A.v("y") * A.d("y")
-    if fam.kind == "osc-l1":
-        return (-A.dt() + A.v("x") * A.d("x") + w * ydY
-                + g * (A.d("y") * A.d("u")) - x * (A.v("u") * A.d("x")))
-    if fam.kind == "free-l1":
-        plus = A.d("tau") + x * (A.v("u") * A.d("x")) - g * (A.d("y") * A.d("u"))
-        return -(A.v("tau") * plus) + (w - 1) * ydY
-    raise ValueError(f"no omega deformation for family kind {fam.kind!r}")
+    return closed_form_triplet(fam).zero \
+        + (as_fraction(omega) - 1) * (A.v("y") * A.d("y"))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +269,11 @@ def deformed_degree0(fam: GeneratorFamily, omega) -> WeylElement:
 def factorial_sign(n: int, ell: int) -> int:
     """I_n = (-1)^n (2 ell - n)! n! — the central-extension normalization."""
     return (-1) ** n * math.factorial(2 * ell - n) * math.factorial(n)
+
+
+def _xname(k: int, ell: int) -> str:
+    """The name of x_k in the general-ell table; x_{ell+1} is the variable u."""
+    return f"x{k}" if k <= ell else "u"
 
 
 def general_table(ell: int) -> VarTable:
@@ -307,8 +302,7 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
     table = general_table(ell)
     A = _Alg(table)
 
-    def xname(k: int) -> str:
-        return f"x{k}" if k <= ell else "u"
+    xname, yname = partial(_xname, ell=ell), "y{}".format
 
     def I(n: int) -> int:
         return factorial_sign(n, ell)
@@ -331,18 +325,12 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
     for k in range(1, ell + 1):
         r = r + (-(A.v(xname(k)) * A.d(xname(k))) + A.v(f"y{k}") * A.d(f"y{k}"))
 
-    def v_pos(n: int) -> WeylElement:
+    def pos(n: int, name) -> WeylElement:
+        """v_n (``name`` = xname) or w_n (``name`` = yname) for mode n >= 0."""
         out = WeylElement.zero(table)
         for k in range(n, ell + 1):
             out = out + math.comb(ell - n, ell - k) * (
-                A.v("tau", ell - k) * A.d(xname(k + 1 - n)))
-        return out
-
-    def w_pos(n: int) -> WeylElement:
-        out = WeylElement.zero(table)
-        for k in range(n, ell + 1):
-            out = out + math.comb(ell - n, ell - k) * (
-                A.v("tau", ell - k) * A.d(f"y{k + 1 - n}"))
+                A.v("tau", ell - k) * A.d(name(k + 1 - n)))
         return out
 
     def v_neg(n: int) -> WeylElement:
@@ -367,8 +355,8 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
 
     gens: dict[str, WeylElement] = {"z+": z_plus, "z0": z0, "z-": z_minus, "r": r}
     for n in range(-ell, ell + 1):
-        gens[gen_name("v", n)] = v_pos(n) if n >= 0 else v_neg(-n)
-        gens[gen_name("w", n)] = w_pos(n) if n >= 1 else w_neg(-n)
+        gens[gen_name("v", n)] = pos(n, xname) if n >= 0 else v_neg(-n)
+        gens[gen_name("w", n)] = pos(n, yname) if n >= 1 else w_neg(-n)
 
     params = FamilyParams(gamma=Coef.const(1), xi=Coef.const(1), ell=ell,
                           verbatim=verbatim)
@@ -403,15 +391,10 @@ def build_ladder(ell: int) -> GeneratorFamily:
 
 def general_invariant_explicit(ell: int) -> WeylElement:
     """The degree-1 invariant operator in explicit differential form."""
-    table = general_table(ell)
-    A = _Alg(table)
-
-    def xname(k: int) -> str:
-        return f"x{k}" if k <= ell else "u"
-
+    A = _Alg(general_table(ell))
     out = A.d("tau")
     for n in range(1, ell + 1):
-        out = out + n * (A.v(xname(n + 1)) * A.d(xname(n)))
+        out = out + n * (A.v(_xname(n + 1, ell)) * A.d(_xname(n, ell)))
     for n in range(1, ell):
         out = out + n * (A.v(f"y{n + 1}") * A.d(f"y{n}"))
     c = Fraction((-1) ** ell, math.factorial(ell) * math.factorial(ell - 1))
@@ -505,12 +488,6 @@ def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
     params = FamilyParams(gamma=g, omega1=w1, omega2=w2, cutoff=cutoff)
     return GeneratorFamily("xi0", f"xi0(w1={w1},w2={w2},N={cutoff})",
                            XI0_TABLE, gens, params)
-
-
-def xi0_printed_w0(fam: GeneratorFamily) -> WeylElement:
-    """The printed zero mode u/gamma (diagnostic; it is not a zero mode of H)."""
-    g = fam.params.gamma
-    return g.inv() * WeylElement.var(fam.table, "u")
 
 
 # ---------------------------------------------------------------------------

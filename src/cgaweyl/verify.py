@@ -88,14 +88,7 @@ class EntryResult:
     factor_text: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lhs": self.lhs,
-            "expected": self.expected,
-            "status": self.status,
-            "residual_text": self.residual_text,
-            "factor_text": self.factor_text,
-        }
+        return dict(vars(self))
 
 
 @dataclass

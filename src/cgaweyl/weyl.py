@@ -41,7 +41,8 @@ values, and the same triples recur across thousands of term pairs, so
 :func:`_reorder_corrections` keeps its k >= 1 terms in a
 ``functools.lru_cache`` bounded by ``REORDER_CACHE_SIZE`` entries.  The k = 0 term is always (1, mon, der)
 and is not cached: :func:`mul` writes it itself.  The generator
-:func:`_reorder_options`, on the unscaled keys, is the tests' reference.
+``_reorder_options`` of ``tests/helpers.py``, on the unscaled keys, is the
+tests' reference.
 
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
@@ -188,14 +189,6 @@ class VarTable:
         doms = list(self.domains)
         doms[i] = RAT
         return VarTable(self.names, tuple(doms), self.has_time)
-
-
-def falling(p: Exponent, k: int) -> Exponent:
-    """Falling factorial p(p-1)...(p-k+1); exact for rational p, int for int p."""
-    out = 1
-    for i in range(k):
-        out *= p - i
-    return out
 
 
 def _sparse(v: tuple) -> list:
@@ -369,33 +362,8 @@ class WeylElement:
 # ---------------------------------------------------------------------------
 # products
 
-def _reorder_options(der: tuple, mon: tuple):
-    """All ways of passing the derivative block ``der`` through ``mon``.
-
-    Yields (rational factor, picked-up monomial, remaining derivative).
-    """
-    last, choices = len(der) - 1, []
-    for i, a in enumerate(der):
-        if a:
-            p = mon[i]
-            opts = []
-            for k in range(a + 1):
-                f = math.comb(a, k) * (p**k if i == last else falling(p, k))
-                if f:
-                    opts.append((i, k, a - k, f))
-            choices.append(opts)
-    for combo in cartesian(*choices):
-        factor, m, d = 1, list(mon), [0] * len(der)
-        for i, k, rem, f in combo:
-            factor *= f
-            d[i] = rem
-            if i != last:  # d[t] keeps the weight
-                m[i] -= k
-        yield factor, tuple(m), tuple(d)
-
-
 def _lattice_falling(n: int, k: int, unit: int) -> int:
-    """n(n - unit)...(n - (k-1)*unit), which is unit^k * falling(n/unit, k)."""
+    """n(n - unit)...(n - (k-1)*unit): unit^k times the falling factorial of n/unit."""
     return math.prod(range(n, n - k * unit, -unit))
 
 
@@ -416,7 +384,8 @@ def _reorder_corrections(der: tuple, mon: tuple, unit: int):
     weight c, and lowers n by k*unit; the product of these ints over
     unit^K, K the number of derivatives moved, is f.  The first option, (1,
     mon, der), is dropped, so the tuple is empty for an empty ``der``.
-    Memoized, at most ``REORDER_CACHE_SIZE`` entries.
+    Memoized, at most ``REORDER_CACHE_SIZE`` entries.  ``_reorder_options``,
+    the uncached reference on unscaled keys, lives in ``tests/helpers.py``.
     """
     last, choices = len(der) - 1, []
     for i, a in enumerate(der):
@@ -726,28 +695,22 @@ def substitute(a: WeylElement, scales: dict[str, Coef]) -> WeylElement:
     return WeylElement(a.table, out)
 
 
-def free_table_for(osc_table: VarTable) -> VarTable:
-    """The power-of-tau table matching an exponential-time table."""
-    return VarTable(("tau",) + osc_table.names,
-                    (INT,) + osc_table.domains, has_time=False)
-
-
-def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylElement:
+def free_to_osc(a: WeylElement, free_table: VarTable) -> WeylElement:
     """Map an operator in the exponential-time picture to the tau picture.
 
     Conjugates by e^(t*X) with X = -x d[x] - y d[y] (so x, y pick up
     e^(-t) factors, d[x], d[y] pick up e^(t), and d[t] shifts to
     d[t] + x d[x] + y d[y]), then reparametrizes time: e^(k*t) -> tau^k,
     d[t] -> tau d[tau].  The composite is an algebra isomorphism onto the
-    tau picture, so it preserves all commutators.  ``free_table`` lists
-    tau first and then the variables of ``a.table``, as
-    :func:`free_table_for` builds it.
+    tau picture, so it preserves all commutators.  ``free_table`` must
+    list tau first and then the variables of ``a.table``, in their order.
     """
     src = a.table
     if not src.has_time:
         raise ValueError("free_to_osc expects an exponential-time element")
-    if free_table is None:
-        free_table = free_table_for(src)
+    if free_table.names != ("tau",) + src.names:
+        raise ValueError(f"free_to_osc expects free_table names "
+                         f"{('tau',) + src.names}, got {free_table.names}")
     ix, iy = src.index("x"), src.index("y")
     shift = (WeylElement.time_deriv(src)
              + WeylElement.var(src, "x") * WeylElement.deriv(src, "x")
@@ -776,26 +739,6 @@ def free_to_osc(a: WeylElement, free_table: VarTable | None = None) -> WeylEleme
             td_pows.append(mul(td_pows[-1], tau_dtau))
         out = out + mul(base, td_pows[der[-1]])
     return out
-
-
-def degree_of(g: WeylElement, z0: WeylElement) -> Fraction | None:
-    """The eigenvalue n with [z0, g] = n*g, or None when g is not homogeneous."""
-    c = commutator(z0, g)
-    if c.is_zero():
-        return Fraction(0)
-    if g.is_zero():
-        return None
-    key = next(iter(g.terms))
-    top = c.terms.get(key)
-    if top is None:
-        return None
-    try:
-        n = (top / g.terms[key]).as_fraction()
-    except NotDivisible:
-        return None
-    if n is None:
-        return None
-    return n if c == g.scaled(n) else None
 
 
 # ---------------------------------------------------------------------------

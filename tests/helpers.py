@@ -4,12 +4,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import product as cartesian
 from operator import add
 
 from cgaweyl.scalar import Coef, NotDivisible, split_blocks
 from cgaweyl.spectrum import ZeroState
-from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _reorder_options,
-                          apply_to)
+from cgaweyl.weyl import NAT, RAT, Exponent, VarTable, WeylElement, apply_to
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -139,6 +139,41 @@ def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]
     scaled = {(tuple(int(p * unit) for p in mon), der): c
               for (mon, der), c in e.terms.items()}
     return (*split_blocks(scaled), unit)
+
+
+def falling(p: Exponent, k: int) -> Exponent:
+    """Falling factorial p(p-1)...(p-k+1); exact for rational p, int for int p."""
+    out = 1
+    for i in range(k):
+        out *= p - i
+    return out
+
+
+def _reorder_options(der: tuple, mon: tuple):
+    """All ways of passing the derivative block ``der`` through ``mon``.
+
+    Yields (rational factor, picked-up monomial, remaining derivative), the
+    k = 0 option (1, mon, der) first.  The uncached reference of
+    ``weyl._reorder_corrections``, on unscaled keys.
+    """
+    last, choices = len(der) - 1, []
+    for i, a in enumerate(der):
+        if a:
+            p = mon[i]
+            opts = []
+            for k in range(a + 1):
+                f = math.comb(a, k) * (p**k if i == last else falling(p, k))
+                if f:
+                    opts.append((i, k, a - k, f))
+            choices.append(opts)
+    for combo in cartesian(*choices):
+        factor, m, d = 1, list(mon), [0] * len(der)
+        for i, k, rem, f in combo:
+            factor *= f
+            d[i] = rem
+            if i != last:  # d[t] keeps the weight
+                m[i] -= k
+        yield factor, tuple(m), tuple(d)
 
 
 def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:

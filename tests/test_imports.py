@@ -26,6 +26,15 @@ def test_every_module_imports_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_star_import_binds_every_public_name():
+    proc = run_fresh("import cgaweyl\n"
+                     "names = {}\n"
+                     "exec('from cgaweyl import *', names)\n"
+                     "missing = [n for n in cgaweyl.__all__ if n not in names]\n"
+                     "assert not missing, missing\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_calibrated_free_family_does_not_load_verify():
     proc = run_fresh(
         "import sys\n"

@@ -8,7 +8,6 @@ from cgaweyl.weyl import (
     WeylElement,
     anticommutator,
     commutator,
-    degree_of,
     element_to_text,
     mul,
     parse_element,
@@ -30,7 +29,6 @@ from cgaweyl.realizations import (
     gen_name,
     general_invariant_explicit,
     loop_name,
-    xi0_printed_w0,
 )
 
 
@@ -116,6 +114,41 @@ def test_deformed_operator_reduces_at_omega_one():
     assert deformed_degree0(free, 1) == build_triplet(free).zero
 
 
+def test_deformed_operator_matches_printed_forms():
+    """Away from omega = 1: -d[t] + x d[x] + omega y d[y] + gamma d[y] d[u]
+    - xi u d[x] in the exponential-time picture, -tau*Omega+1
+    + (omega - 1) y d[y] in the tau picture."""
+    osc_text = "(-1) * d[t] + (1) * x * d[x] + ({w}) * y * d[y] " \
+               "+ ({g}) * d[y] * d[u] + ({mx}) * u * d[x]"
+    osc_point = build_osc_l1(2, -3)
+    free = build_free_l1(verbatim=False)
+    for w in (2, Fraction(3, 2), -1):
+        for fam, g, mx in ((build_osc_l1(), "gamma", "-xi"), (osc_point, "2", "3")):
+            assert deformed_degree0(fam, w) == parse_over(
+                fam, osc_text.format(w=w, g=g, mx=mx)), (fam.params.describe(), w)
+        assert deformed_degree0(free, w) == parse_over(
+            free, "(-1) * tau * d[tau] + (-xi) * tau * u * d[x] "
+                  f"+ (gamma) * tau * d[y] * d[u] + ({w - 1}) * y * d[y]"), w
+
+
+def test_describe_lists_set_fields_in_field_order():
+    cases = (
+        (build_free_l1(2, 3, verbatim=False),
+         [("gamma", "2"), ("xi", "3"), ("verbatim", "false")]),
+        (build_osc_l1(),
+         [("gamma", "gamma"), ("xi", "xi"), ("verbatim", "true")]),
+        (build_free_general(3),
+         [("gamma", "1"), ("xi", "1"), ("ell", "3"), ("verbatim", "true")]),
+        (build_ladder(2),
+         [("gamma", "1"), ("xi", "1"), ("ell", "2"), ("verbatim", "false")]),
+        (build_xi0(Fraction(3, 2), Fraction(5, 7), gamma=2, cutoff=2),
+         [("gamma", "2"), ("omega1", "3/2"), ("omega2", "5/7"), ("cutoff", "2"),
+          ("verbatim", "true")]),
+    )
+    for fam, expected in cases:
+        assert list(fam.params.describe().items()) == expected, fam.name
+
+
 def test_H_closed_form_osc():
     fam = build_osc_l1()
     H = build_H(fam)
@@ -137,7 +170,8 @@ def test_generators_are_homogeneous_with_stated_degrees():
         expected = {"z+": 1, "z0": 0, "z-": -1, "r": 0, "theta": 0, "q": 0,
                     "v+1": 1, "v0": 0, "v-1": -1, "w+1": 1, "w0": 0, "w-1": -1}
         for name, deg in expected.items():
-            assert degree_of(fam[name], z0) == deg, (fam.name, name)
+            assert commutator(z0, fam[name]) == fam[name].scaled(deg), \
+                (fam.name, name)
 
 
 # -- general ell ----------------------------------------------------------------
@@ -250,7 +284,7 @@ def test_xi0_printed_w0_is_not_a_zero_mode():
     fam = build_xi0(1, 1)
     H = build_H(fam)
     assert commutator(H, fam["w0"]).is_zero()
-    printed = xi0_printed_w0(fam)
+    printed = fam.params.gamma.inv() * WeylElement.var(fam.table, "u")
     assert not commutator(H, printed).is_zero()
     # both normalizations pair with v0 up to the frequency factor
     assert commutator(fam["v0"], printed) == WeylElement.const(fam.table, 1)

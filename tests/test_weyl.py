@@ -23,7 +23,6 @@ from cgaweyl.weyl import (
     anticommutator,
     apply_to,
     commutator,
-    degree_of,
     element_to_text,
     free_to_osc,
     mul,
@@ -31,10 +30,10 @@ from cgaweyl.weyl import (
     remap,
     substitute,
     _reorder_corrections,
-    _reorder_options,
     _split,
 )
 from cgaweyl.realizations import (
+    FREE_L1_TABLE,
     build_free_general,
     build_free_l1,
     build_ladder,
@@ -43,6 +42,7 @@ from cgaweyl.realizations import (
 )
 
 from helpers import (
+    _reorder_options,
     COEF_POOL,
     LAURENT_POOL,
     PLAIN_TABLE,
@@ -373,7 +373,7 @@ def test_integral_exponents_are_stored_as_int():
         for g in fam.generators.values():
             check_canonical(g)
     for g in build_osc_l1().generators.values():
-        check_canonical(free_to_osc(g))
+        check_canonical(free_to_osc(g, FREE_L1_TABLE))
         check_canonical(substitute(g, {"x": Coef.const(3)}))
         check_canonical(remap(g, g.table.widened("y")))
 
@@ -845,21 +845,21 @@ def test_diagonal_parameters_need_only_two_scalings():
 def test_free_to_osc_on_generators():
     osc = build_osc_l1()
     free = build_free_l1()
-    assert free_to_osc(osc["z+"]) == free["z+"]
-    assert free_to_osc(osc["v+1"]) == free["v+1"]
-    assert free_to_osc(osc["theta"]) == free["theta"]
+    assert free_to_osc(osc["z+"], free.table) == free["z+"]
+    assert free_to_osc(osc["v+1"], free.table) == free["v+1"]
+    assert free_to_osc(osc["theta"], free.table) == free["theta"]
     # z0 maps to the calibrated constant, a shift of -2 against the printed one
-    diff = free_to_osc(osc["z0"]) - free["z0"]
+    diff = free_to_osc(osc["z0"], free.table) - free["z0"]
     assert diff.constant_value() == Coef.const(-2)
 
 
 def test_free_to_osc_is_a_homomorphism_on_generators():
     osc = build_osc_l1(2, 3)
     names = list(osc.order)
-    images = {n: free_to_osc(osc[n]) for n in names}
+    images = {n: free_to_osc(osc[n], FREE_L1_TABLE) for n in names}
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            assert free_to_osc(commutator(osc[a], osc[b])) == \
+            assert free_to_osc(commutator(osc[a], osc[b]), FREE_L1_TABLE) == \
                 commutator(images[a], images[b]), (a, b)
 
 
@@ -868,37 +868,27 @@ def test_free_to_osc_homomorphism_random():
     for _ in range(40):
         a = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
         b = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
-        assert free_to_osc(mul(a, b)) == mul(free_to_osc(a), free_to_osc(b))
+        assert free_to_osc(mul(a, b), FREE_L1_TABLE) == \
+            mul(free_to_osc(a, FREE_L1_TABLE), free_to_osc(b, FREE_L1_TABLE))
 
 
 def test_free_to_osc_rejects_non_integer_weights():
     e = WeylElement.exp_t(TIME_TABLE, Fraction(1, 2))
     with pytest.raises(NonIntegerTimeWeight):
-        free_to_osc(e)
+        free_to_osc(e, FREE_L1_TABLE)
 
 
-# -- grading ------------------------------------------------------------------
+def test_free_to_osc_rejects_a_mismatched_table():
+    """The tau table must list tau and then the source names, in order.
 
-def test_degree_of_generators():
-    free = build_free_l1()
-    z0 = free["z0"]
-    assert degree_of(free["v+1"], z0) == 1
-    assert degree_of(free["w-1"], z0) == -1
-    assert degree_of(z0, z0) == 0
-    assert degree_of(free["q"], z0) == 0
-    assert degree_of(free["v+1"] + free["v0"], z0) is None
-    # the top coefficient of [z0, g] is (3 gamma + 2 xi) x^2, which
-    # gamma + xi does not divide
-    g = parse_element("(gamma + xi) * x^2 + (gamma) * x", PLAIN_TABLE)
-    assert degree_of(g, mul(V("x"), D("x")) + mul(V("x", 2), D("x"))) is None
-
-
-def test_degree_table_matches_index_labels():
+    Unchecked, tau listed last turned v+1 into gamma d[y] (gamma d[x] is
+    right), and the order tau, u, y, x swapped x and u in w-1."""
     osc = build_osc_l1()
-    for k in (1, 0, -1):
-        for prefix in ("v", "w"):
-            name = f"{prefix}0" if k == 0 else f"{prefix}{k:+d}"
-            assert degree_of(osc[name], osc["z0"]) == k
+    for names, gen in ((("x", "y", "u", "tau"), "v+1"),
+                       (("tau", "u", "y", "x"), "w-1")):
+        table = VarTable(names, tuple(INT if n == "tau" else NAT for n in names))
+        with pytest.raises(ValueError, match="free_table names"):
+            free_to_osc(osc[gen], table)
 
 
 # -- serialization -------------------------------------------------------------
