@@ -121,23 +121,35 @@ OSC_L1_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
 
 
 class _Alg:
-    """Terse element constructors over one table."""
+    """Terse element constructors over one table.
+
+    Each distinct element is made once per instance and then shared, so a
+    builder's products split it, and mask its terms, only once.
+    """
 
     def __init__(self, table: VarTable):
         self.table = table
         self.one = WeylElement.const(table, 1)
+        self._made: dict = {}
+
+    def _made_once(self, make, *args) -> WeylElement:
+        key = (make, args)
+        e = self._made.get(key)
+        if e is None:
+            e = self._made[key] = make(self.table, *args)
+        return e
 
     def v(self, name: str, power=1) -> WeylElement:
-        return WeylElement.var(self.table, name, power)
+        return self._made_once(WeylElement.var, name, power)
 
     def d(self, name: str, order: int = 1) -> WeylElement:
-        return WeylElement.deriv(self.table, name, order)
+        return self._made_once(WeylElement.deriv, name, order)
 
     def dt(self, order: int = 1) -> WeylElement:
-        return WeylElement.time_deriv(self.table, order)
+        return self._made_once(WeylElement.time_deriv, order)
 
     def e(self, weight) -> WeylElement:
-        return WeylElement.exp_t(self.table, weight)
+        return self._made_once(WeylElement.exp_t, weight)
 
 
 def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:

@@ -44,6 +44,19 @@ and is not cached: :func:`mul` writes it itself.  The generator
 ``_reorder_options`` of ``tests/helpers.py``, on the unscaled keys, is the
 tests' reference.
 
+Most term pairs cannot reorder: a derivative on a slot whose exponent or
+weight is 0 gives a factor of 0 for every k >= 1, so the k >= 1 terms are
+empty unless the derivative block of one term meets a nonzero monomial
+slot of the other.  :func:`mul` and :func:`commutator` therefore run on
+term lists that carry two int masks per term, one bit per nonzero slot of
+the monomial and of the derivative block, the time slot last
+(:func:`_masked`).  They still visit every term pair, but read the memo
+for d1 past m2 only when ``der_mask1 & mon_mask2`` is nonzero (and for d2
+past m1 likewise), so the memo holds only non-empty reorderings.  The
+masks are made once per element and unit, from the split form, the first
+time ``mul`` or ``commutator`` uses the element on that unit;
+:func:`apply_to` does not read them.
+
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
@@ -76,15 +89,17 @@ bracket that holds is built as an element or as ``Coef`` values.  Each
 element keeps its split form in a slot filled on first use, together with
 its unit, and, in a second slot, its form on each larger unit that a call
 asks for (an operand beside one of larger unit, a g beside a kernel
-result of larger unit), so each is rescaled once.  The constructor
-records when every slot is an ``int``, so splitting such an element needs
-no scan.
+result of larger unit), so each is rescaled once.  A third slot keeps
+the masked term lists per unit.  The constructor records when every slot
+is an ``int``, so splitting such an element needs no scan.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
-filling the same element's split form, or its form on the same larger
-unit, at once store equal values; a form stored into a dict of forms that
-another thread has just replaced is only made again on a later call.
+filling the same element's split form, its form on the same larger unit,
+or its masked lists on the same unit, at once store equal values, each
+built in full before it is stored, so no thread reads a part-filled
+form; a form stored into a dict of forms that another thread has just
+replaced is only made again on a later call.
 The memo is safe to share too:
 its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
 consistent under concurrent calls (two threads missing on the same key
@@ -97,7 +112,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice, product as cartesian
+from itertools import compress, groupby, islice, product as cartesian
 from operator import add
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
@@ -112,8 +127,8 @@ Exponent = int | Fraction  # int when integral, see WeylElement
 _RESERVED_NAMES = {"e", "d", "t"}
 
 # Bound on the memoized reorderings (entries of _reorder_corrections).  One
-# `cgaweyl all` run fills 2,013 entries, about 0.6 MB in all (tracemalloc,
-# CPython 3.11.7).
+# `cgaweyl all` run fills 688 entries, about 0.36 MB in all (tracemalloc,
+# CPython 3.11.7); checking the ell = 12 general table fills 343.
 REORDER_CACHE_SIZE = 4096
 
 
@@ -136,13 +151,15 @@ class VarTable:
     ``has_time`` enables the distinguished time variable t, carried by
     elements as exponential weights e^(a*t) together with d[t].  ``zeros``
     is the all-zero key vector of the table: the monomial 1 and the empty
-    derivative block.
+    derivative block.  ``slot_bits`` holds 1 << i for each key slot i, so
+    ``sum(compress(slot_bits, v))`` has a bit set per nonzero slot of a key v.
     """
 
     names: tuple[str, ...]
     domains: tuple[str, ...]
     has_time: bool = False
     zeros: tuple = field(init=False, repr=False, compare=False)
+    slot_bits: tuple = field(init=False, repr=False, compare=False)
     # one slice per run of adjacent NAT variables, for the constructor
     _nat_runs: tuple = field(init=False, repr=False, compare=False)
 
@@ -164,6 +181,8 @@ class VarTable:
                 runs.append(slice(start, end))
             start = end
         object.__setattr__(self, "zeros", (0,) * (len(self.names) + 1))
+        object.__setattr__(self, "slot_bits",
+                           tuple(1 << i for i in range(len(self.names) + 1)))
         object.__setattr__(self, "_nat_runs", tuple(runs))
 
     def index(self, name: str) -> int:
@@ -206,17 +225,19 @@ class WeylElement:
 
     ``_blocks`` caches the split form of :func:`_split`; it is None until
     a kernel first uses the element.  ``_rescaled`` holds, once some call
-    needs one, the split forms on larger units.  ``_int_keys`` records that
+    needs one, the split forms on larger units, and ``_masked``, once
+    :func:`mul` or :func:`commutator` first uses the element, its masked
+    term lists per unit (:func:`_masked`).  ``_int_keys`` records that
     the constructor saw no ``Fraction`` slot, so splitting needs no scan
     for the exponent unit.
     """
 
-    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_int_keys")
+    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_masked", "_int_keys")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._blocks = self._rescaled = None
+        self._blocks = self._rescaled = self._masked = None
         timeless, runs = not table.has_time, table._nat_runs
         int_keys = True
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
@@ -453,6 +474,40 @@ def _split(e: WeylElement, unit: int | None = None):
     return form
 
 
+def _masked(e: WeylElement, unit: int) -> dict:
+    """The split form of ``e`` on ``unit`` as term lists that carry slot masks.
+
+    Maps each gamma^a xi^b block to a list of (mon, der, numerator,
+    mon_mask, der_mask), one per term of the block in ``_split(e, unit)``.
+    A mask has bit i set where slot i of its key is nonzero, the time slot
+    last, so ``der_mask & mon_mask`` of two terms is nonzero exactly when
+    the derivative block meets a nonzero slot of the monomial.  Made in one
+    pass over the split form, once per unit, and kept in ``e._masked``.
+    """
+    forms = e._masked
+    if forms is None:
+        forms = e._masked = {}
+    form = forms.get(unit)
+    if form is None:
+        bits = e.table.slot_bits
+        form = forms[unit] = {
+            blk: [(m, d, n, sum(compress(bits, m)), sum(compress(bits, d)))
+                  for (m, d), n in terms.items()]
+            for blk, terms in _split(e, unit)[0].items()}
+    return form
+
+
+def _block_pairs(blocks_a: dict, blocks_b: dict):
+    """``(sums, pairs)``: one (terms of a, terms of b, ``sums[(a1 + a2, b1 +
+    b2)]``) per pair of blocks (a1, b1) of a and (a2, b2) of b."""
+    sums, pairs = {}, []
+    for (ga, xa), terms_a in blocks_a.items():
+        for (gb, xb), terms_b in blocks_b.items():
+            pairs.append((terms_a, terms_b,
+                          sums.setdefault((ga + gb, xa + xb), {})))
+    return sums, pairs
+
+
 def _operands(a: WeylElement, b: WeylElement):
     """Where a kernel's loop body runs: ``(sums, den, unit, pairs)``.
 
@@ -471,11 +526,17 @@ def _operands(a: WeylElement, b: WeylElement):
         blocks_a = _split(a, unit)[0]
     if unit_b != unit:
         blocks_b = _split(b, unit)[0]
-    sums, pairs = {}, []
-    for (ga, xa), terms_a in blocks_a.items():
-        for (gb, xb), terms_b in blocks_b.items():
-            pairs.append((terms_a, terms_b,
-                          sums.setdefault((ga + gb, xa + xb), {})))
+    sums, pairs = _block_pairs(blocks_a, blocks_b)
+    return sums, den_a * den_b, unit, pairs
+
+
+def _masked_operands(a: WeylElement, b: WeylElement):
+    """:func:`_operands` for :func:`mul` and :func:`commutator`: the terms of
+    each block are the list of :func:`_masked`, masks included."""
+    a._require_same_table(b)
+    (_, den_a, unit_a), (_, den_b, unit_b) = _split(a), _split(b)
+    unit = math.lcm(unit_a, unit_b)
+    sums, pairs = _block_pairs(_masked(a, unit), _masked(b, unit))
     return sums, den_a * den_b, unit, pairs
 
 
@@ -496,12 +557,14 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical normal-ordered product.
 
     Each term pair gives its leading term (m1 m2)(d1 d2), then the
-    memoized k >= 1 reordering terms of d1 past m2.
+    memoized k >= 1 reordering terms of d1 past m2.  The memo is read only
+    when the mask of d1 meets that of m2: otherwise every k >= 1 term has a
+    factor of 0.
     """
-    sums, den, unit, pairs = _operands(a, b)
+    sums, den, unit, pairs = _masked_operands(a, b)
     for terms_a, terms_b, out in pairs:
-        for (m1, d1), c1 in terms_a.items():
-            for (m2, d2), c2 in terms_b.items():
+        for m1, d1, c1, _, dm1 in terms_a:
+            for m2, d2, c2, mm2, _ in terms_b:
                 base = c1 * c2
                 # Key sums go via a list: tuple(map(...)) allocates by a
                 # guessed length and resizes, so its keys would skip
@@ -510,12 +573,13 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
                 key = (tuple([*map(add, m1, m2)]), tuple([*map(add, d1, d2)]))
                 s = out.get(key)
                 out[key] = base if s is None else s + base
-                for factor, m_mid, d_rem in _reorder_corrections(d1, m2, unit):
-                    key = (tuple([*map(add, m1, m_mid)]),
-                           tuple([*map(add, d_rem, d2)]))
-                    c = base * factor
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
+                if dm1 & mm2:
+                    for factor, m_mid, d_rem in _reorder_corrections(d1, m2, unit):
+                        key = (tuple([*map(add, m1, m_mid)]),
+                               tuple([*map(add, d_rem, d2)]))
+                        c = base * factor
+                        s = out.get(key)
+                        out[key] = c if s is None else s + c
     return _result(a.table, sums, den, unit)
 
 
@@ -540,17 +604,24 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def _commutator_core(a: WeylElement, b: WeylElement):
-    """The loop of :func:`commutator`, in split form: ``(sums, den, unit)``."""
-    sums, den, unit, pairs = _operands(a, b)
+    """The loop of :func:`commutator`, in split form: ``(sums, den, unit)``.
+
+    A term pair reads the memo for d1 past m2 only when their masks meet,
+    and for d2 past m1 likewise; a pair that meets in neither gives no term.
+    """
+    sums, den, unit, pairs = _masked_operands(a, b)
     for terms_a, terms_b, out in pairs:
-        for (m1, d1), c1 in terms_a.items():
-            for (m2, d2), c2 in terms_b.items():
-                base = None
-                for left, d_left, right, d_right, sign in ((m1, d1, m2, d2, 1),
-                                                           (m2, d2, m1, d1, -1)):
+        for m1, d1, c1, mm1, dm1 in terms_a:
+            for m2, d2, c2, mm2, dm2 in terms_b:
+                if not (dm1 & mm2 or dm2 & mm1):
+                    continue
+                base = c1 * c2
+                for left, d_left, right, d_right, sign, meet in (
+                        (m1, d1, m2, d2, 1, dm1 & mm2),
+                        (m2, d2, m1, d1, -1, dm2 & mm1)):
+                    if not meet:
+                        continue
                     for factor, m_mid, d_rem in _reorder_corrections(d_left, right, unit):
-                        if base is None:
-                            base = c1 * c2
                         key = (tuple([*map(add, left, m_mid)]),
                                tuple([*map(add, d_rem, d_right)]))
                         c = base * (sign * factor)

@@ -116,12 +116,13 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
 
     Bypasses the WeylElement constructor and its checks, so a test can
     feed the kernels an operand that no constructor would accept, such as
-    a term outside its table's exponent domain.  Its split-form slots are
-    empty and it claims no all-int keys, so a kernel scans it on first use.
+    a term outside its table's exponent domain.  Its split-form and mask
+    slots are empty and it claims no all-int keys, so a kernel scans it on
+    first use.
     """
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
-    e._blocks = e._rescaled = None
+    e._blocks = e._rescaled = e._masked = None
     e._int_keys = False
     return e
 
@@ -139,6 +140,22 @@ def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]
     scaled = {(tuple(int(p * unit) for p in mon), der): c
               for (mon, der), c in e.terms.items()}
     return (*split_blocks(scaled), unit)
+
+
+def slot_mask(v: tuple) -> int:
+    """The int with bit i set for each nonzero slot i of ``v``."""
+    return sum(1 << i for i, p in enumerate(v) if p)
+
+
+def masked_form(e: WeylElement, unit: int | None = None) -> dict:
+    """The masked term lists a kernel caches for ``e``, built independently.
+
+    Each block of ``split_form(e, unit)`` as a list of (mon, der,
+    numerator, mon mask, der mask), in the block's order.
+    """
+    blocks = split_form(e, unit)[0]
+    return {blk: [(m, d, n, slot_mask(m), slot_mask(d)) for (m, d), n in terms.items()]
+            for blk, terms in blocks.items()}
 
 
 def falling(p: Exponent, k: int) -> Exponent:

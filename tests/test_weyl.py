@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgaweyl import weyl
+from cgaweyl import verify, weyl
 from cgaweyl.scalar import Coef, split_blocks
 from cgaweyl.weyl import (
     INT,
@@ -52,6 +52,7 @@ from helpers import (
     TIME_TABLE,
     at_point,
     check_canonical,
+    masked_form,
     random_element,
     random_point,
     random_state,
@@ -193,7 +194,7 @@ def test_reorder_memo_is_shared_safely_by_threads():
         fresh += gens
     expected = [commutator(WeylElement(a.table, a.terms),
                            WeylElement(b.table, b.terms)) for a, b in pairs]
-    assert all(g._blocks is None for g in fresh)
+    assert all(g._blocks is None and g._masked is None for g in fresh)
     results, interval = {}, sys.getswitchinterval()
 
     def work(n):
@@ -218,6 +219,21 @@ def test_reorder_memo_is_shared_safely_by_threads():
     rescaled = [(g, unit, form) for g in fresh for unit, form in (g._rescaled or {}).items()]
     assert {unit for _, unit, _ in rescaled} == {2}
     assert all(form == split_form(g, unit) for g, unit, form in rescaled)
+    masked = [(g, unit, form) for g in fresh for unit, form in g._masked.items()]
+    assert {unit for _, unit, _ in masked} == {1, 2}
+    assert all(form == masked_form(g, unit) for g, unit, form in masked)
+
+
+def test_memo_holds_the_working_set_of_a_wide_table():
+    """Only term pairs whose masks meet read the memo, so checking the
+    ell = 12 table fills it without evicting a single entry: every miss is
+    a distinct key that is still held."""
+    fam = build_free_general(12, verbatim=False)
+    _reorder_corrections.cache_clear()
+    report = verify.verify_table(fam, verify.general_commutator_table(12))
+    assert all(entry.status != verify.FAILED for entry in report.entries)
+    info = _reorder_corrections.cache_info()
+    assert 0 < info.currsize == info.misses < REORDER_CACHE_SIZE
 
 
 def test_rescaled_split_forms_are_made_once(monkeypatch):
@@ -334,6 +350,7 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
         if table.has_time:
             f = f * WeylElement.exp_t(table, rng.choice(weights))
         cases.append((a, b, f))
+    memo_reads = set()
     for a, b, f in cases:
         assert commutator(a, b) == reference_mul(a, b) - reference_mul(b, a)
         assert apply_to(a, f) == reference_apply_to(a, f)
@@ -341,15 +358,90 @@ def test_kernels_agree_on_int_and_fraction_exponents(table, weights, powers, see
             canonical = op(u, v)
             check_canonical(canonical)
             fu, fv = with_fraction_exponents(u), with_fraction_exponents(v)
+            reorders = op is not apply_to and _reorders(op, u, v)
             for args in ((fu, fv), (fu, v), (u, fv)):
                 # a Fraction(2) key equals and hashes like 2, so without the
                 # clear this call would read the int call's memo entries
                 _reorder_corrections.cache_clear()
                 other = op(*args)
                 if op is not apply_to:
-                    assert _reorder_corrections.cache_info().misses > 0
+                    info = _reorder_corrections.cache_info()
+                    if reorders:  # recomputed, not read from the int call
+                        assert info.misses > 0
+                    else:  # a pair that cannot reorder never reads the memo
+                        assert info.hits == info.misses == 0
+                    memo_reads.add(reorders)
                 assert other == canonical
                 assert other.text() == canonical.text()
+    assert memo_reads == {True, False}
+
+
+def _reorders(op, a, b) -> bool:
+    """Whether some term pair of ``op(a, b)`` passes a derivative over a
+    nonzero exponent or weight, read straight off the keys: d1 past m2 for
+    ``mul``, and d2 past m1 as well for ``commutator``."""
+    pairs = [(d1, m2) for _, d1 in a.terms for m2, _ in b.terms]
+    if op is commutator:
+        pairs += [(d2, m1) for m1, _ in a.terms for _, d2 in b.terms]
+    return any(k and p for der, mon in pairs for k, p in zip(der, mon))
+
+
+MASK_TABLE = VarTable(("x", "y", "z"), (INT, RAT, NAT), has_time=True)
+
+
+def _random_masked_operand(rng, y_powers, weights):
+    """A sum of up to three terms over MASK_TABLE: x^p with p in -2..2, y
+    from ``y_powers``, z^0..2, e^(w t) with w from ``weights``, and each
+    derivative, d[t] included, of order 0..2 about half the time."""
+    out = WeylElement.zero(MASK_TABLE)
+    for _ in range(rng.randint(1, 3)):
+        mon = (rng.randint(-2, 2), rng.choice(y_powers), rng.randint(0, 2),
+               rng.choice(weights))
+        der = tuple(rng.randint(1, 2) if rng.random() < 0.5 else 0 for _ in mon)
+        out = out + WeylElement(MASK_TABLE, {(mon, der): rng.choice(COEF_POOL)})
+    return out
+
+
+def test_masked_kernels_match_references():
+    """mul and commutator skip the memo for every term pair whose masks do
+    not meet, and still equal the generator-built references.  Covered: d[t]
+    past e^(w t) at w = 0 and w != 0, negative INT exponents, Fraction
+    exponents, operands of different units, and a derivative on a slot
+    whose exponent is 0, alone and beside a slot that does reorder."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+
+    def term(mon, der):
+        return WeylElement(MASK_TABLE, {(mon, der): Coef.const(1)})
+
+    edges = [  # (a, b) with d1 past m2: skipped, skipped, then reordered
+        (term((0, 0, 0, 0), (1, 0, 0, 0)), term((0, half, 1, 0), (0, 0, 0, 0))),
+        (term((0, 0, 0, 0), (0, 0, 0, 2)), term((-1, 0, 0, 0), (0, 0, 0, 0))),
+        (term((0, 0, 0, 0), (0, 0, 0, 2)), term((0, 0, 0, -third), (0, 0, 0, 0))),
+        (term((0, 0, 0, 0), (2, 1, 0, 0)), term((0, half, 0, 0), (0, 0, 0, 0))),
+        (term((-2, 0, 0, 0), (0, 1, 0, 1)), term((0, third, 0, half), (1, 0, 1, 0))),
+    ]
+    rng = random.Random(601)
+    cases = list(edges)
+    for _ in range(80):
+        cases.append((_random_masked_operand(rng, (0, 1, -1, half, -half), (0, 1, half)),
+                      _random_masked_operand(rng, (0, 2, third, -Fraction(2, 3)),
+                                             (0, -2, third))))
+    overlaps = set()
+    for a, b in cases:
+        for op, reference in ((mul, reference_mul(a, b)),
+                              (commutator, reference_mul(a, b) - reference_mul(b, a))):
+            _reorder_corrections.cache_clear()
+            got = op(a, b)
+            check_canonical(got)
+            assert got == reference
+            assert got.text() == reference.text()
+            if not _reorders(op, a, b):
+                assert _reorder_corrections.cache_info().misses == 0
+            overlaps.add(_reorders(op, a, b))
+        assert mul(b, a) == reference_mul(b, a)
+    assert overlaps == {True, False}
+    assert any(_split(a)[2] != _split(b)[2] for a, b in cases)
+    assert [_reorders(mul, a, b) for a, b in edges] == [False, False, True, True, True]
 
 
 def test_integral_exponents_are_stored_as_int():
