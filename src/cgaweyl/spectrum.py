@@ -156,8 +156,8 @@ def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
     E must be a plain rational (parameter-free).  The check runs on the
     int numerators that apply_to's kernel produces, one gamma^a xi^b block
     at a time, without building H psi as ``Coef`` values: H psi and psi
-    must have the same blocks and keys, and every numerator of H psi must
-    be E times psi's, exactly (``weyl._eigenvalue``).
+    must have the same blocks and packed keys, and every numerator of H psi
+    must be E times psi's, exactly (``weyl._eigenvalue``).
     """
     if psi.is_zero():
         raise ZeroState("eigencheck on the zero state")
@@ -225,7 +225,10 @@ def _state_walk(psi: WeylElement, stages, budgets: tuple[int, ...],
     Yields (counts, state) once for every count vector whose costs fit
     ``budgets``.  Each state is one apply_to from its parent (the state
     with the last nonzero count lowered by one), and only the states on
-    the current path are held.
+    the current path are held.  Every state is a canonical element made by
+    the public apply_to, which also leaves the kernel's packed form in the
+    state's ``_packed`` slot, so the apply_to calls on it for its children
+    and the eigenvalue check of its row read that form and never split it.
     """
     if not stages:
         yield counts, psi

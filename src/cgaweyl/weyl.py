@@ -57,11 +57,33 @@ masks are made once per element and unit, from the split form, the first
 time ``mul`` or ``commutator`` uses the element on that unit;
 :func:`apply_to` does not read them.
 
+:func:`apply_to` runs on packed keys instead (:func:`_apply_core`).  On the
+lattice of the call's unit, each monomial, weight included, is one Python
+int: slot i, plus the bias 2^(W - 1), sits in bits [i*W, (i+1)*W), slot 0
+lowest and the weight last.  The width W is derived per call from the
+operands' exponent bounds: the operator's bound A is max |m_i| + unit *
+max d_i and the state's B is max |w_i|, and every slot of a product or
+of a lowered state term then has absolute value at most A + B, so W =
+bit_length(A + B) + 1 keeps every field in [0, 2^W) and no field carries
+into the next.  The operator's terms are packed without the bias and
+already lowered by their derivative block, so a term pair costs one int
+addition, the accumulator is keyed by ints, and a key is decoded into a
+tuple once per output term, when the result element is built.  The
+operator's packed term lists are kept per unit in its ``_packed_ops``
+slot, the state's packed form (its keys, int numerators, width and B)
+per unit in its ``_packed`` slot.  The result of :func:`apply_to` keeps
+the kernel's own packed form there, normalised so that it equals a fresh
+packing of the result, so the next ``apply_to`` or eigenvalue check on
+it, as each state of the spectrum walk gets, neither splits nor packs it
+again.  A form packed narrower than a call needs is packed again at the
+call's width and replaces the stored one, so an element's width on a
+unit only grows.
+
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.  Its loop is :func:`_commutator_core`, which, like
-:func:`_apply_core` below, stops before the result is joined.
+:func:`_apply_core`, stops before the result is joined.
 
 Coefficients run on int numerators, one monomial block at a time.  Every
 coefficient is a Laurent polynomial in gamma and xi, so
@@ -78,20 +100,22 @@ for a unit L > 1, an int over L^K, K the number of derivatives moved (a
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
 the end.  The loops of :func:`apply_to` and :func:`commutator` are
 :func:`_apply_core` and :func:`_commutator_core`, which stop before that
-join, and one comparator reads their split forms: :func:`_is_multiple`
-answers whether a kernel result equals c * g, for an element g and a
-coefficient c of at most one term q * gamma^a * xi^b, by shifting the
+join, and one comparator reads their forms: :func:`_numerators_match`
+answers whether a kernel result equals c * g, for a coefficient c of at
+most one term q * gamma^a * xi^b and g in the same form, by shifting the
 blocks of g by (a, b) and cross-multiplying int numerators key by key.
 :func:`_eigenvalue`, behind the spectrum's eigenvalue checks, reads E off
-one term of H psi and certifies H psi = E * psi with it; the verifier's
-commutator tables certify [a, b] = c * g with it.  So neither H psi nor a
-bracket that holds is built as an element or as ``Coef`` values.  Each
-element keeps its split form in a slot filled on first use, together with
-its unit, and, in a second slot, its form on each larger unit that a call
-asks for (an operand beside one of larger unit, a g beside a kernel
-result of larger unit), so each is rescaled once.  A third slot keeps
-the masked term lists per unit.  The constructor records when every slot
-is an ``int``, so splitting such an element needs no scan.
+one term of H psi and certifies H psi = E * psi with it on packed keys;
+the verifier's commutator tables certify [a, b] = c * g with it on split
+forms (:func:`_is_multiple`).  So neither H psi nor a bracket that holds
+is built as an element or as ``Coef`` values.  Each element keeps its
+split form in a slot filled on first use, together with its unit, and,
+in a second slot, its form on each larger unit that a call asks for (an
+operand beside one of larger unit, a g beside a kernel result of larger
+unit), so each is rescaled once.  A third slot keeps the masked term
+lists per unit, and two more the packed forms above.  The constructor
+records when every slot is an ``int``, so splitting or packing such an
+element needs no scan for its unit.
 
 Elements are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.  Two threads
@@ -99,7 +123,11 @@ filling the same element's split form, its form on the same larger unit,
 or its masked lists on the same unit, at once store equal values, each
 built in full before it is stored, so no thread reads a part-filled
 form; a form stored into a dict of forms that another thread has just
-replaced is only made again on a later call.
+replaced is only made again on a later call.  Two threads packing the
+same element on the same unit may store forms of different widths; each
+is complete, a call reads one form once and packs the other operand at
+that form's width, and a later call that finds a narrower form than it
+needs packs it again.
 The memo is safe to share too:
 its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
 consistent under concurrent calls (two threads missing on the same key
@@ -112,7 +140,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, islice, product as cartesian
+from itertools import chain, compress, groupby, islice, product as cartesian
 from operator import add
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
@@ -227,17 +255,22 @@ class WeylElement:
     a kernel first uses the element.  ``_rescaled`` holds, once some call
     needs one, the split forms on larger units, and ``_masked``, once
     :func:`mul` or :func:`commutator` first uses the element, its masked
-    term lists per unit (:func:`_masked`).  ``_int_keys`` records that
-    the constructor saw no ``Fraction`` slot, so splitting needs no scan
-    for the exponent unit.
+    term lists per unit (:func:`_masked`).  ``_packed`` holds, per unit,
+    the packed form of a derivative-free element that :func:`apply_to`
+    has acted on or returned, and ``_packed_ops`` the packed term lists of
+    an element that :func:`apply_to` has used as its operator.
+    ``_int_keys`` records that the constructor saw no ``Fraction`` slot,
+    so splitting needs no scan for the exponent unit.
     """
 
-    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_masked", "_int_keys")
+    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_masked", "_packed",
+                 "_packed_ops", "_int_keys")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._blocks = self._rescaled = self._masked = None
+        self._blocks = self._rescaled = self._masked = self._packed = None
+        self._packed_ops = None
         timeless, runs = not table.has_time, table._nat_runs
         int_keys = True
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
@@ -454,11 +487,9 @@ def _split(e: WeylElement, unit: int | None = None):
     """
     split = e._blocks
     if split is None:
-        if e._int_keys:
-            terms, own = e.terms, 1
-        else:  # scan, and store integral Fraction slots as ints too
-            own = math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
-            terms = _scale_keys(e.terms, own)
+        own = _own_unit(e)
+        # _scale_keys stores integral Fraction slots as ints too
+        terms = e.terms if e._int_keys else _scale_keys(e.terms, own)
         split = e._blocks = (*split_blocks(terms), own)
     if unit is None or unit == split[2]:
         return split
@@ -509,30 +540,16 @@ def _block_pairs(blocks_a: dict, blocks_b: dict):
 
 
 def _operands(a: WeylElement, b: WeylElement):
-    """Where a kernel's loop body runs: ``(sums, den, unit, pairs)``.
+    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, pairs)``.
 
     Each of ``pairs`` is (terms of a, terms of b, accumulator) for one pair
-    of monomial blocks, holding int numerators; the body runs once per
-    pair, and its accumulator is ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is
-    the product of the two common denominators.  Both operands' keys are on
-    the lattice of ``unit``, the lcm of their exponent units (an operand
-    with a smaller unit enters in its split form for ``unit``, made once),
-    so the kernel's result is ``_result(table, sums, den, unit)``.
+    of monomial blocks, the terms being the lists of :func:`_masked` with
+    int numerators; the body runs once per pair, and its accumulator is
+    ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is the product of the two common
+    denominators.  Both operands' keys are on the lattice of ``unit``, the
+    lcm of their exponent units, so the kernel's result is
+    ``_result(table, sums, den, unit)``.
     """
-    a._require_same_table(b)
-    (blocks_a, den_a, unit_a), (blocks_b, den_b, unit_b) = _split(a), _split(b)
-    unit = math.lcm(unit_a, unit_b)
-    if unit_a != unit:
-        blocks_a = _split(a, unit)[0]
-    if unit_b != unit:
-        blocks_b = _split(b, unit)[0]
-    sums, pairs = _block_pairs(blocks_a, blocks_b)
-    return sums, den_a * den_b, unit, pairs
-
-
-def _masked_operands(a: WeylElement, b: WeylElement):
-    """:func:`_operands` for :func:`mul` and :func:`commutator`: the terms of
-    each block are the list of :func:`_masked`, masks included."""
     a._require_same_table(b)
     (_, den_a, unit_a), (_, den_b, unit_b) = _split(a), _split(b)
     unit = math.lcm(unit_a, unit_b)
@@ -561,7 +578,7 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     when the mask of d1 meets that of m2: otherwise every k >= 1 term has a
     factor of 0.
     """
-    sums, den, unit, pairs = _masked_operands(a, b)
+    sums, den, unit, pairs = _operands(a, b)
     for terms_a, terms_b, out in pairs:
         for m1, d1, c1, _, dm1 in terms_a:
             for m2, d2, c2, mm2, _ in terms_b:
@@ -609,7 +626,7 @@ def _commutator_core(a: WeylElement, b: WeylElement):
     A term pair reads the memo for d1 past m2 only when their masks meet,
     and for d2 past m1 likewise; a pair that meets in neither gives no term.
     """
-    sums, den, unit, pairs = _masked_operands(a, b)
+    sums, den, unit, pairs = _operands(a, b)
     for terms_a, terms_b, out in pairs:
         for m1, d1, c1, mm1, dm1 in terms_a:
             for m2, d2, c2, mm2, dm2 in terms_b:
@@ -639,91 +656,264 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
 
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
-    The image of each distinct derivative block d1 on the terms of ``f``
-    (the shifted monomials, with the falling factorials and the d[t] weight
-    factor folded into their coefficients) is made once, not once per term
-    of ``a``; a term m1 * d1 adds m1 to each monomial of it.
+    The loop runs on packed keys (:func:`_apply_core`), and the result
+    keeps its packed form in its ``_packed`` slot, so an ``apply_to`` or an
+    eigenvalue check on the result reads that form instead of splitting
+    and packing the result again.
     """
-    return _result(a.table, *_apply_core(a, f))
+    sums, den, unit, (_, _, width, _) = _apply_core(a, f)
+    return _packed_result(a.table, sums, den, unit, width)
+
+
+def _own_unit(e: WeylElement) -> int:
+    """The exponent unit of ``e``: the lcm of the denominators of its
+    monomial slots, 1 when all are ints."""
+    if e._int_keys:
+        return 1
+    if e._blocks is not None:
+        return e._blocks[2]
+    return math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
+
+
+def _pack(v, width: int, unit: int = 1) -> int:
+    """sum_i v[i] * unit * 2^(i * width): the packed key of ``v`` on the
+    lattice of ``unit`` without its bias, slot 0 in the lowest field.
+
+    ``unit`` must clear every slot's denominator; slots may have either sign.
+    """
+    key = 0
+    for p in reversed(v):
+        key = (key << width) + p.numerator * (unit // p.denominator)
+    return key
+
+
+def _state_bound(e: WeylElement, unit: int) -> int:
+    """max |w_i| over the monomial slots of ``e`` on the lattice of ``unit``."""
+    return int(max(map(abs, chain.from_iterable(mon for mon, _ in e.terms)),
+                   default=0) * unit)
+
+
+def _operator_bound(e: WeylElement, unit: int) -> int:
+    """max |m_i| + unit * max d_i over the keys of ``e`` on the lattice of ``unit``."""
+    return _state_bound(e, unit) + unit * max(
+        chain.from_iterable(der for _, der in e.terms), default=0)
+
+
+def _pack_operator(e: WeylElement, unit: int, width: int, bound: int):
+    """The packed term lists of the operator ``e``: ``(width, bound, den, blocks)``.
+
+    ``(blocks, den)`` is ``split_blocks`` of ``e.terms``, each block then
+    grouped into a tuple with one entry (orders, t_order, moved, terms)
+    per distinct derivative block d: ``orders`` holds (bit offset of slot
+    i, d_i) for each variable slot that d differentiates, ``t_order`` is
+    the order of d[t] and ``moved`` the sum of d.  ``terms`` holds (key,
+    numerator) for each term m * d, the key being m packed on the lattice
+    of ``unit`` without bias and already lowered by d: every variable slot
+    i less d_i * unit, as on each term of the image of d.
+    """
+    blocks, den = split_blocks({
+        (_pack(mon, width, unit) - unit * _pack(der[:-1], width), der): c
+        for (mon, der), c in e.terms.items()})
+    out = {}
+    for blk, terms in blocks.items():
+        groups = {}
+        for (key, der), n in terms.items():
+            groups.setdefault(der, []).append((key, n))
+        out[blk] = tuple((tuple((i * width, k) for i, k in _sparse(der)),
+                          der[-1], sum(der), tuple(group))
+                         for der, group in groups.items())
+    return width, bound, den, out
+
+
+def _pack_state(e: WeylElement, unit: int, width: int, bound: int):
+    """The packed form of the derivative-free ``e``: ``(blocks, den, width, bound)``.
+
+    ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with every key
+    replaced by the biased packed key of its monomial on the lattice of
+    ``unit``; ``bound`` is :func:`_state_bound`.
+    """
+    size = len(e.table.zeros)
+    # 2^(width - 1) in every field: (2^(size*width) - 1) / (2^width - 1) has 1 in each
+    bias = ((1 << size * width) - 1) // ((1 << width) - 1) << width - 1
+    return (*split_blocks({_pack(mon, width, unit) + bias: c
+                           for (mon, _), c in e.terms.items()}), width, bound)
+
+
+def _packed_operands(a: WeylElement, f: WeylElement):
+    """Where :func:`_apply_core` runs: ``(operator form, state form, unit)``.
+
+    ``unit`` is the lcm of the two exponent units, and both forms are on it
+    with one field width: the widest of the width that the bounds need and
+    the widths the operands are already packed at.  The operator bound plus
+    the state bound bounds every slot of every product, and a field holds
+    its slot plus the bias 2^(width - 1), so one bit more than that sum
+    needs keeps each field in [0, 2^width), clear of the next.  A form that is missing or narrower is packed again
+    and stored in ``a._packed_ops`` or ``f._packed``, so each element's
+    width on a unit only grows.
+    """
+    a._require_same_table(f)
+    unit = math.lcm(_own_unit(a), _own_unit(f))
+    ops, states = a._packed_ops, f._packed
+    if ops is None:
+        ops = a._packed_ops = {}
+    if states is None:
+        states = f._packed = {}
+    op, state = ops.get(unit), states.get(unit)
+    bound_a = _operator_bound(a, unit) if op is None else op[1]
+    bound_f = _state_bound(f, unit) if state is None else state[3]
+    width = max((bound_a + bound_f).bit_length() + 1,
+                0 if op is None else op[0], 0 if state is None else state[2])
+    if op is None or op[0] != width:
+        op = ops[unit] = _pack_operator(a, unit, width, bound_a)
+    if state is None or state[2] != width:
+        state = states[unit] = _pack_state(f, unit, width, bound_f)
+    return op, state, unit
 
 
 def _apply_core(a: WeylElement, f: WeylElement):
-    """The loop of :func:`apply_to`, in split form: ``(sums, den, unit)``."""
-    if not f.is_scalar_function():
+    """The loop of :func:`apply_to`: ``(sums, den, unit, state form)``.
+
+    ``sums`` maps each gamma^a xi^b block to packed key -> numerator over
+    ``den``, on the lattice of ``unit`` and at the width of ``f``'s packed
+    form, which is returned with it.  For each derivative block d of a
+    block of ``a`` and each term w of a block of ``f``, the falling
+    factorials and the d[t] weight factor are read off the fields of w and
+    multiplied once, and every term m * d then adds its packed, lowered m
+    to the key of w: one int addition per term pair.  An element that has
+    a packed form passed the derivative-free check when the form was
+    made.
+    """
+    if f._packed is None and not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    sums, den, unit, pairs = _operands(a, f)
-    zeros = a.table.zeros
-    for terms_a, terms_f, out in pairs:
-        images = {}
-        for (m1, d1), c1 in terms_a.items():
-            image = images.get(d1)
-            if image is None:
-                image = images[d1] = []
-                orders, t_order = _sparse(d1), d1[-1]
-                moved = sum(d1)
-                for (w, _), c2 in terms_f.items():
+    (width, _, den_a, blocks_a), state, unit = _packed_operands(a, f)
+    sums, pairs = _block_pairs(blocks_a, state[0])
+    bias, mask = 1 << width - 1, (1 << width) - 1
+    time = (len(a.table.zeros) - 1) * width
+    for groups, terms_f, out in pairs:
+        for orders, t_order, moved, terms_a in groups:
+            for w, c2 in terms_f.items():
+                if orders or t_order:
                     factor = 1
-                    for i, k in orders:  # _lattice_falling, inlined
-                        factor *= math.prod(range(w[i], w[i] - k * unit, -unit))
+                    for at, k in orders:  # _lattice_falling, inlined
+                        n = (w >> at & mask) - bias
+                        factor *= n if k == 1 else math.prod(range(n, n - k * unit, -unit))
                     if t_order:
-                        factor *= w[-1] ** t_order
-                    if factor:
-                        if unit != 1:
-                            factor = _over_unit(factor, unit, moved)
-                        w = list(w)
-                        for i, k in orders:
-                            w[i] -= k * unit
-                        image.append((tuple(w), c2 if factor == 1 else c2 * factor))
-            for w, c2 in image:
-                key = (tuple([*map(add, m1, w)]), zeros)  # a list first, see mul
-                c = c1 * c2
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-    return sums, den, unit
+                        factor *= ((w >> time & mask) - bias) ** t_order
+                    if not factor:
+                        continue
+                    if unit != 1:
+                        factor = _over_unit(factor, unit, moved)
+                    c2 *= factor
+                for m1, c1 in terms_a:
+                    key = m1 + w
+                    c = c1 * c2
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
+    return sums, den_a * state[1], unit, state
+
+
+def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
+                   width: int) -> WeylElement:
+    """The element of the packed kernel result ``sums`` over ``den``.
+
+    The numerators are first normalised as ``split_blocks`` would give them
+    for the result: zeros dropped, ``Fraction`` numerators (a fractional
+    reordering factor on a unit above 1) cleared into ``den``, and the gcd
+    of ``den`` and all numerators divided out, which leaves ``den`` the lcm
+    of the reduced denominators.  Each packed key is then decoded once,
+    into a key divided by ``unit`` as in :func:`_result`, and the element
+    stores the normalised form in its ``_packed`` slot, equal to
+    :func:`_pack_state` of the element on ``unit`` and ``width``.
+    """
+    blocks = {}
+    for blk, block in sums.items():
+        if 0 in block.values():
+            block = {key: n for key, n in block.items() if n}
+        if block:
+            blocks[blk] = block
+    if unit != 1:  # Fraction numerators, some perhaps integral, become ints
+        clear = math.lcm(*[n.denominator for block in blocks.values()
+                           for n in block.values()])
+        for block in blocks.values():
+            for key, n in block.items():
+                block[key] = (n * clear).numerator
+        den *= clear
+    g = den
+    for block in blocks.values():
+        g = math.gcd(g, *block.values())
+    if g != 1:
+        for block in blocks.values():
+            for key, n in block.items():
+                block[key] = n // g
+        den //= g
+    bias, mask = 1 << width - 1, (1 << width) - 1
+    fields = range(0, len(table.zeros) * width, width)
+    zeros, terms = table.zeros, {}
+    for key, c in join_blocks(blocks, den).items():
+        mon = [(key >> at & mask) - bias for at in fields]
+        if unit != 1:
+            mon = [n // unit if n % unit == 0 else Fraction(n, unit) for n in mon]
+        terms[(tuple(mon), zeros)] = c
+    e = WeylElement(table, terms)
+    e._packed = {unit: (blocks, den, width, _state_bound(e, unit))}
+    return e
 
 
 def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
     """The rational E with ``apply_to(a, f) == E * f``, or None; ``f`` nonzero.
 
-    Runs on the split forms, so the image is never joined into ``Coef``
-    values: E is read off the first nonzero numerator of the image and the
-    same key of ``f``, and :func:`_is_multiple` certifies the image as E * f.
+    Runs on the packed forms, so the image is never joined into ``Coef``
+    values and no key is decoded: E is read off the first nonzero numerator
+    of the image and the same packed key of ``f``, whose form the kernel
+    returns on the image's unit and width, and :func:`_numerators_match`
+    certifies the image as E * f.
     """
-    core = sums, den, unit = _apply_core(a, f)
+    sums, den, _, (blocks_f, den_f, _, _) = _apply_core(a, f)
     first = next(((blk, key, n) for blk, block in sums.items()
                   for key, n in block.items() if n), None)
     if first is None:
         return Fraction(0)
     blk, key, n = first
-    blocks, den_f, _ = _split(f, unit)
-    n_f = blocks.get(blk, {}).get(key)
+    n_f = blocks_f.get(blk, {}).get(key)
     if n_f is None:
         return None
     value = Fraction(n * den_f, n_f * den)
-    return value if _is_multiple(core, f, coef(value)) else None
+    return value if _numerators_match(sums, den, blocks_f, den_f, coef(value)) else None
 
 
 def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
     """Whether the kernel result ``core = (sums, den, unit)`` equals c * g.
 
-    ``c`` has at most one term q * gamma^a * xi^b.  Runs on split forms, so
-    no ``Coef``, no ``Fraction`` key and no element is built.  ``core``
-    holds numerators n over ``den`` per gamma^a xi^b block and lattice key
-    (ints, or ``Fraction`` where a unit above 1 gives a fractional
-    reordering factor), ``g`` numerators n_g over den_g.  c * g has the
-    blocks of g shifted by (a, b), and equals ``core`` exactly when the
-    nonzero numerators of ``core`` sit at just those keys, each with
-    n * den_g * q.denominator == n_g * q.numerator * den.  A g whose unit
-    does not divide ``unit`` has a key off the lattice of ``core``; when c
-    or g is zero, ``core`` must vanish.
+    ``c`` has at most one term.  ``g`` enters in its split form on
+    ``unit``; a g whose unit does not divide ``unit`` has a key off the
+    lattice of ``core``.  When c or g is zero, ``core`` must vanish.
     """
     sums, den, unit = core
-    blocks, (a, b), scale_core, scale_g = {}, (0, 0), 1, 0
+    blocks, den_g = {}, 1
     if c.terms and g.terms:
-        ((a, b), q), = c.terms.items()
         if unit % _split(g)[2]:
             return False
         blocks, den_g, _ = _split(g, unit)
+    return _numerators_match(sums, den, blocks, den_g, c)
+
+
+def _numerators_match(sums: dict, den: int, blocks: dict, den_g: int,
+                      c: Coef) -> bool:
+    """Whether ``sums`` over ``den`` equals c times ``blocks`` over ``den_g``.
+
+    Both are kernel forms with the same keys, split or packed, on one
+    lattice.  ``c`` has at most one term q * gamma^a * xi^b, or ``blocks``
+    is empty.  Runs on the numerators, so no ``Coef``, no ``Fraction`` key
+    and no element is built.  ``sums`` holds numerators n per gamma^a xi^b
+    block and key (ints, or ``Fraction`` where a unit above 1 gives a
+    fractional reordering factor), ``blocks`` numerators n_g.  c * g has
+    the blocks shifted by (a, b), and equals ``sums`` exactly when the
+    nonzero numerators of ``sums`` sit at just those keys, each with n *
+    den_g * q.denominator == n_g * q.numerator * den.
+    """
+    (a, b), scale_core, scale_g = (0, 0), 1, 0
+    if blocks:
+        ((a, b), q), = c.terms.items()
         scale_core, scale_g = den_g * q.denominator, q.numerator * den
     found = 0
     for (x, y), block in sums.items():

@@ -116,13 +116,14 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
 
     Bypasses the WeylElement constructor and its checks, so a test can
     feed the kernels an operand that no constructor would accept, such as
-    a term outside its table's exponent domain.  Its split-form and mask
-    slots are empty and it claims no all-int keys, so a kernel scans it on
-    first use.
+    a term outside its table's exponent domain.  Its split-form, mask and
+    packed slots are empty and it claims no all-int keys, so a kernel scans
+    it on first use.
     """
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
     e._blocks = e._rescaled = e._masked = None
+    e._packed = e._packed_ops = None
     e._int_keys = False
     return e
 
@@ -140,6 +141,25 @@ def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]
     scaled = {(tuple(int(p * unit) for p in mon), der): c
               for (mon, der), c in e.terms.items()}
     return (*split_blocks(scaled), unit)
+
+
+def packed_form(e: WeylElement, unit: int, width: int) -> tuple[dict, int, int, int]:
+    """The packed form ``apply_to`` keeps for a derivative-free ``e``, built independently.
+
+    ``(blocks, den, width, bound)``: ``split_blocks`` of the terms of ``e``
+    with each key replaced by the int sum_i (w_i + 2^(width - 1)) *
+    2^(i * width), w_i the monomial slot i times ``unit``, and ``bound``
+    the largest |w_i|.  Every field must hold its slot without a carry.
+    """
+    bias, keyed, lattice = 1 << (width - 1), {}, []
+    for (mon, der), c in e.terms.items():
+        assert not any(der)
+        w = [int(p * unit) for p in mon]
+        assert all(p == q * unit for p, q in zip(w, mon))
+        assert all(abs(p) < bias for p in w)
+        keyed[sum((p + bias) << (i * width) for i, p in enumerate(w))] = c
+        lattice += w
+    return (*split_blocks(keyed), width, max(map(abs, lattice), default=0))
 
 
 def slot_mask(v: tuple) -> int:

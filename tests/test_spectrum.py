@@ -230,6 +230,7 @@ def test_eigencheck_rescales_psi_to_the_call_unit():
          + WeylElement.var(HALF_TABLE, "x", half) * WeylElement.deriv(HALF_TABLE, "y"))
     psi = x * x
     assert _split(psi)[2] == 1 and _apply_core(H, psi)[2] == 2
+    assert psi._packed.keys() == {2}
     assert eigencheck(H, psi) == reference_eigencheck(H, psi) == 2
     assert type(eigencheck(H, psi)) is Fraction
     off = psi + WeylElement.var(HALF_TABLE, "x", half)
@@ -240,7 +241,7 @@ def test_eigencheck_on_fraction_valued_sums():
     """The continuous probe at fractional lambda sums Fraction numerators."""
     for lam in (Fraction(1, 3), Fraction(-2, 5)):
         H, psi = _probe(lam)
-        sums, _, unit = _apply_core(H, psi)
+        sums, _, unit, _ = _apply_core(H, psi)
         assert unit == lam.denominator
         assert any(type(n) is Fraction for block in sums.values()
                    for n in block.values())
@@ -392,3 +393,29 @@ def test_continuous_probe_detects_broken_operator():
     bad = build_H(fam) + WeylElement.var(fam.table, "x")
     with pytest.raises(NotEigenstate):
         continuous_probe(bad, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("build, e_max, k, rows", [
+    (lambda: build_ladder(2), 5, 1, 100),
+    (build_osc_l1, 4, 2, 45),
+    (lambda: build_xi0(2, 3), 5, 1, 42),
+], ids=["ladder", "osc-l1", "xi0"])
+def test_spectrum_table_calls_the_public_kernels_once_per_row(monkeypatch, build,
+                                                              e_max, k, rows):
+    """Each table row costs one public apply_to from its parent state, the
+    root excepted, and one public eigencheck: the calls that the benchmark's
+    tracer counts."""
+    import cgaweyl.spectrum as spectrum
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "apply_to", counted("apply_to", spectrum.apply_to))
+    monkeypatch.setattr(spectrum, "eigencheck", counted("eigencheck", spectrum.eigencheck))
+    table = spectrum_table(build(), e_max, k)
+    assert table.ok and len(table.rows) == rows
+    assert calls == {"apply_to": rows - 1, "eigencheck": rows}

@@ -53,10 +53,12 @@ from helpers import (
     at_point,
     check_canonical,
     masked_form,
+    packed_form,
     random_element,
     random_point,
     random_state,
     reference_apply_to,
+    reference_eigencheck,
     reference_mul,
     split_form,
     unchecked_element,
@@ -727,7 +729,10 @@ def test_unchecked_operands_fill_their_split_slot():
         assert mul(raw_a, b) == mul(a, b)
         assert apply_to(raw_a, raw_f) == apply_to(a, f)
         assert raw_a._blocks == split_form(a)
-        assert raw_f._blocks == split_form(f)
+        # apply_to packs its state straight from the terms, never splitting it
+        assert raw_f._blocks is None
+        (unit, form), = raw_f._packed.items()
+        assert form == packed_form(f, unit, form[2])
         assert commutator(raw_a, b) == commutator(a, b)
 
 
@@ -782,37 +787,98 @@ def test_apply_to_spends_half_powers_to_an_int_exponent():
     assert type(next(iter(got.terms))[0][-1]) is int
 
 
-@pytest.mark.parametrize("table, powers, weights, coefs, seed", [
-    (RAT_TABLE, RAT_EXPONENT_POOL, (0, 1, Fraction(-3, 2), Fraction(1, 2)),
-     RATIONAL_COEFS, 401),
-    (TAU_TABLE, (-2, -1, 0, 1, 2, 3), (0,), RATIONAL_COEFS, 409),
-    (TIME_TABLE, (0, 1, 2, 3), (0, 1, -2, Fraction(1, 2), Fraction(-3, 2)),
-     RATIONAL_COEFS, 419),
-    (TIME_TABLE, (0, 1, 2, 3), (0, 1, Fraction(1, 2)), COEF_POOL, 421),
-    (RAT_TABLE, RAT_EXPONENT_POOL, (0, Fraction(1, 3)), COEF_POOL, 431),
-], ids=["rat", "int-tau", "exp-time", "symbolic-time", "symbolic-rat"])
-def test_apply_to_matches_reference_on_dense_vectors(table, powers, weights,
-                                                      coefs, seed):
+THIRD_TABLE = VarTable(("x", "y"), (RAT, RAT), has_time=True)
+
+# (table, operator powers, state powers, weights, coefficients, seed); the
+# unit of an operand is the lcm of the denominators of its powers and weights
+DENSE_CASES = {
+    "rat": (RAT_TABLE, RAT_EXPONENT_POOL, RAT_EXPONENT_POOL,
+            (0, 1, Fraction(-3, 2), Fraction(1, 2)), RATIONAL_COEFS, 401),
+    "int-tau": (TAU_TABLE, (-2, -1, 0, 1, 2, 3), (-2, -1, 0, 1, 2, 3), (0,),
+                RATIONAL_COEFS, 409),
+    "exp-time": (TIME_TABLE, (0, 1, 2, 3), (0, 1, 2, 3),
+                 (0, 1, -2, Fraction(1, 2), Fraction(-3, 2)), RATIONAL_COEFS, 419),
+    "symbolic-time": (TIME_TABLE, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, Fraction(1, 2)),
+                      COEF_POOL, 421),
+    "symbolic-rat": (RAT_TABLE, RAT_EXPONENT_POOL, RAT_EXPONENT_POOL, (0, Fraction(1, 3)),
+                     COEF_POOL, 431),
+    "psi-unit-above": (THIRD_TABLE, (0, 1, 2, -1), (0, 1, Fraction(1, 3), Fraction(-2, 3)),
+                       (0,), RATIONAL_COEFS, 433),
+    "psi-unit-below": (THIRD_TABLE, (0, 1, Fraction(1, 2), Fraction(-3, 2)), (0, 1, 2),
+                       (0,), RATIONAL_COEFS, 439),
+}
+
+
+def _euler_operator(table, rng, coefs):
+    """sum_i c_i v_i d[v_i] (+ c d[t] on a table with time), c from ``coefs``:
+    every monomial is an eigenfunction, with E = sum_i c_i p_i (+ c w)."""
+    out = WeylElement.zero(table)
+    for name in table.names:
+        out = out + (WeylElement.var(table, name) * WeylElement.deriv(table, name)
+                     ).scaled(rng.choice(coefs))
+    if table.has_time:
+        out = out + WeylElement.time_deriv(table).scaled(rng.choice(coefs))
+    return out
+
+
+def _monomial(table, rng, powers, weights):
+    term = WeylElement.const(table, 1)
+    for name in table.names:
+        term = term * WeylElement.var(table, name, rng.choice(powers))
+    if table.has_time:
+        term = term * WeylElement.exp_t(table, rng.choice(weights))
+    return term
+
+
+def _assert_packed_slot(e):
+    """Every packed form an element holds equals a fresh packing of its terms."""
+    for unit, form in (e._packed or {}).items():
+        assert form == packed_form(e, unit, form[2])
+
+
+@pytest.mark.parametrize("case", DENSE_CASES, ids=list(DENSE_CASES))
+def test_apply_to_matches_reference_on_dense_vectors(case):
     """apply_to equals the derivative-free part of the reference product,
     coefficient text included, when several terms of the operator share
-    one derivative block, on Fraction exponents and weights, negative
-    powers of tau, d[t] over exponential weights and gamma/xi blocks; and
-    instantiating it at a random point gives apply_to on the instantiated
-    operands."""
+    one derivative block, on Fraction exponents and weights, operator and
+    state units that differ either way, negative powers of tau, d[t] over
+    e^(w t) with w = 0 and w != 0, and gamma/xi blocks; instantiating it
+    at a random point gives apply_to on the instantiated operands; each
+    result's packed slot equals a fresh packing of its terms; and
+    eigencheck on packed keys equals its reference, on random pairs and on
+    eigenstates of an Euler operator."""
+    from cgaweyl.spectrum import eigencheck
+    table, op_powers, state_powers, weights, coefs, seed = DENSE_CASES[case]
     rng = random.Random(seed)
     for _ in range(30):
-        a = (_shared_block_operator(table, rng, powers, weights, coefs)
+        a = (_shared_block_operator(table, rng, op_powers, weights, coefs)
              + random_element(table, rng, max_terms=3, weights=weights,
-                              powers=powers, coefs=coefs))
-        f = _scalar_function(table, rng, powers, weights, coefs)
+                              powers=op_powers, coefs=coefs))
+        f = _scalar_function(table, rng, state_powers, weights, coefs)
         got = apply_to(a, f)
         check_canonical(got)
         reference = reference_apply_to(a, f)
         assert got == reference
         assert got.text() == reference.text()
+        _assert_packed_slot(got)
+        _assert_packed_slot(f)
         point = random_point(rng)
         assert at_point(got, *point) == apply_to(at_point(a, *point),
                                                  at_point(f, *point))
+        if not f.is_zero():
+            assert eigencheck(a, f) == reference_eigencheck(a, f)
+        H = _euler_operator(table, rng, RATIONAL_COEFS[:5])
+        if case == "psi-unit-below":  # unit 2, and the new term kills every state
+            H = H + (WeylElement.var(table, "x", Fraction(1, 2))
+                     * WeylElement.deriv(table, "y", 3))
+        m = _monomial(table, rng, state_powers, weights)
+        for psi in (m.scaled(rng.choice(coefs)),
+                    m.scaled(rng.choice(coefs)) + _monomial(table, rng, state_powers, weights),
+                    f):
+            if not psi.is_zero():
+                value = eigencheck(H, psi)
+                assert value == reference_eigencheck(H, psi)
+                assert value is not None or len(psi.terms) > 1
 
 
 def test_canonicality_is_idempotent():
@@ -861,6 +927,106 @@ def test_apply_rejects_operators_before_splitting():
     with pytest.raises(ValueError):
         apply_to(a, f)
     assert f._blocks is None and a._blocks is None
+    assert f._packed is None and a._packed_ops is None
+
+
+# -- apply_to on packed keys ---------------------------------------------------
+
+def V_tau(name, p=1):
+    return WeylElement.var(TAU_TABLE, name, p)
+
+
+def test_apply_to_on_a_huge_exponent_is_exact():
+    """d[x] on x^(2^40) is 2^40 x^(2^40 - 1): the fields are wide enough for
+    the exponents, and later calls on the result widen the operator."""
+    big = 2 ** 40
+    f = V_tau("x", big) * V_tau("tau", -1)
+    d = WeylElement.deriv(TAU_TABLE, "x")
+    got = apply_to(d, f)
+    assert got == reference_apply_to(d, f)
+    assert got.terms == {((-1, big - 1, 0, 0), TAU_TABLE.zeros): Coef.const(big)}
+    (width,) = {form[2] for form in got._packed.values()}
+    assert width > 41
+    _assert_packed_slot(got)
+    a = V_tau("x", big) * d + V_tau("tau") * WeylElement.deriv(TAU_TABLE, "tau")
+    chain = got
+    for _ in range(3):
+        nxt = apply_to(a, chain)
+        assert nxt == reference_apply_to(a, chain)
+        _assert_packed_slot(nxt)
+        chain = nxt
+    assert a._packed_ops[1][0] >= max(form[2] for form in chain._packed.values())
+    # the operator, now packed wide, still acts exactly on a small state
+    small = V_tau("x", 2) + V_tau("y", -3)
+    assert apply_to(a, small) == reference_apply_to(a, small)
+
+
+def test_packed_fields_hold_the_extreme_slots():
+    """tau^(-s) d[tau] on tau^(-r) gives the slot -(s + 1 + r), the most
+    negative one that the bounds allow, and x^s d[x] on x^r the most
+    positive one, s + r - 1; with s + r running across powers of 2, every
+    field width is met at its edge and still decodes exactly."""
+    for s in range(0, 18):
+        for r in range(1, 18):
+            for a, f in ((V_tau("tau", -s) * WeylElement.deriv(TAU_TABLE, "tau"),
+                          V_tau("tau", -r)),
+                         (V_tau("x", s) * WeylElement.deriv(TAU_TABLE, "x"),
+                          V_tau("x", r) + V_tau("y", -r))):
+                got = apply_to(a, f)
+                assert got == reference_apply_to(a, f)
+                _assert_packed_slot(got)
+
+
+def test_threads_share_packed_forms_safely():
+    """Threads that apply shared fresh operators to shared fresh states at
+    once get the single-threaded results, and every stored form equals a
+    fresh packing."""
+    rng = random.Random(443)
+    table, op_powers, state_powers, weights, coefs, _ = DENSE_CASES["rat"]
+    ops = [_shared_block_operator(table, rng, op_powers, weights, coefs) for _ in range(6)]
+    states = [_scalar_function(table, rng, state_powers, weights, coefs) for _ in range(6)]
+    states.append(V_tau("x", 2 ** 40))  # a wide state on another table
+    expected = [reference_apply_to(a, f) for a in ops for f in states[:-1]]
+    results, interval = {}, sys.getswitchinterval()
+    wide_op = V_tau("x") * WeylElement.deriv(TAU_TABLE, "x")
+
+    def work(n):
+        results[n] = [apply_to(a, f) for a in ops for f in states[:-1]]
+        results[n, "wide"] = apply_to(wide_op, states[-1])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[n] == expected for n in range(4))
+    assert all(results[n, "wide"] == 2 ** 40 * states[-1] for n in range(4))
+    for f in states:
+        _assert_packed_slot(f)
+
+
+@pytest.mark.parametrize("case", ["rat", "psi-unit-above", "symbolic-time"])
+def test_packed_slot_holds_after_a_chain_of_three(case):
+    """Each result of a chain of three apply_to calls, every one fed the
+    result before it, keeps the form that a fresh packing of its terms
+    gives, and equals the reference chain."""
+    table, op_powers, state_powers, weights, coefs, seed = DENSE_CASES[case]
+    rng = random.Random(seed + 1)
+    for _ in range(8):
+        f = ref = _scalar_function(table, rng, state_powers, weights, coefs)
+        for _ in range(3):
+            a = (_shared_block_operator(table, rng, op_powers, weights, coefs)
+                 + random_element(table, rng, max_terms=2, weights=weights,
+                                  powers=op_powers, coefs=coefs))
+            f, ref = apply_to(a, f), reference_apply_to(a, ref)
+            assert f == ref
+            assert f._blocks is None and f._packed
+            _assert_packed_slot(f)
 
 
 def test_substitute_euler_invariance():
