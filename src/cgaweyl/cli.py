@@ -295,6 +295,10 @@ def emit_report(doc: dict, fmt: str, output: Path | None) -> str:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, output)
         except BaseException:
             if os.path.exists(tmp):

@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import as_fraction
+from .scalar import as_fraction, coef
 from .weyl import (
     WeylElement,
+    _bracket_residual,
+    _commutator_core,
     _eigenvalue,
     apply_to,
-    commutator,
     remap,
 )
 from .realizations import GeneratorFamily, build_H
@@ -297,16 +298,18 @@ def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTab
 def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":
     """Operator identities [H, g] = e g for the raising/lowering set.
 
-    Returns (description, ok, residual text) triples.
+    Returns (description, ok, residual text) triples.  Each [H, g] is
+    compared with e g on the commutator kernel's form, so a relation that
+    holds builds no element.
     """
     rec = _ladder(target)
     H = build_H(target)
     out = []
     for name, e, rhs in rec.relations:
         op = rec.family[name]
-        residual = commutator(H, op) + op.scaled(-e)
-        ok = residual.is_zero()
-        out.append((f"[H, {name}] = {rhs}", ok, "" if ok else residual.text()))
+        residual = _bracket_residual(_commutator_core(H, op), op, coef(e))
+        out.append((f"[H, {name}] = {rhs}", residual is None,
+                    "" if residual is None else residual.text()))
     return out
 
 

@@ -6,9 +6,11 @@ unlisted pairs must commute.  One pair loop, :func:`_residuals`, serves
 every table check and the calibration.  It takes each [a, b] in the split
 form of the commutator kernel (int numerators per gamma^a xi^b block and
 lattice key) and compares it on those numerators with the expected side
-written as c * g, c of at most one term (``weyl._is_multiple``), so a pair
-that holds builds no element; only a failing pair builds [a, b] and its
-residual, [a, b] minus the expected side, whose text the report prints.
+written as c * g, c of at most one term (``weyl._bracket_residual``), so a
+pair that holds builds no element; only a failing pair builds [a, b] and
+its residual, [a, b] minus the expected side, whose text the report
+prints.  The sl(2) closure, the [z-, Omega_1] and [Omega, theta(1)] checks
+and the spectrum's ladder relations go through the same comparator.
 Additive-constant calibration
 solves exactly for scalar shifts g -> g + delta_g absorbing constant
 residuals (commutators are blind to the shifts, so the system is linear).
@@ -27,9 +29,8 @@ from .weyl import (
     DomainViolation,
     VarTable,
     WeylElement,
+    _bracket_residual,
     _commutator_core,
-    _is_multiple,
-    _result,
     commutator,
     free_to_osc,
     mul,
@@ -133,9 +134,9 @@ class VerificationReport:
 
 
 def _residual_entry(family: str, lhs: str, expected: str,
-                    residual: WeylElement) -> EntryResult:
-    """Exact when the residual vanishes, else failed with its text."""
-    if residual.is_zero():
+                    residual: WeylElement | None) -> EntryResult:
+    """Exact when the residual is None or vanishes, else failed with its text."""
+    if residual is None or residual.is_zero():
         return EntryResult(family, lhs, expected, EXACT)
     return EntryResult(family, lhs, expected, FAILED, residual.text())
 
@@ -382,7 +383,7 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
     ``bracket`` is [a, b] in the split form of ``weyl._commutator_core``,
     taken from ``brackets[a, b]`` when given, and None for a pair skipped by
     the truncation.  It is compared on the split forms with the expected
-    side as c * g (``weyl._is_multiple``): c = 0 for a pair that must
+    side as c * g (``weyl._bracket_residual``): c = 0 for a pair that must
     commute (``entry`` None); a one-term side, as every entry of the tables
     built here is, against its generator or, for a scalar, the constant 1;
     any other side built as one element by :func:`_rhs_element`, with c = 1.
@@ -413,10 +414,7 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
             c = None
         if c is None or len(c.terms) > 1:
             c, g = COEF_ONE, _rhs_element(gens, fam.table, entry, sign)
-        residual = None
-        if not _is_multiple(bracket, g, c):
-            residual = _result(fam.table, *bracket) - g.scaled(c)
-        yield a, b, sign, entry, bracket, residual
+        yield a, b, sign, entry, bracket, _bracket_residual(bracket, g, c)
 
 
 def _table_report(fam: GeneratorFamily, table: RelationTable,
@@ -681,16 +679,13 @@ def verify_sl2(triplet: InvariantTriplet, weight) -> VerificationReport:
     """Check [O0, O+-] = +-weight O+- and [O+, O-] = 2 weight O0 exactly."""
     w = as_fraction(weight)
     report = VerificationReport(title=f"sl(2) closure (weight {w})", family="")
-    checks = [
-        ("[Omega0, Omega+1]", commutator(triplet.zero, triplet.plus)
-         - w * triplet.plus, f"({w})*Omega+1"),
-        ("[Omega0, Omega-1]", commutator(triplet.zero, triplet.minus)
-         + w * triplet.minus, f"({-w})*Omega-1"),
-        ("[Omega+1, Omega-1]", commutator(triplet.plus, triplet.minus)
-         - (2 * w) * triplet.zero, f"({2 * w})*Omega0"),
-    ]
-    for lhs, residual, expected in checks:
-        report.entries.append(_residual_entry("", lhs, expected, residual))
+    named = triplet.named()
+    for a, b, c, g in (("Omega0", "Omega+1", w, "Omega+1"),
+                       ("Omega0", "Omega-1", -w, "Omega-1"),
+                       ("Omega+1", "Omega-1", 2 * w, "Omega0")):
+        residual = _bracket_residual(_commutator_core(named[a], named[b]),
+                                     named[g], coef(c))
+        report.entries.append(_residual_entry("", f"[{a}, {b}]", f"({c})*{g}", residual))
     return report
 
 
@@ -776,7 +771,7 @@ def verify_general_invariant(ell: int) -> VerificationReport:
         fam.table, Fraction(ell * (ell + 1), 2))
     report.entries.append(_residual_entry(
         label, "[z-, Omega_1]", "-2*Omega_0",
-        commutator(fam["z-"], explicit) + 2 * omega0))
+        _bracket_residual(_commutator_core(fam["z-"], explicit), omega0, coef(-2))))
 
     report.entries.append(_residual_entry(
         label, "b0 + a0d", "0", ladder["b0"] + ladder["a0d"]))
@@ -847,5 +842,6 @@ def verify_subalgebra_structure(fam: GeneratorFamily) -> VerificationReport:
         "structure h2 |x (h1 + h3), then (h1+h2+h3) |x h4")
     report.entries.append(_residual_entry(
         fam.name, "[Omega, theta(1)]", "0",
-        commutator(fam["Omega"], fam[loop_name("theta", 1)])))
+        _bracket_residual(_commutator_core(fam["Omega"], fam[loop_name("theta", 1)]),
+                          fam["Omega"], COEF_ZERO)))
     return report

@@ -15,7 +15,8 @@ The ``WeylElement`` constructor alone enforces canonical form for every
 element, kernel results included: it drops zero coefficients, stores
 integral exponents as ``int``, and rejects exponents outside their
 variable's domain and time parts over a table without time.  The kernels
-accumulate raw sums and leave these rules to it.
+accumulate raw sums and leave these rules to it.  In the same pass the
+constructor records the element's exponent unit (below).
 
 Every term is keyed by a pair of plain tuples with one slot per table
 variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
@@ -27,9 +28,9 @@ a stored key is ``int`` when integral and ``Fraction`` only when genuinely
 fractional (the xi = 0 family's x^(w2/w1), weights such as e^(t/2)).
 Inside the kernels every slot is an ``int``: each element's exponent unit
 L is the lcm of the denominators of its monomial slots (1 when all are
-ints), and its keys enter a kernel with every monomial slot, weight
-included, times L.  A call runs on the lcm of its operands' units, and
-:func:`_result` divides each output key by it, storing ``int`` where the
+ints).  A call runs on the lcm U of its operands' units, its operands'
+keys enter it with every monomial slot, weight included, times U, and
+:func:`_result` divides each output key by U, storing ``int`` where the
 quotient is integral; so no ``Fraction`` is hashed or added per term pair.
 Terms print in the order of (d[t] order, (index, order) pairs, weight,
 (index, exponent) pairs) read off the nonzero slots, not in the order of
@@ -53,9 +54,9 @@ the monomial and of the derivative block, the time slot last
 (:func:`_masked`).  They still visit every term pair, but read the memo
 for d1 past m2 only when ``der_mask1 & mon_mask2`` is nonzero (and for d2
 past m1 likewise), so the memo holds only non-empty reorderings.  The
-masks are made once per element and unit, from the split form, the first
-time ``mul`` or ``commutator`` uses the element on that unit;
-:func:`apply_to` does not read them.
+masks are made once per element and unit, with the element's kernel form
+on that unit, the first time ``mul`` or ``commutator`` uses the element
+on it; :func:`apply_to` does not read them.
 
 :func:`apply_to` runs on packed keys instead (:func:`_apply_core`).  On the
 lattice of the call's unit, each monomial, weight included, is one Python
@@ -106,32 +107,27 @@ most one term q * gamma^a * xi^b and g in the same form, by shifting the
 blocks of g by (a, b) and cross-multiplying int numerators key by key.
 :func:`_eigenvalue`, behind the spectrum's eigenvalue checks, reads E off
 one term of H psi and certifies H psi = E * psi with it on packed keys;
-the verifier's commutator tables certify [a, b] = c * g with it on split
-forms (:func:`_is_multiple`).  So neither H psi nor a bracket that holds
-is built as an element or as ``Coef`` values.  Each element keeps its
-split form in a slot filled on first use, together with its unit, and,
-in a second slot, its form on each larger unit that a call asks for (an
-operand beside one of larger unit, a g beside a kernel result of larger
-unit), so each is rescaled once.  A third slot keeps the masked term
-lists per unit, and two more the packed forms above.  The constructor
-records when every slot is an ``int``, so splitting or packing such an
-element needs no scan for its unit.
+every check of [a, b] = c * g reads g's masked form with it
+(:func:`_is_multiple`), and :func:`_bracket_residual` builds [a, b] - c * g
+only when the check fails.  So neither H psi nor a bracket that holds is
+built as an element or as ``Coef`` values.  Each element keeps, per unit,
+its masked form and its packed forms, each made the first time a call
+needs it.
 
-Elements are immutable after construction and every operation is a pure
-function, so values are safe to share across threads.  Two threads
-filling the same element's split form, its form on the same larger unit,
-or its masked lists on the same unit, at once store equal values, each
-built in full before it is stored, so no thread reads a part-filled
-form; a form stored into a dict of forms that another thread has just
-replaced is only made again on a later call.  Two threads packing the
-same element on the same unit may store forms of different widths; each
-is complete, a call reads one form once and packs the other operand at
-that form's width, and a later call that finds a narrower form than it
-needs packs it again.
-The memo is safe to share too:
-its entries are immutable tuples and ``lru_cache`` keeps its bookkeeping
-consistent under concurrent calls (two threads missing on the same key
-at once both compute it, with equal results).
+Elements are immutable after construction, the unit included, and every
+operation is a pure function, so values are safe to share across threads.
+The per-unit caches are dicts.  Two threads filling the same element's
+masked form on the same unit at once store equal values, each built in
+full before it is stored, so no thread reads a part-filled form; a form
+stored into a dict that another thread has just replaced is only made
+again on a later call.  Two threads packing the same element on the same
+unit may store forms of different widths; each is complete, a call reads
+one form once and packs the other operand at that form's width, and a
+later call that finds a narrower form than it needs packs it again.  The
+memo is safe to share too: its entries are immutable tuples and
+``lru_cache`` keeps its bookkeeping consistent under concurrent calls
+(two threads missing on the same key at once both compute it, with equal
+results).
 """
 from __future__ import annotations
 
@@ -251,28 +247,24 @@ def _term_sort_key(key: tuple[tuple, tuple]):
 class WeylElement:
     """Canonical normal-ordered operator: a term map (mon, der) -> Coef.
 
-    ``_blocks`` caches the split form of :func:`_split`; it is None until
-    a kernel first uses the element.  ``_rescaled`` holds, once some call
-    needs one, the split forms on larger units, and ``_masked``, once
-    :func:`mul` or :func:`commutator` first uses the element, its masked
-    term lists per unit (:func:`_masked`).  ``_packed`` holds, per unit,
-    the packed form of a derivative-free element that :func:`apply_to`
-    has acted on or returned, and ``_packed_ops`` the packed term lists of
-    an element that :func:`apply_to` has used as its operator.
-    ``_int_keys`` records that the constructor saw no ``Fraction`` slot,
-    so splitting needs no scan for the exponent unit.
+    ``_lattice`` is the exponent unit, set by the constructor: the lcm of
+    the denominators of the monomial slots, 1 when all are ints.  The
+    other slots are per-unit caches, each None until first used:
+    ``_masked`` holds the masked term lists that :func:`mul` and
+    :func:`commutator` read (:func:`_masked`), ``_packed`` the packed form
+    of a derivative-free element that :func:`apply_to` has acted on or
+    returned, and ``_packed_ops`` the packed term lists of an element that
+    :func:`apply_to` has used as its operator.
     """
 
-    __slots__ = ("table", "terms", "_blocks", "_rescaled", "_masked", "_packed",
-                 "_packed_ops", "_int_keys")
+    __slots__ = ("table", "terms", "_lattice", "_masked", "_packed", "_packed_ops")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._blocks = self._rescaled = self._masked = self._packed = None
-        self._packed_ops = None
+        self._masked = self._packed = self._packed_ops = None
         timeless, runs = not table.has_time, table._nat_runs
-        int_keys = True
+        lattice = 1
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
         for key, c in (terms or {}).items():
             if c.is_zero():
@@ -284,10 +276,10 @@ class WeylElement:
                 raise DomainViolation("d[t] in a table without time")
             check = Fraction in map(type, mon)
             if check:  # the int rule
-                int_keys = False
                 mon = tuple([p if type(p) is int or p.denominator != 1
                              else p.numerator for p in mon])
                 key = (mon, der)
+                lattice = math.lcm(lattice, *[p.denominator for p in mon])
             else:  # all int: only a negative NAT slot can leave its domain
                 for s in runs:
                     if min(mon[s]) < 0:
@@ -297,7 +289,7 @@ class WeylElement:
                     table.check_power(i, p)
             cleaned[key] = c
         self.terms = cleaned
-        self._int_keys = int_keys
+        self._lattice = lattice
 
     # -- constructors ---------------------------------------------------------
 
@@ -474,46 +466,17 @@ def _scale_keys(terms: dict, r: int) -> dict:
             for (mon, der), v in terms.items()}
 
 
-def _split(e: WeylElement, unit: int | None = None):
-    """The split form ``(blocks, den, unit)`` of ``e``, computed once per unit.
+def _masked(e: WeylElement, unit: int):
+    """The kernel form of ``e`` on ``unit``: ``(blocks, den)``, made once per unit.
 
-    With ``unit`` None it is on the element's own exponent unit: the lcm of
-    the denominators of its monomial slots, 1 when all are ints.
-    ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with every monomial
-    slot times that unit, so every key slot is an int.  A ``unit`` that is
-    a multiple of the own one asks for the same form with every monomial
-    slot times ``unit``; such a form is rescaled from the own one on the
-    first request and kept in ``e._rescaled``.
-    """
-    split = e._blocks
-    if split is None:
-        own = _own_unit(e)
-        # _scale_keys stores integral Fraction slots as ints too
-        terms = e.terms if e._int_keys else _scale_keys(e.terms, own)
-        split = e._blocks = (*split_blocks(terms), own)
-    if unit is None or unit == split[2]:
-        return split
-    rescaled = e._rescaled
-    if rescaled is None:
-        rescaled = e._rescaled = {}
-    form = rescaled.get(unit)
-    if form is None:
-        blocks, den, own = split
-        r = unit // own
-        form = rescaled[unit] = ({blk: _scale_keys(t, r) for blk, t in blocks.items()},
-                                 den, unit)
-    return form
-
-
-def _masked(e: WeylElement, unit: int) -> dict:
-    """The split form of ``e`` on ``unit`` as term lists that carry slot masks.
-
-    Maps each gamma^a xi^b block to a list of (mon, der, numerator,
-    mon_mask, der_mask), one per term of the block in ``_split(e, unit)``.
-    A mask has bit i set where slot i of its key is nonzero, the time slot
-    last, so ``der_mask & mon_mask`` of two terms is nonzero exactly when
-    the derivative block meets a nonzero slot of the monomial.  Made in one
-    pass over the split form, once per unit, and kept in ``e._masked``.
+    ``split_blocks`` of ``e.terms`` with every monomial slot times ``unit``
+    gives each gamma^a xi^b block's term map of int numerators over the
+    common denominator ``den``; ``blocks`` holds each as a list of (mon,
+    der, numerator, mon_mask, der_mask), one per term.  A mask has bit i
+    set where slot i of its key is nonzero, the time slot last, so
+    ``der_mask & mon_mask`` of two terms is nonzero exactly when the
+    derivative block meets a nonzero slot of the monomial.  Kept per unit
+    in ``e._masked``.  ``unit`` must be a multiple of ``e._lattice``.
     """
     forms = e._masked
     if forms is None:
@@ -521,10 +484,12 @@ def _masked(e: WeylElement, unit: int) -> dict:
     form = forms.get(unit)
     if form is None:
         bits = e.table.slot_bits
-        form = forms[unit] = {
-            blk: [(m, d, n, sum(compress(bits, m)), sum(compress(bits, d)))
-                  for (m, d), n in terms.items()]
-            for blk, terms in _split(e, unit)[0].items()}
+        # _scale_keys stores integral Fraction slots as ints too, at unit 1 as well
+        blocks, den = split_blocks(_scale_keys(e.terms, unit))
+        form = forms[unit] = (
+            {blk: [(m, d, n, sum(compress(bits, m)), sum(compress(bits, d)))
+                   for (m, d), n in terms.items()]
+             for blk, terms in blocks.items()}, den)
     return form
 
 
@@ -542,31 +507,29 @@ def _block_pairs(blocks_a: dict, blocks_b: dict):
 def _operands(a: WeylElement, b: WeylElement):
     """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, pairs)``.
 
-    Each of ``pairs`` is (terms of a, terms of b, accumulator) for one pair
-    of monomial blocks, the terms being the lists of :func:`_masked` with
-    int numerators; the body runs once per pair, and its accumulator is
-    ``sums[(a1 + a2, b1 + b2)]``.  ``den`` is the product of the two common
-    denominators.  Both operands' keys are on the lattice of ``unit``, the
-    lcm of their exponent units, so the kernel's result is
-    ``_result(table, sums, den, unit)``.
+    ``unit`` is the lcm of the operands' exponent units, ``pairs`` the
+    :func:`_block_pairs` of their kernel forms on it (:func:`_masked`), and
+    ``den`` the product of those forms' denominators, so the kernel's
+    result is ``_result(table, sums, den, unit)``.
     """
     a._require_same_table(b)
-    (_, den_a, unit_a), (_, den_b, unit_b) = _split(a), _split(b)
-    unit = math.lcm(unit_a, unit_b)
-    sums, pairs = _block_pairs(_masked(a, unit), _masked(b, unit))
+    unit = math.lcm(a._lattice, b._lattice)
+    (blocks_a, den_a), (blocks_b, den_b) = _masked(a, unit), _masked(b, unit)
+    sums, pairs = _block_pairs(blocks_a, blocks_b)
     return sums, den_a * den_b, unit, pairs
 
 
-def _result(table: VarTable, sums: dict, den: int, unit: int) -> WeylElement:
-    """The element of ``join_blocks(sums, den)`` with every key divided by ``unit``.
+def _unscaled(mon, unit: int) -> tuple:
+    """The lattice key ``mon`` divided by ``unit``: an ``int`` slot where
+    ``unit`` divides it, any other a ``Fraction``."""
+    return tuple([n // unit if n % unit == 0 else Fraction(n, unit) for n in mon])
 
-    A slot that ``unit`` divides becomes an int, any other a ``Fraction``.
-    """
+
+def _result(table: VarTable, sums: dict, den: int, unit: int) -> WeylElement:
+    """The element of ``join_blocks(sums, den)`` with every key divided by ``unit``."""
     terms = join_blocks(sums, den)
     if unit != 1:
-        terms = {(tuple([n // unit if n % unit == 0 else Fraction(n, unit)
-                         for n in mon]), der): c
-                 for (mon, der), c in terms.items()}
+        terms = {(_unscaled(mon, unit), der): c for (mon, der), c in terms.items()}
     return WeylElement(table, terms)
 
 
@@ -665,16 +628,6 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     return _packed_result(a.table, sums, den, unit, width)
 
 
-def _own_unit(e: WeylElement) -> int:
-    """The exponent unit of ``e``: the lcm of the denominators of its
-    monomial slots, 1 when all are ints."""
-    if e._int_keys:
-        return 1
-    if e._blocks is not None:
-        return e._blocks[2]
-    return math.lcm(*{p.denominator for mon, _ in e.terms for p in mon})
-
-
 def _pack(v, width: int, unit: int = 1) -> int:
     """sum_i v[i] * unit * 2^(i * width): the packed key of ``v`` on the
     lattice of ``unit`` without its bias, slot 0 in the lowest field.
@@ -747,12 +700,13 @@ def _packed_operands(a: WeylElement, f: WeylElement):
     the widths the operands are already packed at.  The operator bound plus
     the state bound bounds every slot of every product, and a field holds
     its slot plus the bias 2^(width - 1), so one bit more than that sum
-    needs keeps each field in [0, 2^width), clear of the next.  A form that is missing or narrower is packed again
-    and stored in ``a._packed_ops`` or ``f._packed``, so each element's
-    width on a unit only grows.
+    needs keeps each field in [0, 2^width), clear of the next.  A form
+    that is missing or narrower is packed again and stored in
+    ``a._packed_ops`` or ``f._packed``, so each element's width on a unit
+    only grows.
     """
     a._require_same_table(f)
-    unit = math.lcm(_own_unit(a), _own_unit(f))
+    unit = math.lcm(a._lattice, f._lattice)
     ops, states = a._packed_ops, f._packed
     if ops is None:
         ops = a._packed_ops = {}
@@ -820,8 +774,8 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
     for the result: zeros dropped, ``Fraction`` numerators (a fractional
     reordering factor on a unit above 1) cleared into ``den``, and the gcd
     of ``den`` and all numerators divided out, which leaves ``den`` the lcm
-    of the reduced denominators.  Each packed key is then decoded once,
-    into a key divided by ``unit`` as in :func:`_result`, and the element
+    of the reduced denominators.  Each packed key is then decoded once and
+    divided by ``unit`` (:func:`_unscaled`), and the element
     stores the normalised form in its ``_packed`` slot, equal to
     :func:`_pack_state` of the element on ``unit`` and ``width``.
     """
@@ -850,10 +804,8 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
     fields = range(0, len(table.zeros) * width, width)
     zeros, terms = table.zeros, {}
     for key, c in join_blocks(blocks, den).items():
-        mon = [(key >> at & mask) - bias for at in fields]
-        if unit != 1:
-            mon = [n // unit if n % unit == 0 else Fraction(n, unit) for n in mon]
-        terms[(tuple(mon), zeros)] = c
+        mon = tuple([(key >> at & mask) - bias for at in fields])
+        terms[(mon if unit == 1 else _unscaled(mon, unit), zeros)] = c
     e = WeylElement(table, terms)
     e._packed = {unit: (blocks, den, width, _state_bound(e, unit))}
     return e
@@ -884,17 +836,28 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
 def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
     """Whether the kernel result ``core = (sums, den, unit)`` equals c * g.
 
-    ``c`` has at most one term.  ``g`` enters in its split form on
-    ``unit``; a g whose unit does not divide ``unit`` has a key off the
-    lattice of ``core``.  When c or g is zero, ``core`` must vanish.
+    ``c`` has at most one term.  ``g`` enters in its kernel form on
+    ``unit``, keyed by (mon, der); a g whose unit does not divide ``unit``
+    has a key off the lattice of ``core``.  When c or g is zero, ``core``
+    must vanish.
     """
     sums, den, unit = core
     blocks, den_g = {}, 1
     if c.terms and g.terms:
-        if unit % _split(g)[2]:
+        if unit % g._lattice:
             return False
-        blocks, den_g, _ = _split(g, unit)
+        masked, den_g = _masked(g, unit)
+        blocks = {blk: {(m, d): n for m, d, n, _, _ in terms}
+                  for blk, terms in masked.items()}
     return _numerators_match(sums, den, blocks, den_g, c)
+
+
+def _bracket_residual(core, g: WeylElement, c: Coef) -> WeylElement | None:
+    """None when the :func:`_commutator_core` result ``core`` equals c * g
+    (:func:`_is_multiple`), else core - c * g, only then built as an element."""
+    if _is_multiple(core, g, c):
+        return None
+    return _result(g.table, *core) - g.scaled(c)
 
 
 def _numerators_match(sums: dict, den: int, blocks: dict, den_g: int,

@@ -116,28 +116,33 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
 
     Bypasses the WeylElement constructor and its checks, so a test can
     feed the kernels an operand that no constructor would accept, such as
-    a term outside its table's exponent domain.  Its split-form, mask and
-    packed slots are empty and it claims no all-int keys, so a kernel scans
-    it on first use.
+    a term outside its table's exponent domain, or keys with integral
+    ``Fraction`` slots.  Its exponent unit is set by the constructor's rule
+    (:func:`lattice_unit`, so ``Fraction(2)`` counts as 1) and its mask and
+    packed slots are empty.
     """
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
-    e._blocks = e._rescaled = e._masked = None
-    e._packed = e._packed_ops = None
-    e._int_keys = False
+    e._lattice = lattice_unit(e.terms)
+    e._masked = e._packed = e._packed_ops = None
     return e
 
 
-def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]:
-    """The split form a kernel caches for ``e``, built independently.
+def lattice_unit(terms: dict) -> int:
+    """The exponent unit of a term map: the lcm of the denominators of its
+    monomial slots, 1 when all are integral."""
+    return math.lcm(*(Fraction(p).denominator for mon, _ in terms for p in mon))
 
-    ``(blocks, den, unit)``: ``unit`` is the lcm of the denominators of the
-    monomial slots of ``e`` unless given, and ``(blocks, den)`` is
-    ``split_blocks`` of its terms with every monomial slot times ``unit``,
-    as an int.
+
+def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]:
+    """The split form of ``e`` on a lattice, built independently.
+
+    ``(blocks, den, unit)``: ``unit`` is :func:`lattice_unit` of ``e``
+    unless given, and ``(blocks, den)`` is ``split_blocks`` of its terms
+    with every monomial slot times ``unit``, as an int.
     """
     if unit is None:
-        unit = math.lcm(*(Fraction(p).denominator for mon, _ in e.terms for p in mon))
+        unit = lattice_unit(e.terms)
     scaled = {(tuple(int(p * unit) for p in mon), der): c
               for (mon, der), c in e.terms.items()}
     return (*split_blocks(scaled), unit)
@@ -167,15 +172,16 @@ def slot_mask(v: tuple) -> int:
     return sum(1 << i for i, p in enumerate(v) if p)
 
 
-def masked_form(e: WeylElement, unit: int | None = None) -> dict:
-    """The masked term lists a kernel caches for ``e``, built independently.
+def masked_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int]:
+    """The form ``mul`` and ``commutator`` cache for ``e``, built independently.
 
-    Each block of ``split_form(e, unit)`` as a list of (mon, der,
-    numerator, mon mask, der mask), in the block's order.
+    ``(blocks, den)``: each block of ``split_form(e, unit)`` as a list of
+    (mon, der, numerator, mon mask, der mask), in the block's order, and
+    the split form's common denominator.
     """
-    blocks = split_form(e, unit)[0]
-    return {blk: [(m, d, n, slot_mask(m), slot_mask(d)) for (m, d), n in terms.items()]
-            for blk, terms in blocks.items()}
+    blocks, den, _ = split_form(e, unit)
+    return ({blk: [(m, d, n, slot_mask(m), slot_mask(d)) for (m, d), n in terms.items()]
+             for blk, terms in blocks.items()}, den)
 
 
 def falling(p: Exponent, k: int) -> Exponent:

@@ -158,6 +158,23 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
     assert str(target) in out
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_report_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    """--output gives the report the mode a plain open() would, 0o666 less
+    the umask, as a shell redirect does, not the 0600 of its temp file;
+    the umask is restored afterwards."""
+    target = tmp_path / "r.json"
+    previous = os.umask(umask)
+    try:
+        assert main(["verify", "--family", "osc-l1", "--output", str(target)]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
 def test_unwritable_report_path_exits_two(tmp_path, capsys, monkeypatch):
     """A report path that is a directory, or a report directory that is a
     regular file, is one error line and exit 2; no temp file is left."""

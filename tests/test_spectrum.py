@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cgaweyl.scalar import Coef
-from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core, _split,
+from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core,
                           apply_to, parse_element, remap)
 from cgaweyl.realizations import (
     build_H,
@@ -229,7 +229,7 @@ def test_eigencheck_rescales_psi_to_the_call_unit():
     H = (x * WeylElement.deriv(HALF_TABLE, "x")
          + WeylElement.var(HALF_TABLE, "x", half) * WeylElement.deriv(HALF_TABLE, "y"))
     psi = x * x
-    assert _split(psi)[2] == 1 and _apply_core(H, psi)[2] == 2
+    assert psi._lattice == 1 and _apply_core(H, psi)[2] == 2
     assert psi._packed.keys() == {2}
     assert eigencheck(H, psi) == reference_eigencheck(H, psi) == 2
     assert type(eigencheck(H, psi)) is Fraction

@@ -6,8 +6,9 @@ import pytest
 
 from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
-from cgaweyl.weyl import (RAT, VarTable, WeylElement, _commutator_core, _is_multiple,
-                          commutator, mul, parse_element)
+from cgaweyl.weyl import (RAT, VarTable, WeylElement, _bracket_residual,
+                          _commutator_core, _is_multiple, commutator, mul,
+                          parse_element)
 from cgaweyl.realizations import (
     FamilyParams,
     GeneratorFamily,
@@ -305,12 +306,25 @@ def test_sl2_closures():
 
 
 def test_sl2_broken_normalization_detected():
+    """A broken normalization or a wrong weight fails, and each failing
+    entry prints [a, b] - c * g built from the full commutator."""
     from cgaweyl.realizations import InvariantTriplet
     trip = build_triplet(build_osc_l1())
     broken = InvariantTriplet(2 * trip.plus, trip.zero, trip.minus)
     report = verify_sl2(broken, 1)
     assert not report.ok
-    assert entry_by_lhs(report, "[Omega+1, Omega-1]").status == FAILED
+    entry = entry_by_lhs(report, "[Omega+1, Omega-1]")
+    assert entry.status == FAILED
+    assert entry.residual_text == (commutator(broken.plus, broken.minus)
+                                   - 2 * broken.zero).text()
+    w = Fraction(2)
+    report = verify_sl2(trip, w)
+    for lhs, a, b, c, g in (("[Omega0, Omega+1]", trip.zero, trip.plus, w, trip.plus),
+                            ("[Omega0, Omega-1]", trip.zero, trip.minus, -w, trip.minus),
+                            ("[Omega+1, Omega-1]", trip.plus, trip.minus, 2 * w, trip.zero)):
+        entry = entry_by_lhs(report, lhs)
+        assert entry.status == FAILED
+        assert entry.residual_text == (commutator(a, b) - c * g).text()
 
 
 def test_omega_rigidity():
@@ -682,6 +696,38 @@ def test_one_term_comparator():
     assert _is_multiple(_commutator_core(x(1), x(2)), WeylElement.zero(table),
                         Coef.const(1))
     assert not _is_multiple(_commutator_core(d, x(1)), one, COEF_ZERO)
+
+
+def test_bracket_residual_is_none_or_the_built_residual():
+    """``_bracket_residual`` gives None exactly when [a, b] = c * g, and
+    otherwise the element [a, b] - c * g, text included, also where g's
+    unit does not divide the bracket's and where c is zero."""
+    fam = build_osc_l1()
+    names = list(fam.order)
+    table = VarTable(("x",), (RAT,))
+    x = lambda p: WeylElement.var(table, "x", p)  # noqa: E731
+    d = WeylElement.deriv(table, "x")
+    cases = [(d, x(1), WeylElement.const(table, 1), Coef.const(1)),
+             (d, x(2), x(Fraction(1, 2)), Coef.const(2)),
+             (d, x(Fraction(3, 2)), x(Fraction(1, 2)), Coef.const(Fraction(3, 2))),
+             (x(1), x(2), x(1), COEF_ZERO),
+             (d, x(1), x(1), COEF_ZERO)]
+    rng = random.Random(719)
+    for _ in range(40):
+        a, b, g = (fam[rng.choice(names)] for _ in range(3))
+        cases.append((a, b, g, rng.choice((COEF_ZERO, Coef.const(-1), Coef.gamma(),
+                                            Coef.gamma() / Coef.xi()))))
+    held = set()
+    for a, b, g, c in cases:
+        expected = commutator(a, b) - g.scaled(c)
+        got = _bracket_residual(_commutator_core(a, b), g, c)
+        held.add(got is None)
+        if got is None:
+            assert expected.is_zero()
+        else:
+            assert got == expected and got.text() == expected.text()
+            assert not got.is_zero()
+    assert held == {True, False}
 
 
 def test_missing_generator_on_the_right_side_is_rejected():

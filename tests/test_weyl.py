@@ -30,7 +30,6 @@ from cgaweyl.weyl import (
     remap,
     substitute,
     _reorder_corrections,
-    _split,
 )
 from cgaweyl.realizations import (
     FREE_L1_TABLE,
@@ -52,6 +51,7 @@ from helpers import (
     TIME_TABLE,
     at_point,
     check_canonical,
+    lattice_unit,
     masked_form,
     packed_form,
     random_element,
@@ -60,7 +60,6 @@ from helpers import (
     reference_apply_to,
     reference_eigencheck,
     reference_mul,
-    split_form,
     unchecked_element,
     with_fraction_exponents,
 )
@@ -182,9 +181,9 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
 
 
 def test_reorder_memo_is_shared_safely_by_threads():
-    """Threads that fill and clear the memo at once, and fill the split-form
-    slots of shared fresh operands at once, all get the single-threaded
-    commutators."""
+    """Threads that fill and clear the memo at once, and fill the per-unit
+    masked forms of shared fresh operands at once, all get the
+    single-threaded commutators, and every stored form equals a fresh one."""
     pairs, fresh = [], []
     xi0 = build_xi0(2, 3, cutoff=1)  # loop modes of units 1 and 2
     loop = {n: xi0[n] for n in ("j+(0)", "j+(1)", "w(-1)", "w(0)", "chi(1)",
@@ -196,7 +195,7 @@ def test_reorder_memo_is_shared_safely_by_threads():
         fresh += gens
     expected = [commutator(WeylElement(a.table, a.terms),
                            WeylElement(b.table, b.terms)) for a, b in pairs]
-    assert all(g._blocks is None and g._masked is None for g in fresh)
+    assert all(g._masked is None for g in fresh)
     results, interval = {}, sys.getswitchinterval()
 
     def work(n):
@@ -217,12 +216,9 @@ def test_reorder_memo_is_shared_safely_by_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 12
     assert all(r == expected for r in results.values())
-    assert all(g._blocks == split_form(g) for g in fresh)
-    rescaled = [(g, unit, form) for g in fresh for unit, form in (g._rescaled or {}).items()]
-    assert {unit for _, unit, _ in rescaled} == {2}
-    assert all(form == split_form(g, unit) for g, unit, form in rescaled)
     masked = [(g, unit, form) for g in fresh for unit, form in g._masked.items()]
-    assert {unit for _, unit, _ in masked} == {1, 2}
+    # own-unit forms of units 1 and 2, and unit-1 operands on unit 2
+    assert {(g._lattice, unit) for g, unit, _ in masked} == {(1, 1), (1, 2), (2, 2)}
     assert all(form == masked_form(g, unit) for g, unit, form in masked)
 
 
@@ -238,23 +234,64 @@ def test_memo_holds_the_working_set_of_a_wide_table():
     assert 0 < info.currsize == info.misses < REORDER_CACHE_SIZE
 
 
-def test_rescaled_split_forms_are_made_once(monkeypatch):
-    """An operand beside one of a larger unit is rescaled on the first call
-    only; the form is kept per unit and equals a direct split on that unit."""
+def test_per_unit_forms_are_made_once(monkeypatch):
+    """Each element's kernel form on a unit is made by one ``_scale_keys``
+    pass, on the first call that needs it only: an operand beside one of a
+    larger unit gets a form on that unit and, once it runs on its own unit,
+    a form there too.  Each is kept per unit, a comparison with g reads g's
+    form, and each equals a direct split on its unit."""
     fam = build_xi0(Fraction(3, 2), Fraction(5, 7), cutoff=1)
     a, b = (WeylElement(fam[n].table, fam[n].terms) for n in ("j+(0)", "w(1)"))
-    unit_a, unit_b = _split(a)[2], _split(b)[2]
+    unit_a, unit_b = a._lattice, b._lattice
     assert unit_b % unit_a == 0 and unit_b > unit_a
     calls = []
     original = weyl._scale_keys
     monkeypatch.setattr(weyl, "_scale_keys",
-                        lambda terms, r: calls.append(r) or original(terms, r))
-    first = commutator(a, b)
-    made = len(calls)
-    assert made and set(calls) == {unit_b // unit_a}
-    assert commutator(a, b) == first and commutator(b, a) == -first
-    assert len(calls) == made
-    assert a._rescaled == {unit_b: split_form(a, unit_b)} and b._rescaled is None
+                        lambda terms, r: calls.append((id(terms), r)) or original(terms, r))
+    for _ in range(2):
+        first = commutator(a, b)
+        assert commutator(b, a) == -first
+        assert mul(a, a) == reference_mul(a, a)
+        assert weyl._bracket_residual(weyl._commutator_core(a, b), b,
+                                      Coef.const(1)) == first - b
+    assert sorted(calls) == sorted([(id(a.terms), unit_b), (id(b.terms), unit_b),
+                                    (id(a.terms), unit_a)])
+    assert a._masked == {unit_b: masked_form(a, unit_b), unit_a: masked_form(a, unit_a)}
+    assert b._masked == {unit_b: masked_form(b, unit_b)}
+
+
+def test_the_constructor_records_the_exponent_unit():
+    """Every element's ``_lattice`` is the lcm of the denominators of its
+    monomial slots, weight included, 1 when all are ints: for elements
+    built by the constructor and by mul, commutator, apply_to,
+    parse_element, remap and substitute, over int and rational tables."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    xh = WeylElement.var(RAT_TABLE, "x", half)
+    yt = WeylElement.var(RAT_TABLE, "y", third)
+    et = WeylElement.exp_t(RAT_TABLE, Fraction(-1, 4))
+    dx, dy = WeylElement.deriv(RAT_TABLE, "x"), WeylElement.deriv(RAT_TABLE, "y")
+    built = {
+        "constructor": [xh, yt, et, WeylElement.var(RAT_TABLE, "x", Fraction(4, 2)),
+                        WeylElement.zero(RAT_TABLE), WeylElement.const(RAT_TABLE, 3),
+                        WeylElement(RAT_TABLE, {((half, 0, third), (1, 0, 0)): Coef.xi()})],
+        "mul": [mul(xh, xh), mul(xh * dy, yt), mul(et * dx, xh + yt)],
+        "commutator": [commutator(dx, xh), commutator(dy, yt * et), commutator(dx, xh * xh)],
+        "apply_to": [apply_to(dx, xh), apply_to(dy * et, yt * xh),
+                     apply_to(xh * dx, WeylElement.var(RAT_TABLE, "x", Fraction(3, 2)))],
+        "parse_element": [parse_element("(1) * e^(2*t) * x^(6/3) * y^(1/2)", RAT_TABLE),
+                          parse_element("(gamma) * e^(1/6*t) * x^(-2/3) * d[y]", RAT_TABLE)],
+        "remap": [remap(xh * yt * dy, RAT_TABLE, {"x": "y", "y": "x"}),
+                  remap(V("x", 2) * D("y"), PLAIN_TABLE.widened("y"))],
+        "substitute": [substitute(et * WeylElement.var(RAT_TABLE, "x", 2) * yt, {"x": Coef.const(3)}),
+                       substitute(V("x") * D("u"), {"u": Coef.gamma()})],
+    }
+    units = set()
+    for kind, elements in built.items():
+        for e in elements:
+            assert e._lattice == lattice_unit(e.terms), (kind, e.text())
+            assert type(e._lattice) is int
+            units.add(e._lattice)
+    assert {1, 2, 3, 4, 6} <= units
 
 
 def _assert_commutator_matches_products(a, b):
@@ -442,7 +479,7 @@ def test_masked_kernels_match_references():
             overlaps.add(_reorders(op, a, b))
         assert mul(b, a) == reference_mul(b, a)
     assert overlaps == {True, False}
-    assert any(_split(a)[2] != _split(b)[2] for a, b in cases)
+    assert any(a._lattice != b._lattice for a, b in cases)
     assert [_reorders(mul, a, b) for a, b in edges] == [False, False, True, True, True]
 
 
@@ -489,11 +526,13 @@ def test_fraction_exponents_that_sum_to_an_integer_are_stored_as_int():
 
 
 def _assert_lattice_keys(e):
-    """The split form of ``e`` holds only int key slots."""
-    blocks, _, unit = _split(e)
-    assert type(unit) is int and unit >= 1
-    for block in blocks.values():
-        for mon, der in block:
+    """The unit of ``e`` is the lcm of its slot denominators, and its kernel
+    form on that unit holds only int key slots."""
+    unit = e._lattice
+    assert type(unit) is int and unit == lattice_unit(e.terms)
+    blocks, _ = weyl._masked(e, unit)
+    for terms in blocks.values():
+        for mon, der, *_ in terms:
             assert all(type(n) is int for n in mon + der)
 
 
@@ -509,9 +548,9 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
     """Operands on different exponent lattices (x^(1/2) against x^(1/3),
     e^(t/2) d[t]^2 against e^(-t/7)) meet on the lcm of their units.  mul,
     commutator and apply_to equal their references; every result stores an
-    int slot wherever the value is integral, zero included; and the split
-    form of every operand and result, integral Fraction slots included,
-    holds only int key slots."""
+    int slot wherever the value is integral, zero included; and the kernel
+    form of every operand and result on each unit, integral Fraction slots
+    included, holds only int key slots."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     x, y = WeylElement.var(table, "x"), WeylElement.var(table, "y")
     dx, dt2 = WeylElement.deriv(table, "x"), WeylElement.time_deriv(table, 2)
@@ -552,10 +591,10 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
         assert mul(fa, b) == results[0][0] and apply_to(fa, ff) == results[2][0]
         for e in (a, b, f, fa, ff, *(got for got, _ in results)):
             _assert_lattice_keys(e)
-        units.add((_split(a)[2], _split(b)[2], _split(f)[2]))
+        units.add((a._lattice, b._lattice, f._lattice))
         for e in (a, b, f):
-            for unit, form in (e._rescaled or {}).items():
-                assert form == split_form(e, unit)
+            for unit, form in e._masked.items():
+                assert form == masked_form(e, unit)
     # the fixed cases: products whose Fraction slots sum to an integer or 0
     got = mul(*cases[0][:2])
     assert {mon[-1] for mon, _ in got.terms} == {0}
@@ -716,21 +755,23 @@ def test_symbolic_family_kernels_commute_with_instantiation(build):
 
 
 def test_unchecked_operands_fill_their_split_slot():
-    """An element made without the constructor has no split form yet, and
-    no record that its keys are all int; a kernel scans it for its
-    exponent unit on first use, stores the split form, and reads it after."""
+    """An element made without the constructor, with the constructor's
+    unit and no kernel forms yet, gets its masked form from ``mul`` on
+    first use and its packed forms from ``apply_to``, each equal to the one
+    built from its terms, and reads them after."""
     rng = random.Random(349)
     for _ in range(10):
         a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None,
                                 rng, COEF_POOL)
         raw_a, raw_f = (unchecked_element(e.table, e.terms) for e in (a, f))
-        assert raw_a._blocks is None and raw_f._blocks is None
-        assert raw_a._int_keys is False and raw_f._int_keys is False
+        assert (raw_a._lattice, raw_f._lattice) == (a._lattice, f._lattice)
+        assert raw_a._masked is None and raw_f._masked is None
         assert mul(raw_a, b) == mul(a, b)
         assert apply_to(raw_a, raw_f) == apply_to(a, f)
-        assert raw_a._blocks == split_form(a)
-        # apply_to packs its state straight from the terms, never splitting it
-        assert raw_f._blocks is None
+        unit = math.lcm(a._lattice, b._lattice)
+        assert raw_a._masked == {unit: masked_form(a, unit)}
+        # apply_to packs its state straight from the terms, never masking it
+        assert raw_f._masked is None
         (unit, form), = raw_f._packed.items()
         assert form == packed_form(f, unit, form[2])
         assert commutator(raw_a, b) == commutator(a, b)
@@ -922,12 +963,13 @@ def test_apply_rejects_operators():
 
 
 def test_apply_rejects_operators_before_splitting():
-    """The derivative-free check runs first: neither operand is split."""
+    """The derivative-free check runs first: no kernel form of either
+    operand is made."""
     a, f = V("x") * D("y"), V("y") * D("x")
     with pytest.raises(ValueError):
         apply_to(a, f)
-    assert f._blocks is None and a._blocks is None
-    assert f._packed is None and a._packed_ops is None
+    for e in (a, f):
+        assert e._masked is None and e._packed is None and e._packed_ops is None
 
 
 # -- apply_to on packed keys ---------------------------------------------------
@@ -1025,7 +1067,7 @@ def test_packed_slot_holds_after_a_chain_of_three(case):
                                   powers=op_powers, coefs=coefs))
             f, ref = apply_to(a, f), reference_apply_to(a, ref)
             assert f == ref
-            assert f._blocks is None and f._packed
+            assert f._masked is None and f._packed
             _assert_packed_slot(f)
 
 
