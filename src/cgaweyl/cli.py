@@ -132,15 +132,18 @@ def cmd_verify(args) -> list[dict]:
     if args.family == "xi0":
         return _xi0_structure(_xi0(args))
     if args.family == "free-general":
-        fam = rz.build_free_general(args.l, verbatim=False)
-        report = vf.verify_table(fam, vf.general_commutator_table(args.l))
+        # one table check per sign of z+: the printed -d[tau], then +d[tau]
+        table = vf.general_commutator_table(args.l)
+        printed, report = (vf.verify_table(rz.build_free_general(args.l, verbatim=v), table)
+                           for v in (True, False))
         report.notes.append(
             "z+ built as +d[tau]; the printed sign satisfies no table entry "
             "involving z+ on the left (see sign report)")
         return [report.to_dict(), vf.VerificationReport(
-            "z+ sign report", fam.name, notes=[
-                f"{k}: {'table holds' if v else 'table fails'}"
-                for k, v in vf.zplus_sign_report(args.l).items()]).to_dict()]
+            "z+ sign report", report.family, notes=[
+                f"{k}: {'table holds' if r.ok else 'table fails'}"
+                for k, r in (("printed_minus_dtau", printed), ("plus_dtau", report))
+            ]).to_dict()]
     fam = rz.build_free_l1(args.gamma, args.xi) if args.family == "free-l1" \
         else rz.build_osc_l1(args.gamma, args.xi)
     table = vf.cga_l1_table(fam)

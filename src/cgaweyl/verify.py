@@ -1,19 +1,19 @@
 """Exact verification machinery.
 
 Structure-constant tables are checked by computing every commutator of a
-family: listed pairs must reproduce their stated linear combination,
-unlisted pairs must commute.  One pair loop, :func:`_residuals`, serves
-every table check and the calibration.  It takes each [a, b] in the split
-form of the commutator kernel (int numerators per gamma^a xi^b block and
-lattice key) and compares it on those numerators with the expected side
-written as c * g, c of at most one term (``weyl._bracket_residual``), so a
-pair that holds builds no element; only a failing pair builds [a, b] and
-its residual, [a, b] minus the expected side, whose text the report
-prints.  The sl(2) closure, the [z-, Omega_1] and [Omega, theta(1)] checks
-and the spectrum's ladder relations go through the same comparator.
-Additive-constant calibration
-solves exactly for scalar shifts g -> g + delta_g absorbing constant
-residuals (commutators are blind to the shifts, so the system is linear).
+family: a listed pair must equal its one stated term, c * g or the scalar
+c, and an unlisted pair must commute.  One pair loop, :func:`_residuals`,
+serves every table check and the calibration.  It takes each [a, b] in the
+split form of the commutator kernel (int numerators per gamma^a xi^b block
+and lattice key) and compares it on those numerators with c * g, the
+scalar entry as c * 1 (``weyl._bracket_residual``), so a pair that holds
+builds no element; only a failing pair builds [a, b] and its residual,
+[a, b] minus the expected side, whose text the report prints.  The sl(2)
+closure, the [z-, Omega_1] and [Omega, theta(1)] checks and the spectrum's
+ladder relations go through the same comparator.  Additive-constant
+calibration finds scalar shifts g -> g + delta_g absorbing constant
+residuals: commutators are blind to the shifts, and each entry names one
+generator, so each delta_g is one exact division.
 On-shell invariance [g, Omega] = f * Omega is certified by derivative-free
 factor extraction, and the similarity map between the two ell=1 pictures
 is diffed generator by generator.
@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 
-from .scalar import COEF_ONE, COEF_ZERO, Coef, NotDivisible, as_fraction, coef
+from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef
 from .weyl import (
     DomainViolation,
-    VarTable,
     WeylElement,
     _bracket_residual,
     _commutator_core,
@@ -146,15 +145,28 @@ def _residual_entry(family: str, lhs: str, expected: str,
 
 @dataclass(frozen=True)
 class RelationEntry:
+    """[left, right] = c * name, or the scalar c when ``name`` is None.
+
+    ``c`` (an int, ``Fraction`` or ``Coef``) has at most one term
+    q * gamma^a * xi^b, the form ``weyl._is_multiple`` compares against.
+    """
+
     left: str
     right: str
-    rhs: tuple[tuple[Coef, str], ...]
-    scalar: Coef
+    c: Coef
+    name: str | None = None
+
+    def __post_init__(self):
+        c = coef(self.c)
+        if len(c.terms) > 1:
+            raise ValueError(f"[{self.left}, {self.right}]: coefficient "
+                             f"{c.text()} has more than one term")
+        object.__setattr__(self, "c", c)
 
 
 @dataclass
 class RelationTable:
-    """Expected commutators [left, right] = sum c * gen + scalar.
+    """Expected commutators [left, right] = c * name, or a scalar c.
 
     Pairs of scope generators absent from ``entries`` are asserted to
     commute exactly.  ``skips`` marks pairs whose expected right-hand side
@@ -181,11 +193,6 @@ class RelationTable:
                 yield a, b
 
 
-def _entry(left: str, right: str, *rhs, scalar=0) -> RelationEntry:
-    combo = tuple((coef(c), name) for c, name in rhs if not coef(c).is_zero())
-    return RelationEntry(left, right, combo, coef(scalar))
-
-
 def _entry_map(entries) -> dict[tuple[str, str], RelationEntry]:
     out = {}
     for e in entries:
@@ -199,35 +206,35 @@ def _entry_map(entries) -> dict[tuple[str, str], RelationEntry]:
 def _conformal_rows(ell: int) -> list[RelationEntry]:
     """sl(2) and r acting on v_a, w_a (|a| <= ell): common to every ell."""
     entries = [
-        _entry("z0", "z+", (1, "z+")),
-        _entry("z0", "z-", (-1, "z-")),
-        _entry("z+", "z-", (2, "z0")),
+        RelationEntry("z0", "z+", 1, "z+"),
+        RelationEntry("z0", "z-", -1, "z-"),
+        RelationEntry("z+", "z-", 2, "z0"),
     ]
     for a in range(-ell, ell + 1):
         v, w = gen_name("v", a), gen_name("w", a)
         if a:
-            entries.append(_entry("z0", v, (a, v)))
-            entries.append(_entry("z0", w, (a, w)))
+            entries.append(RelationEntry("z0", v, a, v))
+            entries.append(RelationEntry("z0", w, a, w))
         if a < ell:
-            entries.append(_entry("z+", v, (ell - a, gen_name("v", a + 1))))
-            entries.append(_entry("z+", w, (ell - a, gen_name("w", a + 1))))
+            entries.append(RelationEntry("z+", v, ell - a, gen_name("v", a + 1)))
+            entries.append(RelationEntry("z+", w, ell - a, gen_name("w", a + 1)))
         if a > -ell:
-            entries.append(_entry("z-", v, (ell + a, gen_name("v", a - 1))))
-            entries.append(_entry("z-", w, (ell + a, gen_name("w", a - 1))))
-        entries.append(_entry("r", v, (1, v)))
-        entries.append(_entry("r", w, (-1, w)))
+            entries.append(RelationEntry("z-", v, ell + a, gen_name("v", a - 1)))
+            entries.append(RelationEntry("z-", w, ell + a, gen_name("w", a - 1)))
+        entries.append(RelationEntry("r", v, 1, v))
+        entries.append(RelationEntry("r", w, -1, w))
     return entries
 
 
 def cga_l1_table(fam: GeneratorFamily) -> RelationTable:
     """The full ell=1 commutator table, including the extra generator q."""
     g, x = fam.params.gamma, fam.params.xi
-    entries = _conformal_rows(1) + [_entry("r", "q", (-2, "q"))]
+    entries = _conformal_rows(1) + [RelationEntry("r", "q", -2, "q")]
     for k in (1, 0, -1):
-        entries.append(_entry(gen_name("v", k), "q", (g / x, gen_name("w", k))))
-    entries.append(_entry("v+1", "w-1", (-2, "theta")))
-    entries.append(_entry("v0", "w0", (1, "theta")))
-    entries.append(_entry("v-1", "w+1", (-2, "theta")))
+        entries.append(RelationEntry(gen_name("v", k), "q", g / x, gen_name("w", k)))
+    entries.append(RelationEntry("v+1", "w-1", -2, "theta"))
+    entries.append(RelationEntry("v0", "w0", 1, "theta"))
+    entries.append(RelationEntry("v-1", "w+1", -2, "theta"))
     return RelationTable("cga-l1", fam.order, _entry_map(entries))
 
 
@@ -236,9 +243,9 @@ def general_commutator_table(ell: int) -> RelationTable:
     entries = _conformal_rows(ell)
     for n in range(0, ell + 1):
         I = factorial_sign(ell + n, ell)
-        entries.append(_entry(gen_name("v", n), gen_name("w", -n), scalar=-I))
+        entries.append(RelationEntry(gen_name("v", n), gen_name("w", -n), -I))
         if n:
-            entries.append(_entry(gen_name("v", -n), gen_name("w", n), scalar=-I))
+            entries.append(RelationEntry(gen_name("v", -n), gen_name("w", n), -I))
     return RelationTable(f"cga-general(l={ell})", general_order(ell),
                          _entry_map(entries))
 
@@ -250,10 +257,10 @@ def ladder_ccr_table(ladder: GeneratorFamily) -> RelationTable:
         + [f"b{n}" for n in range(ell + 1)] + [f"b{n}d" for n in range(ell + 1)]
     entries = []
     for n in range(ell + 1):
-        entries.append(_entry(f"a{n}", f"a{n}d", scalar=1))
-        entries.append(_entry(f"b{n}", f"b{n}d", scalar=1))
-    entries.append(_entry("a0", "b0", scalar=-1))
-    entries.append(_entry("a0d", "b0d", scalar=-1))
+        entries.append(RelationEntry(f"a{n}", f"a{n}d", 1))
+        entries.append(RelationEntry(f"b{n}", f"b{n}d", 1))
+    entries.append(RelationEntry("a0", "b0", -1))
+    entries.append(RelationEntry("a0d", "b0d", -1))
     return RelationTable(f"ladder-ccr(l={ell})", tuple(names), _entry_map(entries))
 
 
@@ -261,13 +268,13 @@ def xi0_core_table(fam: GeneratorFamily) -> RelationTable:
     """Heisenberg pairs of the xi=0 limit operators, with frequency weights."""
     w1, w2 = fam.params.omega1, fam.params.omega2
     entries = [
-        _entry("v+1", "w-1", scalar=-2 * w1 * w1),
-        _entry("v-1", "w+1", scalar=-2 * w2 * w2),
-        _entry("v0", "w0", scalar=w2),
-        _entry("z0", "v+1", (w1, "v+1")),
-        _entry("z0", "w-1", (-w1, "w-1")),
-        _entry("z0", "w+1", (w2, "w+1")),
-        _entry("z0", "v-1", (-w2, "v-1")),
+        RelationEntry("v+1", "w-1", -2 * w1 * w1),
+        RelationEntry("v-1", "w+1", -2 * w2 * w2),
+        RelationEntry("v0", "w0", w2),
+        RelationEntry("z0", "v+1", w1, "v+1"),
+        RelationEntry("z0", "w-1", -w1, "w-1"),
+        RelationEntry("z0", "w+1", w2, "w+1"),
+        RelationEntry("z0", "v-1", -w2, "v-1"),
     ]
     scope = ("z0", "v+1", "v0", "v-1", "w+1", "w0", "w-1")
     return RelationTable("xi0-core", scope, _entry_map(entries))
@@ -336,45 +343,18 @@ def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
             if abs(k) > N:
                 skips.add((a, b))
                 continue
-            entries[(a, b)] = RelationEntry(
-                a, b, ((coef(c), loop_name(p3, k)),), COEF_ZERO)
+            entries[(a, b)] = RelationEntry(a, b, c, loop_name(p3, k))
     return RelationTable(f"xi0-loop(N={N})", scope, entries, skips)
 
 
 # ---------------------------------------------------------------------------
 # table verification and calibration
 
-def _rhs_terms(fam_gens: dict[str, WeylElement], entry: RelationEntry
-               ) -> list[tuple[Coef, WeylElement]]:
-    """The (coefficient, generator) pairs of ``entry.rhs``, every name checked."""
-    out = []
-    for c, name in entry.rhs:
-        if name not in fam_gens:
-            raise UnknownGenerator(name)
-        out.append((c, fam_gens[name]))
-    return out
-
-
-def _rhs_element(fam_gens: dict[str, WeylElement], table: VarTable,
-                 entry: RelationEntry, sign: int) -> WeylElement:
-    out = WeylElement.zero(table)
-    for c, g in _rhs_terms(fam_gens, entry):
-        out = out + (sign * c) * g
-    if not entry.scalar.is_zero():
-        out = out + WeylElement.const(table, sign * entry.scalar)
-    return out
-
-
 def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
-    if entry is None:
+    if entry is None or (entry.name is None and entry.c.is_zero()):
         return "0"
-    parts = []
-    for c, name in entry.rhs:
-        cc = sign * c
-        parts.append(f"({cc.text()})*{name}")
-    if not entry.scalar.is_zero():
-        parts.append(f"({(sign * entry.scalar).text()})")
-    return " + ".join(parts) if parts else "0"
+    c = f"({(sign * entry.c).text()})"
+    return c if entry.name is None else f"{c}*{entry.name}"
 
 
 def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
@@ -383,12 +363,10 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
     ``bracket`` is [a, b] in the split form of ``weyl._commutator_core``,
     taken from ``brackets[a, b]`` when given, and None for a pair skipped by
     the truncation.  It is compared on the split forms with the expected
-    side as c * g (``weyl._bracket_residual``): c = 0 for a pair that must
-    commute (``entry`` None); a one-term side, as every entry of the tables
-    built here is, against its generator or, for a scalar, the constant 1;
-    any other side built as one element by :func:`_rhs_element`, with c = 1.
-    ``residual`` is None when they are equal, and otherwise [a, b] minus
-    the expected side, built only then.
+    side sign * c * g (``weyl._bracket_residual``), where g is the entry's
+    generator, or the constant 1 for a scalar entry; a pair that must
+    commute (``entry`` None) has c = 0.  ``residual`` is None when they are
+    equal, and otherwise [a, b] minus the expected side, built only then.
     """
     gens = fam.generators
     for a in table.scope:
@@ -403,17 +381,13 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
         sign, entry = found if found else (1, None)
         bracket = (brackets[a, b] if brackets is not None
                    else _commutator_core(gens[a], gens[b]))
-        if entry is None:
-            c, g = COEF_ZERO, one
-        elif not entry.rhs:
-            c, g = sign * entry.scalar, one
-        elif len(entry.rhs) == 1 and entry.scalar.is_zero():
-            (c, g), = _rhs_terms(gens, entry)
-            c = sign * c
-        else:
-            c = None
-        if c is None or len(c.terms) > 1:
-            c, g = COEF_ONE, _rhs_element(gens, fam.table, entry, sign)
+        c, g = COEF_ZERO, one
+        if entry is not None:
+            c = sign * entry.c
+            if entry.name is not None:
+                if entry.name not in gens:
+                    raise UnknownGenerator(entry.name)
+                g = gens[entry.name]
         yield a, b, sign, entry, bracket, _bracket_residual(bracket, g, c)
 
 
@@ -444,16 +418,20 @@ def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationRepo
 
 def calibrate_constants(fam: GeneratorFamily, table: RelationTable
                         ) -> tuple[dict[str, Coef], VerificationReport]:
-    """Solve exactly for additive scalar shifts making the table hold.
+    """Find the additive scalar shifts making the table hold, exactly.
 
     Since [g + d_g, h + d_h] = [g, h], only right-hand sides depend on the
-    shifts: each relation contributes the linear equation
-    sum_k c_k d_k = residual over the coefficient field.  For the same
+    shifts, and an entry [a, b] = c * g with c != 0 moves by c * d_g: its
+    constant residual must equal c * d_g.  The first such entry for g fixes
+    d_g, every later one must give the same d_g, and every other pair needs
+    a zero residual; otherwise :class:`InconsistentSystem` names the pairs
+    that disagree, each with the pair that fixed its d_g.  For the same
     reason the commutators are computed once, in split form: the shifted
     family's table is checked against them.
     """
-    unknowns = list(table.scope)
-    rows: list[tuple[dict[str, Coef], Coef, set[str]]] = []
+    deltas = {name: COEF_ZERO for name in table.scope}
+    fixed_by: dict[str, str] = {}
+    bad: set[str] = set()
     pair_entries: list[RelationEntry | None] = []
     brackets = {}
     for a, b, sign, entry, bracket, residual in _residuals(fam, table):
@@ -467,22 +445,23 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
             raise InconsistentSystem(
                 f"{lhs_label} has a non-scalar residual; additive shifts "
                 f"cannot absorb it", [lhs_label])
-        coeffs: dict[str, Coef] = {}
-        if entry is not None:
-            for c, name in entry.rhs:
-                cc = sign * c
-                coeffs[name] = coeffs.get(name, COEF_ZERO) + cc
-        if not coeffs and value.is_zero():
-            continue
-        rows.append((coeffs, value, {lhs_label}))
+        c = COEF_ZERO if entry is None else sign * entry.c
+        if c.is_zero() or entry.name is None:
+            if not value.is_zero():
+                bad.add(lhs_label)
+        elif entry.name not in fixed_by:
+            fixed_by[entry.name] = lhs_label
+            deltas[entry.name] = value / c
+        elif value != c * deltas[entry.name]:
+            bad.update((lhs_label, fixed_by[entry.name]))
+    if bad:
+        raise InconsistentSystem("no additive-constant solution", sorted(bad))
 
-    deltas = _solve_linear(unknowns, rows)
-    # checking the shifted right-hand sides is the exact certificate of the solve
+    # checking the shifted right-hand sides is the exact certificate of the shifts
     report = _table_report(fam.shifted(deltas), table, brackets)
     report.title = f"commutator table {table.name} (calibrated)"
     for entry_result, entry in zip(report.entries, pair_entries):
-        d_used = entry is not None and any(
-            not deltas.get(name, COEF_ZERO).is_zero() for _, name in entry.rhs)
+        d_used = entry is not None and not deltas.get(entry.name, COEF_ZERO).is_zero()
         if entry_result.status == EXACT and d_used:
             entry_result.status = CALIBRATED
     nonzero = {k: v for k, v in deltas.items() if not v.is_zero()}
@@ -490,56 +469,6 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
         ", ".join(f"{k} -> {k} + ({v.text()})" for k, v in sorted(nonzero.items()))
         if nonzero else "none"))
     return deltas, report
-
-
-def _solve_linear(unknowns: list[str],
-                  rows: list[tuple[dict[str, Coef], Coef, set[str]]]
-                  ) -> dict[str, Coef]:
-    """Gaussian elimination over the coefficients with row provenance.
-
-    Each pivot must divide its row's entries in Q[gamma^±1, xi^±1]; one
-    that does not raises :class:`cgaweyl.scalar.NotDivisible`.
-    """
-    work = [(dict(c), v, set(p)) for c, v, p in rows]
-    solution: dict[str, Coef] = {}
-    assignments: list[tuple[str, dict[str, Coef], Coef]] = []
-    for var in unknowns:
-        pivot = None
-        for row in work:
-            if var in row[0] and not row[0][var].is_zero():
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        work.remove(pivot)
-        pcoeffs, pval, pprov = pivot
-        pc = pcoeffs.pop(var)
-        norm = {k: v / pc for k, v in pcoeffs.items()}
-        nval = pval / pc
-        assignments.append((var, norm, nval))
-        reduced = []
-        for coeffs, val, prov in work:
-            c = coeffs.pop(var, COEF_ZERO)
-            if not c.is_zero():
-                for k, v in norm.items():
-                    coeffs[k] = coeffs.get(k, COEF_ZERO) - c * v
-                val = val - c * nval
-                prov = prov | pprov
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-            reduced.append((coeffs, val, prov))
-        work = reduced
-    bad = sorted(set().union(*(prov for coeffs, val, prov in work
-                               if not coeffs and not val.is_zero())) or set())
-    if bad:
-        raise InconsistentSystem("no additive-constant solution", bad)
-    for var, norm, nval in reversed(assignments):
-        acc = nval
-        for k, v in norm.items():
-            acc = acc - v * solution.get(k, COEF_ZERO)
-        solution[var] = acc
-    for var in unknowns:
-        solution.setdefault(var, COEF_ZERO)
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +710,6 @@ def verify_general_invariant(ell: int) -> VerificationReport:
     ccr = verify_table(ladder, ladder_ccr_table(ladder))
     report.entries.extend(ccr.entries)
     return report
-
-
-def zplus_sign_report(ell: int) -> dict[str, bool]:
-    """Which sign of z+ satisfies the general-ell commutator table."""
-    out = {}
-    for verbatim, key in ((True, "printed_minus_dtau"), (False, "plus_dtau")):
-        fam = build_free_general(ell, verbatim=verbatim)
-        out[key] = verify_table(fam, general_commutator_table(ell)).ok
-    return out
 
 
 def general_vs_l1_diff() -> VerificationReport:

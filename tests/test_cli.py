@@ -57,6 +57,21 @@ def test_verify_free_with_calibration(capsys):
     assert any("z0 -> z0 + (-2)" in note for note in section["notes"])
 
 
+def test_zplus_sign_report(capsys, monkeypatch):
+    """`verify --family free-general` checks the table once per sign of z+
+    and reads the sign report off those two checks."""
+    from cgaweyl import verify
+    checked, check = [], verify.verify_table
+    monkeypatch.setattr(verify, "verify_table",
+                        lambda fam, table: checked.append(fam) or check(fam, table))
+    code, out = run_main(["verify", "--family", "free-general", "--l", "2"], capsys)
+    assert code == 0
+    table, signs = json.loads(out)["sections"]
+    assert table["ok"] and len(checked) == 2
+    assert signs["title"] == "z+ sign report"
+    assert signs["notes"] == ["printed_minus_dtau: table fails", "plus_dtau: table holds"]
+
+
 def test_onshell_probe_exit_codes(capsys):
     code, _ = run_main(["onshell", "--family", "osc-l1"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Verification machinery: tables, calibration, on-shell witnesses, maps."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,6 @@ from cgaweyl.weyl import (RAT, VarTable, WeylElement, _bracket_residual,
                           _commutator_core, _is_multiple, commutator, mul,
                           parse_element)
 from cgaweyl.realizations import (
-    FamilyParams,
-    GeneratorFamily,
     build_free_general,
     build_free_l1,
     build_ladder,
@@ -45,7 +44,6 @@ from cgaweyl.verify import (
     verify_table,
     xi0_core_table,
     xi0_loop_table,
-    zplus_sign_report,
 )
 
 
@@ -152,8 +150,7 @@ def test_corrupted_table_is_inconsistent():
     fam = build_osc_l1()
     table = cga_l1_table(fam)
     entries = dict(table.entries)
-    entries[("z0", "z+")] = RelationEntry("z0", "z+",
-                                          ((Coef.const(2), "z+"),), COEF_ZERO)
+    entries[("z0", "z+")] = RelationEntry("z0", "z+", 2, "z+")
     bad = RelationTable(table.name, table.scope, entries)
     with pytest.raises(InconsistentSystem) as err:
         calibrate_constants(fam, bad)
@@ -161,21 +158,45 @@ def test_corrupted_table_is_inconsistent():
 
 
 def test_scalar_corruption_reports_minimal_subset():
-    # shifting a central term by a constant is unfixable: theta has no delta
-    # freedom that enters [v+1, w-1] without breaking [v0, w0]
+    # a wrong coefficient on the central theta is unfixable: the d_theta that
+    # [v+1, w-1] asks for breaks [v0, w0] and [v-1, w+1], so each of those
+    # is named together with the pair that fixed d_theta
     fam = build_osc_l1()
     table = cga_l1_table(fam)
     entries = dict(table.entries)
-    entries[("v+1", "w-1")] = RelationEntry("v+1", "w-1",
-                                            ((Coef.const(-2), "theta"),),
-                                            Coef.const(5))
-    entries[("v0", "w0")] = RelationEntry("v0", "w0",
-                                          ((Coef.const(1), "theta"),), COEF_ZERO)
+    entries[("v+1", "w-1")] = RelationEntry("v+1", "w-1", -1, "theta")
     bad = RelationTable(table.name, table.scope, entries)
     with pytest.raises(InconsistentSystem) as err:
         calibrate_constants(fam, bad)
-    failing = set(err.value.failing)
-    assert "[v+1, w-1]" in failing
+    assert err.value.failing == ["[v+1, w-1]", "[v-1, w+1]", "[v0, w0]"]
+
+
+def test_kept_zero_with_a_constant_residual_is_inconsistent_in_any_table():
+    """[v+1, w-1] = 0 * theta leaves the residual -2, which no shift moves:
+    the whole table and the two-generator table of that pair both fail."""
+    fam = build_osc_l1()
+    table = cga_l1_table(fam)
+    entry = RelationEntry("v+1", "w-1", 0, "theta")
+    whole = RelationTable(table.name, table.scope,
+                          {**table.entries, ("v+1", "w-1"): entry})
+    pair = RelationTable(table.name, ("v+1", "w-1"), {("v+1", "w-1"): entry})
+    for bad in (whole, pair):
+        with pytest.raises(InconsistentSystem) as err:
+            calibrate_constants(fam, bad)
+        assert err.value.failing == ["[v+1, w-1]"]
+
+
+def test_relation_entry_is_one_term():
+    """An entry is c * name or the scalar c, with c of at most one term."""
+    for c, name in ((Coef.gamma() + Coef.xi(), "w0"), (Coef.gamma() + 1, None)):
+        with pytest.raises(ValueError):
+            RelationEntry("v0", "q", c, name)
+    entry = RelationEntry("v0", "q", Coef.gamma() / Coef.xi(), "w0")
+    assert verify._expected_text(entry, -1) == "((-gamma)/(xi))*w0"
+    assert RelationEntry("a", "b", Fraction(-1, 2)).c == Coef.const(Fraction(-1, 2))
+    assert verify._expected_text(RelationEntry("a", "b", Fraction(-1, 2))) == "(-1/2)"
+    assert verify._expected_text(RelationEntry("a", "b", 0, "g")) == "(0)*g"
+    assert verify._expected_text(RelationEntry("a", "b", 0)) == "0"
 
 
 # -- general ell -----------------------------------------------------------------
@@ -224,11 +245,6 @@ def test_ladder_is_a_family_over_the_general_one(ell):
     scope = verify.ladder_ccr_table(ladder).scope
     assert len(scope) == 4 * (ell + 1)
     assert sorted(ladder.order) == sorted(scope)
-
-
-def test_zplus_sign_report():
-    rep = zplus_sign_report(2)
-    assert rep == {"printed_minus_dtau": False, "plus_dtau": True}
 
 
 def test_general_vs_l1_diff_documents_the_discrepancies():
@@ -425,11 +441,7 @@ def test_failing_residual_text_is_the_commutator_minus_the_expected_side(monkeyp
         if e.status != FAILED:
             assert e.residual_text == "" or e.status == verify.SKIPPED
             continue
-        sign, entry = found
-        expected = WeylElement.zero(fam.table)
-        for c, name in entry.rhs:
-            expected = expected + fam[name].scaled(sign * c)
-        residual = commutator(fam[a], fam[b]) - expected
+        residual = commutator(fam[a], fam[b]) - _expected_element(fam, *found)
         assert not residual.is_zero()
         assert e.residual_text == residual.text()
 
@@ -500,20 +512,29 @@ def test_jacobi_on_l1_family_triples():
 
 # -- the split-form table check against its element-level reference -----------
 
+def _expected_element(fam, sign, entry):
+    """The expected side sign * c * g, or the scalar sign * c, as an element."""
+    c = sign * entry.c
+    return WeylElement.const(fam.table, c) if entry.name is None \
+        else fam[entry.name].scaled(c)
+
+
+def _reference_residual(fam, table, a, b, bracket=None):
+    """[a, b] minus its expected side, built from elements."""
+    residual = commutator(fam[a], fam[b]) if bracket is None else bracket
+    found = table.lookup(a, b)
+    return residual if found is None else residual - _expected_element(fam, *found)
+
+
 def _reference_entries(fam, table):
     """(status, residual text) per scope pair, from elements: [a, b] minus
-    the expected side, built with ``commutator`` and ``_rhs_element``."""
+    the expected side, built with ``commutator``."""
     out = []
     for a, b in table.pairs():
         if (a, b) in table.skips or (b, a) in table.skips:
             out.append((verify.SKIPPED, "mode index outside truncation"))
             continue
-        residual = commutator(fam[a], fam[b])
-        found = table.lookup(a, b)
-        if found is not None:
-            sign, entry = found
-            residual = residual - verify._rhs_element(
-                fam.generators, fam.table, entry, sign)
+        residual = _reference_residual(fam, table, a, b)
         out.append((EXACT, "") if residual.is_zero()
                    else (FAILED, residual.text()))
     return out
@@ -560,10 +581,9 @@ _REFERENCE_CASES = {
 }
 
 
-def _with_rhs(entry, rhs=None, scalar=None):
-    return RelationEntry(entry.left, entry.right,
-                         entry.rhs if rhs is None else tuple(rhs),
-                         entry.scalar if scalar is None else scalar)
+def _bumped(c, step):
+    """c with its rational factor moved by ``step``: still one term."""
+    return Coef({k: q + step for k, q in c.terms.items()}) if c else Coef.const(step)
 
 
 def _neighbour(fam, name, rng):
@@ -576,43 +596,31 @@ def _mutants(fam, table, rng):
     """(kind, left, right, mutated entry) for up to three seeded picks of
     every kind of mistake a table can carry."""
     listed = sorted(table.entries.values(), key=lambda e: (e.left, e.right))
-    with_rhs = [e for e in listed if e.rhs]
-    kept_zero = [e for e in with_rhs if any(c.is_zero() for c, _ in e.rhs)]
+    named = [e for e in listed if e.name is not None]
+    kept_zero = [e for e in named if e.c.is_zero()]
     commuting = [(a, b) for a, b in table.pairs()
                  if table.lookup(a, b) is None and (a, b) not in table.skips]
-    one, gamma = Coef.const(1), Coef.gamma()
+    one = Coef.const(1)
 
     def pick(pool):
         return rng.sample(pool, min(3, len(pool)))
 
-    def edit_coefficient(e, change):
-        i = rng.randrange(len(e.rhs))
-        rhs = list(e.rhs)
-        rhs[i] = (change(rhs[i][0]), rhs[i][1])
-        return _with_rhs(e, rhs)
-
-    for e in pick(with_rhs):
-        step = one if rng.random() < 0.5 else -one
-        yield "coefficient +-1", e.left, e.right, edit_coefficient(e, lambda c: c + step)
-    for e in pick(with_rhs):
-        yield "coefficient * gamma", e.left, e.right, edit_coefficient(e, lambda c: c * gamma)
-    for e in pick(with_rhs):
-        i = rng.randrange(len(e.rhs))
-        rhs = list(e.rhs)
-        rhs[i] = (rhs[i][0], _neighbour(fam, rhs[i][1], rng))
-        yield "neighbouring target", e.left, e.right, _with_rhs(e, rhs)
+    for e in pick(named):
+        step = 1 if rng.random() < 0.5 else -1
+        yield "coefficient +-1", e.left, e.right, replace(e, c=_bumped(e.c, step))
+    for e in pick(named):
+        yield "coefficient * gamma", e.left, e.right, replace(e, c=e.c * Coef.gamma())
+    for e in pick(named):
+        yield "neighbouring target", e.left, e.right, \
+            replace(e, name=_neighbour(fam, e.name, rng))
     for e in pick(listed):
-        scalar = COEF_ZERO if not e.scalar.is_zero() else Coef.const(Fraction(-1, 2))
-        yield "scalar added or dropped", e.left, e.right, _with_rhs(e, scalar=scalar)
+        name = rng.choice(fam.order) if e.name is None else None
+        yield "scalar <-> generator", e.left, e.right, replace(e, name=name)
     for e in pick(kept_zero):
-        rhs = [(one if c.is_zero() else c, name) for c, name in e.rhs]
-        yield "kept zero made nonzero", e.left, e.right, _with_rhs(e, rhs)
+        yield "kept zero made nonzero", e.left, e.right, replace(e, c=one)
     for a, b in pick(commuting):
-        if rng.random() < 0.5:
-            entry = RelationEntry(a, b, ((one, rng.choice(fam.order)),), COEF_ZERO)
-        else:
-            entry = RelationEntry(a, b, (), one)
-        yield "must-commute pair given an entry", a, b, entry
+        name = rng.choice(fam.order) if rng.random() < 0.5 else None
+        yield "must-commute pair given an entry", a, b, RelationEntry(a, b, one, name)
 
 
 @pytest.mark.parametrize("label", list(_REFERENCE_CASES))
@@ -642,36 +650,82 @@ def test_mutated_tables_match_the_element_reference(label):
     assert failed == kinds  # every kind of mistake is caught at least once
 
 
-def test_combination_check_lifts_to_a_unit_the_bracket_lacks():
-    """A right side of several parts is built as one element and compared at
-    c = 1, also when its generators have exponent units that do not divide
-    the bracket's: where their off-lattice terms cancel the entry holds,
-    and where they do not it fails, in either order of the pair."""
-    table = VarTable(("x",), (RAT,))
-    x = lambda p: WeylElement.var(table, "x", p)  # noqa: E731
-    d = WeylElement.deriv(table, "x")
-    half, third = Coef.const(Fraction(1, 2)), Coef.const(Fraction(4, 3))
-    cases = [  # (b, [(c, g)], is [d, b] == sum c * g)
-        (x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
-                (Coef.const(-2), x(Fraction(1, 2)))], True),
-        (x(2), [(Coef.const(2), x(1) + x(Fraction(1, 2))),
-                (Coef.const(-1), x(Fraction(1, 2)))], False),
-        (x(Fraction(4, 3)), [(third, x(Fraction(1, 3)) + x(Fraction(1, 2))),
-                             (-third, x(Fraction(1, 2)))], True),
-        (x(Fraction(4, 3)), [(third, x(Fraction(1, 3))),
-                             (half, x(Fraction(1, 2)))], False),
-    ]
-    for b, combo, holds in cases:
-        gens = {"d": d, "b": b, **{f"g{i}": g for i, (_, g) in enumerate(combo)}}
-        fam = GeneratorFamily("rat", "rat", table, gens, FamilyParams())
-        rhs = tuple((c, f"g{i}") for i, (c, _) in enumerate(combo))
-        for left, right, sign in (("d", "b", 1), ("b", "d", -1)):
-            entry = RelationEntry(left, right, tuple((sign * c, n) for c, n in rhs),
-                                  COEF_ZERO)
-            pair = RelationTable("rat", ("d", "b"), {(left, right): entry})
-            got = _checked_entries(fam, pair)
-            assert got == _reference_entries(fam, pair)
-            assert got[0][0] == (EXACT if holds else FAILED)
+def _calibration_oracle(fam, table, brackets):
+    """What calibrating ``table`` must give, from elements: (the pairs that
+    :class:`InconsistentSystem` names, the shifts).  Each pair [a, b] =
+    c * g gives d_g = residual / c, collected per generator.  The pairs
+    whose d_g differs from the first one for g are named together with that
+    first pair, and so is every pair with no generator term and a nonzero
+    residual.  The first residual that is not a scalar is named alone."""
+    per_generator, bad = {}, set()
+    for a, b in table.pairs():
+        label = f"[{a}, {b}]"
+        value = _reference_residual(fam, table, a, b, brackets[a, b]).constant_value()
+        if value is None:
+            return [label], None
+        sign, entry = table.lookup(a, b) or (1, None)
+        if entry is None or entry.name is None or entry.c.is_zero():
+            if value:
+                bad.add(label)
+            continue
+        per_generator.setdefault(entry.name, []).append(
+            (label, value / (sign * entry.c)))
+    for (first, d), *rest in per_generator.values():
+        wrong = {label for label, other in rest if other != d}
+        if wrong:
+            bad |= wrong | {first}
+    return sorted(bad), {g: rows[0][1] for g, rows in per_generator.items()}
+
+
+def _perturbed(fam, table, rng):
+    """``table`` with one or two entries changed, each still one term; half
+    the picks are theta entries, whose residuals stay scalars."""
+    entries = dict(table.entries)
+    theta = [k for k in sorted(entries) if entries[k].name == "theta"]
+    for _ in range(rng.randint(1, 2)):
+        key = rng.choice(theta if rng.random() < 0.5 else sorted(entries))
+        e, kind = entries[key], rng.randrange(4)
+        if kind == 0:
+            e = replace(e, c=_bumped(e.c, rng.choice((1, -1))))
+        elif kind == 1:
+            e = replace(e, c=e.c * rng.choice((Coef.gamma(), Coef.const(2))))
+        elif kind == 2:
+            e = replace(e, name=_neighbour(fam, e.name, rng))
+        else:
+            e = replace(e, name=None)
+        entries[key] = e
+    return RelationTable(table.name, table.scope, entries)
+
+
+@pytest.mark.parametrize("build", [build_osc_l1, build_free_l1])
+@pytest.mark.parametrize("gamma, xi", [(None, None), (2, Fraction(1, 3))])
+def test_calibration_matches_per_generator_brute_force(build, gamma, xi):
+    """On one-term perturbations of the l = 1 table, calibration raises
+    naming exactly the pairs that disagree on some d_g, or returns the
+    brute-force shifts, under which the table holds."""
+    fam = build(gamma, xi)
+    table = cga_l1_table(fam)
+    brackets = {(a, b): commutator(fam[a], fam[b]) for a, b in table.pairs()}
+    # every theta entry doubled: one consistent d_theta for the three of them
+    doubled = RelationTable(table.name, table.scope, {
+        k: replace(e, c=2 * e.c) if e.name == "theta" else e
+        for k, e in table.entries.items()})
+    rng = random.Random(2503)
+    outcomes = set()
+    for bad in [doubled] + [_perturbed(fam, table, rng) for _ in range(12)]:
+        failing, shifts = _calibration_oracle(fam, bad, brackets)
+        if failing:
+            with pytest.raises(InconsistentSystem) as err:
+                calibrate_constants(fam, bad)
+            assert err.value.failing == failing
+            outcomes.add("one pair" if len(failing) == 1 else "several pairs")
+            continue
+        deltas, report = calibrate_constants(fam, bad)
+        assert report.ok and verify_table(fam.shifted(deltas), bad).ok
+        assert {g: d for g, d in deltas.items() if d} == \
+            {g: d for g, d in shifts.items() if d}
+        outcomes.add("shifts")
+    assert outcomes == {"one pair", "several pairs", "shifts"}
 
 
 def test_one_term_comparator():
@@ -732,13 +786,14 @@ def test_bracket_residual_is_none_or_the_built_residual():
 
 def test_missing_generator_on_the_right_side_is_rejected():
     """A right side naming a generator the family lacks raises, also with a
-    zero coefficient and also for a pair whose bracket it would match."""
+    zero coefficient, for a pair whose bracket it would then match."""
     fam = build_xi0(2, 3, cutoff=2)
     table = xi0_loop_table(fam)
     a, b = "j0(0)", "chi(1)"
     entry = table.entries[a, b]
-    assert entry.rhs[0][0].is_zero()
-    for rhs in (((COEF_ZERO, "ghost(1)"),), entry.rhs + ((COEF_ZERO, "ghost(1)"),)):
-        bad = RelationTable(table.name, (a, b), {(a, b): _with_rhs(entry, rhs)})
+    assert entry.c.is_zero()
+    for c in (COEF_ZERO, Coef.const(1)):
+        bad = RelationTable(table.name, (a, b),
+                            {(a, b): replace(entry, c=c, name="ghost(1)")})
         with pytest.raises(UnknownGenerator):
             verify_table(fam, bad)
