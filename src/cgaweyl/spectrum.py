@@ -28,6 +28,7 @@ from .weyl import (
     _bracket_residual,
     _commutator_core,
     _eigenvalue,
+    _term_count,
     apply_to,
     remap,
 )
@@ -226,10 +227,12 @@ def _state_walk(psi: WeylElement, stages, budgets: tuple[int, ...],
     Yields (counts, state) once for every count vector whose costs fit
     ``budgets``.  Each state is one apply_to from its parent (the state
     with the last nonzero count lowered by one), and only the states on
-    the current path are held.  Every state is a canonical element made by
-    the public apply_to, which also leaves the kernel's packed form in the
-    state's ``_packed`` slot, so the apply_to calls on it for its children
-    and the eigenvalue check of its row read that form and never split it.
+    the current path are held.  Every state but ``psi`` is an element made
+    by the public apply_to from the kernel's packed form alone, kept in the
+    state's ``_packed`` slot: the apply_to calls on it for its children,
+    its zero check and the eigenvalue check of its row read that form, so
+    the walk never decodes a state's terms into ``Coef`` values, and a
+    caller that reads ``terms`` decodes them then.
     """
     if not stages:
         yield counts, psi
@@ -256,7 +259,9 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
     On the t = 0 slice the walk applies the sliced creation operators,
     which commutes with apply_to because they carry no d[t].  A row's
     level is the sum of its counts times the stage energies.  Rows come
-    in walk order, not table order.
+    in walk order, not table order.  The states are undecoded
+    :func:`_state_walk` results: :func:`spectrum_table` reads only their
+    packed forms, the term count included (``weyl._term_count``).
     """
     rec = _ladder(target)
     energy = {name: e for name, e, _ in rec.relations}
@@ -290,7 +295,7 @@ def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTab
         value = eigencheck(H, psi)
         table.rows.append(SpectrumRow(qn, level,
                                       value is not None and value == level,
-                                      len(psi.terms)))
+                                      _term_count(psi)))
     table.rows.sort(key=lambda row: rec.order(row.quantum_numbers))
     return table
 

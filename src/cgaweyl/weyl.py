@@ -11,12 +11,15 @@ with the falling factorial valid for rational exponents p; distinct
 variables commute.  Canonical form (one key per term, no zero
 coefficients) makes equality a structural check.
 
-The ``WeylElement`` constructor alone enforces canonical form for every
-element, kernel results included: it drops zero coefficients, stores
-integral exponents as ``int``, and rejects exponents outside their
-variable's domain and time parts over a table without time.  The kernels
-accumulate raw sums and leave these rules to it.  In the same pass the
-constructor records the element's exponent unit (below).
+The ``WeylElement`` constructor enforces canonical form: it drops zero
+coefficients, stores integral exponents as ``int``, and rejects exponents
+outside their variable's domain and time parts over a table without time.
+In the same pass it records the element's exponent unit (below).
+:func:`mul` and :func:`commutator` accumulate raw sums and leave these
+rules to it.  An :func:`apply_to` result is canonical by construction
+and skips it: its derivative-free terms cannot leave their domains (a
+falling factorial p(p-1)...(p-k+1) vanishes for each NAT exponent
+0 <= p < k).
 
 Every term is keyed by a pair of plain tuples with one slot per table
 variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
@@ -68,17 +71,19 @@ of a lowered state term then has absolute value at most A + B, so W =
 bit_length(A + B) + 1 keeps every field in [0, 2^W) and no field carries
 into the next.  The operator's terms are packed without the bias and
 already lowered by their derivative block, so a term pair costs one int
-addition, the accumulator is keyed by ints, and a key is decoded into a
-tuple once per output term, when the result element is built.  The
-operator's packed term lists are kept per unit in its ``_packed_ops``
-slot, the state's packed form (its keys, int numerators, width and B)
-per unit in its ``_packed`` slot.  The result of :func:`apply_to` keeps
-the kernel's own packed form there, normalised so that it equals a fresh
-packing of the result, so the next ``apply_to`` or eigenvalue check on
-it, as each state of the spectrum walk gets, neither splits nor packs it
-again.  A form packed narrower than a call needs is packed again at the
-call's width and replaces the stored one, so an element's width on a
-unit only grows.
+addition and the accumulator is keyed by ints.  The operator's packed
+term lists are kept per unit in its ``_packed_ops`` slot, the state's
+packed form (its keys, int numerators, width and B) per unit in its
+``_packed`` slot.  The result of :func:`apply_to` is made from the
+kernel's own packed form alone, normalised so that it equals a fresh
+packing of the result, and its ``terms`` are decoded from that form only
+when first read (:func:`_packed_result`).  So the next ``apply_to`` or
+eigenvalue check on it, as each state of the spectrum walk gets, and its
+zero check and term count read the packed form, and nothing is split,
+packed or decoded again.  A form packed narrower than a call needs is
+packed again at the call's width (a state form is widened from its own
+keys) and replaces the stored one, so an element's width on a unit only
+grows.
 
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
@@ -99,11 +104,12 @@ product of the two denominators, and the reordering factors are ints or,
 for a unit L > 1, an int over L^K, K the number of derivatives moved (a
 ``Fraction`` unless it is integral).  No ``Coef`` is built per term pair;
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
-the end.  The loops of :func:`apply_to` and :func:`commutator` are
-:func:`_apply_core` and :func:`_commutator_core`, which stop before that
-join, and one comparator reads their forms: :func:`_numerators_match`
-answers whether a kernel result equals c * g, for a coefficient c of at
-most one term q * gamma^a * xi^b and g in the same form, by shifting the
+the end (for an ``apply_to`` result, when its terms are first read).  The
+loops of :func:`apply_to` and :func:`commutator` are :func:`_apply_core`
+and :func:`_commutator_core`, which stop before that join, and one
+comparator reads their forms: :func:`_numerators_match` answers whether a
+kernel result equals c * g, for a coefficient c of at most one term
+q * gamma^a * xi^b and g in the same form, by shifting the
 blocks of g by (a, b) and cross-multiplying int numerators key by key.
 :func:`_eigenvalue`, behind the spectrum's eigenvalue checks, reads E off
 one term of H psi and certifies H psi = E * psi with it on packed keys;
@@ -116,6 +122,9 @@ needs it.
 
 Elements are immutable after construction, the unit included, and every
 operation is a pure function, so values are safe to share across threads.
+An ``apply_to`` result's ``terms`` are filled on first read; two threads
+reading them at once each decode the same packed form and store equal
+maps, each complete before it is stored.
 The per-unit caches are dicts.  Two threads filling the same element's
 masked form on the same unit at once store equal values, each built in
 full before it is stored, so no thread reads a part-filled form; a form
@@ -255,6 +264,12 @@ class WeylElement:
     of a derivative-free element that :func:`apply_to` has acted on or
     returned, and ``_packed_ops`` the packed term lists of an element that
     :func:`apply_to` has used as its operator.
+
+    ``terms`` may be filled on first read: an :func:`apply_to` result is
+    made from the kernel's packed form alone (:func:`_packed_result`), as
+    an :class:`_Undecoded`, and its term map is decoded from that form,
+    once, when ``terms`` is first read.  Until then :meth:`is_zero` and the
+    spectrum's eigenvalue check and term count read the packed form.
     """
 
     __slots__ = ("table", "terms", "_lattice", "_masked", "_packed", "_packed_ops")
@@ -403,6 +418,30 @@ class WeylElement:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeylElement({self.text()})"
+
+
+class _Undecoded(WeylElement):
+    """An :func:`apply_to` result whose ``terms`` slot is not filled yet.
+
+    Its terms are decoded from its packed form on first read, and the
+    element then becomes a plain :class:`WeylElement`.  The hook lives on
+    this subclass alone: a class with ``__getattr__`` reads every attribute
+    through it, which on CPython 3.10 and 3.11 makes each slot read about
+    three times slower, so ordinary elements do not carry it.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = self.terms = _decoded(self)
+        self.__class__ = WeylElement
+        return terms
+
+    def is_zero(self) -> bool:
+        return not _term_count(self)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +742,8 @@ def _packed_operands(a: WeylElement, f: WeylElement):
     needs keeps each field in [0, 2^width), clear of the next.  A form
     that is missing or narrower is packed again and stored in
     ``a._packed_ops`` or ``f._packed``, so each element's width on a unit
-    only grows.
+    only grows; a narrower state form is widened from its own keys
+    (:func:`_widened`), so an undecoded ``apply_to`` result stays so.
     """
     a._require_same_table(f)
     unit = math.lcm(a._lattice, f._lattice)
@@ -719,9 +759,25 @@ def _packed_operands(a: WeylElement, f: WeylElement):
                 0 if op is None else op[0], 0 if state is None else state[2])
     if op is None or op[0] != width:
         op = ops[unit] = _pack_operator(a, unit, width, bound_a)
-    if state is None or state[2] != width:
+    if state is None:
         state = states[unit] = _pack_state(f, unit, width, bound_f)
+    elif state[2] != width:
+        state = states[unit] = _widened(state, len(f.table.zeros), width)
     return op, state, unit
+
+
+def _widened(form, size: int, width: int):
+    """The packed state form ``form`` of ``size`` fields at the wider ``width``.
+
+    Each field moves to its place at ``width`` and takes the new bias, so
+    the keys are re-spread without decoding the element's terms.
+    """
+    blocks, den, old, bound = form
+    mask, shift = (1 << old) - 1, (1 << width - 1) - (1 << old - 1)
+    fields = [(i * old, i * width) for i in range(size)]
+    return ({blk: {sum([((key >> at & mask) + shift) << to for at, to in fields]): n
+                    for key, n in block.items()}
+             for blk, block in blocks.items()}, den, width, bound)
 
 
 def _apply_core(a: WeylElement, f: WeylElement):
@@ -768,16 +824,19 @@ def _apply_core(a: WeylElement, f: WeylElement):
 
 def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
                    width: int) -> WeylElement:
-    """The element of the packed kernel result ``sums`` over ``den``.
+    """The element of the packed kernel result ``sums`` over ``den``, not yet decoded.
 
     The numerators are first normalised as ``split_blocks`` would give them
     for the result: zeros dropped, ``Fraction`` numerators (a fractional
     reordering factor on a unit above 1) cleared into ``den``, and the gcd
     of ``den`` and all numerators divided out, which leaves ``den`` the lcm
-    of the reduced denominators.  Each packed key is then decoded once and
-    divided by ``unit`` (:func:`_unscaled`), and the element
-    stores the normalised form in its ``_packed`` slot, equal to
-    :func:`_pack_state` of the element on ``unit`` and ``width``.
+    of the reduced denominators.  The element stores the normalised form
+    in its ``_packed`` slot, equal to :func:`_pack_state` of the element on
+    ``unit`` and ``width``.  One scan of the packed fields gives the form's
+    bound and the element's exponent unit: the lcm of the denominators of
+    the slots n / ``unit`` is ``unit`` over the gcd of ``unit`` and every
+    n.  No key is decoded and no ``Coef`` is built here: the ``terms`` slot
+    stays unset until it is first read (:class:`_Undecoded`).
     """
     blocks = {}
     for blk, block in sums.items():
@@ -802,13 +861,50 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
         den //= g
     bias, mask = 1 << width - 1, (1 << width) - 1
     fields = range(0, len(table.zeros) * width, width)
-    zeros, terms = table.zeros, {}
+    biased = [key >> at & mask for block in blocks.values() for key in block
+              for at in fields]
+    bound = max(bias - min(biased, default=bias), max(biased, default=bias) - bias)
+    lattice = 1 if unit == 1 else unit // math.gcd(unit, *[n - bias for n in biased])
+    e = _Undecoded.__new__(_Undecoded)
+    e.table, e._lattice = table, lattice
+    e._masked = e._packed_ops = None
+    e._packed = {unit: (blocks, den, width, bound)}
+    return e
+
+
+def _decoded(e: WeylElement) -> dict:
+    """The term map of ``e`` decoded from one of its packed forms.
+
+    Each key is decoded once and divided by the form's unit
+    (:func:`_unscaled`); the coefficients are ``join_blocks`` of the
+    form's blocks, so the map equals what the constructor would keep.
+    """
+    packed = e._packed
+    unit = min(packed)
+    blocks, den, width, _ = packed[unit]
+    bias, mask = 1 << width - 1, (1 << width) - 1
+    fields = range(0, len(e.table.zeros) * width, width)
+    zeros, terms = e.table.zeros, {}
     for key, c in join_blocks(blocks, den).items():
         mon = tuple([(key >> at & mask) - bias for at in fields])
         terms[(mon if unit == 1 else _unscaled(mon, unit), zeros)] = c
-    e = WeylElement(table, terms)
-    e._packed = {unit: (blocks, den, width, _state_bound(e, unit))}
-    return e
+    return terms
+
+
+def _term_count(e: WeylElement) -> int:
+    """``len(e.terms)``, read off a packed form when ``e`` holds one.
+
+    A key's coefficient has one numerator per gamma^a xi^b block that
+    holds the key, so the count is the number of distinct keys across
+    the blocks.  An ``apply_to`` result is not decoded by it.
+    """
+    packed = e._packed
+    if not packed:
+        return len(e.terms)
+    blocks = packed[min(packed)][0]
+    if len(blocks) > 1:
+        return len(set().union(*blocks.values()))
+    return sum(map(len, blocks.values()))
 
 
 def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:

@@ -1,4 +1,4 @@
-"""The golden `cgaweyl all` report, pinned section by section.
+"""The golden `cgaweyl all` report and CLI reports, pinned section by section.
 
 ``golden_all.json`` holds the byte length and sha256 of the whole JSON
 report and, for every section in order, its position, title, family, byte
@@ -8,22 +8,37 @@ report gives it before indenting it into ``sections``.  Titles repeat (the
 four ``sl(2) closure`` sections all have an empty family), so a section is
 named by its position and title together.
 
-``tests/test_cli.py`` and ``scripts/interp_matrix.sh`` both check the report
-against this pin.  As a script,
+``golden_cli.json`` pins the report of every other CLI smoke command the
+same way: for each, its argv, the one-line reason it is run, its exit code,
+the byte length and sha256 of its standard output, and the pin of every
+section of that report.
+
+``tests/test_cli.py`` checks both pins in-process, and
+``scripts/interp_matrix.sh`` checks the `all` report against its pin.  As a
+script, which needs only the standard library,
 
     python tests/golden.py REPORT
 
 checks the report file REPORT, prints the first mismatch and exits 1 on
-any; it needs only the standard library.
+any, and
+
+    python tests/golden.py --commands
+
+runs every command of ``golden_cli.json`` through the ``cgaweyl`` script
+on PATH, prints one line per command and exits 1 unless each exit code
+and report match their pin.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 PIN_PATH = Path(__file__).resolve().parent / "golden_all.json"
+CLI_PIN_PATH = PIN_PATH.with_name("golden_cli.json")
 
 
 def load_pin(path: Path = PIN_PATH) -> dict:
@@ -76,9 +91,40 @@ def mismatch(text: str, pin: dict) -> str | None:
     return None
 
 
+def command_mismatch(pin: dict, code: int, text: str) -> str | None:
+    """The first way a run of the pinned command ``pin`` differs, or None.
+
+    ``code`` is the run's exit code and ``text`` its standard output; the
+    message names the command, and the section as :func:`mismatch` does.
+    """
+    problem = (f"exit code {code}, pinned {pin['exit']}" if code != pin["exit"]
+               else mismatch(text, pin))
+    return None if problem is None else f"cgaweyl {' '.join(pin['argv'])}: {problem}"
+
+
+def _run_commands() -> int:
+    """Run every pinned CLI command through the installed script; 1 on any mismatch."""
+    exe = shutil.which("cgaweyl")
+    if exe is None:
+        print("no cgaweyl script on PATH")
+        return 1
+    status = 0
+    for pin in load_pin(CLI_PIN_PATH)["commands"]:
+        run = subprocess.run([exe, *pin["argv"]], capture_output=True)
+        problem = command_mismatch(pin, run.returncode, run.stdout.decode("utf-8"))
+        if problem is None:
+            print(f"ok    cgaweyl {' '.join(pin['argv'])}  # {pin['reason']}")
+        else:
+            print(f"FAIL  {problem}")
+            status = 1
+    return status
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--commands"]:
+        sys.exit(_run_commands())
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/golden.py REPORT")
+        sys.exit("usage: python tests/golden.py REPORT | --commands")
     problem = mismatch(Path(sys.argv[1]).read_text(encoding="utf-8"), load_pin())
     if problem is not None:
         print(problem)

@@ -22,6 +22,8 @@ from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
 # perfbench/workloads.py gates on)
 GOLDEN = golden.load_pin()
 REPO = Path(__file__).resolve().parent.parent
+# every other CI smoke command, pinned the same way in tests/golden_cli.json
+CLI_PINS = golden.load_pin(golden.CLI_PIN_PATH)["commands"]
 
 
 def run_main(argv, capsys):
@@ -451,6 +453,77 @@ def test_golden_pin_still_checks_the_whole_report(all_report):
     assert golden.mismatch(outside, GOLDEN).startswith("whole report differs")
     assert golden.mismatch(out, dict(GOLDEN, sections=GOLDEN["sections"][:-1])) \
         .startswith(f"{len(GOLDEN['sections'])} sections where the pin has")
+
+
+@pytest.mark.parametrize("pin", CLI_PINS, ids=[" ".join(p["argv"]) for p in CLI_PINS])
+def test_cli_report_matches_its_pin(pin, capsys):
+    """Each pinned smoke command, run in-process, exits with its pinned code
+    and prints its pinned report, section by section and byte for byte."""
+    code, out = run_main(pin["argv"], capsys)
+    problem = golden.command_mismatch(pin, code, out)
+    assert problem is None, problem
+
+
+def test_cli_pin_names_the_command_and_the_section(capsys):
+    """A one-byte change in one section of a pinned report names the command
+    and that section; a changed exit code fails and names the command."""
+    pin = next(p for p in CLI_PINS if p["argv"][:3] == ["spectrum", "--family", "xi0"])
+    code, out = run_main(pin["argv"], capsys)
+    command = f"cgaweyl {' '.join(pin['argv'])}"
+    for position in range(len(pin["sections"])):
+        changed = _one_byte_changed(out, position)
+        assert len(changed) == len(out)
+        want = pin["sections"][position]
+        assert golden.command_mismatch(pin, code, changed) == (
+            f"{command}: section {position} ({want['title']!r}, family "
+            f"{want['family']!r}) differs in sha256")
+    assert golden.command_mismatch(pin, 1 - code, out) == (
+        f"{command}: exit code {1 - code}, pinned {code}")
+
+
+def test_smoke_step_reads_its_commands_from_the_pin():
+    """The CI smoke step runs the pinned commands through golden.py and
+    lists no other cgaweyl command than `all`, which golden_all.json pins;
+    the pin keeps an exit-1 case."""
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    lines = [line.split("#")[0].strip() for line in workflow.splitlines()]
+    assert "python tests/golden.py --commands" in lines
+    listed = [line for line in lines if "cgaweyl " in line]
+    assert listed == ['cgaweyl all > "$RUNNER_TEMP/all.json"']
+    assert [p["argv"] for p in CLI_PINS if p["exit"] == 1] == [["verify", "--family", "free-l1"]]
+    assert len({tuple(p["argv"]) for p in CLI_PINS}) == len(CLI_PINS)
+
+
+def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
+    """``golden.py --commands`` runs each pinned command through the
+    ``cgaweyl`` on PATH, prints ok with its reason or the first mismatch,
+    and exits 1 unless every command matches."""
+    (tmp_path / "tests").mkdir()
+    shutil.copy(REPO / "tests" / "golden.py", tmp_path / "tests" / "golden.py")
+    doc = {"sections": [{"title": "t", "family": "f", "entries": []}], "ok": True}
+    report = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    data = report.encode()
+    pin = {"exit": 0, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+           "sections": golden.section_pins(doc)}
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    script = bin_dir / "cgaweyl"  # a stand-in that prints ``report`` for any argv
+    script.write_text(f"#!{sys.executable}\nimport sys\nsys.stdout.write({report!r})\n")
+    script.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+
+    def run_with(pins):
+        (tmp_path / "tests" / "golden_cli.json").write_text(json.dumps({"commands": pins}))
+        return subprocess.run([sys.executable, str(tmp_path / "tests" / "golden.py"),
+                               "--commands"], capture_output=True, text=True, env=env)
+
+    good = dict(pin, argv=["similarity"], reason="why")
+    proc = run_with([good])
+    assert (proc.returncode, proc.stdout) == (0, "ok    cgaweyl similarity  # why\n")
+    proc = run_with([good, dict(good, argv=["verify", "--family", "free-l1"], exit=1)])
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1] == \
+        "FAIL  cgaweyl verify --family free-l1: exit code 0, pinned 1"
 
 
 def _matrix_copy(tmp_path, report, pin):

@@ -1,6 +1,8 @@
 """Lowest-weight spectra: ground states, eigenstates, degeneracies, probes."""
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core,
-                          apply_to, parse_element, remap)
+                          _term_count, apply_to, parse_element, remap)
 from cgaweyl.realizations import (
     build_H,
     build_free_general,
@@ -21,6 +23,7 @@ from cgaweyl.spectrum import (
     NotEigenstate,
     ZeroState,
     _ladder,
+    _state_walk,
     _table_states,
     at_time_zero,
     build_state,
@@ -32,7 +35,8 @@ from cgaweyl.spectrum import (
     spectrum_table,
 )
 
-from helpers import reference_eigencheck, split_form
+from helpers import (check_canonical, lattice_unit, packed_form, reference_apply_to,
+                     reference_eigencheck, split_form)
 
 
 def test_ground_state_osc():
@@ -419,3 +423,136 @@ def test_spectrum_table_calls_the_public_kernels_once_per_row(monkeypatch, build
     table = spectrum_table(build(), e_max, k)
     assert table.ok and len(table.rows) == rows
     assert calls == {"apply_to": rows - 1, "eigencheck": rows}
+
+
+# -- walk states decode their terms on first read ----------------------------
+
+LAZY_WALKS = {
+    "ladder-l1": (lambda: build_ladder(1), 5, 1),
+    "ladder-l2": (lambda: build_ladder(2), 4, 1),
+    "ladder-l3": (lambda: build_ladder(3), 3, 1),
+    "osc-l1": (build_osc_l1, 4, 1),
+    "osc-l1-at-2--3": (lambda: build_osc_l1(2, -3), 4, 1),
+    "xi0-2-3": (lambda: build_xi0(2, 3), 4, 1),
+    "xi0-3/2-5/7": (lambda: build_xi0(Fraction(3, 2), Fraction(5, 7)), 4, 1),
+}
+
+
+def _undecoded(e) -> bool:
+    """Whether the ``terms`` slot of ``e`` is still unset; reading the slot
+    itself does not fill it."""
+    try:
+        WeylElement.terms.__get__(e, WeylElement)
+    except AttributeError:
+        return True
+    return False
+
+
+def _walks(target, e_max, cutoff):
+    """(stage operators, walk) for the table's walk and, on an ell = 1
+    family, for the same walk before the t = 0 slice, whose states carry
+    e^(w t) and run on units above 1 (two w-1 steps on xi0 (3/2, 5/7) give
+    e^(3t) on unit 2).  Each walk is ``_state_walk`` on the stages that
+    ``_table_states`` uses, from the constant 1 and from the constant
+    gamma + xi: every coefficient of a table state has one term, so only
+    the second root puts each key of a state in two blocks."""
+    rec = _ladder(target)
+    ops = [rec.family[name] for _, name, _, _ in rec.stages]
+    variants = [[at_time_zero(op) for op in ops], ops] if rec.sliced else [ops]
+    for stage_ops in variants:
+        stages = [(op, pool, cost) for op, (_, _, pool, cost) in zip(stage_ops, rec.stages)]
+        for value in (1, Coef.gamma() + Coef.xi()):
+            root = WeylElement.const(target.table, value)
+            yield stage_ops, _state_walk(root, stages, (cutoff, e_max))
+
+
+@pytest.mark.parametrize("case", list(LAZY_WALKS), ids=list(LAZY_WALKS))
+def test_walked_states_decode_on_first_read(case):
+    """Each walked state, built by apply_to, holds its packed form and no
+    terms yet.  Its term count (distinct keys across blocks) and its unit
+    are read before decoding; then its decoded terms equal the chain of
+    reference_apply_to calls that built it and are canonical, the count is
+    their length, the packed form is a fresh packing of them and the unit
+    is theirs; once decoded, a state is a plain WeylElement.  Some states
+    hold a key in more than one block, and on xi0 (3/2, 5/7) some run on a
+    unit above their own."""
+    build, e_max, cutoff = LAZY_WALKS[case]
+    target = build()
+    units, shared = set(), False
+    for ops, walk in _walks(target, e_max, cutoff):
+        reference = {}
+        for counts, psi in walk:
+            if not any(counts):  # the root, the constant 1
+                reference[counts] = psi
+                continue
+            last = max(i for i, c in enumerate(counts) if c)
+            parent = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
+            reference[counts] = reference_apply_to(ops[last], reference[parent])
+            assert _undecoded(psi)
+            count, lattice = _term_count(psi), psi._lattice
+            (unit, form), = psi._packed.items()
+            assert psi.is_zero() == (count == 0)
+            assert _undecoded(psi) and isinstance(psi, WeylElement)
+            assert psi == reference[counts], counts
+            assert type(psi) is WeylElement
+            check_canonical(psi)
+            assert count == len(psi.terms)
+            assert form == packed_form(psi, unit, form[2])
+            assert lattice == lattice_unit(psi.terms)
+            units.add((unit, lattice))
+            shared |= len(form[0]) > 1 and count < sum(map(len, form[0].values()))
+    assert shared
+    if case == "xi0-3/2-5/7":
+        assert any(unit > lattice for unit, lattice in units)
+
+
+def test_a_zero_result_is_zero_before_it_is_decoded():
+    """An annihilator applied to the ground state gives a result that is
+    zero, and that eigencheck rejects as the zero state, while its terms
+    are still unset; decoded, it is the empty map on unit 1."""
+    for target in (build_ladder(2), build_osc_l1(),
+                   build_xi0(Fraction(3, 2), Fraction(5, 7))):
+        rec = _ladder(target)
+        H = at_time_zero(build_H(target)) if rec.sliced else build_H(target)
+        one = WeylElement.const(target.table, 1)
+        for name in rec.annihilators:
+            zero = apply_to(target[name], one)
+            assert zero.is_zero() and not zero and _term_count(zero) == 0
+            with pytest.raises(ZeroState):
+                eigencheck(H, zero)
+            assert _undecoded(zero)
+            assert zero.terms == {} and zero._lattice == 1
+
+
+def test_threads_decode_shared_states_alike():
+    """Four threads that read ``terms`` of the same undecoded walk states
+    at once, each in its own seeded order, each get the single-threaded
+    term maps, and every state keeps one of them."""
+    def states():  # each table's states but its root, the constant 1
+        return [psi for target, e_max, cutoff in ((build_osc_l1(), 4, 1),
+                                                  (build_ladder(2), 4, 1))
+                for _, _, psi in list(_table_states(target, e_max, cutoff))[1:]]
+
+    expected = [dict(psi.terms) for psi in states()]
+    shared = states()
+    assert all(_undecoded(psi) for psi in shared)
+    rng = random.Random(613)
+    orders = [rng.sample(range(len(shared)), len(shared)) for _ in range(4)]
+    results, interval = {}, sys.getswitchinterval()
+
+    def work(n):
+        results[n] = {i: shared[i].terms for i in orders[n]}
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in range(4):
+        assert [results[n][i] for i in range(len(shared))] == expected
+    assert [psi.terms for psi in shared] == expected

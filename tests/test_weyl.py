@@ -121,8 +121,11 @@ def test_domain_violation_on_negative_power():
     (0, 0, 0, 1),                 # e^t in a table without time
 ], ids=["negative", "fractional", "negative-last", "time-weight"])
 def test_results_never_carry_out_of_domain_terms(mon):
-    """Every result goes through the constructor's domain check, so an
-    operand that bypassed it cannot pass its bad term on."""
+    """Products and linear operations go through the constructor's domain
+    check, so an operand that bypassed it cannot pass its bad term on.
+    (An ``apply_to`` result skips the check: its terms stay in their
+    domains by the falling-factorial argument, which
+    test_walked_states_decode_on_first_read checks with check_canonical.)"""
     bad = unchecked_element(PLAIN_TABLE,
                             {(mon, PLAIN_TABLE.zeros): Coef.const(1)})
     for build in (lambda: mul(bad, V("u")), lambda: bad + V("u"),
