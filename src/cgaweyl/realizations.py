@@ -124,7 +124,7 @@ class _Alg:
     """Terse element constructors over one table.
 
     Each distinct element is made once per instance and then shared, so a
-    builder's products split it, and mask its terms, only once.
+    builder's products pack it only once.
     """
 
     def __init__(self, table: VarTable):

@@ -4,8 +4,8 @@ Structure-constant tables are checked by computing every commutator of a
 family: a listed pair must equal its one stated term, c * g or the scalar
 c, and an unlisted pair must commute.  One pair loop, :func:`_residuals`,
 serves every table check and the calibration.  It takes each [a, b] in the
-split form of the commutator kernel (int numerators per gamma^a xi^b block
-and lattice key) and compares it on those numerators with c * g, the
+packed form of the commutator kernel (int numerators per gamma^a xi^b block
+and packed key) and compares it on those numerators with c * g, the
 scalar entry as c * 1 (``weyl._bracket_residual``), so a pair that holds
 builds no element; only a failing pair builds [a, b] and its residual,
 [a, b] minus the expected side, whose text the report prints.  The sl(2)
@@ -360,9 +360,9 @@ def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
 def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
     """Yield (a, b, sign, entry, bracket, residual) for every scope pair, in order.
 
-    ``bracket`` is [a, b] in the split form of ``weyl._commutator_core``,
+    ``bracket`` is [a, b] in the packed form of ``weyl._commutator_core``,
     taken from ``brackets[a, b]`` when given, and None for a pair skipped by
-    the truncation.  It is compared on the split forms with the expected
+    the truncation.  It is compared on the packed forms with the expected
     side sign * c * g (``weyl._bracket_residual``), where g is the entry's
     generator, or the constant 1 for a scalar entry; a pair that must
     commute (``entry`` None) has c = 0.  ``residual`` is None when they are
@@ -426,7 +426,7 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
     d_g, every later one must give the same d_g, and every other pair needs
     a zero residual; otherwise :class:`InconsistentSystem` names the pairs
     that disagree, each with the pair that fixed its d_g.  For the same
-    reason the commutators are computed once, in split form: the shifted
+    reason the commutators are computed once, in packed form: the shifted
     family's table is checked against them.
     """
     deltas = {name: COEF_ZERO for name in table.scope}

@@ -15,125 +15,94 @@ The ``WeylElement`` constructor enforces canonical form: it drops zero
 coefficients, stores integral exponents as ``int``, and rejects exponents
 outside their variable's domain and time parts over a table without time.
 In the same pass it records the element's exponent unit (below).
-:func:`mul` and :func:`commutator` accumulate raw sums and leave these
-rules to it.  An :func:`apply_to` result is canonical by construction
-and skips it: its derivative-free terms cannot leave their domains (a
-falling factorial p(p-1)...(p-k+1) vanishes for each NAT exponent
-0 <= p < k).
+:func:`mul` and :func:`commutator` leave these rules to it.  An
+:func:`apply_to` result is canonical by construction and skips it: its
+derivative-free terms cannot leave their domains (a falling factorial
+p(p-1)...(p-k+1) vanishes for each NAT exponent 0 <= p < k).
 
 Every term is keyed by a pair of plain tuples with one slot per table
 variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
 exponents and the weight of e^(weight*t), and ``der = (k_0, ..., k_{n-1},
-t_order)``, the derivative orders and the order of d[t].  Multiplying
-monomials (or derivative blocks) adds their keys slot by slot, and
-``VarTable.zeros`` is both the monomial 1 and the empty block.  A slot of
-a stored key is ``int`` when integral and ``Fraction`` only when genuinely
-fractional (the xi = 0 family's x^(w2/w1), weights such as e^(t/2)).
-Inside the kernels every slot is an ``int``: each element's exponent unit
-L is the lcm of the denominators of its monomial slots (1 when all are
-ints).  A call runs on the lcm U of its operands' units, its operands'
-keys enter it with every monomial slot, weight included, times U, and
-:func:`_result` divides each output key by U, storing ``int`` where the
-quotient is integral; so no ``Fraction`` is hashed or added per term pair.
-Terms print in the order of (d[t] order, (index, order) pairs, weight,
-(index, exponent) pairs) read off the nonzero slots, not in the order of
-the raw tuples.
+t_order)``, the derivative orders and the order of d[t].
+``VarTable.zeros`` is both the monomial 1 and the empty block.  A slot is
+``int`` when integral and ``Fraction`` only when genuinely fractional (the
+xi = 0 family's x^(w2/w1), weights such as e^(t/2)).  Terms print in the
+order of (d[t] order, (index, order) pairs, weight, (index, exponent)
+pairs) read off the nonzero slots, not in the order of the raw tuples.
 
-Reorderings are memoized.  Passing a derivative block past a monomial on
-the lattice of a unit is a pure function of three immutable, hashable
-values, and the same triples recur across thousands of term pairs, so
+All three kernels run on one packed form.  An element's exponent unit is
+the lcm of the denominators of its monomial slots (1 when all are ints);
+a call runs on the lcm U of its operands' units, and there each key is
+one Python int (:func:`_pack`): monomial slot i times U, plus a bias, in
+field i, and the derivative orders in the fields above, so a
+derivative-free key is its packed monomial alone.  The field width, a
+power of two, comes from the operands' bounds (:func:`_bound`), whose sum
+bounds every slot of the result, so that no field carries into the next
+(:func:`_packed_forms`).  A product of two
+terms' monomials and derivative blocks is one int addition, moving
+derivatives adds a key shift, and no ``Fraction`` is hashed or added per
+term pair.  Each element keeps its packed form per unit, every kernel
+result keeps the one its kernel built (:func:`_packed_result`), and one
+decoder, :func:`_decoded`, turns packed keys back into terms.
+
+Reorderings are memoized: passing a derivative block past a monomial is a
+pure function of the block and the monomial slots it differentiates, and
+the same pairs recur across thousands of term pairs, so
 :func:`_reorder_corrections` keeps its k >= 1 terms in a
-``functools.lru_cache`` bounded by ``REORDER_CACHE_SIZE`` entries.  The k = 0 term is always (1, mon, der)
-and is not cached: :func:`mul` writes it itself.  The generator
-``_reorder_options`` of ``tests/helpers.py``, on the unscaled keys, is the
-tests' reference.
+``functools.lru_cache`` bounded by ``REORDER_CACHE_SIZE`` entries.  The
+k = 0 term is always (1, mon, der) and is not cached: :func:`mul` writes
+it itself.  A derivative on a slot whose exponent or weight is 0 gives a
+factor of 0 for every k >= 1, so the term lists of :func:`mul` and
+:func:`commutator` carry masks of the nonzero slots beside each key
+(:func:`_kernel_terms`), and the memo is read only where a derivative
+block meets a nonzero slot of the other monomial; the masks come from a
+few operations on the whole key.  The generator ``_reorder_options`` of
+``tests/helpers.py`` is the tests' reference.
 
-Most term pairs cannot reorder: a derivative on a slot whose exponent or
-weight is 0 gives a factor of 0 for every k >= 1, so the k >= 1 terms are
-empty unless the derivative block of one term meets a nonzero monomial
-slot of the other.  :func:`mul` and :func:`commutator` therefore run on
-term lists that carry two int masks per term, one bit per nonzero slot of
-the monomial and of the derivative block, the time slot last
-(:func:`_masked`).  They still visit every term pair, but read the memo
-for d1 past m2 only when ``der_mask1 & mon_mask2`` is nonzero (and for d2
-past m1 likewise), so the memo holds only non-empty reorderings.  The
-masks are made once per element and unit, with the element's kernel form
-on that unit, the first time ``mul`` or ``commutator`` uses the element
-on it; :func:`apply_to` does not read them.
-
-:func:`apply_to` runs on packed keys instead (:func:`_apply_core`).  On the
-lattice of the call's unit, each monomial, weight included, is one Python
-int: slot i, plus the bias 2^(W - 1), sits in bits [i*W, (i+1)*W), slot 0
-lowest and the weight last.  The width W is derived per call from the
-operands' exponent bounds: the operator's bound A is max |m_i| + unit *
-max d_i and the state's B is max |w_i|, and every slot of a product or
-of a lowered state term then has absolute value at most A + B, so W =
-bit_length(A + B) + 1 keeps every field in [0, 2^W) and no field carries
-into the next.  The operator's terms are packed without the bias and
-already lowered by their derivative block, so a term pair costs one int
-addition and the accumulator is keyed by ints.  The operator's packed
-term lists are kept per unit in its ``_packed_ops`` slot, the state's
-packed form (its keys, int numerators, width and B) per unit in its
-``_packed`` slot.  The result of :func:`apply_to` is made from the
-kernel's own packed form alone, normalised so that it equals a fresh
-packing of the result, and its ``terms`` are decoded from that form only
-when first read (:func:`_packed_result`).  So the next ``apply_to`` or
-eigenvalue check on it, as each state of the spectrum walk gets, and its
-zero check and term count read the packed form, and nothing is split,
-packed or decoded again.  A form packed narrower than a call needs is
-packed again at the call's width (a state form is widened from its own
-keys) and replaces the stored one, so an element's width on a unit only
-grows.
+:func:`apply_to` reads the operator's terms grouped by derivative block,
+each key already lowered by its block (:func:`_operator_form`), so a term
+pair is one int addition.  Its result decodes its ``terms`` only when
+they are first read (:func:`_packed_result`), so the spectrum walk's
+next ``apply_to``, eigenvalue check, zero check and term count on it
+read the packed form.
 
 The commutator is not ``a*b - b*a`` computed in full: the k = 0 term of
 every reordering is the same in both orders and cancels, so
 :func:`commutator` builds only the cached k >= 1 terms of the two orders,
 in one accumulator.  Its loop is :func:`_commutator_core`, which, like
-:func:`_apply_core`, stops before the result is joined.
+:func:`_apply_core`, stops before the result is decoded.
 
 Coefficients run on int numerators, one monomial block at a time.  Every
 coefficient is a Laurent polynomial in gamma and xi, so
 :func:`cgaweyl.scalar.split_blocks` writes an operand as
 sum_{a,b} gamma^a * xi^b * A_ab, where each A_ab is a parameter-free term
 map of int numerators over one common denominator (a plain rational is
-the single block (0, 0)).  :func:`mul`, :func:`commutator` and
-:func:`apply_to` run their one loop body once per pair of blocks, on
-Python ints, and add each pair's sums into block (a1 + a2, b1 + b2).  This
-is exact: every term of the result is a sum of c1 * c2 * factor over the
-product of the two denominators, and the reordering factors are ints or,
-for a unit L > 1, an int over L^K, K the number of derivatives moved (a
-``Fraction`` unless it is integral).  No ``Coef`` is built per term pair;
+the single block (0, 0)).  The kernels run their one loop body once per
+pair of blocks, on Python ints, and add each pair's sums into block
+(a1 + a2, b1 + b2).  This is exact: every term of the result is a sum of
+c1 * c2 * factor over the product of the two denominators, and the
+reordering factors are ints or, for a unit U > 1, an int over U^K, K the
+number of derivatives moved (a ``Fraction`` unless it is integral).
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
-the end (for an ``apply_to`` result, when its terms are first read).  The
-loops of :func:`apply_to` and :func:`commutator` are :func:`_apply_core`
-and :func:`_commutator_core`, which stop before that join, and one
-comparator reads their forms: :func:`_numerators_match` answers whether a
-kernel result equals c * g, for a coefficient c of at most one term
-q * gamma^a * xi^b and g in the same form, by shifting the
-blocks of g by (a, b) and cross-multiplying int numerators key by key.
-:func:`_eigenvalue`, behind the spectrum's eigenvalue checks, reads E off
-one term of H psi and certifies H psi = E * psi with it on packed keys;
-every check of [a, b] = c * g reads g's masked form with it
-(:func:`_is_multiple`), and :func:`_bracket_residual` builds [a, b] - c * g
-only when the check fails.  So neither H psi nor a bracket that holds is
-built as an element or as ``Coef`` values.  Each element keeps, per unit,
-its masked form and its packed forms, each made the first time a call
-needs it.
+the end.  One comparator reads the kernel sums before that:
+:func:`_numerators_match` answers whether a kernel result equals c * g,
+for a coefficient c of at most one term q * gamma^a * xi^b and g in the
+same form, by shifting the blocks of g by (a, b) and cross-multiplying
+int numerators key by key.  :func:`_eigenvalue` certifies H psi = E * psi
+with it, and every check of [a, b] = c * g reads g's packed form with it
+(:func:`_is_multiple`); :func:`_bracket_residual` builds [a, b] - c * g
+only when the check fails.
 
 Elements are immutable after construction, the unit included, and every
 operation is a pure function, so values are safe to share across threads.
 An ``apply_to`` result's ``terms`` are filled on first read; two threads
 reading them at once each decode the same packed form and store equal
-maps, each complete before it is stored.
-The per-unit caches are dicts.  Two threads filling the same element's
-masked form on the same unit at once store equal values, each built in
-full before it is stored, so no thread reads a part-filled form; a form
-stored into a dict that another thread has just replaced is only made
-again on a later call.  Two threads packing the same element on the same
-unit may store forms of different widths; each is complete, a call reads
-one form once and packs the other operand at that form's width, and a
-later call that finds a narrower form than it needs packs it again.  The
-memo is safe to share too: its entries are immutable tuples and
+maps.  Each packed form is built in full before it is stored, so no
+thread reads a part-filled one, and a call reads each operand's form
+once and widens the forms in hand: another thread may meanwhile store a
+form of another width, which a later call widens again if it must.
+The memos are safe to share too (the reorderings, and the decoded slots
+of recent keys, :func:`_slots`): their entries are immutable tuples and
 ``lru_cache`` keeps its bookkeeping consistent under concurrent calls
 (two threads missing on the same key at once both compute it, with equal
 results).
@@ -145,8 +114,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, groupby, islice, product as cartesian
-from operator import add
+from itertools import groupby, islice, product as cartesian
 
 from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
                      as_fraction, coef, join_blocks, split_blocks)
@@ -160,8 +128,8 @@ Exponent = int | Fraction  # int when integral, see WeylElement
 _RESERVED_NAMES = {"e", "d", "t"}
 
 # Bound on the memoized reorderings (entries of _reorder_corrections).  One
-# `cgaweyl all` run fills 688 entries, about 0.36 MB in all (tracemalloc,
-# CPython 3.11.7); checking the ell = 12 general table fills 343.
+# `cgaweyl all` run fills 115 entries, about 0.04 MB in all (tracemalloc,
+# CPython 3.11.7); checking the ell = 12 general table fills 49.
 REORDER_CACHE_SIZE = 4096
 
 
@@ -184,15 +152,13 @@ class VarTable:
     ``has_time`` enables the distinguished time variable t, carried by
     elements as exponential weights e^(a*t) together with d[t].  ``zeros``
     is the all-zero key vector of the table: the monomial 1 and the empty
-    derivative block.  ``slot_bits`` holds 1 << i for each key slot i, so
-    ``sum(compress(slot_bits, v))`` has a bit set per nonzero slot of a key v.
+    derivative block.
     """
 
     names: tuple[str, ...]
     domains: tuple[str, ...]
     has_time: bool = False
     zeros: tuple = field(init=False, repr=False, compare=False)
-    slot_bits: tuple = field(init=False, repr=False, compare=False)
     # one slice per run of adjacent NAT variables, for the constructor
     _nat_runs: tuple = field(init=False, repr=False, compare=False)
 
@@ -214,8 +180,6 @@ class VarTable:
                 runs.append(slice(start, end))
             start = end
         object.__setattr__(self, "zeros", (0,) * (len(self.names) + 1))
-        object.__setattr__(self, "slot_bits",
-                           tuple(1 << i for i in range(len(self.names) + 1)))
         object.__setattr__(self, "_nat_runs", tuple(runs))
 
     def index(self, name: str) -> int:
@@ -257,13 +221,13 @@ class WeylElement:
     """Canonical normal-ordered operator: a term map (mon, der) -> Coef.
 
     ``_lattice`` is the exponent unit, set by the constructor: the lcm of
-    the denominators of the monomial slots, 1 when all are ints.  The
-    other slots are per-unit caches, each None until first used:
-    ``_masked`` holds the masked term lists that :func:`mul` and
-    :func:`commutator` read (:func:`_masked`), ``_packed`` the packed form
-    of a derivative-free element that :func:`apply_to` has acted on or
-    returned, and ``_packed_ops`` the packed term lists of an element that
-    :func:`apply_to` has used as its operator.
+    the denominators of the monomial slots, 1 when all are ints.
+    ``_packed`` is None until a kernel first reads the element, and then
+    maps each unit to the packed form that every kernel reads
+    (:func:`_pack`): ``(blocks, den, width, bound, term lists, operator
+    groups)``, the last two filled when :func:`mul` or :func:`commutator`
+    (:func:`_kernel_terms`) and :func:`apply_to` (:func:`_operator_form`)
+    first need them.  A kernel result holds the form its kernel built.
 
     ``terms`` may be filled on first read: an :func:`apply_to` result is
     made from the kernel's packed form alone (:func:`_packed_result`), as
@@ -272,12 +236,12 @@ class WeylElement:
     spectrum's eigenvalue check and term count read the packed form.
     """
 
-    __slots__ = ("table", "terms", "_lattice", "_masked", "_packed", "_packed_ops")
+    __slots__ = ("table", "terms", "_lattice", "_packed")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._masked = self._packed = self._packed_ops = None
+        self._packed = None
         timeless, runs = not table.has_time, table._nat_runs
         lattice = 1
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
@@ -436,7 +400,10 @@ class _Undecoded(WeylElement):
         if name != "terms":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = self.terms = _decoded(self)
+        packed = self._packed
+        unit = min(packed)
+        blocks, den, width = packed[unit][:3]
+        terms = self.terms = _decoded(self.table, blocks, den, unit, width)
         self.__class__ = WeylElement
         return terms
 
@@ -458,78 +425,201 @@ def _over_unit(num: int, unit: int, moved: int) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-@lru_cache(maxsize=REORDER_CACHE_SIZE)
-def _reorder_corrections(der: tuple, mon: tuple, unit: int):
-    """The k >= 1 options of ``_reorder_options`` on lattice keys, as a tuple.
+def _width(bound: int) -> int:
+    """The field width for slots of absolute value at most ``bound``: one bit
+    more than ``bound`` needs, so the slot plus the bias 2^(width - 1) stays
+    in [0, 2^width), rounded up to a power of two of at least 8."""
+    return max(8, 1 << bound.bit_length().bit_length())
 
-    ``mon`` holds every slot times ``unit`` as an int, and so does each
-    picked-up monomial: the option (f, m, d) of ``_reorder_options(der,
-    mon/unit)`` appears here as (f, m*unit, d).  Moving k derivatives off a
-    slot n takes the int n(n - unit)...(n - (k-1)*unit), or c^k off the time
-    weight c, and lowers n by k*unit; the product of these ints over
-    unit^K, K the number of derivatives moved, is f.  The first option, (1,
-    mon, der), is dropped, so the tuple is empty for an empty ``der``.
-    Memoized, at most ``REORDER_CACHE_SIZE`` entries.  ``_reorder_options``,
-    the uncached reference on unscaled keys, lives in ``tests/helpers.py``.
+
+@lru_cache(maxsize=64)
+def _layout(size: int, width: int):
+    """``(bias, low, top, steps)`` for packed keys of ``size`` slots at ``width``.
+
+    ``top`` has the top bit, 2^(width - 1), of every field, monomial and
+    derivative, ``low`` the bits below it, and ``bias`` the top bit of
+    each of the ``size`` monomial fields; ``steps`` holds 2^(i * width)
+    for each field i.
     """
-    last, choices = len(der) - 1, []
-    for i, a in enumerate(der):
+    # (2^(n*width) - 1) / (2^width - 1) has 1 in each of n fields
+    ones = ((1 << 2 * size * width) - 1) // ((1 << width) - 1)
+    top = ones << width - 1
+    return (top & (1 << size * width) - 1, top - ones, top,
+            tuple(1 << at for at in range(0, 2 * size * width, width)))
+
+
+def _key(mon, der, layout) -> int:
+    """The packed key of the lattice slots ``mon`` and orders ``der`` in
+    ``layout`` (:func:`_layout`): slot i in field i and order i in field
+    size + i, plus the bias.  An integral ``Fraction`` slot counts as its int."""
+    return int(sum([p * step for p, step in zip(mon + der, layout[3]) if p], layout[0]))
+
+
+@lru_cache(maxsize=1024)
+def _slots(key: int, size: int, width: int) -> tuple[tuple, tuple]:
+    """``(mon, der)`` of the packed ``key``; the inverse of :func:`_key`.
+    Memoized: result keys recur across products (one ``cgaweyl all`` run
+    reads 3,319 keys here, 736 of them distinct)."""
+    mask, half, top = (1 << width) - 1, 1 << width - 1, size * width
+    der = key >> top
+    return (tuple([(key >> at & mask) - half for at in range(0, top, width)]),
+            tuple([der >> at & mask for at in range(0, top, width)]) if der
+            else (0,) * size)
+
+
+def _bound(keys, unit: int) -> int:
+    """The largest sum |m_i| + unit * sum d_i over the lattice keys (mon, der).
+
+    It bounds every slot, and a kernel result's keys have at most the sum
+    of its operands' bounds: moving k derivatives off a slot adds at most
+    k * unit to the monomial sum and takes k * unit off the other.
+    """
+    return int(max([sum(map(abs, mon)) + unit * sum(der) for mon, der in keys], default=0))
+
+
+@lru_cache(maxsize=REORDER_CACHE_SIZE)
+def _reorder_corrections(der: int, mon: int, unit: int, width: int, size: int):
+    """The k >= 1 options of ``_reorder_options`` on packed keys, memoized.
+
+    ``der`` is a derivative block, the part of a packed key above its
+    ``size`` monomial fields of ``width`` bits; ``mon`` holds a key's
+    biased monomial fields where ``der`` is nonzero and 0 elsewhere, so
+    monomials that differ only in slots that ``der`` does not
+    differentiate share one entry.  Moving k derivatives off a slot n
+    takes the int n(n - unit)...(n - (k-1)*unit), or c^k off the time
+    weight c, and lowers n by k*unit and the order by k.  The option (f,
+    m, d) of ``_reorder_options`` appears as (f, delta): f is the product
+    of these ints over unit^K, K the number of derivatives moved, and the
+    key of (m1 m2)(d1 d2) plus ``delta`` is that of (m1 m)(d d2).  The
+    first option is dropped, so the tuple is empty for an empty ``der``.
+    """
+    mask, bias, time = (1 << width) - 1, 1 << width - 1, (size - 1) * width
+    choices = []
+    for at in range(0, size * width, width):
+        a = der >> at & mask
         if a:
-            n = mon[i]
+            n = (mon >> at & mask) - bias
             opts = []
             for k in range(a + 1):
-                f = math.comb(a, k) * (n**k if i == last
+                f = math.comb(a, k) * (n**k if at == time
                                        else _lattice_falling(n, k, unit))
                 if f:
-                    opts.append((i, k, a - k, f))
+                    step = k << size * width + at  # the order falls by k
+                    if at != time:  # d[t] keeps the weight
+                        step += k * unit << at
+                    opts.append((k, f, step))
             choices.append(opts)
     out = []
     for combo in islice(cartesian(*choices), 1, None):
-        factor, m, d, moved = 1, list(mon), [0] * len(der), 0
-        for i, k, rem, f in combo:
+        factor, delta, moved = 1, 0, 0
+        for k, f, step in combo:
             factor *= f
-            d[i] = rem
+            delta -= step
             moved += k
-            if i != last:  # d[t] keeps the weight
-                m[i] -= k * unit
-        out.append((_over_unit(factor, unit, moved), tuple(m), tuple(d)))
+        out.append((_over_unit(factor, unit, moved), delta))
     return tuple(out)
 
 
-def _scale_keys(terms: dict, r: int) -> dict:
-    """``terms`` with every monomial slot multiplied by ``r``, as ints.
+def _pack(e: WeylElement, unit: int):
+    """The packed form of ``e`` on ``unit``: ``(blocks, den, width, bound, None, None)``.
 
-    ``r`` must clear every slot's denominator.
+    ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with each key
+    (mon, der) replaced by one int (:func:`_key`): monomial slot i times
+    ``unit``, plus the bias 2^(width - 1), in bits [i*width, (i+1)*width),
+    and above the ``size`` monomial fields the derivative order i in field
+    size + i.  ``bound`` is the :func:`_bound` of the keys on the lattice
+    of ``unit``, which must clear every slot, and ``width`` its
+    :func:`_width`.  The last two entries are left for
+    :func:`_kernel_terms` and :func:`_operator_form`.
     """
-    return {(tuple([p.numerator * (r // p.denominator) for p in mon]), der): v
-            for (mon, der), v in terms.items()}
+    terms = e.terms
+    if unit != 1:
+        terms = {(tuple([p.numerator * (unit // p.denominator) for p in mon]), der): c
+                 for (mon, der), c in terms.items()}
+    bound = _bound(terms, unit)
+    width = _width(bound)
+    layout = _layout(len(e.table.zeros), width)
+    return (*split_blocks({_key(mon, der, layout): c for (mon, der), c in terms.items()}),
+            width, bound, None, None)
 
 
-def _masked(e: WeylElement, unit: int):
-    """The kernel form of ``e`` on ``unit``: ``(blocks, den)``, made once per unit.
+def _widened(blocks: dict, size: int, old: int, width: int) -> dict:
+    """``blocks`` with each packed key of ``size`` monomial and derivative
+    fields moved from fields of ``old`` bits to the wider ``width``."""
+    layout = _layout(size, width)
+    return {blk: {_key(*_slots(key, size, old), layout): n for key, n in block.items()}
+            for blk, block in blocks.items()}
 
-    ``split_blocks`` of ``e.terms`` with every monomial slot times ``unit``
-    gives each gamma^a xi^b block's term map of int numerators over the
-    common denominator ``den``; ``blocks`` holds each as a list of (mon,
-    der, numerator, mon_mask, der_mask), one per term.  A mask has bit i
-    set where slot i of its key is nonzero, the time slot last, so
-    ``der_mask & mon_mask`` of two terms is nonzero exactly when the
-    derivative block meets a nonzero slot of the monomial.  Kept per unit
-    in ``e._masked``.  ``unit`` must be a multiple of ``e._lattice``.
+
+def _packed_forms(unit: int, width: int, a: WeylElement, b: WeylElement | None = None):
+    """``(width, form of a, form of b)``: packed forms on ``unit``, at one width.
+
+    The width is the widest of ``width``, of the operands' own widths and
+    of the :func:`_width` of the sum of their bounds.  Without ``b`` its
+    form is None.  Each form is read once (:func:`_form`) and widened from
+    the form in hand, since another thread may store a wider one meanwhile.
     """
-    forms = e._masked
+    form_a = _form(a, unit)
+    form_b = None if b is None else _form(b, unit)
+    bound = form_a[3] + (form_b[3] if form_b else 0)
+    width = max(width, form_a[2], form_b[2] if form_b else 0)
+    if bound >> width - 1:  # the bound needs a wider field
+        width = _width(bound)
+    if form_a[2] != width:
+        form_a = _form(a, unit, width, form_a)
+    if form_b and form_b[2] != width:
+        form_b = _form(b, unit, width, form_b)
+    return width, form_a, form_b
+
+
+def _form(e: WeylElement, unit: int, width: int = 0, form=None):
+    """The packed form of ``e`` on ``unit``, or ``form`` widened to ``width``.
+
+    A missing form is packed (:func:`_pack`) and a narrower one widened
+    from its own keys (so an undecoded ``apply_to`` result stays so); each
+    is stored in the ``_packed`` slot, so an element's width on a unit
+    only grows.
+    """
+    forms = e._packed
     if forms is None:
-        forms = e._masked = {}
-    form = forms.get(unit)
+        forms = e._packed = {}
+    form = form or forms.get(unit)
     if form is None:
-        bits = e.table.slot_bits
-        # _scale_keys stores integral Fraction slots as ints too, at unit 1 as well
-        blocks, den = split_blocks(_scale_keys(e.terms, unit))
-        form = forms[unit] = (
-            {blk: [(m, d, n, sum(compress(bits, m)), sum(compress(bits, d)))
-                   for (m, d), n in terms.items()]
-             for blk, terms in blocks.items()}, den)
+        form = forms[unit] = _pack(e, unit)
+    if form[2] < width:
+        blocks, den, old, bound = form[:4]
+        form = forms[unit] = (_widened(blocks, len(e.table.zeros), old, width),
+                              den, width, bound, None, None)
     return form
+
+
+def _kernel_terms(e: WeylElement, unit: int, form) -> dict:
+    """The term lists that :func:`mul` and :func:`commutator` read off ``form``.
+
+    ``form`` is the packed form of ``e`` on ``unit``.  Each block becomes a
+    list of (key, numerator, mon_mask, der_mask, field_mask), one per term.
+    A mask has the top bit of field i set where slot i of the monomial, or
+    order i, is nonzero, so ``der_mask & mon_mask`` of two terms is nonzero
+    exactly when the derivative block meets a nonzero slot of the monomial;
+    ``key & field_mask`` of another term, every bit of field i for each
+    nonzero order i, is what :func:`_reorder_corrections` reads.
+    """
+    lists = form[4]
+    if lists is None:
+        width, shift = form[2], len(e.table.zeros) * form[2]
+        bias, low, top, _ = _layout(len(e.table.zeros), width)
+        fill, lists = (1 << width) - 1, {}
+        for blk, block in form[0].items():
+            lists[blk] = terms = []
+            for key, n in block.items():
+                # in key ^ bias a field is its slot in two's complement, and
+                # |slot| < 2^(width - 1), so it is nonzero exactly when its
+                # low bits are, and then they carry into its top bit
+                nonzero = ((key ^ bias) & low) + low & top
+                der = nonzero >> shift
+                terms.append((key, n, nonzero & bias, der, (der >> width - 1) * fill))
+        e._packed[unit] = (*form[:4], lists, form[5])
+    return lists
 
 
 def _block_pairs(blocks_a: dict, blocks_b: dict):
@@ -543,63 +633,65 @@ def _block_pairs(blocks_a: dict, blocks_b: dict):
     return sums, pairs
 
 
-def _operands(a: WeylElement, b: WeylElement):
-    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, pairs)``.
+def _kernel_pairs(a: WeylElement, b: WeylElement):
+    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, width, bound, pairs)``.
 
-    ``unit`` is the lcm of the operands' exponent units, ``pairs`` the
-    :func:`_block_pairs` of their kernel forms on it (:func:`_masked`), and
-    ``den`` the product of those forms' denominators, so the kernel's
-    result is ``_result(table, sums, den, unit)``.
+    The operands' packed forms on the lcm of their units (:func:`_packed_forms`)
+    give ``pairs``, the :func:`_block_pairs` of their term lists, ``den``,
+    the product of their denominators, and ``bound``, the sum of their
+    bounds, which bounds the result (:func:`_bound`).
     """
     a._require_same_table(b)
     unit = math.lcm(a._lattice, b._lattice)
-    (blocks_a, den_a), (blocks_b, den_b) = _masked(a, unit), _masked(b, unit)
-    sums, pairs = _block_pairs(blocks_a, blocks_b)
-    return sums, den_a * den_b, unit, pairs
+    width, form_a, form_b = _packed_forms(unit, 0, a, b)
+    terms_a = form_a[4] or _kernel_terms(a, unit, form_a)
+    terms_b = terms_a if b is a else form_b[4] or _kernel_terms(b, unit, form_b)
+    sums, pairs = _block_pairs(terms_a, terms_b)
+    return sums, form_a[1] * form_b[1], unit, width, form_a[3] + form_b[3], pairs
 
 
-def _unscaled(mon, unit: int) -> tuple:
-    """The lattice key ``mon`` divided by ``unit``: an ``int`` slot where
-    ``unit`` divides it, any other a ``Fraction``."""
-    return tuple([n // unit if n % unit == 0 else Fraction(n, unit) for n in mon])
+def _decoded(table: VarTable, blocks: dict, den: int, unit: int, width: int) -> dict:
+    """The term map of the packed kernel result ``blocks`` over ``den``.
 
-
-def _result(table: VarTable, sums: dict, den: int, unit: int) -> WeylElement:
-    """The element of ``join_blocks(sums, den)`` with every key divided by ``unit``."""
-    terms = join_blocks(sums, den)
-    if unit != 1:
-        terms = {(_unscaled(mon, unit), der): c for (mon, der), c in terms.items()}
-    return WeylElement(table, terms)
+    Each key is split into its monomial slots, divided by ``unit`` (an
+    ``int`` where it divides them, else a ``Fraction``), and its derivative
+    orders (:func:`_slots`); the coefficients are ``join_blocks`` of the
+    blocks, which drops zeros.
+    """
+    size, terms = len(table.zeros), {}
+    for key, c in join_blocks(blocks, den).items():
+        mon, der = _slots(key, size, width)
+        if unit != 1:
+            mon = tuple([n // unit if n % unit == 0 else Fraction(n, unit) for n in mon])
+        terms[(mon, der)] = c
+    return terms
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical normal-ordered product.
 
-    Each term pair gives its leading term (m1 m2)(d1 d2), then the
-    memoized k >= 1 reordering terms of d1 past m2.  The memo is read only
-    when the mask of d1 meets that of m2: otherwise every k >= 1 term has a
-    factor of 0.
+    Each term pair gives its leading term (m1 m2)(d1 d2), one int addition
+    of the packed keys less one bias, then the memoized k >= 1 reordering
+    terms of d1 past m2.  The memo is read only when the mask of d1 meets
+    that of m2: otherwise every k >= 1 term has a factor of 0.
     """
-    sums, den, unit, pairs = _operands(a, b)
+    sums, den, unit, width, bound, pairs = _kernel_pairs(a, b)
+    size = len(a.table.zeros)
+    shift, bias = size * width, _layout(size, width)[0]
     for terms_a, terms_b, out in pairs:
-        for m1, d1, c1, _, dm1 in terms_a:
-            for m2, d2, c2, mm2, _ in terms_b:
-                base = c1 * c2
-                # Key sums go via a list: tuple(map(...)) allocates by a
-                # guessed length and resizes, so its keys would skip
-                # CPython's per-length tuple free lists on allocation yet
-                # fill them on release.
-                key = (tuple([*map(add, m1, m2)]), tuple([*map(add, d1, d2)]))
+        for k1, c1, _, dm1, fm1 in terms_a:
+            d1, k1 = k1 >> shift, k1 - bias
+            for k2, c2, mm2, _, _ in terms_b:
+                base, key = c1 * c2, k1 + k2
                 s = out.get(key)
                 out[key] = base if s is None else s + base
                 if dm1 & mm2:
-                    for factor, m_mid, d_rem in _reorder_corrections(d1, m2, unit):
-                        key = (tuple([*map(add, m1, m_mid)]),
-                               tuple([*map(add, d_rem, d2)]))
-                        c = base * factor
-                        s = out.get(key)
-                        out[key] = c if s is None else s + c
-    return _result(a.table, sums, den, unit)
+                    for factor, delta in _reorder_corrections(d1, k2 & fm1, unit,
+                                                              width, size):
+                        moved, c = key + delta, base * factor
+                        s = out.get(moved)
+                        out[moved] = c if s is None else s + c
+    return _packed_result(a.table, sums, den, unit, width, bound, True)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -611,42 +703,42 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     orders, because monomials commute with monomials and derivative blocks
     with derivative blocks, so it cancels exactly and is never built.  What
     is left are the k >= 1 terms of :func:`_reorder_corrections`: d1 past
-    m2 with a plus sign and d2 past m1 with a minus sign; the loop is
-    asymmetric on purpose.  Equal to ``mul(a, b) - mul(b, a)`` term for
-    term.
+    m2 with a plus sign and d2 past m1 with a minus sign, each a shift of
+    the packed key of (m1 m2)(d1 d2).  Equal to ``mul(a, b) - mul(b, a)``
+    term for term.
 
     The reorderings come from a memo bounded by ``REORDER_CACHE_SIZE``
     entries.  It is shared by all threads and thread-safe: it holds only
     immutable values, and ``lru_cache`` guards its own bookkeeping.
     """
-    return _result(a.table, *_commutator_core(a, b))
+    return _packed_result(a.table, *_commutator_core(a, b), True)
 
 
 def _commutator_core(a: WeylElement, b: WeylElement):
-    """The loop of :func:`commutator`, in split form: ``(sums, den, unit)``.
+    """The loop of :func:`commutator`, packed: ``(sums, den, unit, width, bound)``.
 
     A term pair reads the memo for d1 past m2 only when their masks meet,
     and for d2 past m1 likewise; a pair that meets in neither gives no term.
     """
-    sums, den, unit, pairs = _operands(a, b)
+    sums, den, unit, width, bound, pairs = _kernel_pairs(a, b)
+    size = len(a.table.zeros)
+    shift, bias = size * width, _layout(size, width)[0]
     for terms_a, terms_b, out in pairs:
-        for m1, d1, c1, mm1, dm1 in terms_a:
-            for m2, d2, c2, mm2, dm2 in terms_b:
+        for k1, c1, mm1, dm1, fm1 in terms_a:
+            d1, lead = k1 >> shift, k1 - bias
+            for k2, c2, mm2, dm2, fm2 in terms_b:
                 if not (dm1 & mm2 or dm2 & mm1):
                     continue
-                base = c1 * c2
-                for left, d_left, right, d_right, sign, meet in (
-                        (m1, d1, m2, d2, 1, dm1 & mm2),
-                        (m2, d2, m1, d1, -1, dm2 & mm1)):
+                base, key = c1 * c2, lead + k2
+                for meet, der, mon, c in ((dm1 & mm2, d1, k2 & fm1, base),
+                                          (dm2 & mm1, k2 >> shift, k1 & fm2, -base)):
                     if not meet:
                         continue
-                    for factor, m_mid, d_rem in _reorder_corrections(d_left, right, unit):
-                        key = (tuple([*map(add, left, m_mid)]),
-                               tuple([*map(add, d_rem, d_right)]))
-                        c = base * (sign * factor)
-                        s = out.get(key)
-                        out[key] = c if s is None else s + c
-    return sums, den, unit
+                    for factor, delta in _reorder_corrections(der, mon, unit, width, size):
+                        moved, v = key + delta, c * factor
+                        s = out.get(moved)
+                        out[moved] = v if s is None else s + v
+    return sums, den, unit, width, bound
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -658,145 +750,66 @@ def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
 
     Equals the derivative-free part of ``a * f``: every derivative factor
     is spent on ``f`` (terms whose derivatives annihilate f contribute 0).
-    The loop runs on packed keys (:func:`_apply_core`), and the result
-    keeps its packed form in its ``_packed`` slot, so an ``apply_to`` or an
-    eigenvalue check on the result reads that form instead of splitting
-    and packing the result again.
+    The loop is :func:`_apply_core`, and the result keeps its packed form
+    (:func:`_packed_result`).
     """
-    sums, den, unit, (_, _, width, _) = _apply_core(a, f)
-    return _packed_result(a.table, sums, den, unit, width)
+    sums, den, unit, state, bound = _apply_core(a, f)
+    return _packed_result(a.table, sums, den, unit, state[2], bound)
 
 
-def _pack(v, width: int, unit: int = 1) -> int:
-    """sum_i v[i] * unit * 2^(i * width): the packed key of ``v`` on the
-    lattice of ``unit`` without its bias, slot 0 in the lowest field.
+def _operator_form(a: WeylElement, unit: int, form) -> dict:
+    """The blocks of the operator ``a`` grouped by derivative block.
 
-    ``unit`` must clear every slot's denominator; slots may have either sign.
+    Read off ``form``, the packed form of ``a`` on ``unit``, once, and kept
+    in its last entry.  Each block is grouped into a tuple with one entry
+    (orders, t_order, moved, terms) per distinct derivative block d:
+    ``orders`` holds (bit offset of slot i, d_i) for each variable slot
+    that d differentiates, ``t_order`` is the order of d[t] and ``moved``
+    the sum of d.  ``terms`` holds (key, numerator) for each term m * d,
+    the key being m without bias and already lowered by d: every variable
+    slot i less d_i * unit, as on each term of the image of d.
     """
-    key = 0
-    for p in reversed(v):
-        key = (key << width) + p.numerator * (unit // p.denominator)
-    return key
-
-
-def _state_bound(e: WeylElement, unit: int) -> int:
-    """max |w_i| over the monomial slots of ``e`` on the lattice of ``unit``."""
-    return int(max(map(abs, chain.from_iterable(mon for mon, _ in e.terms)),
-                   default=0) * unit)
-
-
-def _operator_bound(e: WeylElement, unit: int) -> int:
-    """max |m_i| + unit * max d_i over the keys of ``e`` on the lattice of ``unit``."""
-    return _state_bound(e, unit) + unit * max(
-        chain.from_iterable(der for _, der in e.terms), default=0)
-
-
-def _pack_operator(e: WeylElement, unit: int, width: int, bound: int):
-    """The packed term lists of the operator ``e``: ``(width, bound, den, blocks)``.
-
-    ``(blocks, den)`` is ``split_blocks`` of ``e.terms``, each block then
-    grouped into a tuple with one entry (orders, t_order, moved, terms)
-    per distinct derivative block d: ``orders`` holds (bit offset of slot
-    i, d_i) for each variable slot that d differentiates, ``t_order`` is
-    the order of d[t] and ``moved`` the sum of d.  ``terms`` holds (key,
-    numerator) for each term m * d, the key being m packed on the lattice
-    of ``unit`` without bias and already lowered by d: every variable slot
-    i less d_i * unit, as on each term of the image of d.
-    """
-    blocks, den = split_blocks({
-        (_pack(mon, width, unit) - unit * _pack(der[:-1], width), der): c
-        for (mon, der), c in e.terms.items()})
-    out = {}
-    for blk, terms in blocks.items():
-        groups = {}
-        for (key, der), n in terms.items():
-            groups.setdefault(der, []).append((key, n))
-        out[blk] = tuple((tuple((i * width, k) for i, k in _sparse(der)),
-                          der[-1], sum(der), tuple(group))
-                         for der, group in groups.items())
-    return width, bound, den, out
-
-
-def _pack_state(e: WeylElement, unit: int, width: int, bound: int):
-    """The packed form of the derivative-free ``e``: ``(blocks, den, width, bound)``.
-
-    ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with every key
-    replaced by the biased packed key of its monomial on the lattice of
-    ``unit``; ``bound`` is :func:`_state_bound`.
-    """
-    size = len(e.table.zeros)
-    # 2^(width - 1) in every field: (2^(size*width) - 1) / (2^width - 1) has 1 in each
-    bias = ((1 << size * width) - 1) // ((1 << width) - 1) << width - 1
-    return (*split_blocks({_pack(mon, width, unit) + bias: c
-                           for (mon, _), c in e.terms.items()}), width, bound)
-
-
-def _packed_operands(a: WeylElement, f: WeylElement):
-    """Where :func:`_apply_core` runs: ``(operator form, state form, unit)``.
-
-    ``unit`` is the lcm of the two exponent units, and both forms are on it
-    with one field width: the widest of the width that the bounds need and
-    the widths the operands are already packed at.  The operator bound plus
-    the state bound bounds every slot of every product, and a field holds
-    its slot plus the bias 2^(width - 1), so one bit more than that sum
-    needs keeps each field in [0, 2^width), clear of the next.  A form
-    that is missing or narrower is packed again and stored in
-    ``a._packed_ops`` or ``f._packed``, so each element's width on a unit
-    only grows; a narrower state form is widened from its own keys
-    (:func:`_widened`), so an undecoded ``apply_to`` result stays so.
-    """
-    a._require_same_table(f)
-    unit = math.lcm(a._lattice, f._lattice)
-    ops, states = a._packed_ops, f._packed
-    if ops is None:
-        ops = a._packed_ops = {}
-    if states is None:
-        states = f._packed = {}
-    op, state = ops.get(unit), states.get(unit)
-    bound_a = _operator_bound(a, unit) if op is None else op[1]
-    bound_f = _state_bound(f, unit) if state is None else state[3]
-    width = max((bound_a + bound_f).bit_length() + 1,
-                0 if op is None else op[0], 0 if state is None else state[2])
-    if op is None or op[0] != width:
-        op = ops[unit] = _pack_operator(a, unit, width, bound_a)
-    if state is None:
-        state = states[unit] = _pack_state(f, unit, width, bound_f)
-    elif state[2] != width:
-        state = states[unit] = _widened(state, len(f.table.zeros), width)
-    return op, state, unit
-
-
-def _widened(form, size: int, width: int):
-    """The packed state form ``form`` of ``size`` fields at the wider ``width``.
-
-    Each field moves to its place at ``width`` and takes the new bias, so
-    the keys are re-spread without decoding the element's terms.
-    """
-    blocks, den, old, bound = form
-    mask, shift = (1 << old) - 1, (1 << width - 1) - (1 << old - 1)
-    fields = [(i * old, i * width) for i in range(size)]
-    return ({blk: {sum([((key >> at & mask) + shift) << to for at, to in fields]): n
-                    for key, n in block.items()}
-             for blk, block in blocks.items()}, den, width, bound)
+    out = form[5]
+    if out is None:
+        blocks, width, size = form[0], form[2], len(a.table.zeros)
+        mask, shift, time = (1 << width) - 1, size * width, (size - 1) * width
+        mon, variables = (1 << shift) - 1, (1 << time) - 1
+        bias, out = _layout(size, width)[0], {}
+        for blk, block in blocks.items():
+            groups = {}
+            for key, n in block.items():
+                der = key >> shift
+                groups.setdefault(der, []).append(
+                    ((key & mon) - bias - unit * (der & variables), n))
+            entries = []
+            for der, group in groups.items():
+                orders = [der >> at & mask for at in range(0, shift, width)]
+                entries.append((tuple((i * width, k) for i, k in enumerate(orders[:-1]) if k),
+                                orders[-1], sum(orders), tuple(group)))
+            out[blk] = tuple(entries)
+        a._packed[unit] = (*form[:5], out)
+    return out
 
 
 def _apply_core(a: WeylElement, f: WeylElement):
-    """The loop of :func:`apply_to`: ``(sums, den, unit, state form)``.
+    """The loop of :func:`apply_to`: ``(sums, den, unit, state form, bound)``.
 
     ``sums`` maps each gamma^a xi^b block to packed key -> numerator over
     ``den``, on the lattice of ``unit`` and at the width of ``f``'s packed
-    form, which is returned with it.  For each derivative block d of a
-    block of ``a`` and each term w of a block of ``f``, the falling
-    factorials and the d[t] weight factor are read off the fields of w and
-    multiplied once, and every term m * d then adds its packed, lowered m
-    to the key of w: one int addition per term pair.  An element that has
-    a packed form passed the derivative-free check when the form was
-    made.
+    form, which is returned with it and the sum of the two bounds.  For
+    each derivative block d of a
+    block of ``a`` (:func:`_operator_form`) and each term w of a block of
+    ``f``, the falling factorials and the d[t] weight factor are read off
+    the fields of w and multiplied once, and every term m * d then adds its
+    packed, lowered m to the key of w.  An undecoded ``apply_to`` result is
+    derivative-free by construction, and any other ``f`` is checked first.
     """
-    if f._packed is None and not f.is_scalar_function():
+    if type(f) is not _Undecoded and not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
-    (width, _, den_a, blocks_a), state, unit = _packed_operands(a, f)
-    sums, pairs = _block_pairs(blocks_a, state[0])
+    a._require_same_table(f)
+    unit = math.lcm(a._lattice, f._lattice)
+    width, form_a, state = _packed_forms(unit, 0, a, f)
+    sums, pairs = _block_pairs(_operator_form(a, unit, form_a), state[0])
     bias, mask = 1 << width - 1, (1 << width) - 1
     time = (len(a.table.zeros) - 1) * width
     for groups, terms_f, out in pairs:
@@ -819,24 +832,25 @@ def _apply_core(a: WeylElement, f: WeylElement):
                     c = c1 * c2
                     s = out.get(key)
                     out[key] = c if s is None else s + c
-    return sums, den_a * state[1], unit, state
+    return sums, form_a[1] * state[1], unit, state, form_a[3] + state[3]
 
 
-def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
-                   width: int) -> WeylElement:
-    """The element of the packed kernel result ``sums`` over ``den``, not yet decoded.
+def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
+                   bound: int, decode: bool = False) -> WeylElement:
+    """The element of the kernel result ``sums`` over ``den``, on ``unit`` at ``width``.
 
     The numerators are first normalised as ``split_blocks`` would give them
     for the result: zeros dropped, ``Fraction`` numerators (a fractional
     reordering factor on a unit above 1) cleared into ``den``, and the gcd
-    of ``den`` and all numerators divided out, which leaves ``den`` the lcm
-    of the reduced denominators.  The element stores the normalised form
-    in its ``_packed`` slot, equal to :func:`_pack_state` of the element on
-    ``unit`` and ``width``.  One scan of the packed fields gives the form's
-    bound and the element's exponent unit: the lcm of the denominators of
-    the slots n / ``unit`` is ``unit`` over the gcd of ``unit`` and every
-    n.  No key is decoded and no ``Coef`` is built here: the ``terms`` slot
-    stays unset until it is first read (:class:`_Undecoded`).
+    of ``den`` and all numerators divided out.  The element stores this
+    form, with the kernel's ``bound``, in its ``_packed`` slot, so a later
+    kernel call on it packs nothing.  With ``decode`` (:func:`mul`,
+    :func:`commutator`) the terms are decoded at once and run through the
+    constructor's checks.  Without it (an :func:`apply_to` result,
+    derivative-free and canonical by construction) the ``terms`` slot stays
+    unset until it is first read (:class:`_Undecoded`), and on a unit above
+    1 one scan of the monomial slots n gives the element's exponent unit,
+    ``unit`` over the gcd of ``unit`` and every n.
     """
     blocks = {}
     for blk, block in sums.items():
@@ -853,54 +867,38 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int,
         den *= clear
     g = den
     for block in blocks.values():
+        if g == 1:
+            break
         g = math.gcd(g, *block.values())
     if g != 1:
         for block in blocks.values():
             for key, n in block.items():
                 block[key] = n // g
         den //= g
-    bias, mask = 1 << width - 1, (1 << width) - 1
-    fields = range(0, len(table.zeros) * width, width)
-    biased = [key >> at & mask for block in blocks.values() for key in block
-              for at in fields]
-    bound = max(bias - min(biased, default=bias), max(biased, default=bias) - bias)
-    lattice = 1 if unit == 1 else unit // math.gcd(unit, *[n - bias for n in biased])
-    e = _Undecoded.__new__(_Undecoded)
-    e.table, e._lattice = table, lattice
-    e._masked = e._packed_ops = None
-    e._packed = {unit: (blocks, den, width, bound)}
+    if decode:
+        e = WeylElement(table, _decoded(table, blocks, den, unit, width))
+    else:
+        e = _Undecoded.__new__(_Undecoded)
+        e.table, e._lattice = table, 1
+        if unit != 1:
+            half, mask = 1 << width - 1, (1 << width) - 1
+            e._lattice = unit // math.gcd(unit, *[
+                (key >> at & mask) - half for block in blocks.values() for key in block
+                for at in range(0, len(table.zeros) * width, width)])
+    e._packed = {unit: (blocks, den, width, bound, None, None)}
     return e
 
 
-def _decoded(e: WeylElement) -> dict:
-    """The term map of ``e`` decoded from one of its packed forms.
-
-    Each key is decoded once and divided by the form's unit
-    (:func:`_unscaled`); the coefficients are ``join_blocks`` of the
-    form's blocks, so the map equals what the constructor would keep.
-    """
-    packed = e._packed
-    unit = min(packed)
-    blocks, den, width, _ = packed[unit]
-    bias, mask = 1 << width - 1, (1 << width) - 1
-    fields = range(0, len(e.table.zeros) * width, width)
-    zeros, terms = e.table.zeros, {}
-    for key, c in join_blocks(blocks, den).items():
-        mon = tuple([(key >> at & mask) - bias for at in fields])
-        terms[(mon if unit == 1 else _unscaled(mon, unit), zeros)] = c
-    return terms
-
-
 def _term_count(e: WeylElement) -> int:
-    """``len(e.terms)``, read off a packed form when ``e`` holds one.
+    """``len(e.terms)``, read off the packed form of an undecoded ``e``.
 
     A key's coefficient has one numerator per gamma^a xi^b block that
     holds the key, so the count is the number of distinct keys across
     the blocks.  An ``apply_to`` result is not decoded by it.
     """
-    packed = e._packed
-    if not packed:
+    if type(e) is not _Undecoded:
         return len(e.terms)
+    packed = e._packed
     blocks = packed[min(packed)][0]
     if len(blocks) > 1:
         return len(set().union(*blocks.values()))
@@ -916,7 +914,7 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
     returns on the image's unit and width, and :func:`_numerators_match`
     certifies the image as E * f.
     """
-    sums, den, _, (blocks_f, den_f, _, _) = _apply_core(a, f)
+    sums, den, _, (blocks_f, den_f, *_), _ = _apply_core(a, f)
     first = next(((blk, key, n) for blk, block in sums.items()
                   for key, n in block.items() if n), None)
     if first is None:
@@ -930,21 +928,22 @@ def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
 
 
 def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
-    """Whether the kernel result ``core = (sums, den, unit)`` equals c * g.
+    """Whether the kernel result ``core = (sums, den, unit, width, bound)`` equals c * g.
 
-    ``c`` has at most one term.  ``g`` enters in its kernel form on
-    ``unit``, keyed by (mon, der); a g whose unit does not divide ``unit``
-    has a key off the lattice of ``core``.  When c or g is zero, ``core``
-    must vanish.
+    ``c`` has at most one term.  ``g`` enters in its packed form on
+    ``unit``, at the width of ``core`` or, when g's form is wider, with
+    the keys of ``core`` widened to it; a g whose unit does not divide
+    ``unit`` has a key off the lattice of ``core``.  When c or g is zero,
+    ``core`` must vanish.
     """
-    sums, den, unit = core
+    sums, den, unit, width, _ = core
     blocks, den_g = {}, 1
     if c.terms and g.terms:
         if unit % g._lattice:
             return False
-        masked, den_g = _masked(g, unit)
-        blocks = {blk: {(m, d): n for m, d, n, _, _ in terms}
-                  for blk, terms in masked.items()}
+        wide, (blocks, den_g, *_), _ = _packed_forms(unit, width, g)
+        if wide != width:
+            sums = _widened(sums, len(g.table.zeros), width, wide)
     return _numerators_match(sums, den, blocks, den_g, c)
 
 
@@ -953,22 +952,22 @@ def _bracket_residual(core, g: WeylElement, c: Coef) -> WeylElement | None:
     (:func:`_is_multiple`), else core - c * g, only then built as an element."""
     if _is_multiple(core, g, c):
         return None
-    return _result(g.table, *core) - g.scaled(c)
+    return WeylElement(g.table, _decoded(g.table, *core[:4])) - g.scaled(c)
 
 
 def _numerators_match(sums: dict, den: int, blocks: dict, den_g: int,
                       c: Coef) -> bool:
     """Whether ``sums`` over ``den`` equals c times ``blocks`` over ``den_g``.
 
-    Both are kernel forms with the same keys, split or packed, on one
-    lattice.  ``c`` has at most one term q * gamma^a * xi^b, or ``blocks``
-    is empty.  Runs on the numerators, so no ``Coef``, no ``Fraction`` key
-    and no element is built.  ``sums`` holds numerators n per gamma^a xi^b
-    block and key (ints, or ``Fraction`` where a unit above 1 gives a
-    fractional reordering factor), ``blocks`` numerators n_g.  c * g has
-    the blocks shifted by (a, b), and equals ``sums`` exactly when the
-    nonzero numerators of ``sums`` sit at just those keys, each with n *
-    den_g * q.denominator == n_g * q.numerator * den.
+    Both are packed kernel forms with the same keys, on one lattice and
+    one width.  ``c`` has at most one term q * gamma^a * xi^b, or
+    ``blocks`` is empty.  Runs on the numerators, so no ``Coef``, no
+    ``Fraction`` key and no element is built.  ``sums`` holds numerators n
+    per gamma^a xi^b block and key (ints, or ``Fraction`` where a unit
+    above 1 gives a fractional reordering factor), ``blocks`` numerators
+    n_g.  c * g has the blocks shifted by (a, b), and equals ``sums``
+    exactly when the nonzero numerators of ``sums`` sit at just those
+    keys, each with n * den_g * q.denominator == n_g * q.numerator * den.
     """
     (a, b), scale_core, scale_g = (0, 0), 1, 0
     if blocks:

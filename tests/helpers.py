@@ -118,13 +118,13 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
     feed the kernels an operand that no constructor would accept, such as
     a term outside its table's exponent domain, or keys with integral
     ``Fraction`` slots.  Its exponent unit is set by the constructor's rule
-    (:func:`lattice_unit`, so ``Fraction(2)`` counts as 1) and its mask and
-    packed slots are empty.
+    (:func:`lattice_unit`, so ``Fraction(2)`` counts as 1) and its packed
+    slot is empty.
     """
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
     e._lattice = lattice_unit(e.terms)
-    e._masked = e._packed = e._packed_ops = None
+    e._packed = None
     return e
 
 
@@ -148,40 +148,57 @@ def split_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int, int]
     return (*split_blocks(scaled), unit)
 
 
+def packed_key(mon: tuple, der: tuple, unit: int, width: int) -> int:
+    """The packed key of the term (mon, der): sum_i (w_i + 2^(width - 1)) *
+    2^(i * width) + sum_i d_i * 2^((size + i) * width), w_i the monomial
+    slot i times ``unit``, d_i the derivative order i and size the number
+    of slots.  Every field must hold its slot without a carry."""
+    bias, size = 1 << (width - 1), len(mon)
+    w = [int(p * unit) for p in mon]
+    assert all(p == q * unit for p, q in zip(w, mon))
+    assert all(abs(p) < bias for p in w) and all(0 <= k < bias for k in der)
+    return (sum((p + bias) << (i * width) for i, p in enumerate(w))
+            + sum(k << ((size + i) * width) for i, k in enumerate(der)))
+
+
 def packed_form(e: WeylElement, unit: int, width: int) -> tuple[dict, int, int, int]:
-    """The packed form ``apply_to`` keeps for a derivative-free ``e``, built independently.
+    """The packed form that the kernels keep for ``e``, built independently.
 
     ``(blocks, den, width, bound)``: ``split_blocks`` of the terms of ``e``
-    with each key replaced by the int sum_i (w_i + 2^(width - 1)) *
-    2^(i * width), w_i the monomial slot i times ``unit``, and ``bound``
-    the largest |w_i|.  Every field must hold its slot without a carry.
+    with each key replaced by its :func:`packed_key`, and ``bound`` the
+    largest over the terms of ``unit`` times the sum of the |monomial
+    slots| and the derivative orders.
     """
-    bias, keyed, lattice = 1 << (width - 1), {}, []
-    for (mon, der), c in e.terms.items():
-        assert not any(der)
-        w = [int(p * unit) for p in mon]
-        assert all(p == q * unit for p, q in zip(w, mon))
-        assert all(abs(p) < bias for p in w)
-        keyed[sum((p + bias) << (i * width) for i, p in enumerate(w))] = c
-        lattice += w
-    return (*split_blocks(keyed), width, max(map(abs, lattice), default=0))
+    keyed = {packed_key(mon, der, unit, width): c for (mon, der), c in e.terms.items()}
+    bound = max((unit * (sum(map(abs, mon)) + sum(der)) for mon, der in e.terms), default=0)
+    return (*split_blocks(keyed), width, int(bound))
 
 
-def slot_mask(v: tuple) -> int:
-    """The int with bit i set for each nonzero slot i of ``v``."""
-    return sum(1 << i for i, p in enumerate(v) if p)
+def assert_packed(e: WeylElement, unit: int, form) -> None:
+    """``form`` is :func:`packed_form` of ``e`` on ``unit`` at its width, but
+    for its bound, which may exceed the exact one: a kernel result keeps
+    the sum of its operands' bounds."""
+    fresh = packed_form(e, unit, form[2])
+    assert form[:3] == fresh[:3] and form[3] >= fresh[3]
 
 
-def masked_form(e: WeylElement, unit: int | None = None) -> tuple[dict, int]:
-    """The form ``mul`` and ``commutator`` cache for ``e``, built independently.
+def kernel_terms(e: WeylElement, unit: int, width: int) -> dict:
+    """The term lists ``mul`` and ``commutator`` read for ``e``, built independently.
 
-    ``(blocks, den)``: each block of ``split_form(e, unit)`` as a list of
-    (mon, der, numerator, mon mask, der mask), in the block's order, and
-    the split form's common denominator.
+    Each block of :func:`packed_form` as a list of (key, numerator, mon
+    mask, der mask, field mask), in the block's order: a mask has the top
+    bit 2^(i * width + width - 1) of field i set for each nonzero slot i,
+    and the field mask every bit of field i for each nonzero derivative
+    order i.
     """
-    blocks, den, _ = split_form(e, unit)
-    return ({blk: [(m, d, n, slot_mask(m), slot_mask(d)) for (m, d), n in terms.items()]
-             for blk, terms in blocks.items()}, den)
+    def mask(v, bits):
+        return sum(bits << (i * width) for i, p in enumerate(v) if p)
+
+    masks = {packed_key(mon, der, unit, width): (
+        mask(mon, 1 << width - 1), mask(der, 1 << width - 1), mask(der, (1 << width) - 1))
+        for mon, der in e.terms}
+    return {blk: [(key, n, *masks[key]) for key, n in terms.items()]
+            for blk, terms in packed_form(e, unit, width)[0].items()}
 
 
 def falling(p: Exponent, k: int) -> Exponent:

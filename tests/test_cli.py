@@ -526,13 +526,16 @@ def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
         "FAIL  cgaweyl verify --family free-l1: exit code 0, pinned 1"
 
 
-def _matrix_copy(tmp_path, report, pin):
+def _matrix_copy(tmp_path, report, pin, command_pin):
     """A checkout holding ``scripts/interp_matrix.sh``, ``tests/golden.py``,
-    the pin ``pin`` and a stand-in ``cgaweyl.cli`` that prints ``report``."""
+    the pin ``pin`` of `all`, ``command_pin`` as the one pinned command and
+    a stand-in ``cgaweyl.cli`` that prints ``report`` for any argv."""
     for rel in ("scripts/interp_matrix.sh", "tests/golden.py"):
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(REPO / rel, tmp_path / rel)
     (tmp_path / "tests" / "golden_all.json").write_text(json.dumps(pin))
+    (tmp_path / "tests" / "golden_cli.json").write_text(
+        json.dumps({"commands": [command_pin]}))
     pkg = tmp_path / "src" / "cgaweyl"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
@@ -540,31 +543,41 @@ def _matrix_copy(tmp_path, report, pin):
     return tmp_path / "scripts" / "interp_matrix.sh"
 
 
-def _run_matrix(root, report, pin):
-    script = _matrix_copy(root, report, pin)
+def _run_matrix(root, report, pin, command_pin):
+    script = _matrix_copy(root, report, pin, command_pin)
     return subprocess.run(["bash", str(script)], capture_output=True, text=True)
 
 
 def test_interp_matrix_exits_one_on_a_mismatch(tmp_path):
-    """A wrong section pin or whole-report pin makes the script exit 1; the
-    right pin passes on every interpreter it finds."""
+    """A wrong section pin or whole-report pin of `all`, or a wrong pin of
+    a CLI command, makes the script exit 1 and name what differs; the
+    right pins pass on every interpreter it finds, each pinned command run
+    through a `cgaweyl` that uses that interpreter."""
     doc = {"sections": [{"title": "t", "family": "f", "entries": []}], "ok": True}
     report = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     data = report.encode()
     pin = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
            "sections": golden.section_pins(doc)}
-    wrong_pins = {"section": dict(pin, sections=[dict(pin["sections"][0], bytes=1)]),
-                  "whole": dict(pin, sha256="0" * 64)}
-    for name, wrong in wrong_pins.items():
-        proc = _run_matrix(tmp_path / name, report, wrong)
+    command = dict(pin, argv=["similarity"], reason="why", exit=0)
+    wrong_pins = {"section": (dict(pin, sections=[dict(pin["sections"][0], bytes=1)]),
+                              command),
+                  "whole": (dict(pin, sha256="0" * 64), command),
+                  "command": (pin, dict(command, exit=1))}
+    for name, (wrong, wrong_command) in wrong_pins.items():
+        proc = _run_matrix(tmp_path / name, report, wrong, wrong_command)
         assert proc.returncode == 1, proc.stdout
         assert "FAIL" in proc.stdout
-        if name == "section" and "no interpreter found" not in proc.stdout:
+        if "no interpreter found" in proc.stdout:
+            continue
+        if name == "section":
             assert "section 0 ('t', family 'f') differs in bytes\n" in proc.stdout
-    proc = _run_matrix(tmp_path / "ok", report, pin)
+        if name == "command":
+            assert "FAIL  cgaweyl similarity: exit code 0, pinned 1\n" in proc.stdout
+    proc = _run_matrix(tmp_path / "ok", report, pin, command)
     if "no interpreter found" in proc.stdout:
         pytest.skip("no pyenv interpreter of the matrix is installed")
     assert proc.returncode == 0, proc.stdout
+    assert "all and 1 pinned commands\n" in proc.stdout
 
 
 def test_module_entry_point_runs():

@@ -35,7 +35,7 @@ from cgaweyl.spectrum import (
     spectrum_table,
 )
 
-from helpers import (check_canonical, lattice_unit, packed_form, reference_apply_to,
+from helpers import (assert_packed, check_canonical, lattice_unit, reference_apply_to,
                      reference_eigencheck, split_form)
 
 
@@ -232,7 +232,8 @@ def test_eigencheck_rescales_psi_to_the_call_unit():
     x, half = WeylElement.var(HALF_TABLE, "x"), Fraction(1, 2)
     H = (x * WeylElement.deriv(HALF_TABLE, "x")
          + WeylElement.var(HALF_TABLE, "x", half) * WeylElement.deriv(HALF_TABLE, "y"))
-    psi = x * x
+    psi = WeylElement.var(HALF_TABLE, "x", 2)
+    assert psi == x * x
     assert psi._lattice == 1 and _apply_core(H, psi)[2] == 2
     assert psi._packed.keys() == {2}
     assert eigencheck(H, psi) == reference_eigencheck(H, psi) == 2
@@ -245,7 +246,7 @@ def test_eigencheck_on_fraction_valued_sums():
     """The continuous probe at fractional lambda sums Fraction numerators."""
     for lam in (Fraction(1, 3), Fraction(-2, 5)):
         H, psi = _probe(lam)
-        sums, _, unit, _ = _apply_core(H, psi)
+        sums, _, unit, _, _ = _apply_core(H, psi)
         assert unit == lam.denominator
         assert any(type(n) is Fraction for block in sums.values()
                    for n in block.values())
@@ -497,7 +498,7 @@ def test_walked_states_decode_on_first_read(case):
             assert type(psi) is WeylElement
             check_canonical(psi)
             assert count == len(psi.terms)
-            assert form == packed_form(psi, unit, form[2])
+            assert_packed(psi, unit, form)
             assert lattice == lattice_unit(psi.terms)
             units.add((unit, lattice))
             shared |= len(form[0]) > 1 and count < sum(map(len, form[0].values()))

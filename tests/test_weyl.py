@@ -49,11 +49,12 @@ from helpers import (
     RAT_EXPONENT_POOL,
     RAT_TABLE,
     TIME_TABLE,
+    assert_packed,
     at_point,
     check_canonical,
     lattice_unit,
-    masked_form,
-    packed_form,
+    kernel_terms,
+    packed_key,
     random_element,
     random_point,
     random_state,
@@ -149,10 +150,12 @@ def test_commutator_antisymmetry_on_random_elements():
 def test_reorder_memo_matches_generator(table, weights, powers, seed):
     """The memoized k >= 1 terms are the generator's options after its
     first, and that first option is always (1, mon, der).  The memo runs on
-    lattice keys: at unit L (the lcm of 1, 2 or 21 with the key's own
-    denominators) it takes every monomial slot times L, gives the same
-    factors, an int wherever the factor is integral, and picked-up
-    monomials of int slots that are the generator's times L."""
+    packed lattice keys: at unit L (the lcm of 1, 2 or 21 with the key's
+    own denominators) and two field widths it reads the derivative block
+    and the monomial fields it differentiates, gives the same factors, an
+    int wherever the factor is integral, and key shifts that take the
+    packed (mon, der) to the packed option; it holds one entry per
+    distinct block and differentiated fields."""
     rng = random.Random(seed)
     keys = set()
     for _ in range(30):
@@ -161,32 +164,56 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
         keys.update(e.terms)
     ders = {der for _, der in keys} | {table.zeros}
     mons = {mon for mon, _ in keys}
+    size = len(table.zeros)
     for base_unit in (1, 2, 21):
-        _reorder_corrections.cache_clear()
-        for der in ders:
-            for mon in mons:
-                options = tuple(_reorder_options(der, mon))
-                assert options[0] == (1, mon, der)
-                unit = math.lcm(base_unit, *(Fraction(p).denominator for p in mon))
-                scaled = tuple(int(p * unit) for p in mon)
-                cached = _reorder_corrections(der, scaled, unit)
-                assert len(cached) == len(options) - 1
-                for (f, m, d), (f_ref, m_ref, d_ref) in zip(cached, options[1:]):
-                    assert f == f_ref and d == d_ref
-                    assert type(f) is (int if Fraction(f).denominator == 1
-                                       else Fraction)
-                    assert all(type(n) is int for n in m)
-                    assert tuple(Fraction(n, unit) for n in m) == m_ref
-                assert _reorder_corrections(der, scaled, unit) is cached
-        info = _reorder_corrections.cache_info()
-        assert info.misses == len(ders) * len(mons) <= REORDER_CACHE_SIZE
-        assert info.maxsize == REORDER_CACHE_SIZE
+        for width in (10, 16):
+            _reorder_corrections.cache_clear()
+            fields = [((1 << width) - 1) << (i * width) for i in range(size)]
+            read = set()
+            for der in ders:
+                packed_der = packed_key(table.zeros, der, 1, width) >> size * width
+                differentiated = sum(f for f, k in zip(fields, der) if k)
+                for mon in mons:
+                    options = tuple(_reorder_options(der, mon))
+                    assert options[0] == (1, mon, der)
+                    unit = math.lcm(base_unit, *(Fraction(p).denominator for p in mon))
+                    args = (packed_der, packed_key(mon, table.zeros, unit, width)
+                            & differentiated, unit, width, size)
+                    read.add(args)
+                    cached = _reorder_corrections(*args)
+                    assert len(cached) == len(options) - 1
+                    lead = packed_key(mon, der, unit, width)
+                    for (f, delta), (f_ref, m_ref, d_ref) in zip(cached, options[1:]):
+                        assert f == f_ref
+                        assert type(f) is (int if Fraction(f).denominator == 1
+                                           else Fraction)
+                        assert lead + delta == packed_key(m_ref, d_ref, unit, width)
+                    assert _reorder_corrections(*args) is cached
+            info = _reorder_corrections.cache_info()
+            assert info.misses == len(read) <= REORDER_CACHE_SIZE
+            assert info.maxsize == REORDER_CACHE_SIZE
+
+
+def test_memo_reads_only_the_differentiated_slots():
+    """d[x] past x y, past x u e^t and past x y u: the right-hand
+    monomials differ only in slots that d[x] does not differentiate, so
+    mul and commutator read one memo entry for all three, and still equal
+    the references."""
+    x, y, u = (WeylElement.var(TIME_TABLE, n) for n in ("x", "y", "u"))
+    dx, et = WeylElement.deriv(TIME_TABLE, "x"), WeylElement.exp_t(TIME_TABLE, 1)
+    _reorder_corrections.cache_clear()
+    for right in (x * y, x * u * et, x * y * u):
+        assert mul(dx, right) == reference_mul(dx, right)
+        assert commutator(right, dx) == reference_mul(right, dx) - reference_mul(dx, right)
+    info = _reorder_corrections.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (1, 1, 5)
 
 
 def test_reorder_memo_is_shared_safely_by_threads():
     """Threads that fill and clear the memo at once, and fill the per-unit
-    masked forms of shared fresh operands at once, all get the
-    single-threaded commutators, and every stored form equals a fresh one."""
+    packed forms and term lists of shared fresh operands at once, all get
+    the single-threaded commutators, and every stored form equals a fresh
+    one."""
     pairs, fresh = [], []
     xi0 = build_xi0(2, 3, cutoff=1)  # loop modes of units 1 and 2
     loop = {n: xi0[n] for n in ("j+(0)", "j+(1)", "w(-1)", "w(0)", "chi(1)",
@@ -198,7 +225,7 @@ def test_reorder_memo_is_shared_safely_by_threads():
         fresh += gens
     expected = [commutator(WeylElement(a.table, a.terms),
                            WeylElement(b.table, b.terms)) for a, b in pairs]
-    assert all(g._masked is None for g in fresh)
+    assert all(g._packed is None for g in fresh)
     results, interval = {}, sys.getswitchinterval()
 
     def work(n):
@@ -219,10 +246,11 @@ def test_reorder_memo_is_shared_safely_by_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 12
     assert all(r == expected for r in results.values())
-    masked = [(g, unit, form) for g in fresh for unit, form in g._masked.items()]
+    packed = [(g, unit, form) for g in fresh for unit, form in g._packed.items()]
     # own-unit forms of units 1 and 2, and unit-1 operands on unit 2
-    assert {(g._lattice, unit) for g, unit, _ in masked} == {(1, 1), (1, 2), (2, 2)}
-    assert all(form == masked_form(g, unit) for g, unit, form in masked)
+    assert {(g._lattice, unit) for g, unit, _ in packed} == {(1, 1), (1, 2), (2, 2)}
+    for g, _, _ in packed:
+        _assert_packed_slot(g)
 
 
 def test_memo_holds_the_working_set_of_a_wide_table():
@@ -238,29 +266,55 @@ def test_memo_holds_the_working_set_of_a_wide_table():
 
 
 def test_per_unit_forms_are_made_once(monkeypatch):
-    """Each element's kernel form on a unit is made by one ``_scale_keys``
-    pass, on the first call that needs it only: an operand beside one of a
+    """Each element's packed form on a unit is made by one ``_pack`` call,
+    on the first call that needs it only: an operand beside one of a
     larger unit gets a form on that unit and, once it runs on its own unit,
-    a form there too.  Each is kept per unit, a comparison with g reads g's
-    form, and each equals a direct split on its unit."""
+    a form there too.  Each is kept per unit, with the term lists that mul
+    and commutator read, a comparison with g reads g's form, and each
+    equals a direct packing on its unit."""
     fam = build_xi0(Fraction(3, 2), Fraction(5, 7), cutoff=1)
     a, b = (WeylElement(fam[n].table, fam[n].terms) for n in ("j+(0)", "w(1)"))
     unit_a, unit_b = a._lattice, b._lattice
     assert unit_b % unit_a == 0 and unit_b > unit_a
     calls = []
-    original = weyl._scale_keys
-    monkeypatch.setattr(weyl, "_scale_keys",
-                        lambda terms, r: calls.append((id(terms), r)) or original(terms, r))
+    original = weyl._pack
+    monkeypatch.setattr(weyl, "_pack", lambda e, unit, *rest:
+                        calls.append((id(e), unit)) or original(e, unit, *rest))
     for _ in range(2):
         first = commutator(a, b)
         assert commutator(b, a) == -first
         assert mul(a, a) == reference_mul(a, a)
         assert weyl._bracket_residual(weyl._commutator_core(a, b), b,
                                       Coef.const(1)) == first - b
-    assert sorted(calls) == sorted([(id(a.terms), unit_b), (id(b.terms), unit_b),
-                                    (id(a.terms), unit_a)])
-    assert a._masked == {unit_b: masked_form(a, unit_b), unit_a: masked_form(a, unit_a)}
-    assert b._masked == {unit_b: masked_form(b, unit_b)}
+    assert sorted(calls) == sorted([(id(a), unit_b), (id(b), unit_b), (id(a), unit_a)])
+    assert a._packed.keys() == {unit_a, unit_b} and b._packed.keys() == {unit_b}
+    for e in (a, b):
+        _assert_packed_slot(e)
+        assert all(form[4] is not None for form in e._packed.values())
+
+
+def test_kernel_results_keep_their_packed_form(monkeypatch):
+    """A ``mul`` or ``commutator`` result holds the form its kernel built,
+    on the call's unit, so a nested bracket packs only its fresh operands:
+    [c, [a, b]] and (a b) c pack a, b and c once each and never a result,
+    and each result's form equals a fresh packing."""
+    fam = build_xi0(Fraction(3, 2), Fraction(5, 7), cutoff=1)
+    a, b, c = (WeylElement(fam[n].table, fam[n].terms) for n in ("j+(0)", "w(1)", "v(0)"))
+    calls = []
+    original = weyl._pack
+    monkeypatch.setattr(weyl, "_pack", lambda e, unit:
+                        calls.append(e) or original(e, unit))
+    inner, product = commutator(a, b), mul(a, b)
+    for r in (inner, product):
+        (unit, form), = r._packed.items()
+        assert unit == math.lcm(a._lattice, b._lattice)
+        _assert_packed_slot(r)
+    outer = commutator(c, inner)
+    assert outer == reference_mul(c, inner) - reference_mul(inner, c)
+    assert mul(product, c) == reference_mul(product, c)
+    assert [id(e) for e in calls] == [id(a), id(b), id(c)]
+    for r in (inner, product):
+        _assert_packed_slot(r)
 
 
 def test_the_constructor_records_the_exponent_unit():
@@ -445,8 +499,8 @@ def _random_masked_operand(rng, y_powers, weights):
 
 
 def test_masked_kernels_match_references():
-    """mul and commutator skip the memo for every term pair whose masks do
-    not meet, and still equal the generator-built references.  Covered: d[t]
+    """mul and commutator skip the memo for every term pair whose slot masks
+    do not meet, and still equal the generator-built references.  Covered: d[t]
     past e^(w t) at w = 0 and w != 0, negative INT exponents, Fraction
     exponents, operands of different units, and a derivative on a slot
     whose exponent is 0, alone and beside a slot that does reorder."""
@@ -529,14 +583,13 @@ def test_fraction_exponents_that_sum_to_an_integer_are_stored_as_int():
 
 
 def _assert_lattice_keys(e):
-    """The unit of ``e`` is the lcm of its slot denominators, and its kernel
-    form on that unit holds only int key slots."""
+    """The unit of ``e`` is the lcm of its slot denominators, and its packed
+    form on that unit, made anew when it has none, packs every slot on
+    that lattice (``assert_packed`` checks each one)."""
     unit = e._lattice
     assert type(unit) is int and unit == lattice_unit(e.terms)
-    blocks, _ = weyl._masked(e, unit)
-    for terms in blocks.values():
-        for mon, der, *_ in terms:
-            assert all(type(n) is int for n in mon + der)
+    _, form, _ = weyl._packed_forms(unit, 0, e)
+    assert_packed(e, unit, form)
 
 
 @pytest.mark.parametrize("table, powers_a, powers_b, weights_a, weights_b, seed", [
@@ -553,7 +606,7 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
     commutator and apply_to equal their references; every result stores an
     int slot wherever the value is integral, zero included; and the kernel
     form of every operand and result on each unit, integral Fraction slots
-    included, holds only int key slots."""
+    included, packs every slot on that lattice."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     x, y = WeylElement.var(table, "x"), WeylElement.var(table, "y")
     dx, dt2 = WeylElement.deriv(table, "x"), WeylElement.time_deriv(table, 2)
@@ -596,8 +649,7 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
             _assert_lattice_keys(e)
         units.add((a._lattice, b._lattice, f._lattice))
         for e in (a, b, f):
-            for unit, form in e._masked.items():
-                assert form == masked_form(e, unit)
+            _assert_packed_slot(e)
     # the fixed cases: products whose Fraction slots sum to an integer or 0
     got = mul(*cases[0][:2])
     assert {mon[-1] for mon, _ in got.terms} == {0}
@@ -759,24 +811,26 @@ def test_symbolic_family_kernels_commute_with_instantiation(build):
 
 def test_unchecked_operands_fill_their_split_slot():
     """An element made without the constructor, with the constructor's
-    unit and no kernel forms yet, gets its masked form from ``mul`` on
-    first use and its packed forms from ``apply_to``, each equal to the one
-    built from its terms, and reads them after."""
+    unit and no packed forms yet, gets its packed form and term lists from
+    ``mul`` on first use and its operator form from ``apply_to``, and a
+    state its packed form from ``apply_to``.  Each equals the one built
+    from its terms, and is read after."""
     rng = random.Random(349)
     for _ in range(10):
         a, b, f = _kernel_cases(TIME_TABLE, (0, 1, -2, Fraction(1, 2)), None,
                                 rng, COEF_POOL)
         raw_a, raw_f = (unchecked_element(e.table, e.terms) for e in (a, f))
         assert (raw_a._lattice, raw_f._lattice) == (a._lattice, f._lattice)
-        assert raw_a._masked is None and raw_f._masked is None
+        assert raw_a._packed is None and raw_f._packed is None
         assert mul(raw_a, b) == mul(a, b)
-        assert apply_to(raw_a, raw_f) == apply_to(a, f)
         unit = math.lcm(a._lattice, b._lattice)
-        assert raw_a._masked == {unit: masked_form(a, unit)}
-        # apply_to packs its state straight from the terms, never masking it
-        assert raw_f._masked is None
+        (stored, form), = raw_a._packed.items()
+        assert stored == unit and form[4] is not None
+        _assert_packed_slot(raw_a)
+        assert apply_to(raw_a, raw_f) == apply_to(a, f)
         (unit, form), = raw_f._packed.items()
-        assert form == packed_form(f, unit, form[2])
+        _assert_packed_slot(raw_f)
+        assert raw_a._packed[unit][5] is not None
         assert commutator(raw_a, b) == commutator(a, b)
 
 
@@ -875,9 +929,11 @@ def _monomial(table, rng, powers, weights):
 
 
 def _assert_packed_slot(e):
-    """Every packed form an element holds equals a fresh packing of its terms."""
+    """Every packed form an element holds equals a fresh packing of its
+    terms, and so do its term lists where it has them."""
     for unit, form in (e._packed or {}).items():
-        assert form == packed_form(e, unit, form[2])
+        assert_packed(e, unit, form)
+        assert form[4] in (None, kernel_terms(e, unit, form[2]))
 
 
 @pytest.mark.parametrize("case", DENSE_CASES, ids=list(DENSE_CASES))
@@ -961,18 +1017,24 @@ def test_apply_composition_property():
 
 
 def test_apply_rejects_operators():
+    """A state with a derivative is rejected, also once it has been a
+    ``mul`` operand and holds a packed form."""
     with pytest.raises(ValueError):
         apply_to(D("x"), D("x"))
+    f = V("x") * D("y")
+    assert mul(V("y"), f) == reference_mul(V("y"), f) and f._packed
+    with pytest.raises(ValueError):
+        apply_to(D("x"), f)
 
 
 def test_apply_rejects_operators_before_splitting():
-    """The derivative-free check runs first: no kernel form of either
-    operand is made."""
-    a, f = V("x") * D("y"), V("y") * D("x")
+    """The derivative-free check runs first: no packed form of either
+    fresh operand is made."""
+    a, f = (WeylElement(e.table, e.terms) for e in (V("x") * D("y"), V("y") * D("x")))
     with pytest.raises(ValueError):
         apply_to(a, f)
     for e in (a, f):
-        assert e._masked is None and e._packed is None and e._packed_ops is None
+        assert e._packed is None
 
 
 # -- apply_to on packed keys ---------------------------------------------------
@@ -981,45 +1043,66 @@ def V_tau(name, p=1):
     return WeylElement.var(TAU_TABLE, name, p)
 
 
+def _assert_kernels_match(a, f):
+    """apply_to, mul and commutator on (a, f) equal their references, and
+    every packed form of the operands and results equals a fresh packing."""
+    got = [(apply_to(a, f), reference_apply_to(a, f)),
+           (mul(a, f), reference_mul(a, f)),
+           (mul(f, a), reference_mul(f, a)),
+           (commutator(a, f), reference_mul(a, f) - reference_mul(f, a))]
+    for result, reference in got:
+        assert result == reference
+    for e in (a, f, *(result for result, _ in got)):
+        _assert_packed_slot(e)
+
+
 def test_apply_to_on_a_huge_exponent_is_exact():
-    """d[x] on x^(2^40) is 2^40 x^(2^40 - 1): the fields are wide enough for
-    the exponents, and later calls on the result widen the operator."""
-    big = 2 ** 40
-    f = V_tau("x", big) * V_tau("tau", -1)
-    d = WeylElement.deriv(TAU_TABLE, "x")
-    got = apply_to(d, f)
-    assert got == reference_apply_to(d, f)
-    assert got.terms == {((-1, big - 1, 0, 0), TAU_TABLE.zeros): Coef.const(big)}
-    (width,) = {form[2] for form in got._packed.values()}
-    assert width > 41
-    _assert_packed_slot(got)
-    a = V_tau("x", big) * d + V_tau("tau") * WeylElement.deriv(TAU_TABLE, "tau")
-    chain = got
-    for _ in range(3):
-        nxt = apply_to(a, chain)
-        assert nxt == reference_apply_to(a, chain)
-        _assert_packed_slot(nxt)
-        chain = nxt
-    assert a._packed_ops[1][0] >= max(form[2] for form in chain._packed.values())
-    # the operator, now packed wide, still acts exactly on a small state
-    small = V_tau("x", 2) + V_tau("y", -3)
-    assert apply_to(a, small) == reference_apply_to(a, small)
+    """d[x] on x^big is big x^(big - 1), for big = 2^40 and 2^64 + 3: the
+    fields are wide enough for the exponents, above one machine word too,
+    and later calls on the result widen the operator; mul and commutator
+    on the same operands equal the reference product."""
+    for big in (2 ** 40, 2 ** 64 + 3):
+        f = V_tau("x", big) * V_tau("tau", -1)
+        d = WeylElement.deriv(TAU_TABLE, "x")
+        got = apply_to(d, f)
+        assert got.terms == {((-1, big - 1, 0, 0), TAU_TABLE.zeros): Coef.const(big)}
+        (width,) = {form[2] for form in got._packed.values()}
+        assert width > big.bit_length()
+        _assert_kernels_match(d, f)
+        a = V_tau("x", big) * d + V_tau("tau") * WeylElement.deriv(TAU_TABLE, "tau")
+        chain = got
+        for _ in range(3):
+            nxt = apply_to(a, chain)
+            assert nxt == reference_apply_to(a, chain)
+            _assert_packed_slot(nxt)
+            chain = nxt
+        assert a._packed[1][5] is not None
+        assert a._packed[1][2] >= max(form[2] for form in chain._packed.values())
+        _assert_kernels_match(a, got)
+        # the operator, now packed wide, still acts exactly on a small state
+        small = V_tau("x", 2) + V_tau("y", -3)
+        _assert_kernels_match(a, small)
 
 
 def test_packed_fields_hold_the_extreme_slots():
     """tau^(-s) d[tau] on tau^(-r) gives the slot -(s + 1 + r), the most
     negative one that the bounds allow, and x^s d[x] on x^r the most
-    positive one, s + r - 1; with s + r running across powers of 2, every
-    field width is met at its edge and still decodes exactly."""
-    for s in range(0, 18):
-        for r in range(1, 18):
-            for a, f in ((V_tau("tau", -s) * WeylElement.deriv(TAU_TABLE, "tau"),
-                          V_tau("tau", -r)),
-                         (V_tau("x", s) * WeylElement.deriv(TAU_TABLE, "x"),
-                          V_tau("x", r) + V_tau("y", -r))):
-                got = apply_to(a, f)
-                assert got == reference_apply_to(a, f)
-                _assert_packed_slot(got)
+    positive ones, s + r - 1 and, in the product, s + r.  The bound sum
+    s + 1 + r runs across the powers of 2 where the field width doubles,
+    past 2^64 too, so every width from 8 to 128 bits is met at its edge
+    and still decodes exactly, in apply_to, in mul both ways and in
+    commutator."""
+    totals = {2 ** k + j for k in (3, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65)
+              for j in (-1, 0, 1)}
+    for total in sorted(totals):
+        for s in (0, total // 2, total - 2):
+            r = total - 1 - s
+            tau = V_tau("tau", -s) * WeylElement.deriv(TAU_TABLE, "tau")
+            x = V_tau("x", s) * WeylElement.deriv(TAU_TABLE, "x")
+            for a, f in ((tau, V_tau("tau", -r)), (x, V_tau("x", r) + V_tau("y", -r))):
+                _assert_kernels_match(a, f)
+                (width,) = {form[2] for form in f._packed.values()}
+                assert (total < 1 << width - 1) and (width == 8 or total >= 1 << width // 2 - 1)
 
 
 def test_threads_share_packed_forms_safely():
@@ -1070,7 +1153,7 @@ def test_packed_slot_holds_after_a_chain_of_three(case):
                                   powers=op_powers, coefs=coefs))
             f, ref = apply_to(a, f), reference_apply_to(a, ref)
             assert f == ref
-            assert f._masked is None and f._packed
+            assert f._packed
             _assert_packed_slot(f)
 
 
