@@ -17,13 +17,13 @@ import golden
 from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
                           build_parser, main, parse_rational, run)
 
-# the `all` report, pinned section by section and byte for byte in
-# tests/golden_all.json (its whole-report sha256 is the one that
-# perfbench/workloads.py gates on)
-GOLDEN = golden.load_pin()
 REPO = Path(__file__).resolve().parent.parent
-# every other CI smoke command, pinned the same way in tests/golden_cli.json
-CLI_PINS = golden.load_pin(golden.CLI_PIN_PATH)["commands"]
+# every CI smoke command, its report pinned section by section and byte for
+# byte in tests/golden_cli.json
+CLI_PINS = golden.load_pin()["commands"]
+# the `all` report (its whole-report sha256 is the one that
+# perfbench/workloads.py gates on)
+ALL_PIN = next(p for p in CLI_PINS if p["argv"] == ["all"])
 
 
 def run_main(argv, capsys):
@@ -396,26 +396,12 @@ def test_spectrum_family_dispatch_by_l(capsys):
 
 @pytest.fixture(scope="module")
 def all_report():
-    """(exit status, standard output) of `cgaweyl all`, run once per module."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    """(exit status, standard output, standard error) of `cgaweyl all`, run
+    once per module."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["all"])
-    return code, buf.getvalue()
-
-
-def test_all_runs_clean(all_report):
-    code, out = all_report
-    assert code == 0
-    problem = golden.mismatch(out, GOLDEN)
-    assert problem is None, problem
-    data = out.encode("utf-8")
-    assert len(data) == GOLDEN["bytes"]
-    assert hashlib.sha256(data).hexdigest() == GOLDEN["sha256"]
-    doc = json.loads(out)
-    assert doc["ok"] is True
-    statuses = {e["status"] for s in doc["sections"]
-                for e in s.get("entries", [])}
-    assert "failed" not in statuses
+    return code, out.getvalue(), err.getvalue()
 
 
 def _one_byte_changed(out, position):
@@ -432,35 +418,51 @@ def _one_byte_changed(out, position):
 
 
 def test_golden_pin_names_the_section_a_one_byte_change_is_in(all_report):
-    _, out = all_report
-    sections = GOLDEN["sections"]
+    _, out, _ = all_report
+    sections = ALL_PIN["sections"]
     for position in (0, len(sections) // 2, len(sections) - 1):
         changed = _one_byte_changed(out, position)
         assert len(changed) == len(out)
-        problem = golden.mismatch(changed, GOLDEN)
+        problem = golden.mismatch(changed, ALL_PIN)
         pin = sections[position]
         assert problem == (f"section {position} ({pin['title']!r}, family "
                            f"{pin['family']!r}) differs in sha256")
 
 
+def test_golden_pin_names_every_section_that_differs(all_report):
+    """Changes in two sections name both, in report order, and no other."""
+    _, out, _ = all_report
+    sections = ALL_PIN["sections"]
+    first, last = 1, len(sections) - 2
+    changed = _one_byte_changed(_one_byte_changed(out, last), first)
+    assert golden.mismatch(changed, ALL_PIN) == "; ".join(
+        f"section {i} ({sections[i]['title']!r}, family {sections[i]['family']!r}) "
+        "differs in sha256" for i in (first, last))
+
+
 def test_golden_pin_still_checks_the_whole_report(all_report):
     """A wrong whole-report pin fails with every section matching, and so
     does a change outside the sections."""
-    _, out = all_report
-    wrong = dict(GOLDEN, sha256="0" * 64)
+    _, out, _ = all_report
+    wrong = dict(ALL_PIN, sha256="0" * 64)
     assert golden.mismatch(out, wrong).startswith("whole report differs")
     outside = out.replace('"schema": ', '"schema":  ', 1)
-    assert golden.mismatch(outside, GOLDEN).startswith("whole report differs")
-    assert golden.mismatch(out, dict(GOLDEN, sections=GOLDEN["sections"][:-1])) \
-        .startswith(f"{len(GOLDEN['sections'])} sections where the pin has")
+    assert golden.mismatch(outside, ALL_PIN).startswith("whole report differs")
+    assert golden.mismatch(out, dict(ALL_PIN, sections=ALL_PIN["sections"][:-1])) \
+        .startswith(f"{len(ALL_PIN['sections'])} sections where the pin has")
 
 
 @pytest.mark.parametrize("pin", CLI_PINS, ids=[" ".join(p["argv"]) for p in CLI_PINS])
-def test_cli_report_matches_its_pin(pin, capsys):
-    """Each pinned smoke command, run in-process, exits with its pinned code
-    and prints its pinned report, section by section and byte for byte."""
-    code, out = run_main(pin["argv"], capsys)
-    problem = golden.command_mismatch(pin, code, out)
+def test_cli_report_matches_its_pin(pin, capsys, request):
+    """Each pinned smoke command, run in-process, exits with its pinned code,
+    prints its pinned report, section by section and byte for byte, and
+    writes nothing to stderr.  `all` reuses the module's one run."""
+    if pin["argv"] == ["all"]:
+        code, out, err = request.getfixturevalue("all_report")
+    else:
+        code = main(pin["argv"])
+        out, err = capsys.readouterr()
+    problem = golden.command_mismatch(pin, code, out, err)
     assert problem is None, problem
 
 
@@ -483,21 +485,22 @@ def test_cli_pin_names_the_command_and_the_section(capsys):
 
 def test_smoke_step_reads_its_commands_from_the_pin():
     """The CI smoke step runs the pinned commands through golden.py and
-    lists no other cgaweyl command than `all`, which golden_all.json pins;
-    the pin keeps an exit-1 case."""
+    names no cgaweyl command of its own; the pin keeps its one exit-1 case
+    and holds `all` once."""
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     lines = [line.split("#")[0].strip() for line in workflow.splitlines()]
-    assert "python tests/golden.py --commands" in lines
-    listed = [line for line in lines if "cgaweyl " in line]
-    assert listed == ['cgaweyl all > "$RUNNER_TEMP/all.json"']
+    assert "run: python tests/golden.py" in lines
+    assert [line for line in lines if "cgaweyl " in line] == []
     assert [p["argv"] for p in CLI_PINS if p["exit"] == 1] == [["verify", "--family", "free-l1"]]
+    assert [p["argv"] for p in CLI_PINS].count(["all"]) == 1
     assert len({tuple(p["argv"]) for p in CLI_PINS}) == len(CLI_PINS)
 
 
 def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
-    """``golden.py --commands`` runs each pinned command through the
-    ``cgaweyl`` on PATH, prints ok with its reason or the first mismatch,
-    and exits 1 unless every command matches."""
+    """``golden.py`` runs each pinned command through the ``cgaweyl`` on
+    PATH, prints ok with its reason or the mismatch, and exits 1 unless
+    every command matches; a run that writes to stderr does not, and the
+    script takes no argument."""
     (tmp_path / "tests").mkdir()
     shutil.copy(REPO / "tests" / "golden.py", tmp_path / "tests" / "golden.py")
     doc = {"sections": [{"title": "t", "family": "f", "entries": []}], "ok": True}
@@ -507,15 +510,18 @@ def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
            "sections": golden.section_pins(doc)}
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    script = bin_dir / "cgaweyl"  # a stand-in that prints ``report`` for any argv
-    script.write_text(f"#!{sys.executable}\nimport sys\nsys.stdout.write({report!r})\n")
+    # a stand-in that prints ``report`` for any argv, and a warning for `onshell`
+    script = bin_dir / "cgaweyl"
+    script.write_text(f"#!{sys.executable}\nimport sys\nsys.stdout.write({report!r})\n"
+                      "if sys.argv[1:] == ['onshell']:\n"
+                      "    print('a warning', file=sys.stderr)\n")
     script.chmod(0o755)
     env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
 
-    def run_with(pins):
+    def run_with(pins, *args):
         (tmp_path / "tests" / "golden_cli.json").write_text(json.dumps({"commands": pins}))
-        return subprocess.run([sys.executable, str(tmp_path / "tests" / "golden.py"),
-                               "--commands"], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, str(tmp_path / "tests" / "golden.py"), *args],
+                              capture_output=True, text=True, env=env)
 
     good = dict(pin, argv=["similarity"], reason="why")
     proc = run_with([good])
@@ -524,60 +530,56 @@ def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[1] == \
         "FAIL  cgaweyl verify --family free-l1: exit code 0, pinned 1"
+    proc = run_with([good, dict(good, argv=["onshell"])])
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1] == \
+        "FAIL  cgaweyl onshell: wrote 10 characters to stderr: 'a warning'"
+    proc = run_with([good], "--commands")
+    assert (proc.returncode, proc.stdout) == (1, "")
 
 
-def _matrix_copy(tmp_path, report, pin, command_pin):
-    """A checkout holding ``scripts/interp_matrix.sh``, ``tests/golden.py``,
-    the pin ``pin`` of `all`, ``command_pin`` as the one pinned command and
-    a stand-in ``cgaweyl.cli`` that prints ``report`` for any argv."""
+def _run_matrix(root, report, pins):
+    """Run ``scripts/interp_matrix.sh`` in a checkout holding it,
+    ``tests/golden.py``, ``pins`` as the pinned commands and a stand-in
+    ``cgaweyl.cli`` that prints ``report`` for any argv."""
     for rel in ("scripts/interp_matrix.sh", "tests/golden.py"):
-        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(REPO / rel, tmp_path / rel)
-    (tmp_path / "tests" / "golden_all.json").write_text(json.dumps(pin))
-    (tmp_path / "tests" / "golden_cli.json").write_text(
-        json.dumps({"commands": [command_pin]}))
-    pkg = tmp_path / "src" / "cgaweyl"
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(REPO / rel, root / rel)
+    (root / "tests" / "golden_cli.json").write_text(json.dumps({"commands": pins}))
+    pkg = root / "src" / "cgaweyl"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(f"import sys\nsys.stdout.write({report!r})\n")
-    return tmp_path / "scripts" / "interp_matrix.sh"
-
-
-def _run_matrix(root, report, pin, command_pin):
-    script = _matrix_copy(root, report, pin, command_pin)
-    return subprocess.run(["bash", str(script)], capture_output=True, text=True)
+    return subprocess.run(["bash", str(root / "scripts" / "interp_matrix.sh")],
+                          capture_output=True, text=True)
 
 
 def test_interp_matrix_exits_one_on_a_mismatch(tmp_path):
-    """A wrong section pin or whole-report pin of `all`, or a wrong pin of
-    a CLI command, makes the script exit 1 and name what differs; the
-    right pins pass on every interpreter it finds, each pinned command run
-    through a `cgaweyl` that uses that interpreter."""
+    """A wrong section pin, whole-report pin or exit code of a pinned command
+    makes the script exit 1 and name what differs; the right pins pass on
+    every interpreter it finds, each command run through a `cgaweyl` that
+    uses that interpreter."""
     doc = {"sections": [{"title": "t", "family": "f", "entries": []}], "ok": True}
     report = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     data = report.encode()
-    pin = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
-           "sections": golden.section_pins(doc)}
-    command = dict(pin, argv=["similarity"], reason="why", exit=0)
-    wrong_pins = {"section": (dict(pin, sections=[dict(pin["sections"][0], bytes=1)]),
-                              command),
-                  "whole": (dict(pin, sha256="0" * 64), command),
-                  "command": (pin, dict(command, exit=1))}
-    for name, (wrong, wrong_command) in wrong_pins.items():
-        proc = _run_matrix(tmp_path / name, report, wrong, wrong_command)
-        assert proc.returncode == 1, proc.stdout
-        assert "FAIL" in proc.stdout
-        if "no interpreter found" in proc.stdout:
-            continue
-        if name == "section":
-            assert "section 0 ('t', family 'f') differs in bytes\n" in proc.stdout
-        if name == "command":
-            assert "FAIL  cgaweyl similarity: exit code 0, pinned 1\n" in proc.stdout
-    proc = _run_matrix(tmp_path / "ok", report, pin, command)
+    pin = {"argv": ["similarity"], "reason": "why", "exit": 0, "bytes": len(data),
+           "sha256": hashlib.sha256(data).hexdigest(), "sections": golden.section_pins(doc)}
+    wrong = [dict(pin, argv=["verify"], sections=[dict(pin["sections"][0], bytes=1)]),
+             dict(pin, argv=["spectrum"], sha256="0" * 64),
+             dict(pin, argv=["onshell"], exit=1)]
+    proc = _run_matrix(tmp_path / "wrong", report, [pin, *wrong])
+    assert proc.returncode == 1, proc.stdout
+    assert "FAIL" in proc.stdout
+    if "no interpreter found" not in proc.stdout:
+        for line in ("cgaweyl verify: section 0 ('t', family 'f') differs in bytes",
+                     "cgaweyl spectrum: whole report differs outside the sections",
+                     "cgaweyl onshell: exit code 0, pinned 1"):
+            assert f"      FAIL  {line}" in proc.stdout
+    proc = _run_matrix(tmp_path / "ok", report, [pin])
     if "no interpreter found" in proc.stdout:
         pytest.skip("no pyenv interpreter of the matrix is installed")
     assert proc.returncode == 0, proc.stdout
-    assert "all and 1 pinned commands\n" in proc.stdout
+    assert ": 1 pinned commands\n" in proc.stdout
 
 
 def test_module_entry_point_runs():
