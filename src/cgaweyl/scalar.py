@@ -11,8 +11,10 @@ nonzero ``Fraction``.  Sums, products and scaling are map operations and
 equality is map equality: each value has exactly one representation, so
 no polynomial GCD and no cross multiplication is ever needed.  Division by
 a one-term value shifts exponents and scales; division by any other value
-is exact long division, which raises :class:`NotDivisible` when the
-quotient is not a Laurent polynomial.
+is exact long division, :func:`exact_quotient`, which raises
+:class:`NotDivisible` when the quotient is not a Laurent polynomial.  The
+same routine divides operators by their monomial parts, for the factor
+extraction of :mod:`cgaweyl.verify`.
 
 The printed form is num/den with the monomial den = gamma^i * xi^j, i and
 j the smallest exponents that clear every negative power, and num the
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import add, le, sub
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -87,38 +90,46 @@ def _poly_text(terms: dict) -> str:
     return "".join(parts)
 
 
-def _divide(a: dict, b: dict) -> "Coef":
-    """The exact quotient a / b of two Laurent polynomials, b of two or more terms.
+def exact_quotient(a: dict, b: dict) -> dict:
+    """The exact quotient a / b of two term maps; :class:`NotDivisible` if none.
 
-    Long division in lex order on (gamma, xi) exponents: each step cancels
-    the leading term of the remainder, so the quotient exponents fall
-    strictly.  Degrees add under products in each parameter separately, so
-    every exponent of an exact quotient lies in the box
-    min_v(a) - min_v(b) <= e_v <= max_v(a) - max_v(b), v = gamma, xi.  The
-    box is finite, so the loop ends; a step outside it means that b does
-    not divide a.  (Lex order alone bounds nothing here: (1 + gamma)/(1 + xi)
-    would run through gamma * xi^-n for every n.)
+    Keys are exponent tuples of one length, with int or ``Fraction``
+    slots, and a product of two terms adds their keys.  Values lie in an
+    integral domain and are nonzero: ``Fraction`` for a :class:`Coef`,
+    :class:`Coef` for the monomial parts of an operator.  ``b`` is nonzero.
+
+    Long division in lex order on the keys: each step cancels the leading
+    term of the remainder, so the quotient keys fall strictly and none
+    repeats.  Degrees add under products in each slot separately, so every
+    key of an exact quotient lies in the box
+    min_v(a) - min_v(b) <= e_v <= max_v(a) - max_v(b), slot by slot.  The
+    keys the loop reaches lie on a lattice (the slots' denominators divide
+    one common D), so the box holds finitely many of them and the loop
+    ends; a step outside it means that b does not divide a, and so does a
+    leading value that does not divide.  (Lex order alone bounds nothing
+    here: (1 + gamma)/(1 + xi) would run through gamma * xi^-n for every n.)
     """
-    box = [(min(k[v] for k in a) - min(k[v] for k in b),
-            max(k[v] for k in a) - max(k[v] for k in b)) for v in (0, 1)]
+    if not a:
+        return {}
+    low = tuple(map(sub, map(min, zip(*a)), map(min, zip(*b))))
+    high = tuple(map(sub, map(max, zip(*a)), map(max, zip(*b))))
     lead = max(b)
     lead_value = b[lead]
     rem, out = dict(a), {}
     while rem:
         top = max(rem)
-        e = (top[0] - lead[0], top[1] - lead[1])
-        if not (box[0][0] <= e[0] <= box[0][1] and box[1][0] <= e[1] <= box[1][1]):
-            raise NotDivisible(f"{_coef(a).text()} is not divisible by "
-                               f"{_coef(b).text()} in Q[gamma^±1, xi^±1]")
+        e = tuple(map(sub, top, lead))
+        if not (all(map(le, low, e)) and all(map(le, e, high))):
+            raise NotDivisible("no exact quotient")
         q = out[e] = rem[top] / lead_value
-        for (i, j), v in b.items():
-            key = (e[0] + i, e[1] + j)
+        for k, v in b.items():
+            key = tuple(map(add, e, k))
             s = rem.get(key, 0) - q * v
             if s:
                 rem[key] = s
             else:
                 del rem[key]
-    return _coef(out)
+    return out
 
 
 class Coef:
@@ -216,7 +227,11 @@ class Coef:
         if not other.terms:
             raise DivisionByZero("division by zero coefficient")
         if len(other.terms) > 1:
-            return _divide(self.terms, other.terms) if self.terms else self
+            try:
+                return _coef(exact_quotient(self.terms, other.terms))
+            except NotDivisible:
+                raise NotDivisible(f"{self.text()} is not divisible by {other.text()}"
+                                   " in Q[gamma^±1, xi^±1]") from None
         ((i, j), v), = other.terms.items()
         return _coef({(a - i, b - j): u / v for (a, b), u in self.terms.items()})
 

@@ -15,16 +15,18 @@ calibration finds scalar shifts g -> g + delta_g absorbing constant
 residuals: commutators are blind to the shifts, and each entry names one
 generator, so each delta_g is one exact division.
 On-shell invariance [g, Omega] = f * Omega is certified by derivative-free
-factor extraction, and the similarity map between the two ell=1 pictures
-is diffed generator by generator.
+factor extraction: f is the exact quotient of the top derivative blocks,
+by the long division that :class:`~cgaweyl.scalar.Coef` uses
+(:func:`cgaweyl.scalar.exact_quotient`), and one product certifies it.
+The similarity map between the two ell=1 pictures is diffed generator by
+generator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
 
-from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef
+from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef, exact_quotient
 from .weyl import (
     DomainViolation,
     WeylElement,
@@ -474,74 +476,42 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
 # ---------------------------------------------------------------------------
 # on-shell invariance
 
-def _deriv_key(der):
-    return (der[-1], sum(der), der)
-
-
 def extract_scalar_factor(comm: WeylElement, omega: WeylElement
                           ) -> WeylElement | None:
     """Find the derivative-free f with comm = f * omega, or None.
 
-    Splits both sides by derivative multi-index: a scalar multiplier cannot
-    change derivative content, so f is obtained by exact division of the
-    maximal-derivative parts, then certified globally.
+    A derivative-free f moves no derivative, so each derivative block of
+    f * omega is f times that block of omega.  f is thus the exact
+    quotient of the top blocks of comm and omega, term maps from monomial
+    to Coef that :func:`cgaweyl.scalar.exact_quotient` divides (no
+    quotient: no factor), and ``mul(f, omega) == comm`` certifies it.
     """
     if comm.is_zero():
         return WeylElement.zero(comm.table)
     table = omega.table
-    om_parts: dict = {}
-    for (mon, der), c in omega.terms.items():
-        om_parts.setdefault(der, {})[mon] = c
-    cm_parts: dict = {}
-    for (mon, der), c in comm.terms.items():
-        cm_parts.setdefault(der, {})[mon] = c
-    dmax = max(om_parts, key=_deriv_key)
-    if max(map(_deriv_key, cm_parts)) > _deriv_key(dmax):
-        return None
-    om_d = om_parts[dmax]
-    work = dict(cm_parts.get(dmax, {}))
-    if not work:
-        return None
-    # the tuple order is total and products preserve it, so leads divide
-    lead_mon = max(om_d)
-    lead_c = om_d[lead_mon]
-    f_terms: dict[tuple[tuple, tuple], Coef] = {}
-    fuel = 8 * (len(work) + len(om_d)) + 64
-    while work:
-        fuel -= 1
-        if fuel < 0:
-            return None
-        mc = max(work)
-        cc = work[mc]
-        try:
-            fc = cc / lead_c
-        except NotDivisible:
-            return None
-        fm = tuple(map(sub, mc, lead_mon))
-        key = (fm, table.zeros)
-        f_terms[key] = f_terms.get(key, COEF_ZERO) + fc
-        for m2, c2 in om_d.items():
-            pm = tuple(map(add, fm, m2))
-            s = work.get(pm, COEF_ZERO) - fc * c2
-            if s.is_zero():
-                work.pop(pm, None)
-            else:
-                work[pm] = s
+    parts = [{}, {}]
+    for blocks, element in zip(parts, (comm, omega)):
+        for (mon, der), c in element.terms.items():
+            blocks.setdefault(der, {})[mon] = c
+    cm_parts, om_parts = parts
+    top = max(om_parts)
     try:
-        f = WeylElement(table, f_terms)
-    except DomainViolation:
+        quotient = exact_quotient(cm_parts.get(top, {}), om_parts[top])
+        f = WeylElement(table, {(mon, table.zeros): c for mon, c in quotient.items()})
+    except (NotDivisible, DomainViolation):
         return None
     return f if mul(f, omega) == comm else None
 
 
 def onshell_check(gens: dict[str, WeylElement], omegas: dict[str, WeylElement],
                   family_label: str,
-                  expected: dict[tuple[str, str], WeylElement | str] | None = None,
+                  expected: dict[tuple[str, str], WeylElement] | None = None,
                   ) -> VerificationReport:
     """Certify [g, Omega] = f * Omega for every (generator, Omega) pair.
 
-    With ``expected`` given, each extracted factor (or commuting pair) must
-    match the stated one; otherwise any successful factorization passes.
+    With ``expected`` given, each extracted factor must equal the stated
+    one, zero (a commuting pair) where none is stated; otherwise any
+    successful factorization passes.
     """
     report = VerificationReport(title="on-shell invariance",
                                 family=family_label)
@@ -556,18 +526,11 @@ def onshell_check(gens: dict[str, WeylElement], omegas: dict[str, WeylElement],
                     residual_text=comm.text()))
                 continue
             factor_text = "commutes" if f.is_zero() else f.text()
-            status = EXACT
-            want = expected.get((g_name, om_name), "commutes") if expected is not None else None
-            expected_text = f"f*{om_name}"
+            status, expected_text = EXACT, f"f*{om_name}"
             if expected is not None:
-                if want == "commutes":
-                    expected_text = "0"
-                    if not f.is_zero():
-                        status = FAILED
-                else:
-                    expected_text = f"({want.text()})*{om_name}"
-                    if f != want:
-                        status = FAILED
+                want = expected.get((g_name, om_name), WeylElement.zero(om.table))
+                status = EXACT if f == want else FAILED
+                expected_text = "0" if want.is_zero() else f"({want.text()})*{om_name}"
             report.entries.append(EntryResult(
                 family_label, lhs, expected_text, status,
                 factor_text=factor_text))
@@ -575,10 +538,10 @@ def onshell_check(gens: dict[str, WeylElement], omegas: dict[str, WeylElement],
 
 
 def expected_onshell_factors(fam: GeneratorFamily
-                             ) -> dict[tuple[str, str], WeylElement | str]:
+                             ) -> dict[tuple[str, str], WeylElement]:
     """The stated multiplier functions for the ell=1 triplets and the xi=0 family."""
     table = fam.table
-    out: dict[tuple[str, str], WeylElement | str] = {}
+    out: dict[tuple[str, str], WeylElement] = {}
     if fam.kind in ("free-l1", "osc-l1"):
         # the time factor tau^p, or e^(p t) in the exponential-time picture
         if fam.kind == "free-l1":

@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -588,3 +589,24 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_loc_script_counts_every_line_and_the_code_lines():
+    """``scripts/loc.py`` prints one row per module and a total: its wc -l
+    and the lines holding code, so no comment, blank line or docstring."""
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "loc.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    modules = sorted((REPO / "src" / "cgaweyl").glob("*.py"))
+    assert [r[0] for r in rows] == [p.name for p in modules] + ["total"]
+    lines = [len(p.read_text().splitlines()) for p in modules]
+    assert [int(r[1]) for r in rows] == lines + [sum(lines)]
+    assert all(0 < int(r[2]) < int(r[1]) for r in rows)
+    spec = importlib.util.spec_from_file_location("loc", REPO / "scripts" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = ('"""module doc"""\n\nimport x  # why\n\n\ndef f():\n'
+              '    """doc\n    text"""\n    # a comment\n'
+              '    s = """a\nb"""\n    return (s\n            + "c")\n')
+    assert loc.code_lines(source) == 6

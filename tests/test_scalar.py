@@ -12,6 +12,7 @@ from cgaweyl.scalar import (
     DivisionByZero,
     NotDivisible,
     coef,
+    exact_quotient,
     join_blocks,
     split_blocks,
 )
@@ -119,6 +120,29 @@ def test_division_is_exact_laurent_division():
             assert ((a * b) / b).as_fraction() == a.as_fraction()
         with pytest.raises(NotDivisible):
             (a * b + g ** 5) / b
+
+
+def test_exact_quotient_divides_term_maps_on_any_exponent_tuples():
+    """Keys of any length with Fraction and negative int slots divide as
+    they do for a Coef, and a key outside the box is no quotient."""
+    def product(p, q):
+        out: dict = {}
+        for k1, v1 in p.items():
+            for k2, v2 in q.items():
+                k = tuple(map(operator.add, k1, k2))
+                out[k] = out.get(k, 0) + v1 * v2
+        return {k: v for k, v in out.items() if v}
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    b = {(half, -1, 0): Fraction(1), (0, 0, 0): Fraction(-1)}
+    q = {(half, -1, 2): Fraction(2), (0, -3, 1): third, (-third, 0, 0): Fraction(5)}
+    a = product(q, b)
+    assert exact_quotient(a, b) == q
+    assert exact_quotient({}, b) == {}
+    with pytest.raises(NotDivisible):
+        exact_quotient({**a, (0, -7, 0): Fraction(1)}, b)
+    with pytest.raises(NotDivisible):
+        exact_quotient(product(q, {(half, -1, 0): Fraction(1), (0, 0, 0): Fraction(1)}), b)
 
 
 def test_instantiate_is_a_ring_homomorphism():

@@ -292,6 +292,33 @@ def test_factor_extraction_rejects_non_multiples():
                                  omega) is None
 
 
+def _geometric_factor(symbolic: bool):
+    """Omega = c * (x - 1) * d[y] and f = 1 + x + ... + x^99, c = gamma + xi
+    or 1: f * Omega = c * (x^100 - 1) * d[y] needs 100 steps of long division."""
+    table = build_osc_l1().table
+    x = WeylElement.var(table, "x")
+    c = Coef.gamma() + Coef.xi() if symbolic else 1
+    omega = c * mul(x - WeylElement.const(table, 1), WeylElement.deriv(table, "y"))
+    f = sum((WeylElement.var(table, "x", k) for k in range(100)), WeylElement.zero(table))
+    return f, omega
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_factor_extraction_finds_a_long_exact_factor(symbolic):
+    f, omega = _geometric_factor(symbolic)
+    assert extract_scalar_factor(mul(f, omega), omega) == f
+
+
+def test_factor_extraction_rejects_a_long_non_factor():
+    """(x^100 + 1) * d[y] over (x - 1) * d[y]: the remainder 2 * d[y] asks
+    for x^-1, below the box of every exact quotient."""
+    _, omega = _geometric_factor(False)
+    table = omega.table
+    comm = mul(WeylElement.var(table, "x", 100) + WeylElement.const(table, 1),
+               WeylElement.deriv(table, "y"))
+    assert extract_scalar_factor(comm, omega) is None
+
+
 def test_onshell_full_suites():
     for builder, kw in ((build_osc_l1, {}), (build_free_l1, {"verbatim": False})):
         fam = builder(**kw)
@@ -476,9 +503,9 @@ def test_xi0_onshell_factors():
 
 @pytest.mark.parametrize("w1, w2", [(1, 1), (2, 3)])
 def test_factor_extraction_budget_covers_the_reported_xi0_truncation(w1, w2):
-    """extract_scalar_factor gives up when its fuel runs out, which can only
-    turn a PASS into a FAIL; every on-shell pair that ``cgaweyl all`` checks
-    (symbolic gamma, cutoff 3) must still factor within the budget."""
+    """Every on-shell pair that ``cgaweyl all`` checks (symbolic gamma,
+    cutoff 3) factors: extract_scalar_factor answers None only when no
+    exact quotient exists, so a None here would be a wrong FAIL."""
     fam = build_xi0(w1, w2, cutoff=3)
     omega = fam["Omega"]
     pairs = [name for name in fam.order if "(" in name]
