@@ -5,8 +5,9 @@
 # report, the whole report and every section; tests/golden.py, run by the
 # same interpreter, runs each command through a temporary `cgaweyl` on PATH
 # that runs `python -m cgaweyl.cli` under that interpreter, and names the
-# sections that differ.  The package is stdlib-only, so no interpreter
-# needs anything installed.
+# sections that differ.  Each interpreter also runs the benchmark's own
+# tests (perfbench/tests, whose tracer rebinds engine functions by name).
+# The package is stdlib-only, so no interpreter needs anything installed.
 set -u
 
 VERSIONS=(3.10.13 3.11.7 3.12.1 3.13.0)
@@ -32,6 +33,13 @@ for v in "${VERSIONS[@]}"; do
     else
         echo "FAIL  $v: pinned commands"
         printf '%s\n' "$commands" | grep -v '^ok' | sed 's/^/      /'
+        status=1
+    fi
+    if tests=$(PYTHONDONTWRITEBYTECODE=1 "$exe" -m unittest discover -s "$repo/perfbench/tests" 2>&1); then
+        echo "ok    $v: perfbench tests, $(printf '%s\n' "$tests" | grep -o '^Ran [0-9]* tests*')"
+    else
+        echo "FAIL  $v: perfbench tests"
+        printf '%s\n' "$tests" | sed 's/^/      /'
         status=1
     fi
 done

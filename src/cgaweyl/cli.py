@@ -21,6 +21,7 @@ from pathlib import Path
 from . import realizations as rz
 from . import spectrum as sp
 from . import verify as vf
+from .scalar import NUMBER, rational
 
 SCHEMA = "cgaweyl-report/1"
 REPORT_DIR_ENV = "CGAWEYL_REPORT_DIR"
@@ -30,7 +31,7 @@ class ConfigError(argparse.ArgumentTypeError):
     """A bad option value; argparse reports its message as the reason."""
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?$")
+_RATIONAL = re.compile(rf"[+-]?{NUMBER}$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -38,9 +39,9 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ConfigError(f"not an exact p/q rational: {text!r}")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ConfigError(f"zero denominator in {text!r}") from None
+        return rational(text)
+    except ValueError as exc:  # a zero denominator
+        raise ConfigError(str(exc)) from None
 
 
 def parse_parameter(text: str) -> Fraction | None:

@@ -18,7 +18,9 @@ extraction of :mod:`cgaweyl.verify`.
 
 The printed form is num/den with the monomial den = gamma^i * xi^j, i and
 j the smallest exponents that clear every negative power, and num the
-value times den.
+value times den.  :func:`read_coef` reads the text that
+:meth:`Coef.wrapped_text` prints, ``(p)`` or ``(p)/(q)``, with one
+pattern, ``_COEF``; it divides p by any q that divides it exactly.
 
 The Weyl kernels reach coefficient maps only through :func:`split_blocks`
 and :func:`join_blocks`.  A term map whose values are Laurent polynomials
@@ -32,6 +34,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from operator import add, le, sub
@@ -88,6 +91,31 @@ def _poly_text(terms: dict) -> str:
         else:
             parts.append((" + " if q > 0 else " - ") + body)
     return "".join(parts)
+
+
+# An unsigned rational as ``str(Fraction)`` prints it: p or p/q.
+NUMBER = r"\d+(?:/\d+)?"
+
+# The text of a coefficient: a sum of signed terms, each a product of
+# numbers and powers of gamma and xi, so factors joined by "*" within a
+# term and by "+" or "-" between terms; whitespace is free between tokens.
+_FACTOR = rf"(?:{NUMBER}|(?:gamma|xi)\b(?:\s*\^\s*\d+)?)"
+_POLY = rf"-?\s*{_FACTOR}(?:\s*[-+*]\s*{_FACTOR})*"
+_SIGNED_TERM = re.compile(r"([-+]?)\s*([^-+]+)")
+_COEF = re.compile(rf"""
+    \s*\(\s*(?P<num>{_POLY})\s*\)
+    (?:\s*/\s*\(\s*(?P<den>{_POLY})\s*\))?
+""", re.VERBOSE)
+
+
+def rational(text: str) -> Fraction:
+    """The value of a p or p/q, with an optional sign that whitespace may
+    follow; a ``ValueError`` naming it, not a ``ZeroDivisionError``, when
+    q is 0."""
+    try:
+        return Fraction("".join(text.split()))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def exact_quotient(a: dict, b: dict) -> dict:
@@ -299,7 +327,8 @@ class Coef:
         return f"({_poly_text(num)})/({_poly_text({den: _ONE})})"
 
     def wrapped_text(self) -> str:
-        """Fully parenthesized form used inside element terms."""
+        """Fully parenthesized form used inside element terms; read back by
+        :func:`read_coef`."""
         num, den = self._printed()
         if den == (0, 0):
             return f"({_poly_text(num)})"
@@ -318,6 +347,46 @@ def coef(value) -> Coef:
     if isinstance(value, Coef):
         return value
     return Coef.const(value)
+
+
+def _poly(text: str) -> Coef:
+    """The value of a sum that ``_POLY`` matched."""
+    terms: dict = {}
+    for sign, term in _SIGNED_TERM.findall(text):
+        q, g, x = Fraction(-1 if sign == "-" else 1), 0, 0
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            name = name.strip()
+            if name == "gamma":
+                g += int(power or 1)
+            elif name == "xi":
+                x += int(power or 1)
+            else:
+                q *= rational(name)
+        terms[g, x] = terms.get((g, x), 0) + q
+    return Coef(terms)
+
+
+def read_coef(text: str, pos: int = 0) -> tuple[Coef, int]:
+    """The coefficient that :meth:`Coef.wrapped_text` prints, read from
+    ``text`` at ``pos``, and the position where it ends.
+
+    Raises ``ValueError`` when no coefficient starts there, when a number
+    has a zero denominator, and when q does not divide p exactly.
+    """
+    m = _COEF.match(text, pos)
+    if m is None:
+        raise ValueError(f"expected a coefficient (p) or (p)/(q) at "
+                         f"{text[pos:pos + 12]!r}")
+    num = _poly(m["num"])
+    if m["den"] is None:
+        return num, m.end()
+    den = _poly(m["den"])
+    try:
+        return num / den, m.end()
+    except (NotDivisible, DivisionByZero) as exc:
+        raise ValueError(f"coefficient ({num.text()})/({den.text()}): "
+                         f"{exc}") from None
 
 
 def split_blocks(terms: dict) -> tuple[dict, int]:

@@ -93,6 +93,13 @@ with it, and every check of [a, b] = c * g reads g's packed form with it
 (:func:`_is_multiple`); :func:`_bracket_residual` builds [a, b] - c * g
 only when the check fails.
 
+The element text is printed and read piece by piece, each piece in the
+module that owns it.  A term's coefficient, ``(p)`` or ``(p)/(q)``, is
+printed by :meth:`cgaweyl.scalar.Coef.wrapped_text` and read by
+:func:`cgaweyl.scalar.read_coef`.  Its factors, e^(w*t), d[v]^k and v^p,
+are printed by :func:`element_to_text` and read by :func:`parse_element`
+here, with one alternative of the regular pattern ``_FACTOR`` each.
+
 Elements are immutable after construction, the unit included, and every
 operation is a pure function, so values are safe to share across threads.
 An ``apply_to`` result's ``terms`` are filled on first read; two threads
@@ -116,8 +123,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice, product as cartesian
 
-from .scalar import (COEF_ONE, COEF_ZERO, Coef, DivisionByZero, NotDivisible,
-                     as_fraction, coef, join_blocks, split_blocks)
+from .scalar import (COEF_ONE, COEF_ZERO, NUMBER, Coef, as_fraction, coef,
+                     join_blocks, rational, read_coef, split_blocks)
 
 NAT = "nat"   # exponents in {0, 1, 2, ...}
 INT = "int"   # exponents in Z
@@ -1090,174 +1097,57 @@ def element_to_text(e: WeylElement) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"""
-    (?P<num>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z][A-Za-z0-9]*)
-  | (?P<op>[-+*/^()\[\]])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad character in element text at {text[pos:pos+10]!r}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            out.append(m.group())
-    return out
-
-
-class _Parser:
-    """Recursive-descent parser for the canonical element text."""
-
-    def __init__(self, tokens: list[str], table: VarTable):
-        self.toks = tokens
-        self.i = 0
-        self.table = table
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.i += 1
-        return tok
-
-    def fraction(self) -> Fraction:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok = self.take()
-        if not tok[0].isdigit():
-            raise ValueError(f"expected a number, got {tok!r}")
-        return sign * Fraction(tok)
-
-    def poly(self) -> Coef:
-        total = COEF_ZERO
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        while True:
-            total = total + self._poly_term().scale(Fraction(sign))
-            nxt = self.peek()
-            if nxt == "+":
-                self.take(); sign = 1
-            elif nxt == "-":
-                self.take(); sign = -1
-            else:
-                return total
-
-    def _poly_term(self) -> Coef:
-        q = Fraction(1)
-        g = x = 0
-        saw = False
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0].isdigit():
-                q *= Fraction(self.take())
-                saw = True
-            elif tok in ("gamma", "xi"):
-                self.take()
-                k = 1
-                if self.peek() == "^":
-                    self.take()
-                    k = int(self.take())
-                if tok == "gamma":
-                    g += k
-                else:
-                    x += k
-                saw = True
-            else:
-                break
-            if self.peek() == "*":
-                self.take()
-            else:
-                break
-        if not saw:
-            raise ValueError(f"expected a polynomial term near {self.peek()!r}")
-        return Coef({(g, x): q})
-
-    def coefficient(self) -> Coef:
-        self.take("(")
-        num = self.poly()
-        self.take(")")
-        if self.peek() == "/":
-            self.take()
-            self.take("(")
-            den = self.poly()
-            self.take(")")
-            try:
-                return num / den
-            except (NotDivisible, DivisionByZero) as exc:
-                raise ValueError(f"coefficient ({num.text()})/({den.text()}): "
-                                 f"{exc}") from None
-        return num
-
-    def exponent(self) -> Fraction:
-        self.take("^")
-        if self.peek() == "(":
-            self.take()
-            p = self.fraction()
-            self.take(")")
-            return p
-        return self.fraction()
-
-    def term(self) -> tuple[tuple, tuple, Coef]:
-        """One term; repeated factors multiply, so their slots add."""
-        c = self.coefficient()
-        mon, der = list(self.table.zeros), list(self.table.zeros)
-        while self.peek() == "*":
-            self.take()
-            tok = self.take()
-            if tok == "e":
-                self.take("^")
-                self.take("(")
-                mon[-1] += self.fraction()
-                self.take("*")
-                self.take("t")
-                self.take(")")
-            elif tok == "d":
-                self.take("[")
-                var = self.take()
-                self.take("]")
-                k = 1
-                if self.peek() == "^":
-                    self.take()
-                    k = int(self.take())
-                der[-1 if var == "t" else self.table.index(var)] += k
-            else:
-                mon[self.table.index(tok)] += (self.exponent()
-                                               if self.peek() == "^" else 1)
-        return tuple(mon), tuple(der), c
-
-    def element(self) -> WeylElement:
-        if self.peek() == "0" and self.i + 1 == len(self.toks):
-            self.take()
-            return WeylElement.zero(self.table)
-        terms: dict[tuple[tuple, tuple], Coef] = {}
-        while True:
-            mon, der, c = self.term()
-            key = (mon, der)
-            terms[key] = terms.get(key, COEF_ZERO) + c
-            if self.peek() == "+":
-                self.take()
-            else:
-                break
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
-        return WeylElement(self.table, terms)
+# The factors that element_to_text writes after a term's coefficient, each
+# after a "*": e^(w*t), d[v]^k or d[t]^k, and v^p or v^(p/q) (a power may
+# also stand bare or in parentheses, signed or not).  Whitespace is free
+# between tokens, and a variable name is never one of e, d and t.
+_NAME = r"(?![edt]\b)[A-Za-z][A-Za-z0-9]*"
+_FACTOR = re.compile(rf"""\s*\*\s*(?:
+    e\s*\^\s*\(\s*(?P<weight>-?\s*{NUMBER})\s*\*\s*t\s*\)
+  | d\s*\[\s*(?P<by>t|{_NAME})\s*\](?:\s*\^\s*(?P<order>\d+))?
+  | (?P<var>{_NAME})(?:\s*\^\s*(?P<open>\()?\s*(?P<power>-?\s*{NUMBER})\s*(?(open)\)))?
+)""", re.VERBOSE)
+_PLUS = re.compile(r"\s*\+")
 
 
 def parse_element(text: str, table: VarTable) -> WeylElement:
-    """Parse a plain-text element; inverse of :func:`element_to_text`."""
-    return _Parser(_tokenize(text), table).element()
+    """Parse a plain-text element; inverse of :func:`element_to_text`.
+
+    Repeated factors multiply, so their slots add.  Text outside the
+    printed grammar raises ``ValueError``, as do a zero denominator and a
+    coefficient (p)/(q) whose q does not divide p.  ``KeyError`` is raised
+    only once all of the text has been read, for a variable name that the
+    table lacks.
+    """
+    if text.strip() == "0":
+        return WeylElement.zero(table)
+    read, pos = [], 0
+    while True:
+        c, pos = read_coef(text, pos)
+        pieces = []  # (0 for mon or 1 for der, variable name or "t", value)
+        while m := _FACTOR.match(text, pos):
+            pos = m.end()
+            if m["weight"]:
+                pieces.append((0, "t", rational(m["weight"])))
+            elif m["by"]:
+                pieces.append((1, m["by"], int(m["order"] or 1)))
+            else:
+                pieces.append((0, m["var"], rational(m["power"] or "1")))
+        read.append((c, pieces))
+        m = _PLUS.match(text, pos)
+        if m is None:
+            break
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"unexpected text at {text[pos:pos + 12]!r}")
+    terms: dict[tuple[tuple, tuple], Coef] = {}
+    for c, pieces in read:
+        slots = [list(table.zeros), list(table.zeros)]
+        for part, name, value in pieces:
+            slots[part][-1 if name == "t" else table.index(name)] += value
+        key = (tuple(slots[0]), tuple(slots[1]))
+        terms[key] = terms.get(key, COEF_ZERO) + c
+    return WeylElement(table, terms)
 
 
 def remap(e: WeylElement, target: VarTable,

@@ -539,14 +539,20 @@ def test_golden_commands_runs_each_pin_through_the_script(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
 
 
-def _run_matrix(root, report, pins):
+def _run_matrix(root, report, pins, bench_ok=True):
     """Run ``scripts/interp_matrix.sh`` in a checkout holding it,
-    ``tests/golden.py``, ``pins`` as the pinned commands and a stand-in
-    ``cgaweyl.cli`` that prints ``report`` for any argv."""
+    ``tests/golden.py``, ``pins`` as the pinned commands, a stand-in
+    ``cgaweyl.cli`` that prints ``report`` for any argv, and one stand-in
+    benchmark test that passes if ``bench_ok``."""
     for rel in ("scripts/interp_matrix.sh", "tests/golden.py"):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(REPO / rel, root / rel)
     (root / "tests" / "golden_cli.json").write_text(json.dumps({"commands": pins}))
+    bench = root / "perfbench" / "tests"
+    bench.mkdir(parents=True)
+    (bench / "test_stand_in.py").write_text(
+        "import unittest\n\n\nclass T(unittest.TestCase):\n"
+        f"    def test_it(self):\n        self.assertTrue({bench_ok})\n")
     pkg = root / "src" / "cgaweyl"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
@@ -576,11 +582,16 @@ def test_interp_matrix_exits_one_on_a_mismatch(tmp_path):
                      "cgaweyl spectrum: whole report differs outside the sections",
                      "cgaweyl onshell: exit code 0, pinned 1"):
             assert f"      FAIL  {line}" in proc.stdout
+    proc = _run_matrix(tmp_path / "bench", report, [pin], bench_ok=False)
+    assert proc.returncode == 1, proc.stdout
+    if "no interpreter found" not in proc.stdout:
+        assert ": perfbench tests\n" in proc.stdout and "FAIL  3." in proc.stdout
     proc = _run_matrix(tmp_path / "ok", report, [pin])
     if "no interpreter found" in proc.stdout:
         pytest.skip("no pyenv interpreter of the matrix is installed")
     assert proc.returncode == 0, proc.stdout
     assert ": 1 pinned commands\n" in proc.stdout
+    assert ": perfbench tests, Ran 1 test" in proc.stdout
 
 
 def test_module_entry_point_runs():

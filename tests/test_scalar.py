@@ -14,6 +14,7 @@ from cgaweyl.scalar import (
     coef,
     exact_quotient,
     join_blocks,
+    read_coef,
     split_blocks,
 )
 from helpers import (COEF_POOL, LAURENT_POOL, RATIONAL_POOL, random_coef,
@@ -184,6 +185,14 @@ def test_coef_text_orders_terms_and_clears_negative_powers():
     c = Coef.const(4) * Coef.gamma() ** 2 * Coef.xi()
     assert (c.text(), c.den.terms) == ("4*gamma^2*xi", {(0, 0): 1})
     assert Coef.const(0).text() == "0" and Coef.const(0).wrapped_text() == "(0)"
+
+
+def test_read_coef_inverts_wrapped_text():
+    for c in COEF_POOL + LAURENT_POOL + (Coef.const(0),):
+        text = c.wrapped_text()
+        assert read_coef(text + " * x") == (c, len(text)), text
+    # whitespace is free; the reader starts where it is told and divides
+    assert read_coef("x (  -2 * gamma^2 ) / ( gamma )", 1) == (Coef.const(-2) * Coef.gamma(), 31)
 
 
 def test_coerce_rejects_floats():

@@ -1298,13 +1298,22 @@ def test_roundtrip_all_family_generators():
             assert parse_element(text, fam.table) == g, (fam.name, name)
 
 
-def test_roundtrip_is_byte_stable():
+@pytest.mark.parametrize("table, options", [
+    (TIME_TABLE, dict(weights=(0, 1, -1))),
+    (RAT_TABLE, dict(weights=(0, 1, -1, Fraction(3, 2), Fraction(-1, 6)),
+                     powers=RAT_EXPONENT_POOL, coefs=COEF_POOL + LAURENT_POOL)),
+], ids=["time", "rat"])
+def test_roundtrip_is_byte_stable(table, options):
     rng = random.Random(43)
     for _ in range(40):
-        e = random_element(TIME_TABLE, rng, weights=(0, 1, -1))
+        e = random_element(table, rng, **options)
         text = element_to_text(e)
-        assert element_to_text(parse_element(text, TIME_TABLE)) == text
-    # repeated factors multiply: weights add, as powers and orders do
+        got = parse_element(text, table)
+        assert got == e and element_to_text(got) == text, text
+
+
+def test_parse_adds_repeated_factors():
+    """Repeated factors multiply: weights add, as powers and orders do."""
     e = parse_element("(1) * e^(1*t) * e^(2*t) * x * x", TIME_TABLE)
     assert e == mul(WeylElement.exp_t(TIME_TABLE, 3), WeylElement.var(TIME_TABLE, "x", 2))
     assert element_to_text(e) == "(1) * e^(3*t) * x^2"
@@ -1337,6 +1346,35 @@ def test_parse_divides_by_a_dividing_denominator_and_names_any_other():
     for coefficient in ("(gamma)/(gamma + xi)", "(1)/(0)"):
         with pytest.raises(ValueError, match=re.escape(coefficient)):
             parse_element(coefficient + " * x", PLAIN_TABLE)
+
+
+# id: (text, error, the message it must hold)
+_BAD_TEXT = {
+    # a zero denominator is named, wherever a p/q stands
+    "zero-den-coef": ("(1/0) * x", ValueError, "zero denominator in '1/0'"),
+    "zero-den-power": ("(1) * x^(1/0)", ValueError, "zero denominator in '1/0'"),
+    "zero-den-weight": ("(1) * e^(1/0*t)", ValueError, "zero denominator in '1/0'"),
+    # text outside the printed grammar
+    "sign-factor": ("(1) * +", ValueError, "unexpected text"),
+    "number-factor": ("(1) * 3/2", ValueError, "unexpected text"),
+    "double-star": ("(1) * x * * y", ValueError, "unexpected text"),
+    "sign-derivative": ("(1) * d[+]", ValueError, "unexpected text"),
+    "reserved-name": ("(1) * t", ValueError, "unexpected text"),
+    "dangling-star": ("(2*) * x", ValueError, "expected a coefficient"),
+    "leading-plus": ("(+1) * x", ValueError, "expected a coefficient"),
+    "bad-term": ("(1) * z + $", ValueError, "expected a coefficient"),
+    # a well-formed name that the table lacks
+    "unknown-var": ("(1) * z", KeyError, "unknown variable 'z'"),
+    "unknown-derivative": ("(1) * d[z]^2", KeyError, "unknown variable 'z'"),
+}
+
+
+@pytest.mark.parametrize("text, error, match", _BAD_TEXT.values(), ids=_BAD_TEXT)
+def test_parse_error_contract(text, error, match):
+    """ValueError for text outside the grammar, a zero denominator or an
+    inexact division; KeyError only for a variable the table lacks."""
+    with pytest.raises(error, match=re.escape(match)):
+        parse_element(text, TIME_TABLE)
 
 
 def test_roundtrip_rational_exponents_and_weights():
