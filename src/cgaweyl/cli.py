@@ -31,12 +31,12 @@ class ConfigError(argparse.ArgumentTypeError):
     """A bad option value; argparse reports its message as the reason."""
 
 
-_RATIONAL = re.compile(rf"[+-]?{NUMBER}$")
+_RATIONAL = re.compile(rf"[+-]?{NUMBER}")
 
 
 def parse_rational(text: str) -> Fraction:
     # strictly p/q syntax: decimal or scientific notation is rejected
-    if not _RATIONAL.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise ConfigError(f"not an exact p/q rational: {text!r}")
     try:
         return rational(text)

@@ -22,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import as_fraction, coef
+from .scalar import as_fraction
 from .weyl import (
     WeylElement,
-    _bracket_residual,
-    _commutator_core,
-    _eigenvalue,
-    _term_count,
     apply_to,
+    bracket_residual,
+    eigenvalue,
     remap,
+    term_count,
 )
 from .realizations import GeneratorFamily, build_H
 
@@ -155,15 +154,13 @@ def build_state_general(ladder: GeneratorFamily,
 def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
     """The exact eigenvalue E with H psi = E psi, or None.
 
-    E must be a plain rational (parameter-free).  The check runs on the
-    int numerators that apply_to's kernel produces, one gamma^a xi^b block
-    at a time, without building H psi as ``Coef`` values: H psi and psi
-    must have the same blocks and packed keys, and every numerator of H psi
-    must be E times psi's, exactly (``weyl._eigenvalue``).
+    E must be a plain rational (parameter-free).  The check is
+    :func:`cgaweyl.weyl.eigenvalue`, which compares H psi with E psi
+    inside the kernel, without building H psi as ``Coef`` values.
     """
     if psi.is_zero():
         raise ZeroState("eigencheck on the zero state")
-    return _eigenvalue(H, psi)
+    return eigenvalue(H, psi)
 
 
 @dataclass
@@ -227,12 +224,10 @@ def _state_walk(psi: WeylElement, stages, budgets: tuple[int, ...],
     Yields (counts, state) once for every count vector whose costs fit
     ``budgets``.  Each state is one apply_to from its parent (the state
     with the last nonzero count lowered by one), and only the states on
-    the current path are held.  Every state but ``psi`` is an element made
-    by the public apply_to from the kernel's packed form alone, kept in the
-    state's ``_packed`` slot: the apply_to calls on it for its children,
-    its zero check and the eigenvalue check of its row read that form, so
-    the walk never decodes a state's terms into ``Coef`` values, and a
-    caller that reads ``terms`` decodes them then.
+    the current path are held.  Every state but ``psi`` is an apply_to
+    result, whose terms the kernel decodes only when they are first read;
+    the walk, the zero checks, the eigenvalue checks and the term counts
+    never read them.
     """
     if not stages:
         yield counts, psi
@@ -259,9 +254,9 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
     On the t = 0 slice the walk applies the sliced creation operators,
     which commutes with apply_to because they carry no d[t].  A row's
     level is the sum of its counts times the stage energies.  Rows come
-    in walk order, not table order.  The states are undecoded
-    :func:`_state_walk` results: :func:`spectrum_table` reads only their
-    packed forms, the term count included (``weyl._term_count``).
+    in walk order, not table order.  :func:`spectrum_table` reads the
+    states through the kernel's checks alone (``weyl.eigenvalue`` and
+    ``weyl.term_count``), so their terms stay undecoded.
     """
     rec = _ladder(target)
     energy = {name: e for name, e, _ in rec.relations}
@@ -295,7 +290,7 @@ def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTab
         value = eigencheck(H, psi)
         table.rows.append(SpectrumRow(qn, level,
                                       value is not None and value == level,
-                                      _term_count(psi)))
+                                      term_count(psi)))
     table.rows.sort(key=lambda row: rec.order(row.quantum_numbers))
     return table
 
@@ -304,7 +299,7 @@ def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":
     """Operator identities [H, g] = e g for the raising/lowering set.
 
     Returns (description, ok, residual text) triples.  Each [H, g] is
-    compared with e g on the commutator kernel's form, so a relation that
+    compared with e g by ``weyl.bracket_residual``, so a relation that
     holds builds no element.
     """
     rec = _ladder(target)
@@ -312,7 +307,7 @@ def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":
     out = []
     for name, e, rhs in rec.relations:
         op = rec.family[name]
-        residual = _bracket_residual(_commutator_core(H, op), op, coef(e))
+        residual = bracket_residual(H, op, op, e)
         out.append((f"[H, {name}] = {rhs}", residual is None,
                     "" if residual is None else residual.text()))
     return out

@@ -3,17 +3,17 @@
 Structure-constant tables are checked by computing every commutator of a
 family: a listed pair must equal its one stated term, c * g or the scalar
 c, and an unlisted pair must commute.  One pair loop, :func:`_residuals`,
-serves every table check and the calibration.  It takes each [a, b] in the
-packed form of the commutator kernel (int numerators per gamma^a xi^b block
-and packed key) and compares it on those numerators with c * g, the
-scalar entry as c * 1 (``weyl._bracket_residual``), so a pair that holds
-builds no element; only a failing pair builds [a, b] and its residual,
-[a, b] minus the expected side, whose text the report prints.  The sl(2)
-closure, the [z-, Omega_1] and [Omega, theta(1)] checks and the spectrum's
-ladder relations go through the same comparator.  Additive-constant
-calibration finds scalar shifts g -> g + delta_g absorbing constant
-residuals: commutators are blind to the shifts, and each entry names one
-generator, so each delta_g is one exact division.
+serves every table check and the calibration.  It asks
+:func:`cgaweyl.weyl.bracket_residual` whether [a, b] = c * g, the scalar
+entry as c * 1: a pair that holds builds no element, and a failing pair
+gives its residual, [a, b] minus the expected side, whose text the report
+prints.  The sl(2) closure, the [z-, Omega_1] and [Omega, theta(1)] checks
+and the spectrum's ladder relations ask the same question.  The checks
+call only the public kernels of :mod:`cgaweyl.weyl`, which alone knows
+their packed form.  Additive-constant calibration finds scalar shifts
+g -> g + delta_g absorbing constant residuals: commutators are blind to
+the shifts, and each entry names one generator, so each delta_g is one
+exact division.
 On-shell invariance [g, Omega] = f * Omega is certified by derivative-free
 factor extraction: f is the exact quotient of the top derivative blocks,
 by the long division that :class:`~cgaweyl.scalar.Coef` uses
@@ -30,8 +30,7 @@ from .scalar import COEF_ZERO, Coef, NotDivisible, as_fraction, coef, exact_quot
 from .weyl import (
     DomainViolation,
     WeylElement,
-    _bracket_residual,
-    _commutator_core,
+    bracket_residual,
     commutator,
     free_to_osc,
     mul,
@@ -150,7 +149,7 @@ class RelationEntry:
     """[left, right] = c * name, or the scalar c when ``name`` is None.
 
     ``c`` (an int, ``Fraction`` or ``Coef``) has at most one term
-    q * gamma^a * xi^b, the form ``weyl._is_multiple`` compares against.
+    q * gamma^a * xi^b, the form ``weyl.bracket_residual`` compares against.
     """
 
     left: str
@@ -359,13 +358,12 @@ def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
     return c if entry.name is None else f"{c}*{entry.name}"
 
 
-def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
-    """Yield (a, b, sign, entry, bracket, residual) for every scope pair, in order.
+def _residuals(fam: GeneratorFamily, table: RelationTable):
+    """Yield (a, b, sign, entry, skipped, residual) for every scope pair, in order.
 
-    ``bracket`` is [a, b] in the packed form of ``weyl._commutator_core``,
-    taken from ``brackets[a, b]`` when given, and None for a pair skipped by
-    the truncation.  It is compared on the packed forms with the expected
-    side sign * c * g (``weyl._bracket_residual``), where g is the entry's
+    ``skipped`` is true for a pair skipped by the truncation, whose
+    ``residual`` is None.  Every other [a, b] is compared with the expected
+    side sign * c * g (``weyl.bracket_residual``), where g is the entry's
     generator, or the constant 1 for a scalar entry; a pair that must
     commute (``entry`` None) has c = 0.  ``residual`` is None when they are
     equal, and otherwise [a, b] minus the expected side, built only then.
@@ -377,12 +375,10 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
     one = WeylElement.const(fam.table, 1)
     for a, b in table.pairs():
         if (a, b) in table.skips or (b, a) in table.skips:
-            yield a, b, 1, None, None, None
+            yield a, b, 1, None, True, None
             continue
         found = table.lookup(a, b)
         sign, entry = found if found else (1, None)
-        bracket = (brackets[a, b] if brackets is not None
-                   else _commutator_core(gens[a], gens[b]))
         c, g = COEF_ZERO, one
         if entry is not None:
             c = sign * entry.c
@@ -390,32 +386,23 @@ def _residuals(fam: GeneratorFamily, table: RelationTable, brackets=None):
                 if entry.name not in gens:
                     raise UnknownGenerator(entry.name)
                 g = gens[entry.name]
-        yield a, b, sign, entry, bracket, _bracket_residual(bracket, g, c)
-
-
-def _table_report(fam: GeneratorFamily, table: RelationTable,
-                  brackets=None) -> VerificationReport:
-    """:func:`verify_table`, reading [a, b] from ``brackets`` when given."""
-    report = VerificationReport(title=f"commutator table {table.name}",
-                                family=fam.name,
-                                params=fam.params.describe())
-    for a, b, sign, entry, bracket, residual in _residuals(fam, table, brackets):
-        lhs = f"[{a}, {b}]"
-        if bracket is None:
-            report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
-                                              "mode index outside truncation"))
-        elif residual is None:
-            report.entries.append(EntryResult(
-                fam.name, lhs, _expected_text(entry, sign), EXACT))
-        else:
-            report.entries.append(_residual_entry(
-                fam.name, lhs, _expected_text(entry, sign), residual))
-    return report
+        yield a, b, sign, entry, False, bracket_residual(gens[a], gens[b], g, c)
 
 
 def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:
     """Check every scope pair: listed entries exactly, unlisted pairs to zero."""
-    return _table_report(fam, table)
+    report = VerificationReport(title=f"commutator table {table.name}",
+                                family=fam.name,
+                                params=fam.params.describe())
+    for a, b, sign, entry, skipped, residual in _residuals(fam, table):
+        lhs = f"[{a}, {b}]"
+        if skipped:
+            report.entries.append(EntryResult(fam.name, lhs, "", SKIPPED,
+                                              "mode index outside truncation"))
+        else:
+            report.entries.append(_residual_entry(
+                fam.name, lhs, _expected_text(entry, sign), residual))
+    return report
 
 
 def calibrate_constants(fam: GeneratorFamily, table: RelationTable
@@ -427,20 +414,19 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
     constant residual must equal c * d_g.  The first such entry for g fixes
     d_g, every later one must give the same d_g, and every other pair needs
     a zero residual; otherwise :class:`InconsistentSystem` names the pairs
-    that disagree, each with the pair that fixed its d_g.  For the same
-    reason the commutators are computed once, in packed form: the shifted
-    family's table is checked against them.
+    that disagree, each with the pair that fixed its d_g.  The certificate
+    of the shifts is the full table check of the shifted family, so every
+    commutator is computed twice: the shifts change no commutator, but
+    the check keeps no bracket from the first pass.
     """
     deltas = {name: COEF_ZERO for name in table.scope}
     fixed_by: dict[str, str] = {}
     bad: set[str] = set()
     pair_entries: list[RelationEntry | None] = []
-    brackets = {}
-    for a, b, sign, entry, bracket, residual in _residuals(fam, table):
+    for a, b, sign, entry, skipped, residual in _residuals(fam, table):
         pair_entries.append(entry)
-        if bracket is None:
+        if skipped:
             continue
-        brackets[a, b] = bracket
         value = COEF_ZERO if residual is None else residual.constant_value()
         lhs_label = f"[{a}, {b}]"
         if value is None:
@@ -460,7 +446,7 @@ def calibrate_constants(fam: GeneratorFamily, table: RelationTable
         raise InconsistentSystem("no additive-constant solution", sorted(bad))
 
     # checking the shifted right-hand sides is the exact certificate of the shifts
-    report = _table_report(fam.shifted(deltas), table, brackets)
+    report = verify_table(fam.shifted(deltas), table)
     report.title = f"commutator table {table.name} (calibrated)"
     for entry_result, entry in zip(report.entries, pair_entries):
         d_used = entry is not None and not deltas.get(entry.name, COEF_ZERO).is_zero()
@@ -575,8 +561,7 @@ def verify_sl2(triplet: InvariantTriplet, weight) -> VerificationReport:
     for a, b, c, g in (("Omega0", "Omega+1", w, "Omega+1"),
                        ("Omega0", "Omega-1", -w, "Omega-1"),
                        ("Omega+1", "Omega-1", 2 * w, "Omega0")):
-        residual = _bracket_residual(_commutator_core(named[a], named[b]),
-                                     named[g], coef(c))
+        residual = bracket_residual(named[a], named[b], named[g], c)
         report.entries.append(_residual_entry("", f"[{a}, {b}]", f"({c})*{g}", residual))
     return report
 
@@ -663,7 +648,7 @@ def verify_general_invariant(ell: int) -> VerificationReport:
         fam.table, Fraction(ell * (ell + 1), 2))
     report.entries.append(_residual_entry(
         label, "[z-, Omega_1]", "-2*Omega_0",
-        _bracket_residual(_commutator_core(fam["z-"], explicit), omega0, coef(-2))))
+        bracket_residual(fam["z-"], explicit, omega0, -2)))
 
     report.entries.append(_residual_entry(
         label, "b0 + a0d", "0", ladder["b0"] + ladder["a0d"]))
@@ -725,6 +710,5 @@ def verify_subalgebra_structure(fam: GeneratorFamily) -> VerificationReport:
         "structure h2 |x (h1 + h3), then (h1+h2+h3) |x h4")
     report.entries.append(_residual_entry(
         fam.name, "[Omega, theta(1)]", "0",
-        _bracket_residual(_commutator_core(fam["Omega"], fam[loop_name("theta", 1)]),
-                          fam["Omega"], COEF_ZERO)))
+        bracket_residual(fam["Omega"], fam[loop_name("theta", 1)], fam["Omega"], 0)))
     return report

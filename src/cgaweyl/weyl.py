@@ -88,10 +88,12 @@ the end.  One comparator reads the kernel sums before that:
 :func:`_numerators_match` answers whether a kernel result equals c * g,
 for a coefficient c of at most one term q * gamma^a * xi^b and g in the
 same form, by shifting the blocks of g by (a, b) and cross-multiplying
-int numerators key by key.  :func:`_eigenvalue` certifies H psi = E * psi
-with it, and every check of [a, b] = c * g reads g's packed form with it
-(:func:`_is_multiple`); :func:`_bracket_residual` builds [a, b] - c * g
-only when the check fails.
+int numerators key by key.  :func:`eigenvalue` certifies H psi = E * psi
+with it, and :func:`bracket_residual`, every check of [a, b] = c * g,
+reads g's packed form with it (:func:`_is_multiple`) and builds
+[a, b] - c * g only when the check fails.  These two, with
+:func:`term_count`, are the checks' whole view of the packed form: no
+other module reads it.
 
 The element text is printed and read piece by piece, each piece in the
 module that owns it.  A term's coefficient, ``(p)`` or ``(p)/(q)``, is
@@ -415,7 +417,7 @@ class _Undecoded(WeylElement):
         return terms
 
     def is_zero(self) -> bool:
-        return not _term_count(self)
+        return not term_count(self)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +898,7 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
     return e
 
 
-def _term_count(e: WeylElement) -> int:
+def term_count(e: WeylElement) -> int:
     """``len(e.terms)``, read off the packed form of an undecoded ``e``.
 
     A key's coefficient has one numerator per gamma^a xi^b block that
@@ -912,7 +914,7 @@ def _term_count(e: WeylElement) -> int:
     return sum(map(len, blocks.values()))
 
 
-def _eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
+def eigenvalue(a: WeylElement, f: WeylElement) -> Fraction | None:
     """The rational E with ``apply_to(a, f) == E * f``, or None; ``f`` nonzero.
 
     Runs on the packed forms, so the image is never joined into ``Coef``
@@ -954,9 +956,17 @@ def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
     return _numerators_match(sums, den, blocks, den_g, c)
 
 
-def _bracket_residual(core, g: WeylElement, c: Coef) -> WeylElement | None:
-    """None when the :func:`_commutator_core` result ``core`` equals c * g
-    (:func:`_is_multiple`), else core - c * g, only then built as an element."""
+def bracket_residual(a: WeylElement, b: WeylElement, g: WeylElement,
+                     c) -> WeylElement | None:
+    """None when [a, b] = c * g, else the element [a, b] - c * g.
+
+    ``c`` (an int, ``Fraction`` or ``Coef``) has at most one term.  [a, b]
+    stays in the packed form of :func:`_commutator_core` and is compared
+    with c * g on its numerators (:func:`_is_multiple`), so a bracket that
+    holds builds no element; only a failing one is decoded.
+    """
+    c = coef(c)
+    core = _commutator_core(a, b)
     if _is_multiple(core, g, c):
         return None
     return WeylElement(g.table, _decoded(g.table, *core[:4])) - g.scaled(c)

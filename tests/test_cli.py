@@ -242,6 +242,8 @@ def test_config_errors_exit_two(capsys):
         ["verify", "--family", "osc-l1", "--gamma", "0.5"], capsys)
     assert "zero denominator in '1/0'" in _assert_one_error_line(
         ["verify", "--family", "osc-l1", "--gamma", "1/0"], capsys)
+    assert "not an exact p/q rational: '2\\n'" in _assert_one_error_line(
+        ["spectrum", "--family", "xi0", "--omega1", "2\n", "--emax", "1"], capsys)
     # a value that looks like an option, not like a negative p/q, is missing
     assert "expected one argument" in _assert_one_error_line(
         ["similarity", "--xi", "-x"], capsys)
@@ -365,8 +367,9 @@ def test_table_options_a_family_reads_change_its_report():
 
 
 def test_bad_rational_rejected():
-    with pytest.raises(ConfigError, match="not an exact p/q rational"):
-        parse_rational("1.5e3")
+    for text in ("1.5e3", "3/2\n", "-1/3\n"):  # a final newline is stray too
+        with pytest.raises(ConfigError, match="not an exact p/q rational"):
+            parse_rational(text)
     with pytest.raises(ConfigError, match="zero denominator"):
         parse_rational("1/0")
 

@@ -1,6 +1,8 @@
 """Import guard: every module loads under the running interpreter, the
 module graph scalar -> weyl -> realizations -> {verify, spectrum} -> cli
-has no back edge, and README's quick tour runs as written."""
+has no back edge, no module but weyl names a private weyl attribute, and
+README's quick tour runs as written."""
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +52,52 @@ def test_readme_quick_tour_runs():
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def private_weyl_names(source: str) -> list[str]:
+    """The ``_``-prefixed names of ``cgaweyl.weyl`` that ``source`` imports
+    or reads: ``from .weyl import _x``, or ``w._x`` and ``getattr(w, "_x")``
+    for a ``w`` bound to the weyl module (``cgaweyl.weyl._x`` included)."""
+    tree = ast.parse(source)
+    modules, found = {"cgaweyl.weyl"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if base in (".weyl", "cgaweyl.weyl") and alias.name.startswith("_"):
+                    found.append(alias.name)
+                if base in (".", "cgaweyl") and alias.name == "weyl":
+                    modules.add(alias.asname or "weyl")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.name == "cgaweyl.weyl" and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner, name = node.value, node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            owner, name = node.args[0], node.args[1].value
+        else:
+            continue
+        if name.startswith("_") and ast.unparse(owner) in modules:
+            found.append(name)
+    return found
+
+
+def test_the_guard_finds_every_way_of_naming_a_private():
+    source = ("from .weyl import _a, mul\n"
+              "from cgaweyl.weyl import _b\n"
+              "from . import weyl as w\n"
+              "import cgaweyl.weyl\n"
+              "w._c(getattr(w, '_d'), cgaweyl.weyl._e, mul._f, w.apply_to)\n")
+    assert sorted(private_weyl_names(source)) == ["_a", "_b", "_c", "_d", "_e"]
+
+
+def test_only_weyl_names_a_private_weyl_attribute():
+    """The checks reach the kernels through weyl's public functions alone,
+    so that only weyl knows the packed form."""
+    found = {path.name: names for path in sorted((SRC / "cgaweyl").glob("*.py"))
+             if path.name != "weyl.py"
+             and (names := private_weyl_names(path.read_text(encoding="utf-8")))}
+    assert not found, found

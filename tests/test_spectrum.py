@@ -10,7 +10,7 @@ import pytest
 
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _apply_core,
-                          _term_count, apply_to, parse_element, remap)
+                          apply_to, parse_element, remap, term_count)
 from cgaweyl.realizations import (
     build_H,
     build_free_general,
@@ -490,7 +490,7 @@ def test_walked_states_decode_on_first_read(case):
             parent = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
             reference[counts] = reference_apply_to(ops[last], reference[parent])
             assert _undecoded(psi)
-            count, lattice = _term_count(psi), psi._lattice
+            count, lattice = term_count(psi), psi._lattice
             (unit, form), = psi._packed.items()
             assert psi.is_zero() == (count == 0)
             assert _undecoded(psi) and isinstance(psi, WeylElement)
@@ -518,7 +518,7 @@ def test_a_zero_result_is_zero_before_it_is_decoded():
         one = WeylElement.const(target.table, 1)
         for name in rec.annihilators:
             zero = apply_to(target[name], one)
-            assert zero.is_zero() and not zero and _term_count(zero) == 0
+            assert zero.is_zero() and not zero and term_count(zero) == 0
             with pytest.raises(ZeroState):
                 eigencheck(H, zero)
             assert _undecoded(zero)

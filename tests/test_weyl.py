@@ -284,8 +284,7 @@ def test_per_unit_forms_are_made_once(monkeypatch):
         first = commutator(a, b)
         assert commutator(b, a) == -first
         assert mul(a, a) == reference_mul(a, a)
-        assert weyl._bracket_residual(weyl._commutator_core(a, b), b,
-                                      Coef.const(1)) == first - b
+        assert weyl.bracket_residual(a, b, b, Coef.const(1)) == first - b
     assert sorted(calls) == sorted([(id(a), unit_b), (id(b), unit_b), (id(a), unit_a)])
     assert a._packed.keys() == {unit_a, unit_b} and b._packed.keys() == {unit_b}
     for e in (a, b):
