@@ -134,7 +134,9 @@ RAT = "rat"   # exponents in Q
 
 Exponent = int | Fraction  # int when integral, see WeylElement
 
-_RESERVED_NAMES = {"e", "d", "t"}
+# A variable name, as element text prints and reads it: a letter, then
+# letters and digits, and never one of e, d and t.
+_NAME = r"(?![edt]\b)[A-Za-z][A-Za-z0-9]*"
 
 # Bound on the memoized reorderings (entries of _reorder_corrections).  One
 # `cgaweyl all` run fills 115 entries, about 0.04 MB in all (tracemalloc,
@@ -177,8 +179,9 @@ class VarTable:
         if len(self.names) != len(self.domains):
             raise ValueError("one domain per variable required")
         for n in self.names:
-            if n in _RESERVED_NAMES:
-                raise ValueError(f"variable name {n!r} is reserved")
+            if not re.fullmatch(_NAME, n):
+                raise ValueError(f"variable name {n!r} is not a letter, then "
+                                 f"letters and digits, other than e, d and t")
         for d in self.domains:
             if d not in (NAT, INT, RAT):
                 raise ValueError(f"unknown exponent domain {d!r}")
@@ -1034,12 +1037,16 @@ def substitute(a: WeylElement, scales: dict[str, Coef]) -> WeylElement:
 def free_to_osc(a: WeylElement, free_table: VarTable) -> WeylElement:
     """Map an operator in the exponential-time picture to the tau picture.
 
-    Conjugates by e^(t*X) with X = -x d[x] - y d[y] (so x, y pick up
-    e^(-t) factors, d[x], d[y] pick up e^(t), and d[t] shifts to
-    d[t] + x d[x] + y d[y]), then reparametrizes time: e^(k*t) -> tau^k,
-    d[t] -> tau d[tau].  The composite is an algebra isomorphism onto the
-    tau picture, so it preserves all commutators.  ``free_table`` must
-    list tau first and then the variables of ``a.table``, in their order.
+    The map is the algebra isomorphism with the generator images
+    e^(k*t) -> tau^k, v -> tau^(-w_v) v, d[v] -> tau^(w_v) d[v] and
+    d[t] -> tau d[tau] + sum_v w_v v d[v], where the weight w_v is 1 for
+    x and y and 0 for every other variable: conjugation by e^(t*X) with
+    X = -x d[x] - y d[y], then the reparametrization tau = e^t.  It
+    preserves all commutators.  A term c e^(k*t) m d d[t]^j, with
+    exponents p_v in m and orders q_v in d, goes to
+    c tau^(k - sum_v w_v (p_v - q_v)) m d times the j-th power of the
+    d[t] image.  ``free_table`` must list tau first and then the
+    variables of ``a.table``, in their order.
     """
     src = a.table
     if not src.has_time:
@@ -1047,33 +1054,21 @@ def free_to_osc(a: WeylElement, free_table: VarTable) -> WeylElement:
     if free_table.names != ("tau",) + src.names:
         raise ValueError(f"free_to_osc expects free_table names "
                          f"{('tau',) + src.names}, got {free_table.names}")
-    ix, iy = src.index("x"), src.index("y")
-    shift = (WeylElement.time_deriv(src)
-             + WeylElement.var(src, "x") * WeylElement.deriv(src, "x")
-             + WeylElement.var(src, "y") * WeylElement.deriv(src, "y"))
-    shift_pows = [WeylElement.const(src, 1)]
-
-    conjugated = WeylElement.zero(src)
-    for (mon, der), c in a.terms.items():
-        w = mon[-1] - mon[ix] - mon[iy] + der[ix] + der[iy]
-        base = WeylElement(src, {(mon[:-1] + (w,), der[:-1] + (0,)): c})
-        while len(shift_pows) <= der[-1]:
-            shift_pows.append(mul(shift_pows[-1], shift))
-        conjugated = conjugated + mul(base, shift_pows[der[-1]])
-
-    tau_dtau = mul(WeylElement.var(free_table, "tau"),
-                   WeylElement.deriv(free_table, "tau"))
-    td_pows = [WeylElement.const(free_table, 1)]
+    weights = [int(name in ("x", "y")) for name in src.names]
+    # dt_pows[j]: the j-th power of the d[t] image tau d[tau] + sum_v w_v v d[v]
+    dt_pows = [WeylElement.const(free_table, 1), sum(
+        (w * mul(WeylElement.var(free_table, v), WeylElement.deriv(free_table, v))
+         for v, w in zip(free_table.names, [1] + weights)), WeylElement.zero(free_table))]
     out = WeylElement.zero(free_table)
-    for (mon, der), c in conjugated.terms.items():
-        if mon[-1].denominator != 1 and free_table.domains[0] != RAT:
-            raise NonIntegerTimeWeight(
-                f"tau exponent {mon[-1]} is not an integer")
-        base = WeylElement(free_table, {((mon[-1],) + mon[:-1] + (0,),
-                                         (0,) + der[:-1] + (0,)): c})
-        while len(td_pows) <= der[-1]:
-            td_pows.append(mul(td_pows[-1], tau_dtau))
-        out = out + mul(base, td_pows[der[-1]])
+    for (mon, der), c in a.terms.items():
+        k = mon[-1] - sum(w * (p - q) for w, p, q in zip(weights, mon, der))
+        if k.denominator != 1 and free_table.domains[0] != RAT:
+            raise NonIntegerTimeWeight(f"tau exponent {k} is not an integer")
+        while len(dt_pows) <= der[-1]:
+            dt_pows.append(mul(dt_pows[-1], dt_pows[1]))
+        out = out + mul(WeylElement(free_table, {((k,) + mon[:-1] + (0,),
+                                                  (0,) + der[:-1] + (0,)): c}),
+                        dt_pows[der[-1]])
     return out
 
 
@@ -1110,8 +1105,7 @@ def element_to_text(e: WeylElement) -> str:
 # The factors that element_to_text writes after a term's coefficient, each
 # after a "*": e^(w*t), d[v]^k or d[t]^k, and v^p or v^(p/q) (a power may
 # also stand bare or in parentheses, signed or not).  Whitespace is free
-# between tokens, and a variable name is never one of e, d and t.
-_NAME = r"(?![edt]\b)[A-Za-z][A-Za-z0-9]*"
+# between tokens.
 _FACTOR = re.compile(rf"""\s*\*\s*(?:
     e\s*\^\s*\(\s*(?P<weight>-?\s*{NUMBER})\s*\*\s*t\s*\)
   | d\s*\[\s*(?P<by>t|{_NAME})\s*\](?:\s*\^\s*(?P<order>\d+))?
@@ -1166,16 +1160,23 @@ def remap(e: WeylElement, target: VarTable,
 
     Exponent domains of the target are enforced; useful for widening a
     domain or comparing families built over differently ordered tables.
+    ``ValueError`` is raised when two names of ``e.table`` would land on
+    one target name, which would merge two variables.
     """
     nm = name_map or {}
+    names = [nm.get(name, name) for name in e.table.names]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"remap sends {e.table.names[names.index(name)]!r} "
+                             f"and {e.table.names[i]!r} both to {name!r}")
     size = len(target.names) + 1
     out: dict[tuple[tuple, tuple], Coef] = {}
     for (mon, der), c in e.terms.items():
         m, d = [0] * size, [0] * size
         m[-1], d[-1] = mon[-1], der[-1]
-        for i, name in enumerate(e.table.names):
+        for i, name in enumerate(names):
             if mon[i] or der[i]:
-                j = target.index(nm.get(name, name))
+                j = target.index(name)
                 m[j], d[j] = mon[i], der[i]
         key = (tuple(m), tuple(d))
         out[key] = out.get(key, COEF_ZERO) + c

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,45 @@ def test_onshell_probe_exit_codes(capsys):
     failing = [e["lhs"] for s in doc["sections"] for e in s["entries"]
                if e["status"] == "failed"]
     assert failing     # the report names the generators that break
+
+
+def test_similarity_fails_on_a_broken_map(capsys, monkeypatch):
+    """A map whose every image is off by x fails every entry, each entry
+    prints its difference, and `similarity` exits 1."""
+    from cgaweyl import verify, weyl
+    sound = verify.free_to_osc
+    monkeypatch.setattr(verify, "free_to_osc", lambda g, table: (
+        sound(g, table) + weyl.WeylElement.var(table, "x")))
+    entries = verify.verify_similarity().entries
+    assert len(entries) == 15 and {e.status for e in entries} == {"failed"}
+    assert {e.lhs: e.residual_text for e in entries if e.residual_text != "(1) * x"} \
+        == {"z0": "(1) * x + (-2)"}
+    code, out = run_main(["similarity"], capsys)
+    assert code == 1
+    first = json.loads(out)["sections"][0]
+    assert first["summary"]["failed"] == 15 and first["ok"] is False
+
+
+def test_probe_fails_where_the_state_is_not_an_eigenstate(capsys, monkeypatch):
+    """A lambda whose y^lambda is not an eigenstate fails its probe entry,
+    and the spectrum command exits 1."""
+    from cgaweyl import spectrum
+    probe = spectrum.continuous_probe
+
+    def fails_at_7_3(H, lam):
+        if lam == Fraction(7, 3):
+            raise spectrum.NotEigenstate("not a scalar multiple")
+        return probe(H, lam)
+    monkeypatch.setattr(spectrum, "continuous_probe", fails_at_7_3)
+    code, out = run_main(["spectrum", "--family", "osc-l1", "--emax", "3", "--k", "1"],
+                         capsys)
+    assert code == 1
+    section = next(s for s in json.loads(out)["sections"]
+                   if s["title"] == "continuous-spectrum probe")
+    assert [(e["lhs"], e["status"], e["residual_text"], e["factor_text"])
+            for e in section["entries"] if e["status"] != "exact"] == \
+        [("H y^(7/3)", "failed", "got None", "")]
+    assert section["summary"]["exact"] == 3
 
 
 def test_exit_status_soundness(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
-from cgaweyl.weyl import (RAT, VarTable, WeylElement, _commutator_core,
+from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _commutator_core,
                           _is_multiple, bracket_residual, commutator, mul,
                           parse_element)
 from cgaweyl.realizations import (
@@ -770,6 +770,19 @@ def test_one_term_comparator():
     assert _is_multiple(_commutator_core(x(1), x(2)), WeylElement.zero(table),
                         Coef.const(1))
     assert not _is_multiple(_commutator_core(d, x(1)), one, COEF_ZERO)
+
+
+def test_bracket_residual_against_a_wider_g():
+    """When g's stored packed form is wider than the bracket's, the
+    bracket's sums are widened to it before they are compared."""
+    table = VarTable(("x",), (NAT,))
+    x, d = WeylElement.var(table, "x"), WeylElement.deriv(table, "x")
+    half_x2 = WeylElement.var(table, "x", 2).scaled(Fraction(1, 2))
+    g = WeylElement.var(table, "x")
+    mul(g, WeylElement.var(table, "x", 300))  # stores g's form at a wider width
+    assert g._packed[1][2] > _commutator_core(d, half_x2)[3]
+    assert bracket_residual(d, half_x2, g, 1) is None
+    assert bracket_residual(d, half_x2, g, 2) == -x
 
 
 def test_bracket_residual_is_none_or_the_built_residual():

@@ -33,6 +33,7 @@ from cgaweyl.weyl import (
 )
 from cgaweyl.realizations import (
     FREE_L1_TABLE,
+    OSC_L1_TABLE,
     build_free_general,
     build_free_l1,
     build_ladder,
@@ -1185,6 +1186,12 @@ def test_substitute_zero_scale_rejected():
         substitute(V("x"), {"x": Coef.const(0)})
 
 
+def test_substitute_rejects_a_fractional_exponent():
+    half = WeylElement.var(RAT_TABLE, "x", Fraction(1, 2))
+    with pytest.raises(DomainViolation, match="needs integer exponents"):
+        substitute(half, {"x": Coef.const(2)})
+
+
 def test_dilation_maps_unit_parameters_to_general():
     """Solve the similarity scale factors from coefficient matching.
 
@@ -1274,6 +1281,26 @@ def test_free_to_osc_rejects_a_mismatched_table():
         table = VarTable(names, tuple(INT if n == "tau" else NAT for n in names))
         with pytest.raises(ValueError, match="free_table names"):
             free_to_osc(osc[gen], table)
+
+
+def test_free_to_osc_generator_images():
+    """The map's definition on the generators of the exponential-time
+    algebra: e^(k*t) -> tau^k, v -> tau^(-w_v) v, d[v] -> tau^(w_v) d[v]
+    and d[t] -> tau d[tau] + x d[x] + y d[y], with w_v = 1 for x and y
+    and 0 for u."""
+    images = [(f"e^({k}*t)", f"tau^({k})") for k in (-3, -1, 1, 2)] + [
+        ("x", "tau^(-1) * x"), ("y", "tau^(-1) * y"), ("u", "u"),
+        ("d[x]", "tau * d[x]"), ("d[y]", "tau * d[y]"), ("d[u]", "d[u]"),
+        ("d[t]", "tau * d[tau] + (1) * x * d[x] + (1) * y * d[y]")]
+    for source, image in images:
+        assert free_to_osc(parse_element(f"(1) * {source}", OSC_L1_TABLE),
+                           FREE_L1_TABLE) == \
+            parse_element(f"(1) * {image}", FREE_L1_TABLE), source
+
+
+def test_free_to_osc_rejects_a_timeless_element():
+    with pytest.raises(ValueError, match="expects an exponential-time element"):
+        free_to_osc(V("x"), FREE_L1_TABLE)
 
 
 # -- serialization -------------------------------------------------------------
@@ -1390,3 +1417,39 @@ def test_remap_widens_domains():
     assert element_to_text(moved) == element_to_text(e)
     y_lam = WeylElement.var(wide, "y", Fraction(7, 3))
     assert apply_to(moved, y_lam) == Fraction(7, 3) * y_lam
+
+
+def test_remap_rejects_two_names_on_one_target():
+    """A name map that sends two variables to one name would merge them:
+    unchecked, x y^2 came out as z^2 and x d[y] as d[z]."""
+    z_table = VarTable(("z", "u"), (NAT, NAT))
+    for e in (V("x") * V("y", 2), V("x") * D("y")):
+        with pytest.raises(ValueError, match="sends 'x' and 'y' both to 'z'"):
+            remap(e, z_table, {"x": "z", "y": "z"})
+    with pytest.raises(ValueError, match="sends 'x' and 'y' both to 'y'"):
+        remap(V("x"), PLAIN_TABLE, {"x": "y"})
+
+
+# -- variable tables -----------------------------------------------------------
+
+@pytest.mark.parametrize("names, domains, match", [
+    (("x", "x"), (NAT, NAT), "must be unique"),
+    (("x", "y"), (NAT,), "one domain per variable"),
+    (("x",), ("real",), "unknown exponent domain 'real'"),
+] + [((name,), (NAT,), f"variable name {name!r} is not")
+     for name in ("e", "d", "t", "x_1", "1x", "", "x'", "ξ", "x y")])
+def test_var_table_constructor_errors(names, domains, match):
+    """One domain per unique name, from the three domains, and only names
+    that element text reads back: a letter, then letters and digits,
+    other than e, d and t."""
+    with pytest.raises(ValueError, match=re.escape(match)):
+        VarTable(names, domains)
+
+
+def test_every_accepted_name_reads_back():
+    names = ("tau", "x1", "e2", "dx", "te", "Y", "et")
+    table = VarTable(names, (INT,) * len(names), has_time=True)
+    e = WeylElement.exp_t(table, -1)
+    for name in names:
+        e = e + mul(WeylElement.var(table, name, -2), WeylElement.deriv(table, name))
+    assert parse_element(element_to_text(e), table) == e
