@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 from collections import namedtuple
@@ -289,26 +290,95 @@ def render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, byte for byte,
+    for a document of plain dicts, lists, strings, numbers, bools and None.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder.  Here each
+    container that holds no container is written by the C encoder, in one
+    call whose item separator carries the newline and indent of its depth
+    (one encoder per depth), and only the containers above those are
+    walked in Python.  A JSON string holds no raw newline, so a dict with
+    a key other than a string, which ``json`` converts, is dumped as
+    ``json.dumps`` would and re-indented by its newlines.
+    """
+    encode, encoders, texts = json.JSONEncoder().encode, {}, {}
+
+    def scalar(value) -> str:
+        key = (type(value), value)  # 1, 1.0 and True are equal keys
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = encode(value)
+        return text
+
+    def write(value, pad: str) -> str:
+        if type(value) not in _CONTAINERS:
+            return scalar(value)
+        if not value:
+            return "{}" if type(value) is dict else "[]"
+        inner, is_dict = pad + "  ", type(value) is dict
+        if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
+            leaf = encoders.get(inner)
+            if leaf is None:
+                leaf = encoders[inner] = json.JSONEncoder(
+                    sort_keys=True, separators=("," + inner, ": "))
+            text = leaf.encode(value)
+            return text[0] + inner + text[1:-1] + pad + text[-1]
+        if not is_dict:
+            return "[" + inner + ("," + inner).join(
+                [write(v, inner) for v in value]) + pad + "]"
+        if not all(type(k) is str for k in value):
+            return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+        return "{" + inner + ("," + inner).join(
+            [f"{scalar(k)}: {write(v, inner)}" for k, v in sorted(value.items())]
+        ) + pad + "}"
+
+    return write(doc, "\n") + "\n"
+
+
 def emit_report(doc: dict, fmt: str, output: Path | None) -> str:
-    text = (json.dumps(doc, sort_keys=True, indent=2) + "\n") if fmt == "json" \
-        else render_markdown(doc)
+    text = _json_text(doc) if fmt == "json" else render_markdown(doc)
     if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(output.parent),
-                                   prefix=output.name + ".")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, output)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_report(text, output)
     return text
+
+
+def _write_report(text: str, output: Path) -> None:
+    """Write ``text`` to ``output``, a regular file atomically.
+
+    A symlink is written through, to the path it resolves to, and stays a
+    link.  An existing file that is not regular, such as a FIFO or a
+    device, is opened and written in place, since replacing it would put a
+    regular file where it was (a directory fails to open).  A regular file,
+    or a path with no file yet, gets a temp file in its directory, with the
+    mode open() would give it, moved over it.
+    """
+    target = Path(os.path.realpath(output))
+    try:
+        mode = target.stat().st_mode
+    except OSError:  # no file there, or a parent that is no directory
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name + ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,17 @@ class _Alg:
     """Terse element constructors over one table.
 
     Each distinct element is made once per instance and then shared, so a
-    builder's products pack it only once.
+    builder's products pack it only once.  :meth:`sum` writes a sum of
+    one-term monomial * derivative products straight into a term map, with
+    no product and one constructor call.
     """
 
     def __init__(self, table: VarTable):
         self.table = table
         self.one = WeylElement.const(table, 1)
         self._made: dict = {}
+        # the slot of each variable name, and "t" for the time slot
+        self._slots = {name: i for i, name in enumerate(table.names + ("t",))}
 
     def _made_once(self, make, *args) -> WeylElement:
         key = (make, args)
@@ -150,6 +154,26 @@ class _Alg:
 
     def e(self, weight) -> WeylElement:
         return self._made_once(WeylElement.exp_t, weight)
+
+    def sum(self, terms) -> WeylElement:
+        """The sum of c * m * d over the triples (c, m, d) of ``terms``.
+
+        ``m`` and ``d`` list (name, exponent) pairs of the monomial and of
+        the derivative block, "t" naming the time slot (the weight of
+        e^(w*t), or the order of d[t]), and a repeated name adds.  A
+        monomial times a derivative block is already normal-ordered, so
+        each triple is one term; like terms add, and the element is made by
+        one constructor call, which checks the domains and drops zeros.
+        """
+        zeros, out = self.table.zeros, {}
+        for c, mon, der in terms:
+            slots = [list(zeros), list(zeros)]
+            for part, pairs in zip(slots, (mon, der)):
+                for name, p in pairs:
+                    part[self._slots[name]] += p
+            key = (tuple(slots[0]), tuple(slots[1]))
+            out[key] = out.get(key, 0) + c
+        return WeylElement(self.table, {key: coef(c) for key, c in out.items()})
 
 
 def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:
@@ -311,59 +335,53 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
     """
     if not isinstance(ell, int) or ell < 1:
         raise InvalidEll(f"ell must be a positive integer, got {ell!r}")
-    table = general_table(ell)
-    A = _Alg(table)
-
+    A = _Alg(general_table(ell))
     xname, yname = partial(_xname, ell=ell), "y{}".format
 
     def I(n: int) -> int:
         return factorial_sign(n, ell)
 
-    z_plus = A.d("tau") if not verbatim else -A.d("tau")
-    z0 = -(A.v("tau") * A.d("tau"))
-    for k in range(1, ell + 1):
-        z0 = z0 - (ell + 1 - k) * (A.v(xname(k)) * A.d(xname(k))
-                                   + A.v(f"y{k}") * A.d(f"y{k}"))
-    z0 = z0 - Fraction(ell * (ell + 1), 2) * A.one
+    def euler(c, name: str):
+        """The triple of c * name * d[name]."""
+        return c, [(name, 1)], [(name, 1)]
 
-    z_minus = 2 * (A.v("tau") * z0) + A.v("tau", 2) * A.d("tau") \
-        - (ell * I(ell + 1)) * (A.v("u") * A.v(f"y{ell}"))
-    for k in range(1, ell + 1):
-        z_minus = z_minus - (2 * ell + 1 - k) * (A.v(xname(k)) * A.d(xname(k + 1)))
-    for k in range(1, ell):
-        z_minus = z_minus - (2 * ell + 1 - k) * (A.v(f"y{k}") * A.d(f"y{k + 1}"))
+    z_plus = A.sum([(1 if not verbatim else -1, [], [("tau", 1)])])
+    z0_terms = [euler(-1, "tau"), (-Fraction(ell * (ell + 1), 2), [], [])] + [
+        euler(-(ell + 1 - k), name)
+        for k in range(1, ell + 1) for name in (xname(k), yname(k))]
+    z0 = A.sum(z0_terms)
 
-    r = -(A.v("u") * A.d("u"))
-    for k in range(1, ell + 1):
-        r = r + (-(A.v(xname(k)) * A.d(xname(k))) + A.v(f"y{k}") * A.d(f"y{k}"))
+    # z- = 2 tau z0 + tau^2 d[tau] - ell I_{ell+1} u y_ell - the two chains
+    z_minus = A.sum(
+        [(2 * c, [("tau", 1), *mon], der) for c, mon, der in z0_terms]
+        + [(1, [("tau", 2)], [("tau", 1)]),
+           (-(ell * I(ell + 1)), [("u", 1), (yname(ell), 1)], [])]
+        + [(-(2 * ell + 1 - k), [(xname(k), 1)], [(xname(k + 1), 1)])
+           for k in range(1, ell + 1)]
+        + [(-(2 * ell + 1 - k), [(yname(k), 1)], [(yname(k + 1), 1)])
+           for k in range(1, ell)])
+
+    r = A.sum([euler(-1, "u")] + [euler(c, name) for k in range(1, ell + 1)
+                                  for c, name in ((-1, xname(k)), (1, yname(k)))])
 
     def pos(n: int, name) -> WeylElement:
         """v_n (``name`` = xname) or w_n (``name`` = yname) for mode n >= 0."""
-        out = WeylElement.zero(table)
-        for k in range(n, ell + 1):
-            out = out + math.comb(ell - n, ell - k) * (
-                A.v("tau", ell - k) * A.d(name(k + 1 - n)))
-        return out
+        return A.sum((math.comb(ell - n, ell - k), [("tau", ell - k)],
+                      [(name(k + 1 - n), 1)]) for k in range(n, ell + 1))
 
     def v_neg(n: int) -> WeylElement:
-        out = WeylElement.zero(table)
-        for k in range(0, ell + 1):
-            out = out + math.comb(ell + n, n + k) * (
-                A.v("tau", n + k) * A.d(xname(ell + 1 - k)))
-        for k in range(1, n + 1):
-            out = out + (math.comb(ell + n, n - k) * I(ell + k)) * (
-                A.v("tau", n - k) * A.v(f"y{ell + 1 - k}"))
-        return out
+        return A.sum(
+            [(math.comb(ell + n, n + k), [("tau", n + k)], [(xname(ell + 1 - k), 1)])
+             for k in range(0, ell + 1)]
+            + [(math.comb(ell + n, n - k) * I(ell + k),
+                [("tau", n - k), (yname(ell + 1 - k), 1)], []) for k in range(1, n + 1)])
 
     def w_neg(n: int) -> WeylElement:
-        out = WeylElement.zero(table)
-        for k in range(1, ell + 1):
-            out = out + math.comb(ell + n, n + k) * (
-                A.v("tau", n + k) * A.d(f"y{ell + 1 - k}"))
-        for k in range(0, n + 1):
-            out = out - (math.comb(ell + n, n - k) * I(ell + k)) * (
-                A.v("tau", n - k) * A.v(xname(ell + 1 - k)))
-        return out
+        return A.sum(
+            [(math.comb(ell + n, n + k), [("tau", n + k)], [(yname(ell + 1 - k), 1)])
+             for k in range(1, ell + 1)]
+            + [(-(math.comb(ell + n, n - k) * I(ell + k)),
+                [("tau", n - k), (xname(ell + 1 - k), 1)], []) for k in range(0, n + 1)])
 
     gens: dict[str, WeylElement] = {"z+": z_plus, "z0": z0, "z-": z_minus, "r": r}
     for n in range(-ell, ell + 1):
@@ -372,7 +390,7 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
 
     params = FamilyParams(gamma=Coef.const(1), xi=Coef.const(1), ell=ell,
                           verbatim=verbatim)
-    return GeneratorFamily("free-general", f"free-general(l={ell})", table,
+    return GeneratorFamily("free-general", f"free-general(l={ell})", A.table,
                            {name: gens[name] for name in general_order(ell)},
                            params)
 
@@ -403,14 +421,12 @@ def build_ladder(ell: int) -> GeneratorFamily:
 
 def general_invariant_explicit(ell: int) -> WeylElement:
     """The degree-1 invariant operator in explicit differential form."""
-    A = _Alg(general_table(ell))
-    out = A.d("tau")
-    for n in range(1, ell + 1):
-        out = out + n * (A.v(_xname(n + 1, ell)) * A.d(_xname(n, ell)))
-    for n in range(1, ell):
-        out = out + n * (A.v(f"y{n + 1}") * A.d(f"y{n}"))
     c = Fraction((-1) ** ell, math.factorial(ell) * math.factorial(ell - 1))
-    return out + c * (A.d(f"y{ell}") * A.d("u"))
+    return _Alg(general_table(ell)).sum(
+        [(1, [], [("tau", 1)])]
+        + [(n, [(_xname(n + 1, ell), 1)], [(_xname(n, ell), 1)]) for n in range(1, ell + 1)]
+        + [(n, [(f"y{n + 1}", 1)], [(f"y{n}", 1)]) for n in range(1, ell)]
+        + [(c, [], [(f"y{ell}", 1), ("u", 1)])])
 
 
 def general_invariant_ladder(ladder: GeneratorFamily) -> WeylElement:
@@ -442,8 +458,7 @@ def loop_name(prefix: str, n: int) -> str:
 
 def kappa(n: int, w1: Fraction, w2: Fraction) -> WeylElement:
     """The mode factor kappa(n) = e^(n w2 t) x^(n w2/w1) of every loop generator."""
-    return mul(WeylElement.exp_t(XI0_TABLE, n * w2),
-               WeylElement.var(XI0_TABLE, "x", n * w2 / w1))
+    return _Alg(XI0_TABLE).sum([(1, [("t", n * w2), ("x", n * w2 / w1)], [])])
 
 
 def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:

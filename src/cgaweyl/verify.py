@@ -351,10 +351,20 @@ def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
 # ---------------------------------------------------------------------------
 # table verification and calibration
 
-def _expected_text(entry: RelationEntry | None, sign: int = 1) -> str:
+def _expected_text(entry: RelationEntry | None, sign: int = 1,
+                   texts: dict | None = None) -> str:
+    """The printed expected side of ``entry`` read with ``sign``.
+
+    ``texts`` keeps the printed coefficient per (sign, coefficient) for one
+    table check, whose pairs repeat a few coefficients many times.
+    """
     if entry is None or (entry.name is None and entry.c.is_zero()):
         return "0"
-    c = f"({(sign * entry.c).text()})"
+    texts = {} if texts is None else texts
+    key = (sign, *entry.c.terms.items())  # c has at most one term
+    c = texts.get(key)
+    if c is None:
+        c = texts[key] = f"({(sign * entry.c).text()})"
     return c if entry.name is None else f"{c}*{entry.name}"
 
 
@@ -394,6 +404,7 @@ def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationRepo
     report = VerificationReport(title=f"commutator table {table.name}",
                                 family=fam.name,
                                 params=fam.params.describe())
+    texts: dict = {}
     for a, b, sign, entry, skipped, residual in _residuals(fam, table):
         lhs = f"[{a}, {b}]"
         if skipped:
@@ -401,7 +412,7 @@ def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationRepo
                                               "mode index outside truncation"))
         else:
             report.entries.append(_residual_entry(
-                fam.name, lhs, _expected_text(entry, sign), residual))
+                fam.name, lhs, _expected_text(entry, sign, texts), residual))
     return report
 
 

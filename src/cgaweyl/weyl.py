@@ -93,7 +93,12 @@ with it, and :func:`bracket_residual`, every check of [a, b] = c * g,
 reads g's packed form with it (:func:`_is_multiple`) and builds
 [a, b] - c * g only when the check fails.  These two, with
 :func:`term_count`, are the checks' whole view of the packed form: no
-other module reads it.
+other module reads it.  Before it runs the kernel, :func:`bracket_residual`
+reads each operand's support, the masks of the slots that are nonzero in
+some monomial and in some derivative block, time included
+(:func:`_support_of`): when no derivative slot of one operand is a
+monomial slot of the other, no term pair meets and [a, b] = 0, so the
+check reads c * g alone and packs nothing.
 
 The element text is printed and read piece by piece, each piece in the
 module that owns it.  A term's coefficient, ``(p)`` or ``(p)/(q)``, is
@@ -104,9 +109,9 @@ here, with one alternative of the regular pattern ``_FACTOR`` each.
 
 Elements are immutable after construction, the unit included, and every
 operation is a pure function, so values are safe to share across threads.
-An ``apply_to`` result's ``terms`` are filled on first read; two threads
-reading them at once each decode the same packed form and store equal
-maps.  Each packed form is built in full before it is stored, so no
+An ``apply_to`` result's ``terms``, and any element's support, are
+filled on first read; two threads reading them at once each compute them
+from the same element and store equal values.  Each packed form is built in full before it is stored, so no
 thread reads a part-filled one, and a call reads each operand's form
 once and widens the forms in hand: another thread may meanwhile store a
 form of another width, which a later call widens again if it must.
@@ -240,6 +245,8 @@ class WeylElement:
     groups)``, the last two filled when :func:`mul` or :func:`commutator`
     (:func:`_kernel_terms`) and :func:`apply_to` (:func:`_operator_form`)
     first need them.  A kernel result holds the form its kernel built.
+    ``_support`` is None until :func:`bracket_residual` first reads it, and
+    then holds the masks of the element's nonzero slots (:func:`_support_of`).
 
     ``terms`` may be filled on first read: an :func:`apply_to` result is
     made from the kernel's packed form alone (:func:`_packed_result`), as
@@ -248,12 +255,12 @@ class WeylElement:
     spectrum's eigenvalue check and term count read the packed form.
     """
 
-    __slots__ = ("table", "terms", "_lattice", "_packed")
+    __slots__ = ("table", "terms", "_lattice", "_packed", "_support")
 
     def __init__(self, table: VarTable,
                  terms: dict[tuple[tuple, tuple], Coef] | None = None):
         self.table = table
-        self._packed = None
+        self._packed = self._support = None
         timeless, runs = not table.has_time, table._nat_runs
         lattice = 1
         cleaned: dict[tuple[tuple, tuple], Coef] = {}
@@ -352,7 +359,7 @@ class WeylElement:
     # -- linear structure ------------------------------------------------------
 
     def _require_same_table(self, other: "WeylElement") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise ValueError("elements live over different variable tables")
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
@@ -891,7 +898,7 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
         e = WeylElement(table, _decoded(table, blocks, den, unit, width))
     else:
         e = _Undecoded.__new__(_Undecoded)
-        e.table, e._lattice = table, 1
+        e.table, e._lattice, e._support = table, 1, None
         if unit != 1:
             half, mask = 1 << width - 1, (1 << width) - 1
             e._lattice = unit // math.gcd(unit, *[
@@ -959,16 +966,41 @@ def _is_multiple(core, g: WeylElement, c: Coef) -> bool:
     return _numerators_match(sums, den, blocks, den_g, c)
 
 
+def _support_of(e: WeylElement) -> tuple[int, int]:
+    """``(mon_mask, der_mask)`` of ``e``: bit i is set where slot i, the time
+    slot last, is nonzero in the monomial, or the derivative block, of
+    some term.  Computed on first read and kept in the ``_support`` slot."""
+    support = e._support
+    if support is None:
+        mon_mask = der_mask = 0
+        for mon, der in e.terms:
+            mon_mask |= sum([1 << i for i, p in enumerate(mon) if p])
+            der_mask |= sum([1 << i for i, k in enumerate(der) if k])
+        support = e._support = (mon_mask, der_mask)
+    return support
+
+
 def bracket_residual(a: WeylElement, b: WeylElement, g: WeylElement,
                      c) -> WeylElement | None:
     """None when [a, b] = c * g, else the element [a, b] - c * g.
 
-    ``c`` (an int, ``Fraction`` or ``Coef``) has at most one term.  [a, b]
-    stays in the packed form of :func:`_commutator_core` and is compared
-    with c * g on its numerators (:func:`_is_multiple`), so a bracket that
-    holds builds no element; only a failing one is decoded.
+    ``c`` (an int, ``Fraction`` or ``Coef``) has at most one term.  When no
+    derivative slot of either operand is a nonzero monomial slot of the
+    other (:func:`_support_of`), no term pair meets, and the kernel, whose
+    per-pair test reads the same slots, would give [a, b] = 0: so the
+    answer is read off c * g and no form is packed.  An undecoded
+    :func:`apply_to` operand is not decoded for this test and takes the
+    kernel.  There [a, b] stays in the packed form of
+    :func:`_commutator_core` and is compared with c * g on its numerators
+    (:func:`_is_multiple`), so a bracket that holds builds no element;
+    only a failing one is decoded.
     """
     c = coef(c)
+    if type(a) is not _Undecoded and type(b) is not _Undecoded:
+        a._require_same_table(b)
+        (mon_a, der_a), (mon_b, der_b) = _support_of(a), _support_of(b)
+        if not (der_a & mon_b or der_b & mon_a):
+            return None if c.is_zero() or g.is_zero() else -g.scaled(c)
     core = _commutator_core(a, b)
     if _is_multiple(core, g, c):
         return None

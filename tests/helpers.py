@@ -4,12 +4,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product as cartesian
 from operator import add
 
 from cgaweyl.scalar import Coef, NotDivisible, split_blocks
 from cgaweyl.spectrum import ZeroState
-from cgaweyl.weyl import NAT, RAT, Exponent, VarTable, WeylElement, apply_to
+from cgaweyl.weyl import NAT, RAT, Exponent, VarTable, WeylElement, apply_to, mul
 
 PLAIN_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT))
 TIME_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
@@ -124,7 +125,7 @@ def unchecked_element(table: VarTable, terms: dict) -> WeylElement:
     e = WeylElement.__new__(WeylElement)
     e.table, e.terms = table, dict(terms)
     e._lattice = lattice_unit(e.terms)
-    e._packed = None
+    e._packed = e._support = None
     return e
 
 
@@ -303,3 +304,88 @@ def check_canonical(e: WeylElement) -> None:
         assert e.table.has_time or not (mon[-1] or der[-1])
         for i, p in enumerate(mon[:-1]):
             e.table.check_power(i, p)
+
+
+def reference_free_general(ell: int, verbatim: bool = True) -> dict:
+    """The generators of ``build_free_general(ell, verbatim)`` as products and sums.
+
+    Every monomial * derivative product is a ``mul`` of one-term elements
+    and every generator a sum of such products, scaled: the construction
+    that the builder's one-pass term maps must reproduce, terms and
+    exponent unit alike.
+    """
+    from cgaweyl.realizations import factorial_sign, general_order, general_table
+
+    table = general_table(ell)
+    zero, one = WeylElement.zero(table), WeylElement.const(table, 1)
+
+    def v(name, power=1):
+        return WeylElement.var(table, name, power)
+
+    def d(name):
+        return WeylElement.deriv(table, name)
+
+    def x(k):
+        return f"x{k}" if k <= ell else "u"
+
+    def I(n):
+        return factorial_sign(n, ell)
+
+    z0 = zero - mul(v("tau"), d("tau"))
+    for k in range(1, ell + 1):
+        z0 = z0 - (ell + 1 - k) * (mul(v(x(k)), d(x(k))) + mul(v(f"y{k}"), d(f"y{k}")))
+    z0 = z0 - Fraction(ell * (ell + 1), 2) * one
+    z_minus = 2 * mul(v("tau"), z0) + mul(v("tau", 2), d("tau")) \
+        - (ell * I(ell + 1)) * mul(v("u"), v(f"y{ell}"))
+    for k in range(1, ell + 1):
+        z_minus = z_minus - (2 * ell + 1 - k) * mul(v(x(k)), d(x(k + 1)))
+    for k in range(1, ell):
+        z_minus = z_minus - (2 * ell + 1 - k) * mul(v(f"y{k}"), d(f"y{k + 1}"))
+    r = zero - mul(v("u"), d("u"))
+    for k in range(1, ell + 1):
+        r = r - mul(v(x(k)), d(x(k))) + mul(v(f"y{k}"), d(f"y{k}"))
+
+    def y(k):
+        return f"y{k}"
+
+    def pos(n, name):
+        out = zero
+        for k in range(n, ell + 1):
+            out = out + math.comb(ell - n, ell - k) * mul(v("tau", ell - k), d(name(k + 1 - n)))
+        return out
+
+    def neg(n, name, other, sign, first):
+        """v_{-n} (sign 1, first 0) or w_{-n} (sign -1, first 1)."""
+        out = zero
+        for k in range(first, ell + 1):
+            out = out + math.comb(ell + n, n + k) * mul(v("tau", n + k), d(name(ell + 1 - k)))
+        for k in range(1 - first, n + 1):
+            out = out + (sign * math.comb(ell + n, n - k) * I(ell + k)) * mul(
+                v("tau", n - k), v(other(ell + 1 - k)))
+        return out
+
+    gens = {"z+": d("tau") if not verbatim else -d("tau"), "z0": z0, "z-": z_minus,
+            "r": r}
+    for n in range(-ell, ell + 1):
+        gens[f"v{n:+d}" if n else "v0"] = pos(n, x) if n >= 0 else neg(-n, x, y, 1, 0)
+        gens[f"w{n:+d}" if n else "w0"] = pos(n, y) if n >= 1 else neg(-n, y, x, -1, 1)
+    return {name: gens[name] for name in general_order(ell)}
+
+
+def reference_invariant_explicit(ell: int) -> WeylElement:
+    """``general_invariant_explicit(ell)`` as a sum of ``mul`` products."""
+    from cgaweyl.realizations import general_table
+
+    table = general_table(ell)
+
+    def x(k):
+        return f"x{k}" if k <= ell else "u"
+
+    v, d = partial(WeylElement.var, table), partial(WeylElement.deriv, table)
+    out = d("tau")
+    for n in range(1, ell + 1):
+        out = out + n * mul(v(x(n + 1)), d(x(n)))
+    for n in range(1, ell):
+        out = out + n * mul(v(f"y{n + 1}"), d(f"y{n}"))
+    c = Fraction((-1) ** ell, math.factorial(ell) * math.factorial(ell - 1))
+    return out + c * mul(d(f"y{ell}"), d("u"))

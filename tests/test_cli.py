@@ -6,10 +6,12 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 
 import golden
 from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
-                          build_parser, main, parse_rational, run)
+                          _json_text, build_parser, main, parse_rational, run)
 
 REPO = Path(__file__).resolve().parent.parent
 # every CI smoke command, its report pinned section by section and byte for
@@ -231,6 +233,88 @@ def test_report_file_mode_follows_the_umask(tmp_path, capsys, umask):
     capsys.readouterr()
     assert target.stat().st_mode & 0o777 == 0o666 & ~umask
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A random document: nested dicts and lists, empty ones included, of
+    strings with JSON's own punctuation, newlines and non-ASCII text, ints,
+    bools and None."""
+    def text():
+        return "".join(rng.choice(['a', 'Z', '{', '}', '[', ']', ',', ':', '"', '\\',
+                                   '\n', ' ', 'é', 'ü', '中', '\U0001F600', '0'])
+                       for _ in range(rng.randint(0, 6)))
+    kind = rng.randint(0, 9 if depth < 4 else 5)
+    if kind <= 5:
+        return rng.choice([text(), rng.randint(-10**20, 10**20), rng.randint(-3, 3),
+                           True, False, None])
+    items = [_random_json(rng, depth + 1) for _ in range(rng.choice((0, 1, 2, 4)))]
+    if kind <= 7:
+        return items
+    return {text(): item for item in items}
+
+
+def test_json_text_is_the_indented_dump():
+    """The report writer gives the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline, on random nested documents and on the edge
+    cases named here."""
+    rng = random.Random(3302)
+    docs = [{}, [], [{}], {"a": []}, {"a": [[], {}, [[]], {"b": {}}]}, "{}[],:\"\n",
+            {"é": "中\n", "": None, "k": True, "n": -7, "z": [False, 0, ""]},
+            [{"x": {"y": [1, {"z": "}]"}]}}, {"x": 1}, []], {1: [2], 3: {"a": None}},
+            {"a": {2: [], 1: {"b": True}}}]
+    docs += [_random_json(rng) for _ in range(400)]
+    docs += [{"s": d, "t": [d, {"u": d}]} for d in docs[:60]]
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks and FIFOs")
+def test_report_is_written_through_a_symlink(tmp_path, capsys):
+    """--output on a symlink writes the file it points to and leaves the
+    link in place, also when the file does not exist yet."""
+    argv = ["verify", "--family", "osc-l1", "--output"]
+    expected = json.dumps(run(build_parser().parse_args(argv[:3]))[1],
+                          sort_keys=True, indent=2) + "\n"
+    (tmp_path / "reports").mkdir()
+    for name, existing in (("old.json", True), ("new.json", False)):
+        target, link = tmp_path / "reports" / name, tmp_path / f"link-{name}"
+        if existing:
+            target.write_text("stale\n")
+        link.symlink_to(target)
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == expected
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["new.json",
+                                                                         "old.json"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks and FIFOs")
+def test_report_is_written_into_a_fifo_in_place(tmp_path, capsys):
+    """--output on a FIFO writes the report into it, for a reader on the
+    other end, and leaves the FIFO where it was; so does a symlink to it."""
+    argv = ["verify", "--family", "osc-l1", "--output"]
+    expected = json.dumps(run(build_parser().parse_args(argv[:3]))[1],
+                          sort_keys=True, indent=2) + "\n"
+    fifo, link = tmp_path / "pipe", tmp_path / "link"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    for path in (fifo, link):
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert main(argv + [str(path)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the report never reached the FIFO"
+        assert got == [expected.encode("utf-8")]
+        assert fifo.is_fifo()
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pipe"]
 
 
 def test_unwritable_report_path_exits_two(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_free_general, reference_invariant_explicit
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (
     WeylElement,
@@ -28,6 +29,7 @@ from cgaweyl.realizations import (
     factorial_sign,
     gen_name,
     general_invariant_explicit,
+    kappa,
     loop_name,
 )
 
@@ -181,6 +183,33 @@ def test_invalid_ell():
         build_free_general(0)
     with pytest.raises(InvalidEll):
         build_ladder(-2)
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_general_builders_equal_their_products_and_sums(ell):
+    """The one-pass builders give every generator, and the explicit
+    invariant, with the terms and the exponent unit of the construction
+    from ``mul`` products and sums (``tests/helpers``)."""
+    for verbatim in (True, False):
+        gens = build_free_general(ell, verbatim).generators
+        reference = reference_free_general(ell, verbatim)
+        assert list(gens) == list(reference)
+        for name, g in gens.items():
+            assert g.terms == reference[name].terms, (verbatim, name)
+            assert g._lattice == reference[name]._lattice, (verbatim, name)
+    explicit, reference = general_invariant_explicit(ell), reference_invariant_explicit(ell)
+    assert explicit.terms == reference.terms and explicit._lattice == reference._lattice
+
+
+def test_kappa_is_the_product_of_its_factors():
+    """kappa(n) = e^(n w2 t) x^(n w2/w1), the exponent unit included."""
+    for w1, w2 in ((Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 7)),
+                   (Fraction(1), Fraction(1))):
+        for n in range(-3, 4):
+            k = kappa(n, w1, w2)
+            product = mul(WeylElement.exp_t(k.table, n * w2),
+                          WeylElement.var(k.table, "x", n * w2 / w1))
+            assert k.terms == product.terms and k._lattice == product._lattice
 
 
 def test_general_z0_constant_term():

@@ -8,8 +8,10 @@ import pytest
 from cgaweyl import verify
 from cgaweyl.scalar import COEF_ZERO, Coef
 from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _commutator_core,
-                          _is_multiple, bracket_residual, commutator, mul,
-                          parse_element)
+                          _is_multiple, _Undecoded, apply_to, bracket_residual,
+                          commutator, mul, parse_element, remap)
+from helpers import (COEF_POOL, PLAIN_TABLE, RAT_EXPONENT_POOL, RAT_TABLE, TIME_TABLE,
+                     random_element, reference_mul)
 from cgaweyl.realizations import (
     build_free_general,
     build_free_l1,
@@ -177,6 +179,21 @@ def test_kept_zero_with_a_constant_residual_is_inconsistent_in_any_table():
         with pytest.raises(InconsistentSystem) as err:
             calibrate_constants(fam, bad)
         assert err.value.failing == ["[v+1, w-1]"]
+
+
+def test_table_texts_are_kept_per_sign_and_coefficient():
+    """A table check prints each (sign, coefficient) once, and every pair's
+    expected side equals its text printed afresh, whichever sign came first."""
+    for fam, table in ((build_free_general(2, verbatim=False), general_commutator_table(2)),
+                       (build_osc_l1(), cga_l1_table(build_osc_l1()))):
+        report = verify_table(fam, table)
+        signs = set()
+        for (a, b), entry in zip(table.pairs(), report.entries):
+            found = table.lookup(a, b)
+            sign, rel = found if found else (1, None)
+            signs.add((sign, rel is not None and rel.c == Coef.const(1)))
+            assert entry.expected == verify._expected_text(rel, sign), (a, b)
+        assert {(1, True), (-1, True)} <= signs
 
 
 def test_relation_entry_is_one_term():
@@ -815,6 +832,67 @@ def test_bracket_residual_is_none_or_the_built_residual():
             assert got == expected and got.text() == expected.text()
             assert not got.is_zero()
     assert held == {True, False}
+
+
+def test_bracket_residual_matches_the_reference_bracket():
+    """On random pairs, ``bracket_residual(a, b, g, c)`` is None exactly when
+    the reference [a, b] - c * g vanishes, and is that element otherwise.
+    The pairs include ones that meet only through d[t] past e^(w*t), ones
+    with fractional exponents, and ones whose slot supports are disjoint,
+    with c * g zero and nonzero; a disjoint pair packs neither operand."""
+    rng = random.Random(3301)
+    t = TIME_TABLE
+
+    def only(table, names, **kw):
+        """A random element whose slots are all among ``names`` (and time)."""
+        sub = VarTable(names, tuple(table.domains[table.index(n)] for n in names),
+                       table.has_time)
+        return remap(random_element(sub, rng, **kw), table)
+
+    dt, e2 = WeylElement.time_deriv(t), WeylElement.exp_t(t, 2)
+    y, dx = WeylElement.var(t, "y"), WeylElement.deriv(t, "x")
+    cases = [(mul(y, dt), mul(e2, dx)),   # meets only through d[t] past e^(2t)
+             (mul(e2, dx), mul(y, dt))]
+    for _ in range(30):
+        cases.append((random_element(t, rng, weights=(0, 1, -2)),
+                      random_element(t, rng, weights=(0, 1, -2))))
+        cases.append(tuple(random_element(RAT_TABLE, rng, weights=(0, Fraction(1, 2)),
+                                          powers=RAT_EXPONENT_POOL) for _ in range(2)))
+        cases.append((only(PLAIN_TABLE, ("x",)), only(PLAIN_TABLE, ("y", "u"))))
+        cases.append((only(RAT_TABLE, ("x",), powers=RAT_EXPONENT_POOL),
+                      only(RAT_TABLE, ("y",), powers=RAT_EXPONENT_POOL)))
+    held, disjoint = set(), set()
+    for a, b in cases:
+        g = random_element(a.table, rng)
+        for c in (COEF_ZERO, rng.choice(COEF_POOL)):
+            a, b = (WeylElement(e.table, e.terms) for e in (a, b))  # unpacked
+            bracket = reference_mul(a, b) - reference_mul(b, a)
+            expected = bracket - g.scaled(c)
+            got = bracket_residual(a, b, g, c)
+            held.add(got is None)
+            assert (got is None) == expected.is_zero()
+            if got is not None:
+                assert got == expected and got.text() == expected.text()
+            if bracket.is_zero() and a._packed is None and b._packed is None:
+                disjoint.add(c.is_zero())
+    assert held == {True, False} and disjoint == {True, False}
+    a, b = cases[0]
+    assert bracket_residual(a, b, e2, 1) is not None
+    assert bracket_residual(a, b, mul(y, mul(e2, dx)), 2) is None
+
+
+def test_disjoint_supports_keep_the_checks_of_the_kernel():
+    """A support-disjoint bracket still rejects operands over two tables,
+    and an undecoded ``apply_to`` operand is not decoded for the test."""
+    x = WeylElement.var(PLAIN_TABLE, "x")
+    with pytest.raises(ValueError, match="different variable tables"):
+        bracket_residual(x, WeylElement.var(TIME_TABLE, "y"), x, 1)
+    state = apply_to(WeylElement.var(PLAIN_TABLE, "y"), x)
+    assert type(state) is _Undecoded
+    assert bracket_residual(state, WeylElement.deriv(PLAIN_TABLE, "u"), x, 0) is None
+    assert type(state) is _Undecoded
+    assert bracket_residual(WeylElement.deriv(PLAIN_TABLE, "x"), state,
+                            WeylElement.var(PLAIN_TABLE, "y"), 1) is None
 
 
 def test_missing_generator_on_the_right_side_is_rejected():
