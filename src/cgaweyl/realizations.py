@@ -121,49 +121,27 @@ OSC_L1_TABLE = VarTable(("x", "y", "u"), (NAT, NAT, NAT), has_time=True)
 
 
 class _Alg:
-    """Terse element constructors over one table.
+    """The one way this module states an element: :meth:`sum` over a table.
 
-    Each distinct element is made once per instance and then shared, so a
-    builder's products pack it only once.  :meth:`sum` writes a sum of
-    one-term monomial * derivative products straight into a term map, with
-    no product and one constructor call.
+    A monomial times a derivative block is already normal-ordered, so every
+    builder lists its terms as (c, monomial, derivative) triples, and a
+    product by a monomial factor (tau, e^(w*t), kappa(n)) is a prefix on
+    each triple's monomial (:func:`_times`): no builder runs a kernel.
     """
 
     def __init__(self, table: VarTable):
         self.table = table
-        self.one = WeylElement.const(table, 1)
-        self._made: dict = {}
         # the slot of each variable name, and "t" for the time slot
         self._slots = {name: i for i, name in enumerate(table.names + ("t",))}
-
-    def _made_once(self, make, *args) -> WeylElement:
-        key = (make, args)
-        e = self._made.get(key)
-        if e is None:
-            e = self._made[key] = make(self.table, *args)
-        return e
-
-    def v(self, name: str, power=1) -> WeylElement:
-        return self._made_once(WeylElement.var, name, power)
-
-    def d(self, name: str, order: int = 1) -> WeylElement:
-        return self._made_once(WeylElement.deriv, name, order)
-
-    def dt(self, order: int = 1) -> WeylElement:
-        return self._made_once(WeylElement.time_deriv, order)
-
-    def e(self, weight) -> WeylElement:
-        return self._made_once(WeylElement.exp_t, weight)
 
     def sum(self, terms) -> WeylElement:
         """The sum of c * m * d over the triples (c, m, d) of ``terms``.
 
         ``m`` and ``d`` list (name, exponent) pairs of the monomial and of
         the derivative block, "t" naming the time slot (the weight of
-        e^(w*t), or the order of d[t]), and a repeated name adds.  A
-        monomial times a derivative block is already normal-ordered, so
-        each triple is one term; like terms add, and the element is made by
-        one constructor call, which checks the domains and drops zeros.
+        e^(w*t), or the order of d[t]), and a repeated name adds.  Each
+        triple is one term; like terms add, and the element is made by one
+        constructor call, which checks the domains and drops zeros.
         """
         zeros, out = self.table.zeros, {}
         for c, mon, der in terms:
@@ -176,6 +154,26 @@ class _Alg:
         return WeylElement(self.table, {key: coef(c) for key, c in out.items()})
 
 
+def _p(*names: str) -> list:
+    """The (name, 1) pairs of a product of names; a repeated name adds."""
+    return [(name, 1) for name in names]
+
+
+def _euler(c, name: str):
+    """The triple of c * name * d[name]."""
+    return c, _p(name), _p(name)
+
+
+def _times(c, mon, terms) -> list:
+    """The triples of c * mon * (the sum of ``terms``), ``mon`` a list of
+    (name, exponent) pairs, prefixed to each triple's monomial."""
+    return [(c * tc, [*mon, *tm], td) for tc, tm, td in terms]
+
+
+# r = -x d[x] + y d[y] - u d[u] in both ell = 1 pictures
+_L1_R = [_euler(-1, "x"), _euler(1, "y"), _euler(-1, "u")]
+
+
 def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily:
     """The first-order realization acting on functions of tau, x, y, u.
 
@@ -186,65 +184,58 @@ def build_free_l1(gamma=None, xi=None, verbatim: bool = True) -> GeneratorFamily
     derives and certifies this shift (z0 -> z0 - 2) exactly.
     """
     g, x = _param(gamma, "gamma"), _param(xi, "xi")
-    A = _Alg(FREE_L1_TABLE)
-    tau, xv, yv, uv = A.v("tau"), A.v("x"), A.v("y"), A.v("u")
-    dtau = A.d("tau")
-    dx, dy, du = A.d("x"), A.d("y"), A.d("u")
-    two = Fraction(2)
-
-    euler_xy = xv * dx + yv * dy
-    z0_const = A.one if not verbatim else -A.one
-    gens = {
-        "z+": dtau,
-        "z0": -(tau * dtau + euler_xy + z0_const),
-        "z-": -(A.v("tau", 2) * dtau + two * (tau * euler_xy)
-                + (two * x.inv()) * (xv * du)
-                + (two * g.inv()) * (uv * yv)
-                + two * tau),
-        "r": -(xv * dx) + yv * dy - uv * du,
-        "v+1": g * dx,
-        "v0": g * (tau * dx) + (g / x) * du,
-        "v-1": g * (A.v("tau", 2) * dx) + (two * g / x) * (tau * du)
-               + (two * x.inv()) * yv,
-        "w+1": x * dy,
-        "w0": x * (tau * dy) + (x / g) * uv,
-        "w-1": x * (A.v("tau", 2) * dy) + (two * x / g) * (tau * uv)
-               - (two * g.inv()) * xv,
-        "theta": A.one,
-        "q": xv * dy + (x / (two * g)) * A.v("u", 2),
+    euler_xy = [_euler(1, "x"), _euler(1, "y")]
+    terms = {
+        "z+": [(1, [], _p("tau"))],
+        "z0": _times(-1, [], [_euler(1, "tau"), *euler_xy,
+                              (1 if not verbatim else -1, [], [])]),
+        "z-": [(-1, _p("tau", "tau"), _p("tau"))]
+              + _times(-2, _p("tau"), [*euler_xy, (1, [], [])])
+              + [(-2 * x.inv(), _p("x"), _p("u")), (-2 * g.inv(), _p("u", "y"), [])],
+        "r": _L1_R,
+        "v+1": [(g, [], _p("x"))],
+        "v0": [(g, _p("tau"), _p("x")), (g / x, [], _p("u"))],
+        "v-1": [(g, _p("tau", "tau"), _p("x")), (2 * g / x, _p("tau"), _p("u")),
+                (2 * x.inv(), _p("y"), [])],
+        "w+1": [(x, [], _p("y"))],
+        "w0": [(x, _p("tau"), _p("y")), (x / g, _p("u"), [])],
+        "w-1": [(x, _p("tau", "tau"), _p("y")), (2 * x / g, _p("tau", "u"), []),
+                (-2 * g.inv(), _p("x"), [])],
+        "theta": [(1, [], [])],
+        "q": [(1, _p("x"), _p("y")), (x / (2 * g), _p("u", "u"), [])],
     }
+    A = _Alg(FREE_L1_TABLE)
     params = FamilyParams(gamma=g, xi=x, verbatim=verbatim)
-    return GeneratorFamily("free-l1", "free-l1", FREE_L1_TABLE, gens, params)
+    return GeneratorFamily("free-l1", "free-l1", FREE_L1_TABLE,
+                           {name: A.sum(t) for name, t in terms.items()}, params)
 
 
 def build_osc_l1(gamma=None, xi=None) -> GeneratorFamily:
     """The exponential-time realization acting on functions of t, x, y, u."""
     g, x = _param(gamma, "gamma"), _param(xi, "xi")
-    A = _Alg(OSC_L1_TABLE)
-    xv, yv, uv = A.v("x"), A.v("y"), A.v("u")
-    dx, dy, du, dt = A.d("x"), A.d("y"), A.d("u"), A.dt()
-    two = Fraction(2)
-    euler_xy = xv * dx + yv * dy
-
-    gens = {
-        "z+": A.e(-1) * (dt - euler_xy),
-        "z0": -dt - A.one,
-        "z-": -(A.e(1) * (dt + euler_xy
-                          + (two * x.inv()) * (xv * du)
-                          + (two * g.inv()) * (uv * yv)
-                          + two * A.one)),
-        "r": -(xv * dx) + yv * dy - uv * du,
-        "v+1": g * (A.e(-1) * dx),
-        "v0": g * dx + (g / x) * du,
-        "v-1": A.e(1) * (g * dx + (two * g / x) * du + (two * x.inv()) * yv),
-        "w+1": x * (A.e(-1) * dy),
-        "w0": x * dy + (x / g) * uv,
-        "w-1": A.e(1) * (x * dy + (two * x / g) * uv - (two * g.inv()) * xv),
-        "theta": A.one,
-        "q": xv * dy + (x / (two * g)) * A.v("u", 2),
+    dt, down, up = (1, [], _p("t")), [("t", -1)], [("t", 1)]
+    euler_xy = [_euler(1, "x"), _euler(1, "y")]
+    terms = {
+        "z+": _times(1, down, [dt, _euler(-1, "x"), _euler(-1, "y")]),
+        "z0": [(-1, [], _p("t")), (-1, [], [])],
+        "z-": _times(-1, up, [dt, *euler_xy, (2 * x.inv(), _p("x"), _p("u")),
+                              (2 * g.inv(), _p("u", "y"), []), (2, [], [])]),
+        "r": _L1_R,
+        "v+1": [(g, down, _p("x"))],
+        "v0": [(g, [], _p("x")), (g / x, [], _p("u"))],
+        "v-1": _times(1, up, [(g, [], _p("x")), (2 * g / x, [], _p("u")),
+                              (2 * x.inv(), _p("y"), [])]),
+        "w+1": [(x, down, _p("y"))],
+        "w0": [(x, [], _p("y")), (x / g, _p("u"), [])],
+        "w-1": _times(1, up, [(x, [], _p("y")), (2 * x / g, _p("u"), []),
+                              (-2 * g.inv(), _p("x"), [])]),
+        "theta": [(1, [], [])],
+        "q": [(1, _p("x"), _p("y")), (x / (2 * g), _p("u", "u"), [])],
     }
+    A = _Alg(OSC_L1_TABLE)
     params = FamilyParams(gamma=g, xi=x)
-    return GeneratorFamily("osc-l1", "osc-l1", OSC_L1_TABLE, gens, params)
+    return GeneratorFamily("osc-l1", "osc-l1", OSC_L1_TABLE,
+                           {name: A.sum(t) for name, t in terms.items()}, params)
 
 
 def build_triplet(fam: GeneratorFamily) -> InvariantTriplet:
@@ -253,10 +244,9 @@ def build_triplet(fam: GeneratorFamily) -> InvariantTriplet:
     For the xi=0 family the triplet is (-e^(-w2 t) Omega, Omega, e^(w2 t) Omega).
     """
     if fam.kind == "xi0":
-        om = fam["Omega"]
-        w2 = fam.params.omega2
-        A = _Alg(fam.table)
-        return InvariantTriplet(plus=-(A.e(-w2) * om), zero=om, minus=A.e(w2) * om)
+        om, w2 = fam["Omega"], fam.params.omega2
+        return InvariantTriplet(plus=-(WeylElement.exp_t(fam.table, -w2) * om),
+                                zero=om, minus=WeylElement.exp_t(fam.table, w2) * om)
     if fam.kind not in ("free-l1", "osc-l1"):
         raise ValueError(f"no invariant triplet for family kind {fam.kind!r}")
     half = Fraction(1, 2)
@@ -273,16 +263,17 @@ def build_triplet(fam: GeneratorFamily) -> InvariantTriplet:
 def closed_form_triplet(fam: GeneratorFamily) -> InvariantTriplet:
     """The printed closed forms of the invariant triplet (for cross checks)."""
     g, x = fam.params.gamma, fam.params.xi
+    if fam.kind == "free-l1":   # (Omega+1, -tau Omega+1, -tau^2 Omega+1)
+        base = [(1, [], _p("tau")), (x, _p("u"), _p("x")), (-g, [], _p("y", "u"))]
+        factors = ((1, []), (-1, _p("tau")), (-1, _p("tau", "tau")))
+    elif fam.kind == "osc-l1":  # (-e^(-t) Omega0, Omega0, e^t Omega0)
+        base = [(-1, [], _p("t")), _euler(1, "x"), _euler(1, "y"),
+                (-x, _p("u"), _p("x")), (g, [], _p("y", "u"))]
+        factors = ((-1, [("t", -1)]), (1, []), (1, [("t", 1)]))
+    else:
+        raise ValueError(f"no closed-form triplet for family kind {fam.kind!r}")
     A = _Alg(fam.table)
-    if fam.kind == "free-l1":
-        plus = A.d("tau") + x * (A.v("u") * A.d("x")) - g * (A.d("y") * A.d("u"))
-        return InvariantTriplet(plus, -(A.v("tau") * plus),
-                                -(A.v("tau", 2) * plus))
-    if fam.kind == "osc-l1":
-        zero = (-A.dt() + A.v("x") * A.d("x") + A.v("y") * A.d("y")
-                - x * (A.v("u") * A.d("x")) + g * (A.d("y") * A.d("u")))
-        return InvariantTriplet(-(A.e(-1) * zero), zero, A.e(1) * zero)
-    raise ValueError(f"no closed-form triplet for family kind {fam.kind!r}")
+    return InvariantTriplet(*(A.sum(_times(c, mon, base)) for c, mon in factors))
 
 
 def deformed_degree0(fam: GeneratorFamily, omega) -> WeylElement:
@@ -294,9 +285,8 @@ def deformed_degree0(fam: GeneratorFamily, omega) -> WeylElement:
     in the tau picture it is the image of that operator under the
     similarity/time map, namely -tau*Omega_{+1} + (omega - 1) y d[y].
     """
-    A = _Alg(fam.table)
     return closed_form_triplet(fam).zero \
-        + (as_fraction(omega) - 1) * (A.v("y") * A.d("y"))
+        + _Alg(fam.table).sum([_euler(as_fraction(omega) - 1, "y")])
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +331,15 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
     def I(n: int) -> int:
         return factorial_sign(n, ell)
 
-    def euler(c, name: str):
-        """The triple of c * name * d[name]."""
-        return c, [(name, 1)], [(name, 1)]
-
     z_plus = A.sum([(1 if not verbatim else -1, [], [("tau", 1)])])
-    z0_terms = [euler(-1, "tau"), (-Fraction(ell * (ell + 1), 2), [], [])] + [
-        euler(-(ell + 1 - k), name)
+    z0_terms = [_euler(-1, "tau"), (-Fraction(ell * (ell + 1), 2), [], [])] + [
+        _euler(-(ell + 1 - k), name)
         for k in range(1, ell + 1) for name in (xname(k), yname(k))]
     z0 = A.sum(z0_terms)
 
     # z- = 2 tau z0 + tau^2 d[tau] - ell I_{ell+1} u y_ell - the two chains
     z_minus = A.sum(
-        [(2 * c, [("tau", 1), *mon], der) for c, mon, der in z0_terms]
+        _times(2, [("tau", 1)], z0_terms)
         + [(1, [("tau", 2)], [("tau", 1)]),
            (-(ell * I(ell + 1)), [("u", 1), (yname(ell), 1)], [])]
         + [(-(2 * ell + 1 - k), [(xname(k), 1)], [(xname(k + 1), 1)])
@@ -361,7 +347,7 @@ def build_free_general(ell: int, verbatim: bool = True) -> GeneratorFamily:
         + [(-(2 * ell + 1 - k), [(yname(k), 1)], [(yname(k + 1), 1)])
            for k in range(1, ell)])
 
-    r = A.sum([euler(-1, "u")] + [euler(c, name) for k in range(1, ell + 1)
+    r = A.sum([_euler(-1, "u")] + [_euler(c, name) for k in range(1, ell + 1)
                                   for c, name in ((-1, xname(k)), (1, yname(k)))])
 
     def pos(n: int, name) -> WeylElement:
@@ -456,9 +442,14 @@ def loop_name(prefix: str, n: int) -> str:
     return f"{prefix}({n})"
 
 
+def _kappa(n: int, w1: Fraction, w2: Fraction) -> list:
+    """The monomial pairs of kappa(n)."""
+    return [("t", n * w2), ("x", n * w2 / w1)]
+
+
 def kappa(n: int, w1: Fraction, w2: Fraction) -> WeylElement:
     """The mode factor kappa(n) = e^(n w2 t) x^(n w2/w1) of every loop generator."""
-    return _Alg(XI0_TABLE).sum([(1, [("t", n * w2), ("x", n * w2 / w1)], [])])
+    return _Alg(XI0_TABLE).sum([(1, _kappa(n, w1, w2), [])])
 
 
 def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
@@ -468,7 +459,8 @@ def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
     The zero mode w0 is the rescaled limit of the exponential-time w0,
     d[y] + (w2/gamma) u; the infinite-family generator printed without its
     e^(w2 t) factor carries it here (the only reading that closes the loop
-    algebra).
+    algebra).  Each loop generator kappa(n) B is its body B's triples with
+    kappa(n)'s pairs prefixed.
     """
     w1, w2 = as_fraction(omega1), as_fraction(omega2)
     if not w1 or not w2:
@@ -476,45 +468,42 @@ def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:
     if cutoff < 1:
         raise ValueError("mode cutoff must be >= 1")
     g = _param(gamma, "gamma")
-    A = _Alg(XI0_TABLE)
-    xv, yv, uv = A.v("x"), A.v("y"), A.v("u")
-    dx, dy, du, dt = A.d("x"), A.d("y"), A.d("u"), A.dt()
-
-    omega = -dt + w1 * (xv * dx) + w2 * (yv * dy) + g * (dy * du)
-    gens: dict[str, WeylElement] = {
-        "z0": -dt - Fraction(w1 + w2, 2) * A.one,
-        "v+1": g * (A.e(-w1) * dx),
-        "v0": g * du,
-        "v-1": (2 * w2) * (A.e(w2) * (g * du + w2 * yv)),
-        "w+1": A.e(-w2) * dy,
-        "w0": dy + (w2 * g.inv()) * uv,
-        "w-1": -((2 * w1 * w1) * g.inv()) * (A.e(w1) * xv),
-        "Omega": omega,
+    neg_dt, one = (-1, [], _p("t")), (1, [], [])
+    w_body = [(1, [], _p("y")), (w2 * g.inv(), _p("u"), [])]
+    terms = {
+        "z0": [neg_dt, (-(w1 + w2) / 2, [], [])],
+        "v+1": [(g, [("t", -w1)], _p("x"))],
+        "v0": [(g, [], _p("u"))],
+        "v-1": _times(2 * w2, [("t", w2)], [(g, [], _p("u")), (w2, _p("y"), [])]),
+        "w+1": [(1, [("t", -w2)], _p("y"))],
+        "w0": w_body,
+        "w-1": [(-2 * w1 * w1 * g.inv(), [("t", w1), ("x", 1)], [])],
+        "Omega": [neg_dt, _euler(w1, "x"), _euler(w2, "y"), (g, [], _p("y", "u"))],
     }
 
-    d0 = -dt + w1 * (xv * dx)
-    rr = -(yv * dy) + uv * du
-    j0_body = d0 - Fraction(w2, 2) * (rr + A.one)
-    jp_body = -(A.e(-w2) * (d0 + w2 * (yv * dy)))
-    jm_body = A.e(w2) * (d0 - w2 * (uv * du) - (w2 * w2 * g.inv()) * (uv * yv)
-                         - w2 * A.one)
-    w_body = dy + (w2 * g.inv()) * uv
-    rho_body = A.v("x", w2 / w1) * dy
-    v_body = A.v("x", -w2 / w1) * (g * du + w2 * yv)
-    u_body = g * du
-
+    d0 = [neg_dt, _euler(w1, "x")]
+    rr = [_euler(-1, "y"), _euler(1, "u")]
     bodies = {
-        "j0": j0_body, "j+": jp_body, "j-": jm_body, "r": rr,
-        "chi": xv * dx, "w": w_body, "rho": rho_body, "v": v_body,
-        "u": u_body, "theta": A.one,
+        "j0": d0 + _times(-w2 / 2, [], [*rr, one]),
+        "j+": _times(-1, [("t", -w2)], [*d0, _euler(w2, "y")]),
+        "j-": _times(1, [("t", w2)], [*d0, _euler(-w2, "u"),
+                                      (-w2 * w2 * g.inv(), _p("u", "y"), []), (-w2, [], [])]),
+        "r": rr,
+        "chi": [_euler(1, "x")],
+        "w": w_body,
+        "rho": [(1, [("x", w2 / w1)], _p("y"))],
+        "v": _times(1, [("x", -w2 / w1)], [(g, [], _p("u")), (w2, _p("y"), [])]),
+        "u": [(g, [], _p("u"))],
+        "theta": [one],
     }
     for prefix in XI0_LOOP_PREFIXES:
         for n in range(-cutoff, cutoff + 1):
-            gens[loop_name(prefix, n)] = mul(kappa(n, w1, w2), bodies[prefix])
+            terms[loop_name(prefix, n)] = _times(1, _kappa(n, w1, w2), bodies[prefix])
 
     params = FamilyParams(gamma=g, omega1=w1, omega2=w2, cutoff=cutoff)
-    return GeneratorFamily("xi0", f"xi0(w1={w1},w2={w2},N={cutoff})",
-                           XI0_TABLE, gens, params)
+    A = _Alg(XI0_TABLE)
+    return GeneratorFamily("xi0", f"xi0(w1={w1},w2={w2},N={cutoff})", XI0_TABLE,
+                           {name: A.sum(t) for name, t in terms.items()}, params)
 
 
 # ---------------------------------------------------------------------------

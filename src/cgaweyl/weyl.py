@@ -111,10 +111,11 @@ Elements are immutable after construction, the unit included, and every
 operation is a pure function, so values are safe to share across threads.
 An ``apply_to`` result's ``terms``, and any element's support, are
 filled on first read; two threads reading them at once each compute them
-from the same element and store equal values.  Each packed form is built in full before it is stored, so no
-thread reads a part-filled one, and a call reads each operand's form
-once and widens the forms in hand: another thread may meanwhile store a
-form of another width, which a later call widens again if it must.
+from the same element and store equal values.  Each packed form is built
+in full before it is stored, so no thread reads a part-filled one, and a
+call reads each operand's form once and widens the forms in hand:
+another thread may meanwhile store a form of another width, which a
+later call widens again if it must.
 The memos are safe to share too (the reorderings, and the decoded slots
 of recent keys, :func:`_slots`): their entries are immutable tuples and
 ``lru_cache`` keeps its bookkeeping consistent under concurrent calls
@@ -377,8 +378,8 @@ class WeylElement:
         return self + (-other)
 
     def scaled(self, value) -> "WeylElement":
-        c = coef(value)
-        return WeylElement(self.table, {k: v * c for k, v in self.terms.items()})
+        """``value`` * self; an int or ``Fraction`` takes ``Coef.scale``."""
+        return WeylElement(self.table, {k: v * value for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):

@@ -1,11 +1,14 @@
 """Generator families: printed closed forms, parameters, and derived operators."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from helpers import reference_free_general, reference_invariant_explicit
+from cgaweyl import realizations, weyl
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (
+    DomainViolation,
     WeylElement,
     anticommutator,
     commutator,
@@ -14,6 +17,8 @@ from cgaweyl.weyl import (
     parse_element,
 )
 from cgaweyl.realizations import (
+    FREE_L1_TABLE,
+    XI0_TABLE,
     InvalidEll,
     ZeroFrequency,
     ZeroParameter,
@@ -323,3 +328,119 @@ def test_family_text_roundtrip():
     for fam in (build_free_general(2), build_xi0(2, 3, cutoff=1)):
         for name, g in fam.generators.items():
             assert parse_element(element_to_text(g), fam.table) == g, name
+
+
+# -- the one term map ---------------------------------------------------------
+
+def test_term_map_sum_edge_cases():
+    """Triples that cancel leave no term, a repeated name adds, integral
+    ``Fraction`` slots are stored as ``int``, and the constructor still
+    rejects a NAT slot that the triples drive negative."""
+    free, xi0 = realizations._Alg(FREE_L1_TABLE), realizations._Alg(XI0_TABLE)
+    x_dx, gamma = ([("x", 1)], [("x", 1)]), Coef.gamma()
+    assert free.sum([(1, *x_dx), (-1, *x_dx)]).terms == {}
+    assert free.sum([(gamma, *x_dx), (-gamma, *x_dx), (0, [], [])]).terms == {}
+    assert free.sum([(1, *x_dx), (2, [("tau", 1)], []), (Fraction(1, 2), *x_dx)]) \
+        == parse_element("(3/2) * x * d[x] + (2) * tau", FREE_L1_TABLE)
+
+    repeated = free.sum([(2, [("x", 1), ("y", 1), ("x", 2)], [("u", 1), ("u", 1)])])
+    assert repeated == parse_element("(2) * x^3 * y * d[u]^2", FREE_L1_TABLE)
+
+    integral = xi0.sum([(1, [("t", Fraction(4, 2)), ("x", Fraction(1, 2)),
+                             ("x", Fraction(5, 2))], [("t", 1)])])
+    (mon, der), = integral.terms
+    assert mon == (3, 0, 0, 2) and [type(p) for p in mon] == [int] * 4
+    assert der == (0, 0, 0, 1) and integral._lattice == 1
+    fractional = xi0.sum([(1, [("x", Fraction(1, 3)), ("x", Fraction(1, 2))], [])])
+    (mon, _), = fractional.terms
+    assert mon[0] == Fraction(5, 6) and fractional._lattice == 6
+
+    for pairs in ([("x", -1)], [("y", 1), ("y", -2)], [("u", Fraction(1, 2))]):
+        with pytest.raises(DomainViolation):
+            free.sum([(1, pairs, [])])
+    assert free.sum([(1, [("tau", -3)], [])]).terms  # tau is INT
+
+
+# -- every builder, term for term ------------------------------------------------
+
+_L1_POINTS = ((None, None), (2, 3), (Fraction(-1, 2), Fraction(5, 7)))
+_XI0_POINTS = ((1, 1), (2, 3), (Fraction(3, 2), Fraction(5, 7)), (2, -3))
+
+
+def _pinned_families():
+    """Every ell = 1 and xi = 0 configuration that the builder pin covers."""
+    for g, x in _L1_POINTS:
+        for verbatim in (True, False):
+            yield f"free-l1 {g} {x} {verbatim}", build_free_l1(g, x, verbatim)
+        yield f"osc-l1 {g} {x}", build_osc_l1(g, x)
+    for w1, w2 in _XI0_POINTS:
+        for g in (None, 2):
+            yield f"xi0 {w1} {w2} {g}", build_xi0(w1, w2, gamma=g)
+
+
+def _builder_lines(fam) -> list[str]:
+    """The sorted ``name: text`` lines of a family's generators, its
+    triplet and, at ell = 1, its closed forms and deformed operator."""
+    lines = [f"{n}: {g.text()}" for n, g in fam.generators.items()]
+    lines += [f"triplet {n}: {g.text()}" for n, g in build_triplet(fam).named().items()]
+    if fam.kind != "xi0":
+        lines += [f"closed {n}: {g.text()}"
+                  for n, g in closed_form_triplet(fam).named().items()]
+        lines.append(f"deformed(2): {deformed_degree0(fam, 2).text()}")
+    return sorted(lines)
+
+
+_BUILDER_PINS = {
+    "free-l1 None None True": "1a83146e6d8b50f9ce6ee5d20595699d65603a0314b05b4fde0f95429df8ffe2",
+    "free-l1 None None False": "5538be2a9998a5d32c837ab6af32553bd2205fa1f541a1f92dfddeec05322625",
+    "osc-l1 None None": "d0c23609cebd472adf49a1a1b322013fe31d5db68e66d008355c37812146e645",
+    "free-l1 2 3 True": "15dc0b96a5b135b63227f5fccf5fa344f42efa0865e7026778ec145de69712c1",
+    "free-l1 2 3 False": "d2a6e9ce9af2d74bbf3987fbfa2164e63036c738e81891a1e903ed840276b7ee",
+    "osc-l1 2 3": "a34bcfd931d0ac3c1308d1e77bac0b49d3b149c0d9d2a2b2887a6f02e10edcfc",
+    "free-l1 -1/2 5/7 True": "ac32051e765c19f4cb2de72cee1507cc6796307345a04ef06f1c261b962bb6a8",
+    "free-l1 -1/2 5/7 False": "300ce8952bf0621bb2f882d7ab2ea7af82f88b36970e4bce75d5cfafede0414f",
+    "osc-l1 -1/2 5/7": "1e000ea4e8c7fe44cce4d11bcb508b765d9f1a09d7b05197b46a8c24918ec1ea",
+    "xi0 1 1 None": "82d864275758fb297fa02c243ea52472ab7747c15ab42698ddf48421cc80014a",
+    "xi0 1 1 2": "89b2caf48b41467dd4a90f12bba13f689352a4ffdbe14f0cee1434ef47620ffe",
+    "xi0 2 3 None": "e0d3bbc389108d9394b6247762ebe4adc0613c02e231a2fb93ad747ad3b15234",
+    "xi0 2 3 2": "b6944ad2c66ecf81c23e93bd5053e28689ee495d17564bc27e1b7c0fdf73b947",
+    "xi0 3/2 5/7 None": "6a08e8eaf8865cb5a08f504de3766b952782710afb3a22ebbb88e1f506987cb9",
+    "xi0 3/2 5/7 2": "ea0c478a41ebe8a6689155ebabfa70caa8623bfdb5853c4c2c212b741345ea80",
+    "xi0 2 -3 None": "00f7dae0433e11e54c15c2dd61e6d4d718305c58174f571c32d4ee9f7917342d",
+    "xi0 2 -3 2": "802e4b1e2ac4d4b1142feaa67193689bfff9c07998c1efdf0d0c28d2c0d44205",
+}
+
+
+def test_every_builder_is_pinned_term_for_term():
+    """The sha256 of each configuration's sorted ``name: text`` lines, as
+    the products-and-sums builders gave them: the term-map builders must
+    state every generator, triplet, closed form and deformed operator
+    with the same terms and coefficients."""
+    got = {label: hashlib.sha256("\n".join(_builder_lines(fam)).encode()).hexdigest()
+           for label, fam in _pinned_families()}
+    assert got == _BUILDER_PINS
+
+
+_L1_FAMILIES = (build_free_l1(), build_free_l1(verbatim=False), build_osc_l1(2, 3))
+_NO_KERNEL_BUILDS = {
+    "free-l1": lambda: (build_free_l1(), build_free_l1(2, 3, verbatim=False)),
+    "osc-l1": lambda: build_osc_l1(Fraction(-1, 2), Fraction(5, 7)),
+    "xi0": lambda: [build_xi0(w1, w2, gamma=g) for w1, w2 in _XI0_POINTS
+                    for g in (None, 2)],
+    "free-general": lambda: build_free_general(3),
+    "kappa": lambda: kappa(2, Fraction(3, 2), Fraction(5, 7)),
+    "closed-form": lambda: [closed_form_triplet(fam) for fam in _L1_FAMILIES],
+    "deformed": lambda: [deformed_degree0(fam, 2) for fam in _L1_FAMILIES],
+}
+
+
+@pytest.mark.parametrize("builder", _NO_KERNEL_BUILDS)
+def test_no_builder_runs_a_kernel(monkeypatch, builder):
+    """The builders state their elements as term maps: with ``mul`` (which
+    every element product calls) made to raise, each still builds."""
+    def no_kernel(*args):
+        raise AssertionError("a builder ran mul")
+
+    monkeypatch.setattr(weyl, "mul", no_kernel)
+    monkeypatch.setattr(realizations, "mul", no_kernel)
+    _NO_KERNEL_BUILDS[builder]()

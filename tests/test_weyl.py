@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cgaweyl import verify, weyl
-from cgaweyl.scalar import Coef, split_blocks
+from cgaweyl.scalar import Coef, coef, split_blocks
 from cgaweyl.weyl import (
     INT,
     NAT,
@@ -134,6 +134,25 @@ def test_results_never_carry_out_of_domain_terms(mon):
                   lambda: -bad, lambda: bad.scaled(2)):
         with pytest.raises(DomainViolation):
             build()
+
+
+def test_scaled_equals_the_coercing_form():
+    """``scaled`` multiplies each coefficient by its factor as given, so an
+    int or ``Fraction`` takes ``Coef.scale``; the result equals the one of
+    coercing the factor to a ``Coef`` first, zero factors included."""
+    rng = random.Random(3501)
+    factors = (0, 3, -2, Fraction(0), Fraction(-7, 3), Fraction(4),
+               Coef.const(0), Coef.const(5), Coef.gamma(), Coef.gamma() + Coef.xi())
+    for table, powers in ((PLAIN_TABLE, None), (RAT_TABLE, RAT_EXPONENT_POOL)):
+        for _ in range(25):
+            e = random_element(table, rng, max_terms=3, powers=powers,
+                               weights=(0, 1, Fraction(1, 2)), coefs=LAURENT_POOL)
+            for f in factors:
+                coerced = WeylElement(table, {k: v * coef(f) for k, v in e.terms.items()})
+                got = e.scaled(f)
+                assert got.terms == coerced.terms, f
+                assert got._lattice == coerced._lattice
+                assert all(type(c) is Coef for c in got.terms.values())
 
 
 def test_commutator_antisymmetry_on_random_elements():
