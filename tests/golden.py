@@ -3,7 +3,9 @@
 For each pinned command the list holds its argv, the one-line reason it is
 run, its exit code, the byte length and sha256 of its standard output, and,
 for every section of that report in order, its position, title, family,
-byte length and the sha256 of its JSON.  A section's JSON is
+byte length and the sha256 of its JSON.  A command whose argv asks for
+``--format markdown`` is pinned by its whole bytes alone: its report has
+no sections to pin.  A section's JSON is
 ``json.dumps(section, sort_keys=True, indent=2)`` in UTF-8, the layout the
 report gives it before indenting it into ``sections``.  Titles repeat (the
 four ``sl(2) closure`` sections of ``all`` have an empty family), so a
@@ -53,32 +55,51 @@ def _name(pin: dict) -> str:
     return f"section {pin['position']} ({pin['title']!r}, family {pin['family']!r})"
 
 
-def mismatch(text: str, pin: dict) -> str | None:
-    """Every way the report ``text`` differs from ``pin``, or None.
+def is_markdown(argv) -> bool:
+    """Whether ``argv`` asks for a ``--format markdown`` report."""
+    return any(a == "--format" and b == "markdown" for a, b in zip(argv, argv[1:]))
 
-    Sections are compared first, and every one that differs is named, so a
-    change that moves some sections shows that the others did not move; the
-    whole-report length and sha256 are compared last, so a change outside
-    every section (or a wrong whole-report pin) still fails.
-    """
+
+def _section_mismatch(text: str, pin: dict) -> str | None:
+    """Every section of the JSON report ``text`` that differs from ``pin``."""
     try:
         doc = json.loads(text)
         sections = section_pins(doc)
     except (ValueError, KeyError, TypeError) as exc:
         return f"report is not a JSON report with sections: {exc}"
+    pinned = pin.get("sections")
+    if pinned is None:
+        return "the pin of a JSON report holds no sections"
     problems = [f"{_name(want)} differs in "
                 + ", ".join(k for k in want if got.get(k) != want[k])
-                for want, got in zip(pin["sections"], sections) if got != want]
-    if len(sections) != len(pin["sections"]):
-        longer = max(pin["sections"], sections, key=len)
-        first = longer[min(len(sections), len(pin["sections"]))]
+                for want, got in zip(pinned, sections) if got != want]
+    if len(sections) != len(pinned):
+        longer = max(pinned, sections, key=len)
+        first = longer[min(len(sections), len(pinned))]
         problems.append(f"{len(sections)} sections where the pin has "
-                        f"{len(pin['sections'])}; first unmatched: {_name(first)}")
-    if problems:
-        return "; ".join(problems)
+                        f"{len(pinned)}; first unmatched: {_name(first)}")
+    return "; ".join(problems) or None
+
+
+def mismatch(text: str, pin: dict) -> str | None:
+    """Every way the report ``text`` differs from ``pin``, or None.
+
+    A JSON report's sections are compared first, and every one that
+    differs is named, so a change that moves some sections shows that the
+    others did not move; the whole-report length and sha256 are compared
+    last, so a change outside every section (or a wrong whole-report pin)
+    still fails.  A markdown report (by its pin's argv, never by a missing
+    ``sections`` key) is compared by its whole bytes alone.
+    """
+    markdown = is_markdown(pin["argv"])
+    if not markdown:
+        problem = _section_mismatch(text, pin)
+        if problem is not None:
+            return problem
     size, sha = _digest(text.encode("utf-8"))
     if (size, sha) != (pin["bytes"], pin["sha256"]):
-        return (f"whole report differs outside the sections: {size} bytes, "
+        where = "" if markdown else " outside the sections"
+        return (f"whole report differs{where}: {size} bytes, "
                 f"sha256 {sha}; pinned {pin['bytes']} bytes, sha256 {pin['sha256']}")
     return None
 

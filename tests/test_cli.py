@@ -580,6 +580,26 @@ def test_golden_pin_still_checks_the_whole_report(all_report):
         .startswith(f"{len(ALL_PIN['sections'])} sections where the pin has")
 
 
+def test_golden_markdown_pin_is_the_whole_report(all_report, capsys):
+    """A pin whose argv asks for markdown is compared by its whole bytes,
+    and a pinned markdown report differs from its pin in one changed byte;
+    a JSON pin whose sections are missing never passes."""
+    assert golden.is_markdown(["all", "--format", "markdown"])
+    assert not golden.is_markdown(["all", "--format", "json"])
+    assert not golden.is_markdown(["markdown", "--format"])
+    pins = [p for p in CLI_PINS if golden.is_markdown(p["argv"])]
+    assert [p["argv"][0] for p in pins] == ["verify", "spectrum"]
+    for pin in pins:
+        assert "sections" not in pin
+        code, out = run_main(pin["argv"], capsys)
+        assert golden.command_mismatch(pin, code, out) is None
+        changed = out.replace(" : exact", " : exacT", 1)
+        assert golden.mismatch(changed, pin).startswith("whole report differs: ")
+    _, out, _ = all_report
+    no_sections = {k: v for k, v in ALL_PIN.items() if k != "sections"}
+    assert golden.mismatch(out, no_sections) == "the pin of a JSON report holds no sections"
+
+
 @pytest.mark.parametrize("pin", CLI_PINS, ids=[" ".join(p["argv"]) for p in CLI_PINS])
 def test_cli_report_matches_its_pin(pin, capsys, request):
     """Each pinned smoke command, run in-process, exits with its pinned code,
@@ -613,13 +633,15 @@ def test_cli_pin_names_the_command_and_the_section(capsys):
 
 def test_smoke_step_reads_its_commands_from_the_pin():
     """The CI smoke step runs the pinned commands through golden.py and
-    names no cgaweyl command of its own; the pin keeps its one exit-1 case
-    and holds `all` once."""
+    names no cgaweyl command of its own; the pin keeps its one exit-1 case,
+    as JSON and as markdown, and holds `all` once."""
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     lines = [line.split("#")[0].strip() for line in workflow.splitlines()]
     assert "run: python tests/golden.py" in lines
     assert [line for line in lines if "cgaweyl " in line] == []
-    assert [p["argv"] for p in CLI_PINS if p["exit"] == 1] == [["verify", "--family", "free-l1"]]
+    assert [p["argv"] for p in CLI_PINS if p["exit"] == 1] == [
+        ["verify", "--family", "free-l1"],
+        ["verify", "--family", "free-l1", "--format", "markdown"]]
     assert [p["argv"] for p in CLI_PINS].count(["all"]) == 1
     assert len({tuple(p["argv"]) for p in CLI_PINS}) == len(CLI_PINS)
 
