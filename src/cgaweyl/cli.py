@@ -64,51 +64,32 @@ def _int_at_least(low: int):
 # ---------------------------------------------------------------------------
 # sections
 
-def _checks_section(title: str, family: str, checks, params=None) -> dict:
-    """A report section from (lhs, expected, ok, residual_text, factor_text)."""
-    report = vf.VerificationReport(title, family, dict(params or {}))
-    for lhs, expected, ok, residual_text, factor_text in checks:
-        report.entries.append(vf.EntryResult(
-            family, lhs, expected, vf.EXACT if ok else vf.FAILED,
-            residual_text, factor_text))
-    return report.to_dict()
-
-
 def _ladder_section(title: str, family: str, rels) -> dict:
-    return _checks_section(title, family, [(label, "0", ok, resid, "")
-                                           for label, ok, resid in rels])
+    report = vf.VerificationReport(title, family)
+    for label, ok, resid in rels:
+        report.check(label, "0", ok, resid)
+    return report.to_dict()
 
 
 def _ground_section(title: str, family: str, target) -> dict:
     ok, offender = sp.ground_state_verify(target)
-    return _checks_section(title, family, [(
-        "annihilators applied to 1", "0", ok,
-        "" if ok else f"{offender} does not kill the ground state", "")])
-
-
-def _spectrum_section(table: sp.SpectrumTable, extra_notes=()) -> dict:
-    payload = table.to_dict()
-    payload["title"] = f"spectrum table ({table.family})"
-    payload["notes"] = list(extra_notes)
-    return payload
+    report = vf.VerificationReport(title, family)
+    report.check("annihilators applied to 1", "0", ok,
+                 "" if ok else f"{offender} does not kill the ground state")
+    return report.to_dict()
 
 
 def _probe_section(H, lambdas, family: str) -> dict:
-    checks = []
+    report = vf.VerificationReport("continuous-spectrum probe", family)
     for lam in lambdas:
         try:
             value = sp.continuous_probe(H, lam)
         except sp.NotEigenstate:
             value = None
-        ok = value == lam
-        checks.append((f"H y^({lam})", f"({lam}) y^({lam})", ok,
-                       "" if ok else f"got {value}",
-                       str(value) if value is not None else ""))
-    return _checks_section("continuous-spectrum probe", family, checks)
-
-
-def _section_ok(payload: dict) -> bool:
-    return bool(payload.get("ok", False))
+        report.check(f"H y^({lam})", f"({lam}) y^({lam})", value == lam,
+                     "" if value == lam else f"got {value}",
+                     str(value) if value is not None else "")
+    return report.to_dict()
 
 
 def _xi0(args) -> rz.GeneratorFamily:
@@ -170,30 +151,27 @@ def cmd_onshell(args) -> list[dict]:
 
 
 def cmd_spectrum(args) -> list[dict]:
-    notes = []
     if args.family == "osc-l1":
         target, tag = rz.build_osc_l1(args.gamma, args.xi), "osc-l1"
     elif args.family == "free-general":
         target, tag = rz.build_ladder(args.l), f"l={args.l}"
     else:
         target, tag = _xi0(args), "xi0"
-        notes.append(f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
-                     f"m*({target.params.omega2}) + n*({target.params.omega1}); "
-                     "the level set equals {omega1*a + omega2*b}")
     label = target.name
     sections = [_ground_section(f"ground state ({tag})", label, target),
                 _ladder_section(f"ladder relations ({tag})", label,
                                 sp.ladder_relations_check(target))]
     table = sp.spectrum_table(target, args.emax, args.k)
-    spectrum = _spectrum_section(table, notes)
-    sections.append(spectrum)
+    if args.family == "xi0":
+        table.notes.append(f"eigenvalue of (m,n,k) is m*omega2 + n*omega1 = "
+                           f"m*({target.params.omega2}) + n*({target.params.omega1}); "
+                           "the level set equals {omega1*a + omega2*b}")
+    elif args.family == "osc-l1":
+        mults = table.level_multiplicity
+        table.check("per-level (m,n) multiplicity", "E+1",
+                    all(mults.get(E, 0) == E + 1 for E in range(args.emax + 1)))
+    sections.append(table.to_dict())
     if args.family == "osc-l1":
-        mults = table.level_multiplicities()
-        mult_ok = all(mults.get(Fraction(E), 0) == E + 1
-                      for E in range(args.emax + 1))
-        spectrum["notes"].append("per-level (m,n) multiplicity equals E+1: "
-                                 + ("yes" if mult_ok else "NO"))
-        spectrum["ok"] = spectrum["ok"] and mult_ok
         sections.append(_probe_section(rz.build_H(target),
                                        [Fraction(0), Fraction(1), Fraction(7, 3),
                                         Fraction(-1, 4)], label))
@@ -213,7 +191,7 @@ def cmd_infinite(args) -> list[dict]:
         _ladder_section("ladder relations (xi0)", fam.name,
                         sp.ladder_relations_check(fam)),
         _ground_section("ground state (xi0)", fam.name, fam),
-        _spectrum_section(sp.spectrum_table(fam, args.emax, args.k)),
+        sp.spectrum_table(fam, args.emax, args.k).to_dict(),
     ]
 
 
@@ -235,13 +213,14 @@ def cmd_all(args) -> list[dict]:
     osc = rz.build_osc_l1()
     probe2 = vf.omega_rigidity_check(osc, 2)
     broken = sorted(e.lhs for e in probe2.failing())
-    sections.append(_checks_section(
+    rigidity = vf.VerificationReport(
         "omega-rigidity (the deformed equation is invariant only at omega=1)",
-        osc.name, [("on-shell suite of the omega-deformed operator at omega=2",
-                    "at least one generator fails to factorize", bool(broken),
-                    "" if broken else "deformation left invariance intact",
-                    "failing: " + "; ".join(broken))],
-        params={"omega": "2"}))
+        osc.name, {"omega": "2"})
+    rigidity.check("on-shell suite of the omega-deformed operator at omega=2",
+                   "at least one generator fails to factorize", bool(broken),
+                   "" if broken else "deformation left invariance intact",
+                   "failing: " + "; ".join(broken))
+    sections.append(rigidity.to_dict())
     sections += commands("similarity")
     for ell in (1, 2, 3, 4):
         fam = rz.build_free_general(ell, verbatim=False)
@@ -284,7 +263,7 @@ def render_markdown(doc: dict) -> str:
                                      sec["level_multiplicity"].items()))
         for note in sec.get("notes", []):
             lines.append(f"> {note}")
-        lines.append(f"section ok: {str(_section_ok(sec)).lower()}")
+        lines.append(f"section ok: {str(sec['ok']).lower()}")
         lines.append("")
     lines.append(f"overall ok: {str(doc['ok']).lower()}")
     return "\n".join(lines) + "\n"
@@ -511,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Execute a parsed configuration; returns (exit status, report document)."""
     sections = COMMANDS[args.command].run(args)
-    ok = all(_section_ok(s) for s in sections)
+    ok = all(s["ok"] for s in sections)
     doc = {
         "schema": SCHEMA,
         "command": args.command,

@@ -447,9 +447,9 @@ def _kappa(n: int, w1: Fraction, w2: Fraction) -> list:
     return [("t", n * w2), ("x", n * w2 / w1)]
 
 
-def kappa(n: int, w1: Fraction, w2: Fraction) -> WeylElement:
+def kappa(n: int, w1, w2) -> WeylElement:
     """The mode factor kappa(n) = e^(n w2 t) x^(n w2/w1) of every loop generator."""
-    return _Alg(XI0_TABLE).sum([(1, _kappa(n, w1, w2), [])])
+    return _Alg(XI0_TABLE).sum([(1, _kappa(n, as_fraction(w1), as_fraction(w2)), [])])
 
 
 def build_xi0(omega1, omega2, gamma=None, cutoff: int = 3) -> GeneratorFamily:

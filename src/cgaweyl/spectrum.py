@@ -19,7 +19,7 @@ well, so no slice is taken there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import as_fraction
@@ -32,6 +32,7 @@ from .weyl import (
     term_count,
 )
 from .realizations import GeneratorFamily, build_H
+from .verify import VerificationReport
 
 
 class ZeroState(ValueError):
@@ -165,53 +166,22 @@ def eigencheck(H: WeylElement, psi: WeylElement) -> Fraction | None:
 
 @dataclass
 class SpectrumRow:
+    """One table row; ``labels`` names its quantum numbers."""
+
     quantum_numbers: tuple[int, ...]
     eigenvalue: Fraction
     verified: bool
     state_terms: int
+    labels: tuple[str, ...]
 
-    def to_dict(self, ell: int, labels: tuple[str, ...]) -> dict:
+    def to_dict(self, ell: int) -> dict:
         return {
             "l": ell,
             "level": str(self.eigenvalue),
-            "quantum_numbers": dict(zip(labels, self.quantum_numbers)),
+            "quantum_numbers": dict(zip(self.labels, self.quantum_numbers)),
             "eigenvalue": str(self.eigenvalue),
             "verified": self.verified,
             "state_terms": self.state_terms,
-        }
-
-
-@dataclass
-class SpectrumTable:
-    ell: int
-    family: str
-    e_max: Fraction
-    zero_mode_cutoff: int
-    labels: tuple[str, ...]
-    rows: list[SpectrumRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.verified for r in self.rows)
-
-    def level_multiplicities(self) -> dict[Fraction, int]:
-        """Count of distinct non-zero-mode quantum numbers per level."""
-        seen: dict[Fraction, set] = {}
-        for r in self.rows:
-            base = r.quantum_numbers[:-1] if "k" in self.labels else r.quantum_numbers
-            seen.setdefault(r.eigenvalue, set()).add(base)
-        return {lvl: len(s) for lvl, s in seen.items()}
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "l": self.ell,
-            "e_max": str(self.e_max),
-            "zero_mode_cutoff": self.zero_mode_cutoff,
-            "rows": [r.to_dict(self.ell, self.labels) for r in self.rows],
-            "level_multiplicity": {str(k): v for k, v in
-                                   sorted(self.level_multiplicities().items())},
-            "ok": self.ok,
         }
 
 
@@ -272,27 +242,30 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
         yield counts[::-1], Fraction(level), psi
 
 
-def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> SpectrumTable:
+def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> VerificationReport:
     """Enumerate and verify every lowest-weight eigenstate up to e_max.
 
     ell = 1 families: states (m, n, k), eigenvalue m + n (or the
     frequency-weighted combination for the two-frequency family), rows
     ordered by m + n, then m, then k.  General ell: occupation vectors
     with E = sum j (n_j + m_j), plus a_0^+ zero modes, rows ordered by
-    (n_1, m_1, ..., n_ell, m_ell, k).
+    (n_1, m_1, ..., n_ell, m_ell, k).  A level's multiplicity counts its
+    rows' quantum numbers without the zero-mode count k, the last one.
     """
     rec = _ladder(target)
     H = at_time_zero(build_H(target)) if rec.sliced else build_H(target)
-    table = SpectrumTable(rec.ell, rec.family.name, Fraction(e_max),
-                          zero_mode_cutoff,
-                          tuple(label for label, *_ in reversed(rec.stages)))
+    labels = tuple(label for label, *_ in reversed(rec.stages))
+    rows, seen = [], {}
     for qn, level, psi in _table_states(target, e_max, zero_mode_cutoff):
         value = eigencheck(H, psi)
-        table.rows.append(SpectrumRow(qn, level,
-                                      value is not None and value == level,
-                                      term_count(psi)))
-    table.rows.sort(key=lambda row: rec.order(row.quantum_numbers))
-    return table
+        rows.append(SpectrumRow(qn, level, value is not None and value == level,
+                                term_count(psi), labels))
+        seen.setdefault(level, set()).add(qn[:-1])
+    rows.sort(key=lambda row: rec.order(row.quantum_numbers))
+    return VerificationReport(
+        f"spectrum table ({rec.family.name})", rec.family.name, rows=rows,
+        l=rec.ell, e_max=Fraction(e_max), zero_mode_cutoff=zero_mode_cutoff,
+        level_multiplicity={lvl: len(seen[lvl]) for lvl in sorted(seen)})
 
 
 def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":

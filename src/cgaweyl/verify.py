@@ -94,11 +94,24 @@ class EntryResult:
 
 @dataclass
 class VerificationReport:
+    """One report section: its checked entries, or a spectrum table.
+
+    A spectrum section (``rows`` set, by :func:`cgaweyl.spectrum.spectrum_table`)
+    also carries the table fields ``l``, ``e_max``, ``zero_mode_cutoff`` and
+    ``level_multiplicity``.  Its entries are the table's claims beyond its
+    rows (osc-l1's E + 1 multiplicity); the report prints each as a note.
+    """
+
     title: str
     family: str
     params: dict[str, str] = field(default_factory=dict)
     entries: list[EntryResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    rows: list | None = None
+    l: int | None = None
+    e_max: Fraction | None = None
+    zero_mode_cutoff: int | None = None
+    level_multiplicity: dict[Fraction, int] | None = None
 
     @property
     def counts(self) -> dict[str, int]:
@@ -109,16 +122,34 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(e.status != FAILED for e in self.entries)
+        return (all(e.status != FAILED for e in self.entries)
+                and all(r.verified for r in self.rows or ()))
 
     def failing(self) -> list[EntryResult]:
         return [e for e in self.entries if e.status == FAILED]
 
+    def check(self, lhs: str, expected: str, ok: bool, residual_text: str = "",
+              factor_text: str = "") -> None:
+        """Append an entry, exact when ``ok`` and failed otherwise."""
+        self.entries.append(EntryResult(self.family, lhs, expected,
+                                        EXACT if ok else FAILED,
+                                        residual_text, factor_text))
+
     def to_dict(self) -> dict:
+        out = {"title": self.title, "family": self.family, "ok": self.ok}
+        if self.rows is not None:
+            return {**out, "l": self.l, "e_max": str(self.e_max),
+                    "zero_mode_cutoff": self.zero_mode_cutoff,
+                    "rows": [r.to_dict(self.l) for r in self.rows],
+                    "level_multiplicity": {str(k): v for k, v in
+                                           self.level_multiplicity.items()},
+                    "notes": self.notes + [
+                        f"{e.lhs} equals {e.expected}: "
+                        + ("NO" if e.status == FAILED else "yes")
+                        for e in self.entries]}
         c = self.counts
         return {
-            "title": self.title,
-            "family": self.family,
+            **out,
             "params": dict(sorted(self.params.items())),
             "entries": [e.to_dict() for e in self.entries],
             "notes": list(self.notes),
@@ -129,7 +160,6 @@ class VerificationReport:
                 "failed": c[FAILED],
                 "skipped": c[SKIPPED],
             },
-            "ok": self.ok,
         }
 
 
@@ -518,19 +548,15 @@ def onshell_check(gens: dict[str, WeylElement], omegas: dict[str, WeylElement],
             comm = commutator(g, om)
             f = extract_scalar_factor(comm, om)
             if f is None:
-                report.entries.append(EntryResult(
-                    family_label, lhs, f"f*{om_name}", FAILED,
-                    residual_text=comm.text()))
+                report.check(lhs, f"f*{om_name}", False, comm.text())
                 continue
-            factor_text = "commutes" if f.is_zero() else f.text()
-            status, expected_text = EXACT, f"f*{om_name}"
+            ok, expected_text = True, f"f*{om_name}"
             if expected is not None:
                 want = expected.get((g_name, om_name), WeylElement.zero(om.table))
-                status = EXACT if f == want else FAILED
+                ok = f == want
                 expected_text = "0" if want.is_zero() else f"({want.text()})*{om_name}"
-            report.entries.append(EntryResult(
-                family_label, lhs, expected_text, status,
-                factor_text=factor_text))
+            report.check(lhs, expected_text, ok,
+                         factor_text="commutes" if f.is_zero() else f.text())
     return report
 
 

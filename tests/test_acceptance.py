@@ -120,7 +120,7 @@ def test_criterion_6_discrete_spectrum_l1():
     fam = build_osc_l1()                    # symbolic gamma, xi
     table = spectrum_table(fam, 6, 3)
     elapsed = time.perf_counter() - t0
-    mults = table.level_multiplicities()
+    mults = table.level_multiplicity
     ok = table.ok and ground_state_verify(fam)[0] \
         and all(mults[Fraction(E)] == E + 1 for E in range(7)) \
         and elapsed < 10.0

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import golden
+from cgaweyl import build_ladder, spectrum
 from cgaweyl.cli import (COMMANDS, OPTIONS, REPORT_DIR_ENV, SCHEMA, ConfigError,
                           _json_text, build_parser, main, parse_rational, run)
 
@@ -507,6 +509,53 @@ def test_spectrum_report_rows(capsys):
     rows = section["rows"]
     assert all(set(r["quantum_numbers"]) == {"m", "n", "k"} for r in rows)
     assert {r["eigenvalue"] for r in rows} == {"0", "2", "3", "4", "5", "6"}
+
+
+def _spectrum_run(argv, capsys):
+    """(exit status, document, spectrum-table section) of a spectrum run."""
+    code, out = run_main(argv, capsys)
+    doc = json.loads(out)
+    return code, doc, next(s for s in doc["sections"]
+                           if s["title"].startswith("spectrum table"))
+
+
+def test_a_failed_row_fails_the_spectrum(monkeypatch, capsys):
+    """One row whose eigenvalue check fails makes the record's ok false,
+    and with it the section's, the document's and the exit status."""
+    table = spectrum.spectrum_table(build_ladder(2), 2)
+    assert table.ok
+    table.rows[3].verified = False
+    assert not table.ok and table.to_dict()["ok"] is False
+    calls, eigencheck = itertools.count(), spectrum.eigencheck
+    monkeypatch.setattr(spectrum, "eigencheck", lambda H, psi: (
+        None if next(calls) == 3 else eigencheck(H, psi)))
+    code, doc, section = _spectrum_run(
+        ["spectrum", "--family", "free-general", "--l", "2", "--emax", "2",
+         "--k", "0"], capsys)
+    assert [r["verified"] for r in section["rows"]].count(False) == 1
+    assert (code, doc["ok"], section["ok"]) == (1, False, False)
+
+
+def test_a_failed_multiplicity_check_fails_the_osc_spectrum(monkeypatch, capsys):
+    """osc-l1's E + 1 multiplicity check is part of its record: a miscount
+    with every row verified reads NO in the note and fails the section, the
+    document and the exit status."""
+    argv = ["spectrum", "--family", "osc-l1", "--emax", "2", "--k", "0"]
+    code, doc, section = _spectrum_run(argv, capsys)
+    assert section["notes"] == ["per-level (m,n) multiplicity equals E+1: yes"]
+    assert (code, doc["ok"], section["ok"]) == (0, True, True)
+    spectrum_table = spectrum.spectrum_table
+
+    def miscounted(*args):
+        table = spectrum_table(*args)
+        table.level_multiplicity[Fraction(2)] -= 1
+        return table
+    monkeypatch.setattr(spectrum, "spectrum_table", miscounted)
+    code, doc, section = _spectrum_run(argv, capsys)
+    assert all(r["verified"] for r in section["rows"])
+    assert section["level_multiplicity"]["2"] == 2
+    assert section["notes"] == ["per-level (m,n) multiplicity equals E+1: NO"]
+    assert (code, doc["ok"], section["ok"]) == (1, False, False)
 
 
 def test_spectrum_family_dispatch_by_l(capsys):

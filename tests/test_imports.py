@@ -1,5 +1,5 @@
 """Import guard: every module loads under the running interpreter, the
-module graph scalar -> weyl -> realizations -> {verify, spectrum} -> cli
+module graph scalar -> weyl -> realizations -> verify -> spectrum -> cli
 has no back edge, no module but weyl names a private weyl attribute, and
 README's quick tour runs as written."""
 import ast
@@ -11,6 +11,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
+# the import order: a module imports only modules before it
 MODULES = ("scalar", "weyl", "realizations", "verify", "spectrum", "cli")
 
 
@@ -52,6 +53,60 @@ def test_readme_quick_tour_runs():
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def imported_modules(source: str) -> set[str]:
+    """The ``cgaweyl`` modules that ``source`` imports: ``from .x import``,
+    ``from . import x``, and their absolute ``cgaweyl`` forms; ``""``
+    stands for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "cgaweyl":
+                    continue
+                module = module[len("cgaweyl."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name if a.name in MODULES else "" for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] if "." in a.name else ""
+                         for a in node.names if a.name.split(".")[0] == "cgaweyl")
+    return found
+
+
+def test_the_graph_guard_finds_every_form_of_import():
+    source = ("from .weyl import mul\n"
+              "from . import realizations as rz, verify\n"
+              "from cgaweyl.spectrum import spectrum_table\n"
+              "import cgaweyl.cli\n"
+              "from . import coef\n"
+              "import json\n"
+              "def f():\n    from .scalar import Coef\n")
+    assert imported_modules(source) == {"weyl", "realizations", "verify",
+                                        "spectrum", "cli", "", "scalar"}
+
+
+def test_modules_import_only_modules_before_them():
+    """Each module's imports of the package point back along MODULES; the
+    package's ``__init__`` may import any module, and no module imports
+    the package or lies outside MODULES."""
+    back = {}
+    for path in sorted((SRC / "cgaweyl").glob("*.py")):
+        name = path.stem
+        if name == "__init__":
+            allowed = set(MODULES)
+        elif name in MODULES:
+            allowed = set(MODULES[:MODULES.index(name)])
+        else:
+            back[name] = "not in MODULES"
+            continue
+        wrong = imported_modules(path.read_text(encoding="utf-8")) - allowed
+        if wrong:
+            back[name] = sorted(wrong)
+    assert not back, back
 
 
 def private_weyl_names(source: str) -> list[str]:

@@ -217,6 +217,15 @@ def test_kappa_is_the_product_of_its_factors():
             assert k.terms == product.terms and k._lattice == product._lattice
 
 
+def test_kappa_takes_int_frequencies_exactly():
+    """int frequencies give the exact exponents of their Fractions, and the
+    element's text reads back (an int ratio once stored a float exponent)."""
+    k = kappa(1, 2, 3)
+    assert k == kappa(1, Fraction(2), Fraction(3))
+    assert k.text() == "(1) * e^(3*t) * x^(3/2)"
+    assert parse_element(k.text(), k.table) == k
+
+
 def test_general_z0_constant_term():
     fam = build_free_general(2)
     const = fam["z0"].terms.get(next(iter(

@@ -298,7 +298,7 @@ def test_spectrum_table_l1_multiplicities():
     fam = build_osc_l1()
     table = spectrum_table(fam, 4, 2)
     assert table.ok
-    mults = table.level_multiplicities()
+    mults = table.level_multiplicity
     for E in range(5):
         assert mults[Fraction(E)] == E + 1
 
