@@ -223,7 +223,8 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
     costs one apply_to; those builders remain the from-ground reference.
     On the t = 0 slice the walk applies the sliced creation operators,
     which commutes with apply_to because they carry no d[t].  A row's
-    level is the sum of its counts times the stage energies.  Rows come
+    level is the sum of its counts times the stage energies, an int
+    where the energies are ints.  Rows come
     in walk order, not table order.  :func:`spectrum_table` reads the
     states through the kernel's checks alone (``weyl.eigenvalue`` and
     ``weyl.term_count``), so their terms stay undecoded.
@@ -239,7 +240,7 @@ def _table_states(target, e_max: int, zero_mode_cutoff: int):
             else build_state_general(target, ((0, 0),) * rec.ell))
     for counts, psi in _state_walk(root, stages, (zero_mode_cutoff, e_max)):
         level = sum(e * c for e, c in zip(energies, counts))
-        yield counts[::-1], Fraction(level), psi
+        yield counts[::-1], level, psi
 
 
 def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> VerificationReport:
@@ -257,15 +258,18 @@ def spectrum_table(target, e_max: int, zero_mode_cutoff: int = 0) -> Verificatio
     labels = tuple(label for label, *_ in reversed(rec.stages))
     rows, seen = [], {}
     for qn, level, psi in _table_states(target, e_max, zero_mode_cutoff):
-        value = eigencheck(H, psi)
-        rows.append(SpectrumRow(qn, level, value is not None and value == level,
+        eigenvalue, value = Fraction(level), eigencheck(H, psi)
+        rows.append(SpectrumRow(qn, eigenvalue,
+                                value is not None and value == eigenvalue,
                                 term_count(psi), labels))
+        # keyed by the walk's level, an int on integer ladders: a Fraction
+        # key would cost a Python-level hash and == on every row
         seen.setdefault(level, set()).add(qn[:-1])
     rows.sort(key=lambda row: rec.order(row.quantum_numbers))
     return VerificationReport(
         f"spectrum table ({rec.family.name})", rec.family.name, rows=rows,
         l=rec.ell, e_max=Fraction(e_max), zero_mode_cutoff=zero_mode_cutoff,
-        level_multiplicity={lvl: len(seen[lvl]) for lvl in sorted(seen)})
+        level_multiplicity={Fraction(lvl): len(seen[lvl]) for lvl in sorted(seen)})
 
 
 def ladder_relations_check(target) -> "list[tuple[str, bool, str]]":

@@ -314,6 +314,21 @@ def test_spectrum_table_general_l2_example():
     assert levels == {Fraction(E) for E in range(5)}
 
 
+@pytest.mark.parametrize("target, e_max, cutoff", [
+    (build_ladder(2), 4, 1), (build_osc_l1(), 3, 1), (build_xi0(2, 3), 5, 1),
+], ids=["ladder-l2", "osc-l1", "xi0-2-3"])
+def test_level_multiplicities_are_fraction_keyed_and_sorted(target, e_max, cutoff):
+    """Integer walk levels still give Fraction eigenvalues and sorted Fraction keys."""
+    table = spectrum_table(target, e_max, cutoff)
+    assert all(type(r.eigenvalue) is Fraction for r in table.rows)
+    keys = list(table.level_multiplicity)
+    assert all(type(k) is Fraction for k in keys) and keys == sorted(keys)
+    seen = {}
+    for r in table.rows:
+        seen.setdefault(r.eigenvalue, set()).add(r.quantum_numbers[:-1])
+    assert table.level_multiplicity == {k: len(v) for k, v in seen.items()}
+
+
 def test_spectrum_general_zero_modes():
     ladder = build_ladder(2)
     table = spectrum_table(ladder, 2, zero_mode_cutoff=2)
