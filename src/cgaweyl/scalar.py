@@ -417,9 +417,8 @@ def split_blocks(terms: dict) -> tuple[dict, int]:
 def join_blocks(blocks: dict, den: int) -> dict:
     """The term map of ``blocks`` over ``den``; inverse of :func:`split_blocks`.
 
-    Block values are ints or, after a product with a fractional reordering
-    factor, Fractions.  Zero values are dropped, and so is a key whose
-    values are all zero.
+    Block values are int numerators.  Zero values are dropped, and so is a
+    key whose values are all zero.
     """
     out: dict = {}
     for blk, block in blocks.items():

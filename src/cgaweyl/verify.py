@@ -23,6 +23,7 @@ generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -342,22 +343,25 @@ def xi0_loop_rules(w1: Fraction, w2: Fraction) -> dict[tuple[str, str], tuple]:
     return rules
 
 
-def _loop_bracket(rules, p1: str, n: int, p2: str, m: int):
-    """[p1(n), p2(m)] as (coefficient, p3, mode), or None when they commute."""
-    if (p1, p2) in rules:
-        p3, shift, c0, cn, cm = rules[(p1, p2)]
-        return c0 + cn * n + cm * m, p3, n + m + shift
-    if (p2, p1) in rules:
-        c, p3, k = _loop_bracket(rules, p2, m, p1, n)
-        return -c, p3, k
-    return None
-
-
 def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
     """The truncated infinite-algebra table; results outside |n| <= N are
-    skipped, zero coefficients (as in [chi(n), j0(0)]) are kept."""
+    skipped, zero coefficients (as in [chi(n), j0(0)]) are kept.
+
+    A rule of ``xi0_loop_rules`` for (p1, p2) also gives [p2(m), p1(n)],
+    unless it has its own rule: every coefficient negated and cn, cm
+    swapped.  The coefficients of all rules are read as int numerators over
+    one denominator, so c0 + cn*n + cm*m is int arithmetic, and the table
+    makes one ``Coef`` per distinct coefficient.
+    """
     N = fam.params.cutoff
     rules = xi0_loop_rules(fam.params.omega1, fam.params.omega2)
+    oriented = {(p2, p1): (p3, shift, -c0, -cm, -cn)
+                for (p1, p2), (p3, shift, c0, cn, cm) in rules.items()}
+    oriented.update(rules)
+    den = math.lcm(*[q.denominator for rule in oriented.values() for q in rule[2:]])
+    oriented = {key: (p3, shift, *[q.numerator * (den // q.denominator) for q in affine])
+                for key, (p3, shift, *affine) in oriented.items()}
+    coefs = {}  # numerator over den -> its one Coef
     modes = [(p, n) for p in XI0_LOOP_PREFIXES for n in range(-N, N + 1)]
     scope = tuple(loop_name(p, n) for p, n in modes)
     entries = {}
@@ -367,13 +371,18 @@ def xi0_loop_table(fam: GeneratorFamily) -> RelationTable:
             if abs(n + m) > N:
                 skips.add((a, b))
                 continue
-            bracket = _loop_bracket(rules, p1, n, p2, m)
-            if bracket is None:
+            rule = oriented.get((p1, p2))
+            if rule is None:
                 continue
-            c, p3, k = bracket
+            p3, shift, c0, cn, cm = rule
+            k = n + m + shift
             if abs(k) > N:
                 skips.add((a, b))
                 continue
+            num = c0 + cn * n + cm * m
+            c = coefs.get(num)
+            if c is None:
+                c = coefs[num] = coef(Fraction(num, den))
             entries[(a, b)] = RelationEntry(a, b, c, loop_name(p3, k))
     return RelationTable(f"xi0-loop(N={N})", scope, entries, skips)
 
@@ -405,8 +414,10 @@ def _residuals(fam: GeneratorFamily, table: RelationTable):
     ``residual`` is None.  Every other [a, b] is compared with the expected
     side sign * c * g (``weyl.bracket_residual``), where g is the entry's
     generator, or the constant 1 for a scalar entry; a pair that must
-    commute (``entry`` None) has c = 0.  ``residual`` is None when they are
-    equal, and otherwise [a, b] minus the expected side, built only then.
+    commute (``entry`` None) has c = 0.  A pair listed the other way round
+    (sign -1) is checked as [b, a] = c * g, so no coefficient is negated.
+    ``residual`` is None when they are equal, and otherwise [a, b] minus
+    the expected side, built only then.
     """
     gens = fam.generators
     for a in table.scope:
@@ -419,14 +430,19 @@ def _residuals(fam: GeneratorFamily, table: RelationTable):
             continue
         found = table.lookup(a, b)
         sign, entry = found if found else (1, None)
-        c, g = COEF_ZERO, one
+        c, g, left, right = COEF_ZERO, one, gens[a], gens[b]
         if entry is not None:
-            c = sign * entry.c
+            c = entry.c
             if entry.name is not None:
                 if entry.name not in gens:
                     raise UnknownGenerator(entry.name)
                 g = gens[entry.name]
-        yield a, b, sign, entry, False, bracket_residual(gens[a], gens[b], g, c)
+            if sign < 0:
+                left, right = right, left
+        residual = bracket_residual(left, right, g, c)
+        if residual is not None and sign < 0:  # [b, a] - c*g = -([a, b] + c*g)
+            residual = -residual
+        yield a, b, sign, entry, False, residual
 
 
 def verify_table(fam: GeneratorFamily, table: RelationTable) -> VerificationReport:

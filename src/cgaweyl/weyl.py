@@ -12,8 +12,11 @@ variables commute.  Canonical form (one key per term, no zero
 coefficients) makes equality a structural check.
 
 The ``WeylElement`` constructor enforces canonical form: it drops zero
-coefficients, stores integral exponents as ``int``, and rejects exponents
-outside their variable's domain and time parts over a table without time.
+coefficients, stores integral exponents as ``int``, and rejects, with
+``TypeError``, a monomial slot that is not an ``int`` or a ``Fraction``
+and a derivative order that is not an ``int`` >= 0, and, with
+``DomainViolation``, exponents outside their variable's domain and time
+parts over a table without time.
 In the same pass it records the element's exponent unit (below).
 :func:`mul` and :func:`commutator` leave these rules to it.  An
 :func:`apply_to` result is canonical by construction and skips it: its
@@ -81,8 +84,14 @@ the single block (0, 0)).  The kernels run their one loop body once per
 pair of blocks, on Python ints, and add each pair's sums into block
 (a1 + a2, b1 + b2).  This is exact: every term of the result is a sum of
 c1 * c2 * factor over the product of the two denominators, and the
-reordering factors are ints or, for a unit U > 1, an int over U^K, K the
-number of derivatives moved (a ``Fraction`` unless it is integral).
+reordering factors are ints.  On a unit U > 1 a factor is an int over
+U^K, K the number of derivatives moved; a call moves at most D of them,
+D the largest total derivative order of a moving operand's terms
+(:func:`_depth`, kept with its packed form; a call takes the larger D
+of its operands), so the kernel puts U^D into
+its denominator once and every factor, the leading 1 of :func:`mul`
+included, becomes the int F * U^(D - K).  On U = 1, D is 0.  No kernel
+sum and no comparison builds a ``Fraction``.
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
 the end.  One comparator reads the kernel sums before that:
 :func:`_numerators_match` answers whether a kernel result equals c * g,
@@ -243,9 +252,10 @@ class WeylElement:
     ``_packed`` is None until a kernel first reads the element, and then
     maps each unit to the packed form that every kernel reads
     (:func:`_pack`): ``(blocks, den, width, bound, term lists, operator
-    groups)``, the last two filled when :func:`mul` or :func:`commutator`
-    (:func:`_kernel_terms`) and :func:`apply_to` (:func:`_operator_form`)
-    first need them.  A kernel result holds the form its kernel built.
+    groups, depth)``, the term lists and groups filled when :func:`mul` or
+    :func:`commutator` (:func:`_kernel_terms`) and :func:`apply_to`
+    (:func:`_operator_form`) first need them, and ``depth`` the
+    :func:`_depth`.  A kernel result holds the form its kernel built.
     ``_support`` is None until :func:`bracket_residual` first reads it, and
     then holds the masks of the element's nonzero slots (:func:`_support_of`).
 
@@ -273,7 +283,15 @@ class WeylElement:
                 raise DomainViolation("exponential weight in a table without time")
             if timeless and der[-1]:
                 raise DomainViolation("d[t] in a table without time")
-            check = Fraction in map(type, mon)
+            try:  # math.gcd takes ints alone
+                math.gcd(*mon, *der)
+                check = False
+            except TypeError:  # a Fraction slot, or an inexact one
+                check = True
+            if check and not ({*map(type, mon)} <= {int, Fraction}
+                              and {*map(type, der)} == {int}) or min(der) < 0:
+                raise TypeError(f"term {key}: every exponent and weight must be an "
+                                f"int or a Fraction, every derivative order an int >= 0")
             if check:  # the int rule
                 mon = tuple([p if type(p) is int or p.denominator != 1
                              else p.numerator for p in mon])
@@ -439,12 +457,6 @@ def _lattice_falling(n: int, k: int, unit: int) -> int:
     return math.prod(range(n, n - k * unit, -unit))
 
 
-def _over_unit(num: int, unit: int, moved: int) -> int | Fraction:
-    """num / unit^moved, an ``int`` when it is integral."""
-    q = Fraction(num, unit ** moved)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _width(bound: int) -> int:
     """The field width for slots of absolute value at most ``bound``: one bit
     more than ``bound`` needs, so the slot plus the bias 2^(width - 1) stays
@@ -498,7 +510,8 @@ def _bound(keys, unit: int) -> int:
 
 
 @lru_cache(maxsize=REORDER_CACHE_SIZE)
-def _reorder_corrections(der: int, mon: int, unit: int, width: int, size: int):
+def _reorder_corrections(der: int, mon: int, unit: int, width: int, size: int,
+                         depth: int):
     """The k >= 1 options of ``_reorder_options`` on packed keys, memoized.
 
     ``der`` is a derivative block, the part of a packed key above its
@@ -508,10 +521,13 @@ def _reorder_corrections(der: int, mon: int, unit: int, width: int, size: int):
     differentiate share one entry.  Moving k derivatives off a slot n
     takes the int n(n - unit)...(n - (k-1)*unit), or c^k off the time
     weight c, and lowers n by k*unit and the order by k.  The option (f,
-    m, d) of ``_reorder_options`` appears as (f, delta): f is the product
-    of these ints over unit^K, K the number of derivatives moved, and the
-    key of (m1 m2)(d1 d2) plus ``delta`` is that of (m1 m)(d d2).  The
-    first option is dropped, so the tuple is empty for an empty ``der``.
+    m, d) of ``_reorder_options`` appears as (F, delta): f is the product
+    F0 of these ints over unit^K, K the number of derivatives moved, and F
+    is the int F0 * unit^(depth - K), f times unit^depth, where ``depth``
+    (0 on unit 1) is at least every K of the call, so that the kernel,
+    whose denominator carries unit^depth, adds ints only.  The key of (m1
+    m2)(d1 d2) plus ``delta`` is that of (m1 m)(d d2).  The first option
+    is dropped, so the tuple is empty for an empty ``der``.
     """
     mask, bias, time = (1 << width) - 1, 1 << width - 1, (size - 1) * width
     choices = []
@@ -536,12 +552,14 @@ def _reorder_corrections(der: int, mon: int, unit: int, width: int, size: int):
             factor *= f
             delta -= step
             moved += k
-        out.append((_over_unit(factor, unit, moved), delta))
+        if unit != 1:
+            factor *= unit ** (depth - moved)
+        out.append((factor, delta))
     return tuple(out)
 
 
 def _pack(e: WeylElement, unit: int):
-    """The packed form of ``e`` on ``unit``: ``(blocks, den, width, bound, None, None)``.
+    """The packed form of ``e`` on ``unit``: ``(blocks, den, width, bound, None, None, depth)``.
 
     ``(blocks, den)`` is ``split_blocks`` of ``e.terms`` with each key
     (mon, der) replaced by one int (:func:`_key`): monomial slot i times
@@ -549,8 +567,9 @@ def _pack(e: WeylElement, unit: int):
     and above the ``size`` monomial fields the derivative order i in field
     size + i.  ``bound`` is the :func:`_bound` of the keys on the lattice
     of ``unit``, which must clear every slot, and ``width`` its
-    :func:`_width`.  The last two entries are left for
-    :func:`_kernel_terms` and :func:`_operator_form`.
+    :func:`_width`.  The two None entries are left for
+    :func:`_kernel_terms` and :func:`_operator_form`.  ``depth`` is
+    :func:`_depth` of the terms.
     """
     terms = e.terms
     if unit != 1:
@@ -560,7 +579,20 @@ def _pack(e: WeylElement, unit: int):
     width = _width(bound)
     layout = _layout(len(e.table.zeros), width)
     return (*split_blocks({_key(mon, der, layout): c for (mon, der), c in terms.items()}),
-            width, bound, None, None)
+            width, bound, None, None, _depth(terms, unit))
+
+
+def _depth(terms, unit: int) -> int:
+    """The largest total derivative order of a term (mon, der) of ``terms``
+    on a ``unit`` above 1, and 0 on unit 1.
+
+    A kernel moves at most that many derivatives of an operand past a
+    monomial, so on its unit U every reordering factor, an int over U^K,
+    is an int over U^depth (:func:`_reorder_corrections`): the kernel
+    takes U^depth into its denominator once and adds ints only.  On unit 1
+    every factor is an int already.
+    """
+    return max([sum(der) for _, der in terms], default=0) if unit != 1 else 0
 
 
 def _widened(blocks: dict, size: int, old: int, width: int) -> dict:
@@ -609,7 +641,7 @@ def _form(e: WeylElement, unit: int, width: int = 0, form=None):
     if form[2] < width:
         blocks, den, old, bound = form[:4]
         form = forms[unit] = (_widened(blocks, len(e.table.zeros), old, width),
-                              den, width, bound, None, None)
+                              den, width, bound, None, None, form[6])
     return form
 
 
@@ -638,7 +670,7 @@ def _kernel_terms(e: WeylElement, unit: int, form) -> dict:
                 nonzero = ((key ^ bias) & low) + low & top
                 der = nonzero >> shift
                 terms.append((key, n, nonzero & bias, der, (der >> width - 1) * fill))
-        e._packed[unit] = (*form[:4], lists, form[5])
+        e._packed[unit] = (*form[:4], lists, *form[5:])
     return lists
 
 
@@ -654,12 +686,14 @@ def _block_pairs(blocks_a: dict, blocks_b: dict):
 
 
 def _kernel_pairs(a: WeylElement, b: WeylElement):
-    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, width, bound, pairs)``.
+    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, width, bound, depth, pairs)``.
 
     The operands' packed forms on the lcm of their units (:func:`_packed_forms`)
-    give ``pairs``, the :func:`_block_pairs` of their term lists, ``den``,
-    the product of their denominators, and ``bound``, the sum of their
-    bounds, which bounds the result (:func:`_bound`).
+    give ``pairs``, the :func:`_block_pairs` of their term lists, and
+    ``bound``, the sum of their bounds, which bounds the result
+    (:func:`_bound`).  ``depth`` is the larger of the operands'
+    :func:`_depth`, which bounds the derivatives moved in either order,
+    and ``den`` is the product of their denominators and unit^depth.
     """
     a._require_same_table(b)
     unit = math.lcm(a._lattice, b._lattice)
@@ -667,7 +701,9 @@ def _kernel_pairs(a: WeylElement, b: WeylElement):
     terms_a = form_a[4] or _kernel_terms(a, unit, form_a)
     terms_b = terms_a if b is a else form_b[4] or _kernel_terms(b, unit, form_b)
     sums, pairs = _block_pairs(terms_a, terms_b)
-    return sums, form_a[1] * form_b[1], unit, width, form_a[3] + form_b[3], pairs
+    depth = max(form_a[6], form_b[6])
+    return (sums, form_a[1] * form_b[1] * unit ** depth, unit, width,
+            form_a[3] + form_b[3], depth, pairs)
 
 
 def _decoded(table: VarTable, blocks: dict, den: int, unit: int, width: int) -> dict:
@@ -693,21 +729,24 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     Each term pair gives its leading term (m1 m2)(d1 d2), one int addition
     of the packed keys less one bias, then the memoized k >= 1 reordering
     terms of d1 past m2.  The memo is read only when the mask of d1 meets
-    that of m2: otherwise every k >= 1 term has a factor of 0.
+    that of m2: otherwise every k >= 1 term has a factor of 0.  On a unit U
+    above 1 the denominator carries U^depth (:func:`_depth`), so the
+    leading term is scaled by it, as every memoized factor is.
     """
-    sums, den, unit, width, bound, pairs = _kernel_pairs(a, b)
+    sums, den, unit, width, bound, depth, pairs = _kernel_pairs(a, b)
     size = len(a.table.zeros)
-    shift, bias = size * width, _layout(size, width)[0]
+    shift, bias, lift = size * width, _layout(size, width)[0], unit ** depth
     for terms_a, terms_b, out in pairs:
         for k1, c1, _, dm1, fm1 in terms_a:
-            d1, k1 = k1 >> shift, k1 - bias
+            d1, k1, lead = k1 >> shift, k1 - bias, c1 * lift
             for k2, c2, mm2, _, _ in terms_b:
-                base, key = c1 * c2, k1 + k2
+                key, c = k1 + k2, lead * c2
                 s = out.get(key)
-                out[key] = base if s is None else s + base
+                out[key] = c if s is None else s + c
                 if dm1 & mm2:
+                    base = c1 * c2
                     for factor, delta in _reorder_corrections(d1, k2 & fm1, unit,
-                                                              width, size):
+                                                              width, size, depth):
                         moved, c = key + delta, base * factor
                         s = out.get(moved)
                         out[moved] = c if s is None else s + c
@@ -740,24 +779,29 @@ def _commutator_core(a: WeylElement, b: WeylElement):
     A term pair reads the memo for d1 past m2 only when their masks meet,
     and for d2 past m1 likewise; a pair that meets in neither gives no term.
     """
-    sums, den, unit, width, bound, pairs = _kernel_pairs(a, b)
+    sums, den, unit, width, bound, depth, pairs = _kernel_pairs(a, b)
     size = len(a.table.zeros)
     shift, bias = size * width, _layout(size, width)[0]
     for terms_a, terms_b, out in pairs:
         for k1, c1, mm1, dm1, fm1 in terms_a:
             d1, lead = k1 >> shift, k1 - bias
             for k2, c2, mm2, dm2, fm2 in terms_b:
-                if not (dm1 & mm2 or dm2 & mm1):
+                forward, backward = dm1 & mm2, dm2 & mm1
+                if not (forward or backward):
                     continue
                 base, key = c1 * c2, lead + k2
-                for meet, der, mon, c in ((dm1 & mm2, d1, k2 & fm1, base),
-                                          (dm2 & mm1, k2 >> shift, k1 & fm2, -base)):
-                    if not meet:
-                        continue
-                    for factor, delta in _reorder_corrections(der, mon, unit, width, size):
-                        moved, v = key + delta, c * factor
+                if forward:  # d1 past m2
+                    for factor, delta in _reorder_corrections(d1, k2 & fm1, unit,
+                                                              width, size, depth):
+                        moved, v = key + delta, base * factor
                         s = out.get(moved)
                         out[moved] = v if s is None else s + v
+                if backward:  # d2 past m1, with a minus sign
+                    for factor, delta in _reorder_corrections(k2 >> shift, k1 & fm2, unit,
+                                                              width, size, depth):
+                        moved, v = key + delta, base * factor
+                        s = out.get(moved)
+                        out[moved] = -v if s is None else s - v
     return sums, den, unit, width, bound
 
 
@@ -781,17 +825,20 @@ def _operator_form(a: WeylElement, unit: int, form) -> dict:
     """The blocks of the operator ``a`` grouped by derivative block.
 
     Read off ``form``, the packed form of ``a`` on ``unit``, once, and kept
-    in its last entry.  Each block is grouped into a tuple with one entry
-    (orders, t_order, moved, terms) per distinct derivative block d:
+    in its sixth entry.  Each block is grouped into a tuple with one entry
+    (orders, t_order, lift, terms) per distinct derivative block d:
     ``orders`` holds (bit offset of slot i, d_i) for each variable slot
-    that d differentiates, ``t_order`` is the order of d[t] and ``moved``
-    the sum of d.  ``terms`` holds (key, numerator) for each term m * d,
+    that d differentiates, ``t_order`` is the order of d[t] and ``lift``
+    is unit^(depth - K), K the sum of d and depth that of the form
+    (:func:`_depth`; 1 on unit 1), so that each falling factorial over
+    unit^K times ``lift`` is an int over unit^depth.  ``terms`` holds
+    (key, numerator) for each term m * d,
     the key being m without bias and already lowered by d: every variable
     slot i less d_i * unit, as on each term of the image of d.
     """
     out = form[5]
     if out is None:
-        blocks, width, size = form[0], form[2], len(a.table.zeros)
+        blocks, width, depth, size = form[0], form[2], form[6], len(a.table.zeros)
         mask, shift, time = (1 << width) - 1, size * width, (size - 1) * width
         mon, variables = (1 << shift) - 1, (1 << time) - 1
         bias, out = _layout(size, width)[0], {}
@@ -805,24 +852,27 @@ def _operator_form(a: WeylElement, unit: int, form) -> dict:
             for der, group in groups.items():
                 orders = [der >> at & mask for at in range(0, shift, width)]
                 entries.append((tuple((i * width, k) for i, k in enumerate(orders[:-1]) if k),
-                                orders[-1], sum(orders), tuple(group)))
+                                orders[-1], unit ** (depth - sum(orders)) if depth else 1,
+                                tuple(group)))
             out[blk] = tuple(entries)
-        a._packed[unit] = (*form[:5], out)
+        a._packed[unit] = (*form[:5], out, form[6])
     return out
 
 
 def _apply_core(a: WeylElement, f: WeylElement):
     """The loop of :func:`apply_to`: ``(sums, den, unit, state form, bound)``.
 
-    ``sums`` maps each gamma^a xi^b block to packed key -> numerator over
-    ``den``, on the lattice of ``unit`` and at the width of ``f``'s packed
-    form, which is returned with it and the sum of the two bounds.  For
-    each derivative block d of a
+    ``sums`` maps each gamma^a xi^b block to packed key -> int numerator
+    over ``den``, on the lattice of ``unit`` and at the width of ``f``'s
+    packed form, which is returned with it and the sum of the two bounds.
+    For each derivative block d of a
     block of ``a`` (:func:`_operator_form`) and each term w of a block of
     ``f``, the falling factorials and the d[t] weight factor are read off
-    the fields of w and multiplied once, and every term m * d then adds its
-    packed, lowered m to the key of w.  An undecoded ``apply_to`` result is
-    derivative-free by construction, and any other ``f`` is checked first.
+    the fields of w and multiplied once, with the block's ``lift``, and
+    every term m * d then adds its packed, lowered m to the key of w.
+    ``den`` carries unit^depth, ``a``'s :func:`_depth`.  An undecoded
+    ``apply_to`` result is derivative-free by construction, and any other
+    ``f`` is checked first.
     """
     if type(f) is not _Undecoded and not f.is_scalar_function():
         raise ValueError("apply_to expects a derivative-free operand")
@@ -833,10 +883,10 @@ def _apply_core(a: WeylElement, f: WeylElement):
     bias, mask = 1 << width - 1, (1 << width) - 1
     time = (len(a.table.zeros) - 1) * width
     for groups, terms_f, out in pairs:
-        for orders, t_order, moved, terms_a in groups:
+        for orders, t_order, lift, terms_a in groups:
             for w, c2 in terms_f.items():
-                if orders or t_order:
-                    factor = 1
+                if orders or t_order or lift != 1:
+                    factor = lift
                     for at, k in orders:  # _lattice_falling, inlined
                         n = (w >> at & mask) - bias
                         factor *= n if k == 1 else math.prod(range(n, n - k * unit, -unit))
@@ -844,33 +894,33 @@ def _apply_core(a: WeylElement, f: WeylElement):
                         factor *= ((w >> time & mask) - bias) ** t_order
                     if not factor:
                         continue
-                    if unit != 1:
-                        factor = _over_unit(factor, unit, moved)
                     c2 *= factor
                 for m1, c1 in terms_a:
                     key = m1 + w
                     c = c1 * c2
                     s = out.get(key)
                     out[key] = c if s is None else s + c
-    return sums, form_a[1] * state[1], unit, state, form_a[3] + state[3]
+    return (sums, form_a[1] * state[1] * unit ** form_a[6], unit, state,
+            form_a[3] + state[3])
 
 
 def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
                    bound: int, decode: bool = False) -> WeylElement:
     """The element of the kernel result ``sums`` over ``den``, on ``unit`` at ``width``.
 
-    The numerators are first normalised as ``split_blocks`` would give them
-    for the result: zeros dropped, ``Fraction`` numerators (a fractional
-    reordering factor on a unit above 1) cleared into ``den``, and the gcd
-    of ``den`` and all numerators divided out.  The element stores this
-    form, with the kernel's ``bound``, in its ``_packed`` slot, so a later
-    kernel call on it packs nothing.  With ``decode`` (:func:`mul`,
-    :func:`commutator`) the terms are decoded at once and run through the
-    constructor's checks.  Without it (an :func:`apply_to` result,
-    derivative-free and canonical by construction) the ``terms`` slot stays
-    unset until it is first read (:class:`_Undecoded`), and on a unit above
-    1 one scan of the monomial slots n gives the element's exponent unit,
-    ``unit`` over the gcd of ``unit`` and every n.
+    The int numerators are first normalised as ``split_blocks`` would give
+    them for the result: zeros dropped, and the gcd of ``den`` and all
+    numerators divided out.  Every kernel adds ints over one denominator
+    (:func:`_depth`), so no numerator is a ``Fraction``.  The element
+    stores this form, with the kernel's ``bound`` and its own
+    :func:`_depth`, in its ``_packed`` slot, so a later kernel call on it
+    packs nothing.  With ``decode`` (:func:`mul`, :func:`commutator`) the
+    terms are decoded at once and run through the constructor's checks.
+    Without it (an :func:`apply_to` result, derivative-free, so of depth
+    0, and canonical by construction) the ``terms`` slot stays unset until
+    it is first read (:class:`_Undecoded`), and on a unit above 1 one scan
+    of the monomial slots n gives the element's exponent unit, ``unit``
+    over the gcd of ``unit`` and every n.
     """
     blocks = {}
     for blk, block in sums.items():
@@ -878,13 +928,6 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
             block = {key: n for key, n in block.items() if n}
         if block:
             blocks[blk] = block
-    if unit != 1:  # Fraction numerators, some perhaps integral, become ints
-        clear = math.lcm(*[n.denominator for block in blocks.values()
-                           for n in block.values()])
-        for block in blocks.values():
-            for key, n in block.items():
-                block[key] = (n * clear).numerator
-        den *= clear
     g = den
     for block in blocks.values():
         if g == 1:
@@ -895,8 +938,10 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
             for key, n in block.items():
                 block[key] = n // g
         den //= g
+    depth = 0
     if decode:
         e = WeylElement(table, _decoded(table, blocks, den, unit, width))
+        depth = _depth(e.terms, unit)
     else:
         e = _Undecoded.__new__(_Undecoded)
         e.table, e._lattice, e._support = table, 1, None
@@ -905,7 +950,7 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
             e._lattice = unit // math.gcd(unit, *[
                 (key >> at & mask) - half for block in blocks.values() for key in block
                 for at in range(0, len(table.zeros) * width, width)])
-    e._packed = {unit: (blocks, den, width, bound, None, None)}
+    e._packed = {unit: (blocks, den, width, bound, None, None, depth)}
     return e
 
 
@@ -1014,10 +1059,9 @@ def _numerators_match(sums: dict, den: int, blocks: dict, den_g: int,
 
     Both are packed kernel forms with the same keys, on one lattice and
     one width.  ``c`` has at most one term q * gamma^a * xi^b, or
-    ``blocks`` is empty.  Runs on the numerators, so no ``Coef``, no
-    ``Fraction`` key and no element is built.  ``sums`` holds numerators n
-    per gamma^a xi^b block and key (ints, or ``Fraction`` where a unit
-    above 1 gives a fractional reordering factor), ``blocks`` numerators
+    ``blocks`` is empty.  Runs on int numerators, so no ``Coef``, no
+    ``Fraction`` and no element is built.  ``sums`` holds numerators n
+    per gamma^a xi^b block and key, ``blocks`` numerators
     n_g.  c * g has the blocks shifted by (a, b), and equals ``sums``
     exactly when the nonzero numerators of ``sums`` sit at just those
     keys, each with n * den_g * q.denominator == n_g * q.numerator * den.

@@ -243,13 +243,14 @@ def test_eigencheck_rescales_psi_to_the_call_unit():
 
 
 def test_eigencheck_on_fraction_valued_sums():
-    """The continuous probe at fractional lambda sums Fraction numerators."""
+    """The continuous probe at fractional lambda runs on a unit above 1,
+    whose reordering factors are fractional, and still sums int
+    numerators only: the kernel's denominator carries the unit's power."""
     for lam in (Fraction(1, 3), Fraction(-2, 5)):
         H, psi = _probe(lam)
-        sums, _, unit, _, _ = _apply_core(H, psi)
-        assert unit == lam.denominator
-        assert any(type(n) is Fraction for block in sums.values()
-                   for n in block.values())
+        sums, den, unit, _, _ = _apply_core(H, psi)
+        assert unit == lam.denominator and den % unit == 0
+        assert all(type(n) is int for block in sums.values() for n in block.values())
         assert eigencheck(H, psi) == reference_eigencheck(H, psi) == lam
         shifted = psi + WeylElement.var(psi.table, "y", lam + 1)
         assert eigencheck(H, shifted) is reference_eigencheck(H, shifted) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgaweyl import verify
+from cgaweyl import verify, weyl
 from cgaweyl.scalar import COEF_ZERO, Coef
 from cgaweyl.weyl import (NAT, RAT, VarTable, WeylElement, _commutator_core,
                           _is_multiple, _Undecoded, apply_to, bracket_residual,
@@ -495,6 +495,100 @@ def test_xi0_subalgebra_structure_notes_a_rule_outside_its_subalgebra(monkeypatc
     assert not report.ok
 
 
+def _reference_loop_table(fam):
+    """(entries, skips) of the loop table read off ``xi0_loop_rules`` pair
+    by pair: [p1(n), p2(m)] by the rule for (p1, p2), else minus the rule
+    for (p2, p1) at swapped modes; a pair is skipped when n + m, or the
+    mode of its result, leaves |k| <= N."""
+    N = fam.params.cutoff
+    rules = verify.xi0_loop_rules(fam.params.omega1, fam.params.omega2)
+    modes = [(p, n) for p in verify.XI0_LOOP_PREFIXES for n in range(-N, N + 1)]
+    entries, skips = {}, set()
+    for i, (p1, n) in enumerate(modes):
+        for p2, m in modes[i + 1:]:
+            a, b = loop_name(p1, n), loop_name(p2, m)
+            if abs(n + m) > N:
+                skips.add((a, b))
+                continue
+            if (p1, p2) in rules:
+                sign, (p3, shift, c0, cn, cm) = 1, rules[(p1, p2)]
+                c = c0 + cn * n + cm * m
+            elif (p2, p1) in rules:
+                sign, (p3, shift, c0, cn, cm) = -1, rules[(p2, p1)]
+                c = c0 + cn * m + cm * n
+            else:
+                continue
+            k = n + m + shift
+            if abs(k) > N:
+                skips.add((a, b))
+            else:
+                entries[(a, b)] = RelationEntry(a, b, sign * c, loop_name(p3, k))
+    return entries, skips
+
+
+@pytest.mark.parametrize("w1, w2, flip", [
+    (2, 3, False), (Fraction(3, 2), Fraction(5, 7), False), (1, 1, False), (2, 3, True),
+], ids=["2-3", "3/2-5/7", "1-1", "2-3-flipped-witt"])
+def test_xi0_loop_table_matches_its_rules_pair_by_pair(monkeypatch, w1, w2, flip):
+    """The table reads each rule in both orders once and makes one Coef per
+    distinct coefficient, and still lists, pair by pair, what the rules
+    give; a patched rule reaches it too."""
+    if flip:
+        _patch_loop_rules(monkeypatch, _flip_witt)
+    fam = build_xi0(w1, w2, cutoff=3)
+    table = xi0_loop_table(fam)
+    entries, skips = _reference_loop_table(fam)
+    assert table.entries == entries and table.skips == skips
+    coefs = [e.c for e in table.entries.values()]
+    assert len({id(c) for c in coefs}) == len({c.text() for c in coefs})
+
+
+def test_a_warm_loop_table_check_builds_no_fraction_in_the_kernels(monkeypatch):
+    """Once the generators are packed and the reordering memo is warm, the
+    (2, 3) loop table checks 1,819 brackets, 1,370 of them on the kernel,
+    and no Fraction is made while a bracket is checked: the kernels add
+    int numerators on the lattice of unit 2, and the comparator
+    cross-multiplies ints."""
+    fam = build_xi0(2, 3, cutoff=3)
+    table = xi0_loop_table(fam)
+    warm = verify_table(fam, table)
+    assert warm.ok
+    made, checking, calls = [0], [False], {"brackets": 0, "kernels": 0}
+
+    def counted(build):
+        def make(*args, **kwargs):
+            made[0] += checking[0]
+            return build(*args, **kwargs)
+        return make
+
+    def check(*args):
+        calls["brackets"] += 1
+        checking[0] = True
+        try:
+            return bracket_residual(*args)
+        finally:
+            checking[0] = False
+
+    core = weyl._commutator_core
+
+    def kernel(*args):
+        calls["kernels"] += 1
+        return core(*args)
+
+    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results from 3.12
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted(Fraction._from_coprime_ints.__func__)))
+    monkeypatch.setattr(verify, "bracket_residual", check)
+    monkeypatch.setattr(weyl, "_commutator_core", kernel)
+    report = verify_table(fam, table)
+    monkeypatch.undo()
+    assert report == warm
+    assert calls == {"brackets": 1819, "kernels": 1370}
+    assert sum(e.status != verify.SKIPPED for e in report.entries) == 1819
+    assert made == [0]
+
+
 def test_xi0_loop_table_skips_out_of_range_modes():
     fam = build_xi0(1, 1, cutoff=2)
     table = xi0_loop_table(fam)
@@ -678,9 +772,10 @@ def test_mutated_tables_match_the_element_reference(label):
     rng = random.Random(1709)
     kinds, failed = set(), set()
     for kind, a, b, entry in _mutants(fam, table, rng):
-        pair = RelationTable(table.name, (a, b), {(entry.left, entry.right): entry})
-        got = _checked_entries(fam, pair)
-        assert got == _reference_entries(fam, pair), (kind, a, b)
+        for scope in ((a, b), (b, a)):  # the entry read with sign 1, then -1
+            pair = RelationTable(table.name, scope, {(entry.left, entry.right): entry})
+            got = _checked_entries(fam, pair)
+            assert got == _reference_entries(fam, pair), (kind, scope)
         kinds.add(kind)
         if got[0][0] == FAILED:
             failed.add(kind)

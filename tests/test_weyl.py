@@ -22,7 +22,9 @@ from cgaweyl.weyl import (
     ZeroScaleFactor,
     anticommutator,
     apply_to,
+    bracket_residual,
     commutator,
+    eigenvalue,
     element_to_text,
     free_to_osc,
     mul,
@@ -116,6 +118,28 @@ def test_domain_violation_on_negative_power():
         WeylElement.var(PLAIN_TABLE, "x", -1)
 
 
+@pytest.mark.parametrize("mon, der", [
+    ((1.5, 0, 0), (0, 0, 0)),                 # x^1.5
+    ((Fraction(1, 2), 0.5, 0), (0, 0, 0)),    # a float beside a Fraction
+    ((0, 0, 0.5), (0, 0, 0)),                 # e^(0.5 t)
+    ((2.0, 0, 0), (0, 0, 0)),                 # an integral float
+    ((0, 0, 0), (0.5, 0, 0)),                 # d[x]^0.5
+    ((0, 0, 0), (1.0, 0, 0)),                 # an integral float order
+    ((0, 0, 0), (0, 0, Fraction(1))),         # an integral Fraction order of d[t]
+    ((Fraction(1, 2), 0, 0), (2, -1, 0)),     # a negative order
+    ((1, 0, 0), (-1, 0, 0)),
+], ids=["float", "float-beside-fraction", "float-weight", "integral-float",
+        "float-order", "integral-float-order", "fraction-order",
+        "negative-order-beside-fraction", "negative-order"])
+def test_the_constructor_rejects_inexact_slots(mon, der):
+    """A monomial slot must be an int or a Fraction, and a derivative order
+    an int >= 0: anything else raises TypeError.  A float slot that were
+    let through would act as a wrong exponent: d[x] against x^1.5 would
+    give 1, not (3/2) x^(1/2)."""
+    with pytest.raises(TypeError, match="derivative order an int >= 0"):
+        WeylElement(RAT_TABLE, {(mon, der): Coef.const(1)})
+
+
 @pytest.mark.parametrize("mon", [
     (-1, 0, 0, 0),                # x^-1 with x in NAT
     (0, Fraction(1, 2), 0, 0),    # y^(1/2) with y in NAT
@@ -172,10 +196,12 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
     first, and that first option is always (1, mon, der).  The memo runs on
     packed lattice keys: at unit L (the lcm of 1, 2 or 21 with the key's
     own denominators) and two field widths it reads the derivative block
-    and the monomial fields it differentiates, gives the same factors, an
-    int wherever the factor is integral, and key shifts that take the
-    packed (mon, der) to the packed option; it holds one entry per
-    distinct block and differentiated fields."""
+    and the monomial fields it differentiates, and gives key shifts that
+    take the packed (mon, der) to the packed option.  Each factor is the
+    int f_ref * L^D = F * L^(D - K): f_ref the generator's rational factor
+    F / L^K, K the derivatives moved and D the depth of the call, 0 on
+    L = 1 and otherwise the block's order or two more.  The memo holds one
+    entry per distinct block, differentiated fields and depth."""
     rng = random.Random(seed)
     keys = set()
     for _ in range(30):
@@ -197,18 +223,17 @@ def test_reorder_memo_matches_generator(table, weights, powers, seed):
                     options = tuple(_reorder_options(der, mon))
                     assert options[0] == (1, mon, der)
                     unit = math.lcm(base_unit, *(Fraction(p).denominator for p in mon))
-                    args = (packed_der, packed_key(mon, table.zeros, unit, width)
-                            & differentiated, unit, width, size)
-                    read.add(args)
-                    cached = _reorder_corrections(*args)
-                    assert len(cached) == len(options) - 1
-                    lead = packed_key(mon, der, unit, width)
-                    for (f, delta), (f_ref, m_ref, d_ref) in zip(cached, options[1:]):
-                        assert f == f_ref
-                        assert type(f) is (int if Fraction(f).denominator == 1
-                                           else Fraction)
-                        assert lead + delta == packed_key(m_ref, d_ref, unit, width)
-                    assert _reorder_corrections(*args) is cached
+                    for depth in ((0,) if unit == 1 else (sum(der), sum(der) + 2)):
+                        args = (packed_der, packed_key(mon, table.zeros, unit, width)
+                                & differentiated, unit, width, size, depth)
+                        read.add(args)
+                        cached = _reorder_corrections(*args)
+                        assert len(cached) == len(options) - 1
+                        lead = packed_key(mon, der, unit, width)
+                        for (f, delta), (f_ref, m_ref, d_ref) in zip(cached, options[1:]):
+                            assert type(f) is int and f == f_ref * unit ** depth
+                            assert lead + delta == packed_key(m_ref, d_ref, unit, width)
+                        assert _reorder_corrections(*args) is cached
             info = _reorder_corrections.cache_info()
             assert info.misses == len(read) <= REORDER_CACHE_SIZE
             assert info.maxsize == REORDER_CACHE_SIZE
@@ -684,6 +709,78 @@ def test_mixed_unit_kernels_match_references(table, powers_a, powers_b,
         assert all(type(mon[1]) is int for mon, _ in got.terms)
         assert (2, 3, 3) in units
     assert any(ua != ub for ua, ub, _ in units)
+
+
+# -- int numerators on every lattice -------------------------------------------
+
+# exponent and weight pools on units 2, 3 and 21 (x, y and the time weight)
+LATTICE_POOLS = {
+    2: ((0, 1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)),
+        (0, 1, Fraction(1, 2), Fraction(-3, 2))),
+    3: ((0, 1, Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3)),
+        (0, -1, Fraction(1, 3))),
+    21: ((0, 1, Fraction(1, 3), Fraction(2, 7), Fraction(-5, 21)),
+         (0, Fraction(1, 7), Fraction(-2, 3))),
+}
+
+
+def _record_kernel_sums(monkeypatch) -> list:
+    """Make every kernel hand (unit, sums) to the returned list: the cores
+    of commutator, bracket_residual, apply_to and eigenvalue, and the
+    arguments that mul gives to ``_packed_result``."""
+    seen = []
+
+    def recording(kernel, core):
+        def run(*args):
+            out = kernel(*args)
+            sums, _, unit = out[:3] if core else args[1:4]
+            seen.append((unit, sums))
+            return out
+        return run
+
+    monkeypatch.setattr(weyl, "_commutator_core", recording(weyl._commutator_core, True))
+    monkeypatch.setattr(weyl, "_apply_core", recording(weyl._apply_core, True))
+    monkeypatch.setattr(weyl, "_packed_result", recording(weyl._packed_result, False))
+    return seen
+
+
+@pytest.mark.parametrize("units, seed", [
+    ((2, 2), 701), ((3, 3), 709), ((21, 21), 719), ((2, 3), 727), ((21, 2), 733),
+], ids=["2", "3", "21", "2-beside-3", "21-beside-2"])
+def test_kernels_sum_int_numerators_on_every_lattice(monkeypatch, units, seed):
+    """On units 2, 3 and 21, and on operands of two units that meet on
+    their lcm, with time weights such as e^(t/2) beside d[t]: mul,
+    commutator, apply_to, eigenvalue and bracket_residual equal their
+    references, and every numerator that a kernel sums is an int, for
+    reordering factors that are fractional on the lattice."""
+    seen = _record_kernel_sums(monkeypatch)
+    (powers_a, weights_a), (powers_b, weights_b) = (LATTICE_POOLS[u] for u in units)
+    rng = random.Random(seed)
+    brackets = 0
+    for _ in range(25):
+        a = random_element(RAT_TABLE, rng, max_terms=3, max_der=3,
+                           weights=weights_a, powers=powers_a, coefs=COEF_POOL)
+        b = random_element(RAT_TABLE, rng, max_terms=3, max_der=3,
+                           weights=weights_b, powers=powers_b, coefs=COEF_POOL)
+        f = _scalar_function(RAT_TABLE, rng, powers_b, weights_b, RATIONAL_COEFS)
+        ab, ba = reference_mul(a, b), reference_mul(b, a)
+        bracket = ab - ba
+        assert mul(a, b) == ab and mul(b, a) == ba
+        assert commutator(a, b) == bracket
+        assert apply_to(a, f) == reference_apply_to(a, f)
+        assert eigenvalue(a, f) == reference_eigencheck(a, f)
+        H = _euler_operator(RAT_TABLE, rng, RATIONAL_COEFS)
+        psi = _monomial(RAT_TABLE, rng, powers_b, weights_b)
+        E = eigenvalue(H, psi)
+        assert E is not None and E == reference_eigencheck(H, psi)
+        # [a, b] = 2 * (bracket / 2) holds; [a, b] = 3 * bracket leaves -2 * bracket
+        assert bracket_residual(a, b, bracket.scaled(Fraction(1, 2)), 2) is None
+        residual = bracket_residual(a, b, bracket, 3)
+        assert (residual is None) if bracket.is_zero() else residual == -2 * bracket
+        brackets += not bracket.is_zero()
+    assert brackets > 10 and math.lcm(*units) in {unit for unit, _ in seen}
+    assert all(type(n) is int for _, sums in seen for block in sums.values()
+               for n in block.values())
 
 
 # -- int numerators: monomial blocks -------------------------------------------
