@@ -15,6 +15,7 @@ from .weyl import (
     element_to_text,
     free_to_osc,
     mul,
+    mul_sum,
     parse_element,
     remap,
     substitute,
@@ -34,7 +35,7 @@ from .realizations import (
 __all__ = [
     "Coef", "coef",
     "NAT", "INT", "RAT", "VarTable", "WeylElement",
-    "mul", "commutator", "anticommutator", "apply_to", "substitute",
+    "mul", "mul_sum", "commutator", "anticommutator", "apply_to", "substitute",
     "free_to_osc", "element_to_text", "parse_element", "remap",
     "GeneratorFamily", "InvariantTriplet",
     "build_free_l1", "build_osc_l1", "build_free_general", "build_ladder",

@@ -22,8 +22,7 @@ from .weyl import (
     RAT,
     VarTable,
     WeylElement,
-    anticommutator,
-    mul,
+    mul_sum,
 )
 
 
@@ -245,18 +244,21 @@ def build_triplet(fam: GeneratorFamily) -> InvariantTriplet:
     """
     if fam.kind == "xi0":
         om, w2 = fam["Omega"], fam.params.omega2
-        return InvariantTriplet(plus=-(WeylElement.exp_t(fam.table, -w2) * om),
-                                zero=om, minus=WeylElement.exp_t(fam.table, w2) * om)
+        return InvariantTriplet(plus=mul_sum([(-1, WeylElement.exp_t(fam.table, -w2), om)]),
+                                zero=om,
+                                minus=mul_sum([(1, WeylElement.exp_t(fam.table, w2), om)]))
     if fam.kind not in ("free-l1", "osc-l1"):
         raise ValueError(f"no invariant triplet for family kind {fam.kind!r}")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    plus = fam["z+"] + half * (anticommutator(fam["v+1"], fam["w0"])
-                               - anticommutator(fam["v0"], fam["w+1"]))
-    zero = fam["z0"] - quarter * (anticommutator(fam["v+1"], fam["w-1"])
-                                  - anticommutator(fam["v-1"], fam["w+1"]))
-    minus = fam["z-"] - half * (anticommutator(fam["v0"], fam["w-1"])
-                                - anticommutator(fam["v-1"], fam["w0"]))
+    def anticommutators(c, first: tuple, second: tuple) -> list:
+        """The four products of c ({a, b} - {p, q}), where (a, b) and (p, q)
+        are the generators named in ``first`` and ``second``."""
+        (a, b), (p, q) = ((fam[name] for name in pair) for pair in (first, second))
+        return [(c, a, b), (c, b, a), (-c, p, q), (-c, q, p)]
+
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    plus = fam["z+"] + mul_sum(anticommutators(half, ("v+1", "w0"), ("v0", "w+1")))
+    zero = fam["z0"] + mul_sum(anticommutators(-quarter, ("v+1", "w-1"), ("v-1", "w+1")))
+    minus = fam["z-"] + mul_sum(anticommutators(-half, ("v0", "w-1"), ("v-1", "w0")))
     return InvariantTriplet(plus, zero, minus)
 
 
@@ -394,7 +396,7 @@ def ladder_over(fam: GeneratorFamily) -> GeneratorFamily:
     for n in range(ell + 1):
         inv_I = Fraction(1, factorial_sign(ell + n, ell))
         gens[f"a{n}"] = fam[gen_name("v", n)]
-        gens[f"a{n}d"] = -(inv_I * fam[gen_name("w", -n)])
+        gens[f"a{n}d"] = fam[gen_name("w", -n)].scaled(-inv_I)
         gens[f"b{n}"] = inv_I * fam[gen_name("w", n)]
         gens[f"b{n}d"] = fam[gen_name("v", -n)]
     return GeneratorFamily("ladder", fam.name, fam.table, gens, fam.params)
@@ -423,11 +425,9 @@ def general_invariant_ladder(ladder: GeneratorFamily) -> WeylElement:
     (with z+ = +d[tau]) reproduces the explicit operator exactly.
     """
     ell = ladder.params.ell
-    out = WeylElement.deriv(ladder.table, "tau")
-    for n in range(ell):
-        out = out + (ell - n) * mul(ladder[f"a{n}d"], ladder[f"a{n + 1}"]) \
-                  - (ell + n + 1) * mul(ladder[f"b{n}d"], ladder[f"b{n + 1}"])
-    return out
+    return WeylElement.deriv(ladder.table, "tau") + mul_sum(
+        [(ell - n, ladder[f"a{n}d"], ladder[f"a{n + 1}"]) for n in range(ell)]
+        + [(-(ell + n + 1), ladder[f"b{n}d"], ladder[f"b{n + 1}"]) for n in range(ell)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +519,12 @@ def build_H(target) -> WeylElement:
     For a ladder family: sum_n n (a_n^+ a_n + b_n^+ b_n).
     """
     if target.kind == "ladder":
-        out = WeylElement.zero(target.table)
-        for n in range(1, target.params.ell + 1):
-            out = out + n * (mul(target[f"a{n}d"], target[f"a{n}"])
-                             + mul(target[f"b{n}d"], target[f"b{n}"]))
-        return out
+        return mul_sum((n, target[f"{ab}{n}d"], target[f"{ab}{n}"])
+                       for n in range(1, target.params.ell + 1) for ab in "ab")
     if target.kind == "osc-l1":
         half = Fraction(1, 2)
-        return half * (mul(target["v-1"], target["w+1"])
-                       - mul(target["w-1"], target["v+1"]))
+        return mul_sum([(half, target["v-1"], target["w+1"]),
+                        (-half, target["w-1"], target["v+1"])])
     if target.kind == "xi0":
         return target["Omega"] + WeylElement.time_deriv(target.table)
     raise ValueError(f"no H for family kind {target.kind!r}")

@@ -35,6 +35,7 @@ from .weyl import (
     commutator,
     free_to_osc,
     mul,
+    mul_sum,
     remap,
 )
 from .realizations import (
@@ -598,9 +599,9 @@ def expected_onshell_factors(fam: GeneratorFamily
         for n in range(-N, N + 1):
             kappa_n = kappa(n, w1, w2)
             out[(loop_name("j+", n), "Omega")] = \
-                w2 * mul(kappa_n, WeylElement.exp_t(table, -w2))
+                mul_sum([(w2, kappa_n, WeylElement.exp_t(table, -w2))])
             out[(loop_name("j-", n), "Omega")] = \
-                w2 * mul(kappa_n, WeylElement.exp_t(table, w2))
+                mul_sum([(w2, kappa_n, WeylElement.exp_t(table, w2))])
     else:
         raise ValueError(f"no on-shell expectations for kind {fam.kind!r}")
     return out

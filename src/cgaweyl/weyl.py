@@ -18,10 +18,11 @@ and a derivative order that is not an ``int`` >= 0, and, with
 ``DomainViolation``, exponents outside their variable's domain and time
 parts over a table without time.
 In the same pass it records the element's exponent unit (below).
-:func:`mul` and :func:`commutator` leave these rules to it.  An
-:func:`apply_to` result is canonical by construction and skips it: its
-derivative-free terms cannot leave their domains (a falling factorial
-p(p-1)...(p-k+1) vanishes for each NAT exponent 0 <= p < k).
+:func:`mul_sum` (and so :func:`mul`) and :func:`commutator` leave
+these rules to it.  An :func:`apply_to` result is canonical by
+construction and skips it: its derivative-free terms cannot leave their
+domains (a falling factorial p(p-1)...(p-k+1) vanishes for each NAT
+exponent 0 <= p < k).
 
 Every term is keyed by a pair of plain tuples with one slot per table
 variable and then one for time: ``mon = (p_0, ..., p_{n-1}, weight)``, the
@@ -32,6 +33,13 @@ t_order)``, the derivative orders and the order of d[t].
 xi = 0 family's x^(w2/w1), weights such as e^(t/2)).  Terms print in the
 order of (d[t] order, (index, order) pairs, weight, (index, exponent)
 pairs) read off the nonzero slots, not in the order of the raw tuples.
+
+Operator sums take one kernel pass: :func:`mul_sum` returns the sum of
+c * a * b over (c, a, b) triples, c an ``int`` or a ``Fraction``, with
+every product run through the one product loop into one accumulator
+(:func:`_kernel_pairs`) and the sum decoded, and checked by the
+constructor, once.  :func:`mul` is the sum of one product and
+:func:`anticommutator` that of two, so there is no other product loop.
 
 All three kernels run on one packed form.  An element's exponent unit is
 the lcm of the denominators of its monomial slots (1 when all are ints);
@@ -53,10 +61,10 @@ pure function of the block and the monomial slots it differentiates, and
 the same pairs recur across thousands of term pairs, so
 :func:`_reorder_corrections` keeps its k >= 1 terms in a
 ``functools.lru_cache`` bounded by ``REORDER_CACHE_SIZE`` entries.  The
-k = 0 term is always (1, mon, der) and is not cached: :func:`mul` writes
-it itself.  A derivative on a slot whose exponent or weight is 0 gives a
-factor of 0 for every k >= 1, so the term lists of :func:`mul` and
-:func:`commutator` carry masks of the nonzero slots beside each key
+k = 0 term is always (1, mon, der) and is not cached: :func:`mul_sum`
+writes it itself.  A derivative on a slot whose exponent or weight is 0
+gives a factor of 0 for every k >= 1, so the term lists of
+:func:`mul_sum` and :func:`commutator` carry masks of the nonzero slots beside each key
 (:func:`_kernel_terms`), and the memo is read only where a derivative
 block meets a nonzero slot of the other monomial; the masks come from a
 few operations on the whole key.  The generator ``_reorder_options`` of
@@ -89,7 +97,7 @@ U^K, K the number of derivatives moved; a call moves at most D of them,
 D the largest total derivative order of a moving operand's terms
 (:func:`_depth`, kept with its packed form; a call takes the larger D
 of its operands), so the kernel puts U^D into
-its denominator once and every factor, the leading 1 of :func:`mul`
+its denominator once and every factor, the leading 1 of :func:`mul_sum`
 included, becomes the int F * U^(D - K).  On U = 1, D is 0.  No kernel
 sum and no comparison builds a ``Fraction``.
 :func:`cgaweyl.scalar.join_blocks` builds each result ``Coef`` once, at
@@ -154,8 +162,9 @@ Exponent = int | Fraction  # int when integral, see WeylElement
 _NAME = r"(?![edt]\b)[A-Za-z][A-Za-z0-9]*"
 
 # Bound on the memoized reorderings (entries of _reorder_corrections).  One
-# `cgaweyl all` run fills 115 entries, about 0.04 MB in all (tracemalloc,
-# CPython 3.11.7); checking the ell = 12 general table fills 49.
+# `cgaweyl all` run fills 133 entries, whose factors and shifts take about
+# 13 kB (tracemalloc), and checking the ell = 12 general table fills 49
+# (CPython 3.10.13 and 3.11.7 alike).
 REORDER_CACHE_SIZE = 4096
 
 
@@ -252,7 +261,7 @@ class WeylElement:
     ``_packed`` is None until a kernel first reads the element, and then
     maps each unit to the packed form that every kernel reads
     (:func:`_pack`): ``(blocks, den, width, bound, term lists, operator
-    groups, depth)``, the term lists and groups filled when :func:`mul` or
+    groups, depth)``, the term lists and groups filled when :func:`mul_sum` or
     :func:`commutator` (:func:`_kernel_terms`) and :func:`apply_to`
     (:func:`_operator_form`) first need them, and ``depth`` the
     :func:`_depth`.  A kernel result holds the form its kernel built.
@@ -491,7 +500,8 @@ def _key(mon, der, layout) -> int:
 def _slots(key: int, size: int, width: int) -> tuple[tuple, tuple]:
     """``(mon, der)`` of the packed ``key``; the inverse of :func:`_key`.
     Memoized: result keys recur across products (one ``cgaweyl all`` run
-    reads 3,319 keys here, 736 of them distinct)."""
+    reads 683 keys here, 243 of them distinct, under CPython 3.10.13 and
+    3.11.7 alike)."""
     mask, half, top = (1 << width) - 1, 1 << width - 1, size * width
     der = key >> top
     return (tuple([(key >> at & mask) - half for at in range(0, top, width)]),
@@ -646,7 +656,7 @@ def _form(e: WeylElement, unit: int, width: int = 0, form=None):
 
 
 def _kernel_terms(e: WeylElement, unit: int, form) -> dict:
-    """The term lists that :func:`mul` and :func:`commutator` read off ``form``.
+    """The term lists that :func:`mul_sum` and :func:`commutator` read off ``form``.
 
     ``form`` is the packed form of ``e`` on ``unit``.  Each block becomes a
     list of (key, numerator, mon_mask, der_mask, field_mask), one per term.
@@ -674,36 +684,56 @@ def _kernel_terms(e: WeylElement, unit: int, form) -> dict:
     return lists
 
 
-def _block_pairs(blocks_a: dict, blocks_b: dict):
-    """``(sums, pairs)``: one (terms of a, terms of b, ``sums[(a1 + a2, b1 +
-    b2)]``) per pair of blocks (a1, b1) of a and (a2, b2) of b."""
-    sums, pairs = {}, []
+def _block_pairs(blocks_a: dict, blocks_b: dict, sums: dict) -> list:
+    """One (terms of a, terms of b, ``sums[(a1 + a2, b1 + b2)]``) per pair of
+    blocks (a1, b1) of a and (a2, b2) of b."""
+    pairs = []
     for (ga, xa), terms_a in blocks_a.items():
         for (gb, xb), terms_b in blocks_b.items():
             pairs.append((terms_a, terms_b,
                           sums.setdefault((ga + gb, xa + xb), {})))
-    return sums, pairs
+    return pairs
 
 
-def _kernel_pairs(a: WeylElement, b: WeylElement):
-    """Where :func:`mul` and :func:`commutator` run: ``(sums, den, unit, width, bound, depth, pairs)``.
+def _kernel_pairs(products: tuple):
+    """Where :func:`mul_sum` and :func:`commutator` run: ``(sums, den, unit, width, bound, runs)``.
 
-    The operands' packed forms on the lcm of their units (:func:`_packed_forms`)
-    give ``pairs``, the :func:`_block_pairs` of their term lists, and
-    ``bound``, the sum of their bounds, which bounds the result
-    (:func:`_bound`).  ``depth`` is the larger of the operands'
-    :func:`_depth`, which bounds the derivatives moved in either order,
-    and ``den`` is the product of their denominators and unit^depth.
+    ``products`` holds (c, a, b) triples, c an int or a ``Fraction``, all
+    operands over one table (:func:`mul_sum` checks both).  They share one
+    accumulator ``sums``: on ``unit``, the lcm of all operand units, at the
+    widest width any product needs, with ``bound`` the largest sum of a
+    product's operand bounds (:func:`_bound`), and over ``den``, the lcm of
+    each product's own denominator den_a * den_b * unit^depth *
+    c.denominator, where ``depth`` is the larger of its operands'
+    :func:`_depth`.  ``runs`` holds one (c.numerator, own denominator,
+    depth, pairs) per product, ``pairs`` being the :func:`_block_pairs` of
+    its operands' term lists, into ``sums``; the kernel multiplies the
+    product's numerators by c.numerator * (den / its own denominator).
     """
-    a._require_same_table(b)
-    unit = math.lcm(a._lattice, b._lattice)
-    width, form_a, form_b = _packed_forms(unit, 0, a, b)
-    terms_a = form_a[4] or _kernel_terms(a, unit, form_a)
-    terms_b = terms_a if b is a else form_b[4] or _kernel_terms(b, unit, form_b)
-    sums, pairs = _block_pairs(terms_a, terms_b)
-    depth = max(form_a[6], form_b[6])
-    return (sums, form_a[1] * form_b[1] * unit ** depth, unit, width,
-            form_a[3] + form_b[3], depth, pairs)
+    unit = 1
+    for _, a, b in products:
+        unit = math.lcm(unit, a._lattice, b._lattice)
+    forms, width, bound = [], 0, 0
+    for c, a, b in products:
+        form_a, form_b = _form(a, unit), _form(b, unit)
+        width = max(width, form_a[2], form_b[2])
+        bound = max(bound, form_a[3] + form_b[3])
+        forms.append((c, a, b, form_a, form_b))
+    if bound >> width - 1:  # the bound needs a wider field
+        width = _width(bound)
+    sums, den, runs = {}, 1, []
+    for c, a, b, form_a, form_b in forms:
+        if form_a[2] != width:
+            form_a = _form(a, unit, width, form_a)
+        if form_b[2] != width:
+            form_b = _form(b, unit, width, form_b)
+        terms_a = form_a[4] or _kernel_terms(a, unit, form_a)
+        terms_b = terms_a if b is a else form_b[4] or _kernel_terms(b, unit, form_b)
+        depth = max(form_a[6], form_b[6])
+        own = form_a[1] * form_b[1] * unit ** depth * c.denominator
+        den = math.lcm(den, own)
+        runs.append((c.numerator, own, depth, _block_pairs(terms_a, terms_b, sums)))
+    return sums, den, unit, width, bound, runs
 
 
 def _decoded(table: VarTable, blocks: dict, den: int, unit: int, width: int) -> dict:
@@ -723,34 +753,60 @@ def _decoded(table: VarTable, blocks: dict, den: int, unit: int, width: int) -> 
     return terms
 
 
-def mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Canonical normal-ordered product.
+def mul_sum(products) -> WeylElement:
+    """The sum of c * a * b over the (c, a, b) of ``products``, c an int or a ``Fraction``.
 
-    Each term pair gives its leading term (m1 m2)(d1 d2), one int addition
-    of the packed keys less one bias, then the memoized k >= 1 reordering
-    terms of d1 past m2.  The memo is read only when the mask of d1 meets
-    that of m2: otherwise every k >= 1 term has a factor of 0.  On a unit U
-    above 1 the denominator carries U^depth (:func:`_depth`), so the
-    leading term is scaled by it, as every memoized factor is.
+    Every product runs the one product loop into one accumulator
+    (:func:`_kernel_pairs`), its numerators scaled by its c and its share
+    of the common denominator, and the sum is decoded once, through the
+    constructor's checks.  Each term pair gives its leading term (m1
+    m2)(d1 d2), one int addition of the packed keys less one bias, then
+    the memoized k >= 1 reordering terms of d1 past m2.  The memo is read
+    only when the mask of d1 meets that of m2: otherwise every k >= 1 term
+    has a factor of 0.  On a unit U above 1 a product's own denominator
+    carries U^depth (:func:`_depth`), so its leading term is scaled by
+    it, as every memoized factor is.  An empty ``products`` raises
+    ``ValueError``, as do operands over two tables; a c that is not an
+    int or a ``Fraction`` raises ``TypeError``.
     """
-    sums, den, unit, width, bound, depth, pairs = _kernel_pairs(a, b)
-    size = len(a.table.zeros)
-    shift, bias, lift = size * width, _layout(size, width)[0], unit ** depth
-    for terms_a, terms_b, out in pairs:
-        for k1, c1, _, dm1, fm1 in terms_a:
-            d1, k1, lead = k1 >> shift, k1 - bias, c1 * lift
-            for k2, c2, mm2, _, _ in terms_b:
-                key, c = k1 + k2, lead * c2
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-                if dm1 & mm2:
-                    base = c1 * c2
-                    for factor, delta in _reorder_corrections(d1, k2 & fm1, unit,
-                                                              width, size, depth):
-                        moved, c = key + delta, base * factor
-                        s = out.get(moved)
-                        out[moved] = c if s is None else s + c
-    return _packed_result(a.table, sums, den, unit, width, bound, True)
+    products = tuple(products)
+    if not products:
+        raise ValueError("mul_sum needs at least one product")
+    first = products[0][1]
+    table = first.table
+    for c, a, b in products:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"a product's factor must be an int or a Fraction, "
+                            f"not {type(c).__name__}")
+        if a.table is not table or b.table is not table:
+            first._require_same_table(a)
+            first._require_same_table(b)
+    sums, den, unit, width, bound, runs = _kernel_pairs(products)
+    size = len(table.zeros)
+    shift, bias = size * width, _layout(size, width)[0]
+    for numerator, own, depth, pairs in runs:
+        scale, lift = numerator * (den // own), unit ** depth
+        for terms_a, terms_b, out in pairs:
+            for k1, c1, _, dm1, fm1 in terms_a:
+                c1 *= scale
+                d1, k1, lead = k1 >> shift, k1 - bias, c1 * lift
+                for k2, c2, mm2, _, _ in terms_b:
+                    key, c = k1 + k2, lead * c2
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
+                    if dm1 & mm2:
+                        base = c1 * c2
+                        for factor, delta in _reorder_corrections(d1, k2 & fm1, unit,
+                                                                  width, size, depth):
+                            moved, c = key + delta, base * factor
+                            s = out.get(moved)
+                            out[moved] = c if s is None else s + c
+    return _packed_result(table, sums, den, unit, width, bound, True)
+
+
+def mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Canonical normal-ordered product a * b: ``mul_sum([(1, a, b)])``."""
+    return mul_sum(((1, a, b),))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -779,7 +835,8 @@ def _commutator_core(a: WeylElement, b: WeylElement):
     A term pair reads the memo for d1 past m2 only when their masks meet,
     and for d2 past m1 likewise; a pair that meets in neither gives no term.
     """
-    sums, den, unit, width, bound, depth, pairs = _kernel_pairs(a, b)
+    a._require_same_table(b)
+    sums, den, unit, width, bound, ((_, _, depth, pairs),) = _kernel_pairs(((1, a, b),))
     size = len(a.table.zeros)
     shift, bias = size * width, _layout(size, width)[0]
     for terms_a, terms_b, out in pairs:
@@ -806,7 +863,8 @@ def _commutator_core(a: WeylElement, b: WeylElement):
 
 
 def anticommutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return mul(a, b) + mul(b, a)
+    """{a, b} = a*b + b*a, one :func:`mul_sum` of the two products."""
+    return mul_sum(((1, a, b), (1, b, a)))
 
 
 def apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
@@ -879,7 +937,8 @@ def _apply_core(a: WeylElement, f: WeylElement):
     a._require_same_table(f)
     unit = math.lcm(a._lattice, f._lattice)
     width, form_a, state = _packed_forms(unit, 0, a, f)
-    sums, pairs = _block_pairs(_operator_form(a, unit, form_a), state[0])
+    sums = {}
+    pairs = _block_pairs(_operator_form(a, unit, form_a), state[0], sums)
     bias, mask = 1 << width - 1, (1 << width) - 1
     time = (len(a.table.zeros) - 1) * width
     for groups, terms_f, out in pairs:
@@ -914,7 +973,7 @@ def _packed_result(table: VarTable, sums: dict, den: int, unit: int, width: int,
     (:func:`_depth`), so no numerator is a ``Fraction``.  The element
     stores this form, with the kernel's ``bound`` and its own
     :func:`_depth`, in its ``_packed`` slot, so a later kernel call on it
-    packs nothing.  With ``decode`` (:func:`mul`, :func:`commutator`) the
+    packs nothing.  With ``decode`` (:func:`mul_sum`, :func:`commutator`) the
     terms are decoded at once and run through the constructor's checks.
     Without it (an :func:`apply_to` result, derivative-free, so of depth
     0, and canonical by construction) the ``terms`` slot stays unset until
@@ -1133,20 +1192,20 @@ def free_to_osc(a: WeylElement, free_table: VarTable) -> WeylElement:
                          f"{('tau',) + src.names}, got {free_table.names}")
     weights = [int(name in ("x", "y")) for name in src.names]
     # dt_pows[j]: the j-th power of the d[t] image tau d[tau] + sum_v w_v v d[v]
-    dt_pows = [WeylElement.const(free_table, 1), sum(
-        (w * mul(WeylElement.var(free_table, v), WeylElement.deriv(free_table, v))
-         for v, w in zip(free_table.names, [1] + weights)), WeylElement.zero(free_table))]
-    out = WeylElement.zero(free_table)
+    dt_pows = [WeylElement.const(free_table, 1), mul_sum(
+        [(w, WeylElement.var(free_table, v), WeylElement.deriv(free_table, v))
+         for v, w in zip(free_table.names, [1] + weights) if w])]
+    products = []
     for (mon, der), c in a.terms.items():
         k = mon[-1] - sum(w * (p - q) for w, p, q in zip(weights, mon, der))
         if k.denominator != 1 and free_table.domains[0] != RAT:
             raise NonIntegerTimeWeight(f"tau exponent {k} is not an integer")
         while len(dt_pows) <= der[-1]:
             dt_pows.append(mul(dt_pows[-1], dt_pows[1]))
-        out = out + mul(WeylElement(free_table, {((k,) + mon[:-1] + (0,),
-                                                  (0,) + der[:-1] + (0,)): c}),
-                        dt_pows[der[-1]])
-    return out
+        products.append((1, WeylElement(free_table, {((k,) + mon[:-1] + (0,),
+                                                      (0,) + der[:-1] + (0,)): c}),
+                         dt_pows[der[-1]]))
+    return mul_sum(products) if products else WeylElement.zero(free_table)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,16 @@ def reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(a.table, out)
 
 
+def reference_mul_sum(products) -> WeylElement:
+    """``mul_sum(products)`` as the sum of c * ``reference_mul(a, b)`` over
+    its (c, a, b), built with ``scaled`` and ``+``."""
+    products = list(products)
+    out = WeylElement.zero(products[0][1].table)
+    for c, a, b in products:
+        out = out + reference_mul(a, b).scaled(c)
+    return out
+
+
 def reference_apply_to(a: WeylElement, f: WeylElement) -> WeylElement:
     """``apply_to(a, f)`` as the derivative-free part of ``reference_mul(a, f)``."""
     return WeylElement(a.table, {key: c for key, c in reference_mul(a, f).terms.items()
@@ -389,3 +399,44 @@ def reference_invariant_explicit(ell: int) -> WeylElement:
         out = out + n * mul(v(f"y{n + 1}"), d(f"y{n}"))
     c = Fraction((-1) ** ell, math.factorial(ell) * math.factorial(ell - 1))
     return out + c * mul(d(f"y{ell}"), d("u"))
+
+
+# The operator sums of cgaweyl.realizations as chains of ``+`` and scaled
+# ``mul`` products, one element per step: what ``mul_sum`` must reproduce.
+
+def chain_build_H(target) -> WeylElement:
+    """``build_H`` of a ladder or osc-l1 family, product by product."""
+    if target.kind == "ladder":
+        out = WeylElement.zero(target.table)
+        for n in range(1, target.params.ell + 1):
+            out = out + n * (mul(target[f"a{n}d"], target[f"a{n}"])
+                             + mul(target[f"b{n}d"], target[f"b{n}"]))
+        return out
+    half = Fraction(1, 2)
+    return half * (mul(target["v-1"], target["w+1"]) - mul(target["w-1"], target["v+1"]))
+
+
+def chain_invariant_ladder(ladder) -> WeylElement:
+    """``general_invariant_ladder(ladder)``, product by product."""
+    ell = ladder.params.ell
+    out = WeylElement.deriv(ladder.table, "tau")
+    for n in range(ell):
+        out = out + (ell - n) * mul(ladder[f"a{n}d"], ladder[f"a{n + 1}"]) \
+            - (ell + n + 1) * mul(ladder[f"b{n}d"], ladder[f"b{n + 1}"])
+    return out
+
+
+def chain_triplet(fam) -> tuple:
+    """``build_triplet(fam)`` as (plus, zero, minus), product by product."""
+    if fam.kind == "xi0":
+        om, w2 = fam["Omega"], fam.params.omega2
+        return (-(WeylElement.exp_t(fam.table, -w2) * om), om,
+                WeylElement.exp_t(fam.table, w2) * om)
+
+    def anti(a, b):
+        return mul(fam[a], fam[b]) + mul(fam[b], fam[a])
+
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    return (fam["z+"] + half * (anti("v+1", "w0") - anti("v0", "w+1")),
+            fam["z0"] - quarter * (anti("v+1", "w-1") - anti("v-1", "w+1")),
+            fam["z-"] - half * (anti("v0", "w-1") - anti("v-1", "w0")))

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_free_general, reference_invariant_explicit
+from helpers import (
+    chain_build_H,
+    chain_invariant_ladder,
+    chain_triplet,
+    reference_free_general,
+    reference_invariant_explicit,
+)
 from cgaweyl import realizations, weyl
 from cgaweyl.scalar import Coef
 from cgaweyl.weyl import (
@@ -34,6 +40,7 @@ from cgaweyl.realizations import (
     factorial_sign,
     gen_name,
     general_invariant_explicit,
+    general_invariant_ladder,
     kappa,
     loop_name,
 )
@@ -446,10 +453,44 @@ _NO_KERNEL_BUILDS = {
 @pytest.mark.parametrize("builder", _NO_KERNEL_BUILDS)
 def test_no_builder_runs_a_kernel(monkeypatch, builder):
     """The builders state their elements as term maps: with ``mul`` (which
-    every element product calls) made to raise, each still builds."""
+    every element product calls) and ``mul_sum`` made to raise, each still
+    builds."""
     def no_kernel(*args):
-        raise AssertionError("a builder ran mul")
+        raise AssertionError("a builder ran a product kernel")
 
     monkeypatch.setattr(weyl, "mul", no_kernel)
-    monkeypatch.setattr(realizations, "mul", no_kernel)
+    monkeypatch.setattr(weyl, "mul_sum", no_kernel)
+    monkeypatch.setattr(realizations, "mul_sum", no_kernel)
     _NO_KERNEL_BUILDS[builder]()
+
+
+def _triplet(fam) -> tuple:
+    return tuple(build_triplet(fam).named().values())
+
+
+_OPERATOR_SUMS = {
+    **{f"H-ladder-{ell}": (lambda ell=ell: build_ladder(ell), build_H, chain_build_H)
+       for ell in range(1, 7)},
+    "H-osc-l1": (build_osc_l1, build_H, chain_build_H),
+    "H-osc-l1-(2,3)": (lambda: build_osc_l1(2, 3), build_H, chain_build_H),
+    **{f"invariant-ladder-{ell}": (lambda ell=ell: build_ladder(ell),
+                                   general_invariant_ladder, chain_invariant_ladder)
+       for ell in range(1, 7)},
+    **{f"triplet-{label}": (build, _triplet, chain_triplet)
+       for label, build in (("free-l1", build_free_l1), ("osc-l1", build_osc_l1),
+                            ("xi0-(2,3)", lambda: build_xi0(2, 3)))},
+}
+
+
+@pytest.mark.parametrize("case", _OPERATOR_SUMS)
+def test_operator_sums_equal_their_chains(case):
+    """build_H, general_invariant_ladder and build_triplet, each one
+    ``mul_sum``, equal the chains of ``+`` and scaled ``mul`` products that
+    built them one element per step, in value and in text."""
+    build, summed, chain = _OPERATOR_SUMS[case]
+    fam = build()
+    got, want = summed(fam), chain(fam)
+    if not isinstance(got, tuple):
+        got, want = (got,), (want,)
+    assert got == want
+    assert [e.text() for e in got] == [e.text() for e in want]

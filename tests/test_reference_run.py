@@ -1,7 +1,7 @@
 """Every light pinned report re-derived on the slow reference kernels.
 
-The program reaches the kernels only through five public names of
-``cgaweyl.weyl``: ``mul``, ``commutator``, ``apply_to``,
+The program reaches the kernels only through six public names of
+``cgaweyl.weyl``: ``mul``, ``mul_sum``, ``commutator``, ``apply_to``,
 ``bracket_residual`` and ``eigenvalue``.  The run rebinds each of them,
 in every ``cgaweyl`` namespace that holds it and in ``tests/helpers``
 (whose ``reference_eigencheck`` calls ``apply_to``), to the references
@@ -26,11 +26,11 @@ from cgaweyl.scalar import coef
 HEAVY = (["verify", "--family", "free-general", "--l", "12"],
          ["spectrum", "--family", "free-general", "--l", "2", "--emax", "12", "--k", "1"])
 PINS = [p for p in golden.load_pin()["commands"] if p["argv"] not in HEAVY]
-SEAM = ("mul", "commutator", "apply_to", "bracket_residual", "eigenvalue")
+SEAM = ("mul", "mul_sum", "commutator", "apply_to", "bracket_residual", "eigenvalue")
 
 
 def reference_kernels(sign: int = 1) -> dict:
-    """The five seam names bound to references; ``sign=-1`` flips the bracket."""
+    """The six seam names bound to references; ``sign=-1`` flips the bracket."""
     def commutator(a, b):
         ab, ba = helpers.reference_mul(a, b), helpers.reference_mul(b, a)
         return ab - ba if sign > 0 else ba - ab
@@ -39,7 +39,8 @@ def reference_kernels(sign: int = 1) -> dict:
         residual = commutator(a, b) - g.scaled(coef(c))
         return None if residual.is_zero() else residual
 
-    return {"mul": helpers.reference_mul, "commutator": commutator,
+    return {"mul": helpers.reference_mul, "mul_sum": helpers.reference_mul_sum,
+            "commutator": commutator,
             "apply_to": helpers.reference_apply_to,
             "bracket_residual": bracket_residual,
             "eigenvalue": helpers.reference_eigencheck}

@@ -28,6 +28,7 @@ from cgaweyl.weyl import (
     element_to_text,
     free_to_osc,
     mul,
+    mul_sum,
     parse_element,
     remap,
     substitute,
@@ -64,6 +65,7 @@ from helpers import (
     reference_apply_to,
     reference_eigencheck,
     reference_mul,
+    reference_mul_sum,
     unchecked_element,
     with_fraction_exponents,
 )
@@ -781,6 +783,126 @@ def test_kernels_sum_int_numerators_on_every_lattice(monkeypatch, units, seed):
     assert brackets > 10 and math.lcm(*units) in {unit for unit, _ in seen}
     assert all(type(n) is int for _, sums in seen for block in sums.values()
                for n in block.values())
+
+
+# -- mul_sum: one kernel pass per operator sum ----------------------------------
+
+# factors c: ints, and Fractions with large denominators, coprime or not
+# to the operands' own denominators
+SUM_FACTORS = (1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 2**61 - 1),
+               Fraction(-(10**20 + 3), 10**30 + 7), Fraction(5, 2**40 * 3**5))
+
+
+def _mul_sum_cases(name):
+    """The products of one named case of ``test_mul_sum_matches_the_reference_sum``."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    t = RAT_TABLE
+
+    def var(v, p=1):
+        return WeylElement.var(t, v, p)
+
+    x, y = var("x"), var("y")
+    dx, dy = WeylElement.deriv(t, "x"), WeylElement.deriv(t, "y")
+    dt = WeylElement.time_deriv(t)
+    if name == "units-depths-widths":
+        # units 2 (x^(1/2), e^(t/2)), 3 (x^(1/3)) and 1 meet on 6; depths 0,
+        # 1 and 4 (d[x]^3 d[t]); y^200 needs 16-bit fields, the rest 8
+        shallow = (Fraction(2, 3), var("x", half), var("x", third) * y)
+        deep = (Fraction(-5, 7), WeylElement.exp_t(t, half) * dx * dx * dx * dt,
+                var("x", Fraction(5, 2)) * WeylElement.exp_t(t, -third) * y)
+        one = (3, x * dy, var("x", -half) * y)
+        wide = (Fraction(1, 4), var("y", 200) * dx, x * x * var("y", 3))
+        return [[shallow, deep, one, wide], [deep, shallow], [wide, one, shallow],
+                [one, deep], [deep]]
+    rng = random.Random(811)
+    if name == "symbolic":
+        osc = build_osc_l1()
+        g = osc.generators
+        return [[(Fraction(1, 2), g["v-1"], g["w+1"]), (Fraction(-1, 2), g["w-1"], g["v+1"])],
+                [(c, g[a], g[b]) for c, a, b in ((1, "v+1", "w0"), (-3, "w0", "v+1"),
+                                                  (Fraction(2, 5), "z-", "q"))],
+                [(rng.choice(SUM_FACTORS), *(random_element(
+                    t, rng, max_terms=3, weights=(0, half), powers=RAT_EXPONENT_POOL,
+                    coefs=COEF_POOL + LAURENT_POOL) for _ in range(2)))
+                 for _ in range(3)]]
+    if name == "large-denominators":
+        a = random_element(t, rng, max_terms=3, weights=(0, third), powers=RAT_EXPONENT_POOL)
+        b = random_element(t, rng, max_terms=3, weights=(0, half), powers=RAT_EXPONENT_POOL)
+        return [[(c, a, b), (c2, b, a), (Fraction(1, 3), a, a)]
+                for c, c2 in zip(SUM_FACTORS[5:], SUM_FACTORS[:0:-1])]
+    assert name == "cancels"
+    a = random_element(t, rng, max_terms=3, weights=(0, half), powers=RAT_EXPONENT_POOL,
+                       coefs=COEF_POOL)
+    b = dx * var("x", third) + dt * WeylElement.exp_t(t, half)
+    one = WeylElement.const(t, 1)
+    return [[(1, a, b), (-1, b, a), (-1, commutator(a, b), one)],
+            [(Fraction(2, 3), a, b), (Fraction(-2, 3), a, b)],
+            [(Fraction(1, 10**30 + 7), b, a), (-1, b, a.scaled(Fraction(1, 10**30 + 7)))]]
+
+
+@pytest.mark.parametrize("name", ["units-depths-widths", "symbolic", "large-denominators",
+                                  "cancels"])
+def test_mul_sum_matches_the_reference_sum(name):
+    """``mul_sum`` equals the sum of c * ``reference_mul(a, b)``, in value and
+    in text: products whose operands differ in unit, depth and field width,
+    in either order; symbolic gamma/xi coefficients; factors c with large
+    denominators; and sums that cancel to zero.  Every result is canonical
+    and its packed form equals a fresh packing."""
+    for i, products in enumerate(_mul_sum_cases(name)):
+        got, reference = mul_sum(products), reference_mul_sum(products)
+        check_canonical(got)
+        assert got == reference
+        assert got.text() == reference.text()
+        _assert_packed_slot(got)
+        if name == "cancels":
+            assert got.is_zero() and got.text() == "0"
+        if name == "units-depths-widths" and i == 0:
+            # y^200 needs 16-bit fields, so the 8-bit operands were widened
+            assert [form[2] for form in got._packed.values()] == [16]
+    if name == "units-depths-widths":
+        assert {e._lattice for products in _mul_sum_cases(name)
+                for _, a, b in products for e in (a, b)} == {1, 2, 3, 6}
+
+
+@pytest.mark.parametrize("units, seed", [((2, 3), 821), ((21, 2), 823), ((3, 3), 827)],
+                         ids=["2-beside-3", "21-beside-2", "3"])
+def test_mul_sum_matches_the_reference_on_random_products(units, seed):
+    """One to four random products, each with its own factor c and operands
+    on the two units, match the reference sum in value and in text, and
+    the anticommutator, a sum of two products, matches its reference."""
+    (powers_a, weights_a), (powers_b, weights_b) = (LATTICE_POOLS[u] for u in units)
+    rng = random.Random(seed)
+    for _ in range(20):
+        products = [(rng.choice(SUM_FACTORS),
+                     random_element(RAT_TABLE, rng, max_terms=3, max_der=3,
+                                    weights=weights_a, powers=powers_a),
+                     random_element(RAT_TABLE, rng, max_terms=3, max_der=3,
+                                    weights=weights_b, powers=powers_b))
+                    for _ in range(rng.randint(1, 4))]
+        got, reference = mul_sum(products), reference_mul_sum(products)
+        check_canonical(got)
+        assert got == reference and got.text() == reference.text()
+        _assert_packed_slot(got)
+        _, a, b = products[0]
+        assert anticommutator(a, b) == reference_mul(a, b) + reference_mul(b, a)
+
+
+def test_mul_sum_rejects_what_it_cannot_sum():
+    """An empty sum has no table, and operands over two tables do not
+    multiply: both raise ``ValueError``.  A factor c that is not an int or a
+    ``Fraction`` raises ``TypeError``."""
+    a, b = V("x") * D("y"), V("y")
+    other = WeylElement.var(TIME_TABLE, "x")
+    with pytest.raises(ValueError):
+        mul_sum([])
+    with pytest.raises(ValueError):
+        mul_sum([(1, a, other)])
+    with pytest.raises(ValueError):
+        mul_sum([(1, a, b), (1, other, other)])
+    for c in (Coef.const(2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            mul_sum([(1, a, b), (c, b, a)])
+    assert mul_sum((c, a, b) for c in (1, 2)) == mul_sum([(3, a, b)]) == 3 * mul(a, b)
 
 
 # -- int numerators: monomial blocks -------------------------------------------
